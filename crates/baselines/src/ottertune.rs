@@ -160,10 +160,9 @@ impl Proposer for OtterTuneProposer {
         // OtterTune keeps its own published seeding schedule (it predates the
         // driver's per-iteration seed).
         let seed = self.config.seed.wrapping_add(iter as u64).wrapping_mul(0x51);
-        let point = self
-            .config
-            .optimizer
-            .optimize(view.problem.dim(), &anchors, seed, |p| cei.value(&model.predict(p)));
+        let point = self.config.optimizer.optimize(view.problem.dim(), &anchors, seed, |pts| {
+            model.predict_batch(pts).iter().map(|p| cei.value(p)).collect()
+        });
         let recommendation_s = recommendation_span.finish_s();
         Proposal {
             point,

@@ -1,7 +1,7 @@
 //! Views over a [`trace::TraceSnapshot`]: the flamegraph-style span tree and
-//! the Table-3-compatible per-iteration phase breakdown. `trace_report`,
-//! `step_timing`, and the Table 3 experiment all render from these, so the
-//! trace is the single timing data source (DESIGN.md §10).
+//! the Table-3-compatible per-iteration phase breakdown. `trace_report` and
+//! the Table 3 experiment both render from these, so the trace is the
+//! single timing data source (DESIGN.md §10).
 
 use std::collections::BTreeMap;
 

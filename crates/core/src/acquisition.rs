@@ -101,17 +101,26 @@ impl Default for AcquisitionOptimizer {
     }
 }
 
+/// Candidates per `score_batch` call. A batched GP prediction builds an
+/// n×m cross-kernel matrix (plus its solve copy) per GP: scoring a whole
+/// 1,720-candidate set at once raised the benchmark fleet's peak RSS by ~9%,
+/// 256-wide blocks keep the batching's speed at +1.7% (DESIGN.md §8).
+const SCORE_BLOCK: usize = 256;
+
 impl AcquisitionOptimizer {
     /// Draws the full candidate set from the seeded RNG: `n_candidates`
     /// uniform points over `[0,1]^d`, then `n_local` Gaussian perturbations
-    /// cycling through `anchors`. Generation is serial and consumes the RNG
-    /// stream in a fixed order, so scoring — which never touches the RNG —
-    /// can be batched or parallelized freely without moving the proposal.
+    /// cycling through `anchors`. A set that would come out empty gets one
+    /// uniform point instead, so there is always an argmax. Generation is
+    /// serial and consumes the RNG stream in a fixed order, so scoring —
+    /// which never touches the RNG — can be split freely without moving the
+    /// proposal.
     fn generate_candidates(&self, dim: usize, anchors: &[Vec<f64>], seed: u64) -> Vec<Vec<f64>> {
         let mut rng = StdRng::seed_from_u64(seed);
         let n_local = if anchors.is_empty() { 0 } else { self.n_local };
-        let mut candidates = Vec::with_capacity(self.n_candidates + n_local);
-        for _ in 0..self.n_candidates {
+        let n_uniform = if n_local == 0 { self.n_candidates.max(1) } else { self.n_candidates };
+        let mut candidates = Vec::with_capacity(n_uniform + n_local);
+        for _ in 0..n_uniform {
             candidates.push((0..dim).map(|_| rng.random::<f64>()).collect());
         }
         for i in 0..n_local {
@@ -130,8 +139,7 @@ impl AcquisitionOptimizer {
     }
 
     /// Argmax over scored candidates with first-index tie-breaking (a strict
-    /// `>` scan), matching the incremental best-tracking the serial path
-    /// always used.
+    /// `>` scan), so the choice never depends on how scoring was split.
     fn select(mut candidates: Vec<Vec<f64>>, scores: &[f64]) -> Vec<f64> {
         debug_assert_eq!(candidates.len(), scores.len());
         let mut best = 0;
@@ -145,71 +153,31 @@ impl AcquisitionOptimizer {
         candidates.swap_remove(best)
     }
 
-    /// Maximizes `score` over `[0,1]^d` via random search plus local
-    /// refinement around `anchors` (typically the incumbent best points).
+    /// Maximizes a batched acquisition over `[0,1]^d` via random search plus
+    /// local refinement around `anchors` (typically the incumbent best
+    /// points). The candidates are split into `core::exec` lanes of
+    /// contiguous ranges, and each lane is scored by `score_batch` in blocks
+    /// of at most 256. For any scorer whose `score_batch(pts)[i]` depends on
+    /// `pts[i]` alone, the proposal is the per-point argmax whatever the
+    /// lane count.
     pub fn optimize(
         &self,
         dim: usize,
         anchors: &[Vec<f64>],
         seed: u64,
-        mut score: impl FnMut(&[f64]) -> f64,
-    ) -> Vec<f64> {
-        let candidates = self.generate_candidates(dim, anchors, seed);
-        trace::count("acq.candidates_scored", candidates.len() as u64);
-        let span = trace::span!("score_candidates", n = candidates.len());
-        let scores: Vec<f64> = candidates.iter().map(|p| score(p)).collect();
-        let _ = span.finish_s();
-        Self::select(candidates, &scores)
-    }
-
-    /// [`AcquisitionOptimizer::optimize`] over a *batched* scorer: the
-    /// candidate set is pre-generated serially (same RNG stream as
-    /// `optimize`), then scored in chunks — on scoped threads when
-    /// `parallel` — and the argmax is chosen with index tie-breaking.
-    /// Returns the same point as `optimize` for any scorer where
-    /// `score_batch(pts)[i] == score(&pts[i])`.
-    pub fn optimize_batch(
-        &self,
-        dim: usize,
-        anchors: &[Vec<f64>],
-        seed: u64,
-        parallel: bool,
         score_batch: impl Fn(&[Vec<f64>]) -> Vec<f64> + Sync,
     ) -> Vec<f64> {
         let candidates = self.generate_candidates(dim, anchors, seed);
         trace::count("acq.candidates_scored", candidates.len() as u64);
-        // Chunk-scoring spans re-enter the caller's context so parallel
-        // scoring aggregates under the ambient `recommendation` path.
-        let trace_ctx = trace::current_context();
-        let scores: Vec<f64> = if parallel {
-            let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let chunk = candidates.len().div_ceil(threads).max(1);
-            let score_batch = &score_batch;
-            let trace_ctx = &trace_ctx;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = candidates
-                    .chunks(chunk)
-                    .map(|c| {
-                        scope.spawn(move || {
-                            let _trace_guard = trace_ctx.enter();
-                            let span = trace::span!("score_candidates", n = c.len());
-                            let scores = score_batch(c);
-                            let _ = span.finish_s();
-                            scores
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("scoring thread panicked"))
-                    .collect()
-            })
-        } else {
-            let span = trace::span!("score_candidates", n = candidates.len());
-            let scores = score_batch(&candidates);
+        let lanes: Vec<&[Vec<f64>]> =
+            candidates.chunks(candidates.len().div_ceil(crate::exec::lanes())).collect();
+        let scores = crate::exec::map(lanes.len(), |l| {
+            let span = trace::span!("score_candidates", n = lanes[l].len());
+            let scores: Vec<f64> = lanes[l].chunks(SCORE_BLOCK).flat_map(&score_batch).collect();
             let _ = span.finish_s();
             scores
-        };
+        })
+        .concat();
         assert_eq!(scores.len(), candidates.len(), "scorer must return one score per candidate");
         Self::select(candidates, &scores)
     }
@@ -304,13 +272,44 @@ mod tests {
         assert!(cei.value(&likely) > cei.value(&unlikely));
     }
 
+    /// Per-point scoring lifted to the batched form `optimize` takes, with
+    /// a check that no call exceeds one scoring block.
+    fn batched(score: impl Fn(&[f64]) -> f64 + Sync) -> impl Fn(&[Vec<f64>]) -> Vec<f64> + Sync {
+        move |pts| {
+            assert!(!pts.is_empty() && pts.len() <= SCORE_BLOCK, "block of {}", pts.len());
+            pts.iter().map(|p| score(p)).collect()
+        }
+    }
+
+    /// The per-point argmax `optimize` must reproduce, however it splits and
+    /// blocks the scoring: a strict `>` scan keeps the first of tied points.
+    fn reference_argmax(
+        opt: &AcquisitionOptimizer,
+        dim: usize,
+        anchors: &[Vec<f64>],
+        seed: u64,
+        score: impl Fn(&[f64]) -> f64,
+    ) -> Vec<f64> {
+        let candidates = opt.generate_candidates(dim, anchors, seed);
+        let mut best = &candidates[0];
+        for c in &candidates[1..] {
+            if score(c) > score(best) {
+                best = c;
+            }
+        }
+        best.clone()
+    }
+
     #[test]
     fn optimizer_finds_a_known_peak() {
         let opt = AcquisitionOptimizer::default();
         // Score peaks at (0.7, 0.3).
-        let best = opt.optimize(2, &[], 3, |p| {
-            -((p[0] - 0.7) * (p[0] - 0.7) + (p[1] - 0.3) * (p[1] - 0.3))
-        });
+        let best = opt.optimize(
+            2,
+            &[],
+            3,
+            batched(|p| -((p[0] - 0.7) * (p[0] - 0.7) + (p[1] - 0.3) * (p[1] - 0.3))),
+        );
         assert!((best[0] - 0.7).abs() < 0.08, "{best:?}");
         assert!((best[1] - 0.3).abs() < 0.08, "{best:?}");
     }
@@ -320,32 +319,52 @@ mod tests {
         let opt = AcquisitionOptimizer { n_candidates: 10, n_local: 400, local_sigma: 0.02 };
         // A very narrow peak near the anchor that random search would miss.
         let anchor = vec![0.912, 0.118];
-        let best = opt.optimize(2, std::slice::from_ref(&anchor), 5, |p| {
-            let d2 = (p[0] - 0.91) * (p[0] - 0.91) + (p[1] - 0.12) * (p[1] - 0.12);
-            (-d2 * 2000.0).exp()
-        });
+        let best = opt.optimize(
+            2,
+            std::slice::from_ref(&anchor),
+            5,
+            batched(|p| {
+                let d2 = (p[0] - 0.91) * (p[0] - 0.91) + (p[1] - 0.12) * (p[1] - 0.12);
+                (-d2 * 2000.0).exp()
+            }),
+        );
         let d = ((best[0] - 0.91).powi(2) + (best[1] - 0.12).powi(2)).sqrt();
         assert!(d < 0.05, "local refinement missed the peak: {best:?}");
     }
 
+    /// Optimizers of 1, 255, 257 and 1,720 candidates: below, just past and
+    /// well past one scoring block, the last the default budget.
+    fn block_edge_cases() -> Vec<(AcquisitionOptimizer, Vec<Vec<f64>>)> {
+        let anchors = vec![vec![0.4, 0.8, 0.5], vec![0.1, 0.1, 0.9]];
+        let opt = |n_candidates, n_local| AcquisitionOptimizer {
+            n_candidates,
+            n_local,
+            local_sigma: 0.05,
+        };
+        vec![
+            (opt(1, 0), Vec::new()),
+            (opt(255, 0), Vec::new()),
+            (opt(200, 57), anchors.clone()),
+            (opt(1500, 220), anchors),
+        ]
+    }
+
     #[test]
-    fn batched_optimize_matches_serial_optimize_bitwise() {
-        let opt = AcquisitionOptimizer { n_candidates: 250, n_local: 90, local_sigma: 0.05 };
+    fn optimize_matches_the_per_point_argmax_across_block_edges() {
         let score = |p: &[f64]| {
             -((p[0] - 0.42) * (p[0] - 0.42)) - (p[1] - 0.77).abs() + (p[2] * 3.0).sin()
         };
-        let anchors = vec![vec![0.4, 0.8, 0.5], vec![0.1, 0.1, 0.9]];
-        for seed in [0, 3, 19] {
-            let serial = opt.optimize(3, &anchors, seed, score);
-            for parallel in [false, true] {
-                let batched = opt.optimize_batch(3, &anchors, seed, parallel, |pts| {
-                    pts.iter().map(|p| score(p)).collect()
-                });
-                assert_eq!(
-                    serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    batched.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "seed {seed} parallel {parallel}"
-                );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (opt, anchors) in block_edge_cases() {
+            let n = opt.generate_candidates(3, &anchors, 0).len();
+            for seed in [0, 3, 19] {
+                let expected = reference_argmax(&opt, 3, &anchors, seed, score);
+                let fanned = opt.optimize(3, &anchors, seed, batched(score));
+                let a = anchors.clone();
+                let inline =
+                    crate::exec::on_pool_worker(move || opt.optimize(3, &a, seed, batched(score)));
+                assert_eq!(bits(&fanned), bits(&expected), "{n} candidates, seed {seed}");
+                assert_eq!(bits(&inline), bits(&expected), "{n} candidates, seed {seed} inline");
             }
         }
     }
@@ -353,13 +372,21 @@ mod tests {
     #[test]
     fn tied_scores_pick_the_first_candidate() {
         // Index tie-breaking is part of the determinism contract: a constant
-        // score must select the very first generated candidate on every path.
-        let opt = AcquisitionOptimizer { n_candidates: 40, n_local: 20, local_sigma: 0.1 };
-        let anchors = vec![vec![0.5, 0.5]];
-        let first = opt.generate_candidates(2, &anchors, 8)[0].clone();
-        let serial = opt.optimize(2, &anchors, 8, |_| 1.0);
-        let batched = opt.optimize_batch(2, &anchors, 8, true, |pts| vec![1.0; pts.len()]);
-        assert_eq!(serial, first);
-        assert_eq!(batched, first);
+        // score must select the very first generated candidate.
+        for (opt, anchors) in block_edge_cases() {
+            let first = opt.generate_candidates(3, &anchors, 8)[0].clone();
+            assert_eq!(opt.optimize(3, &anchors, 8, batched(|_| 1.0)), first);
+        }
+    }
+
+    #[test]
+    fn an_empty_candidate_budget_still_proposes_a_point() {
+        let opt = AcquisitionOptimizer { n_candidates: 0, n_local: 0, local_sigma: 0.1 };
+        let point = opt.optimize(4, &[], 2, batched(|p| p[0]));
+        assert_eq!(point.len(), 4);
+        assert!(point.iter().all(|v| (0.0..=1.0).contains(v)), "{point:?}");
+        // An anchored run whose local budget is zero falls back the same way.
+        let anchored = opt.optimize(4, &[vec![0.5; 4]], 2, batched(|p| p[0]));
+        assert_eq!(anchored, point);
     }
 }

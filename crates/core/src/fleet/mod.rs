@@ -7,7 +7,7 @@
 //!
 //! - [`FleetService`] runs many [`TuningDriver`]s concurrently on a
 //!   persistent [`scheduler::WorkerPool`] — the parallel unit is the tenant,
-//!   replacing per-iteration `thread::scope` fan-out on this path.
+//!   so each tenant's per-iteration fan-outs run inline on its worker.
 //! - Tenants advance in **slices** of a few iterations: a slice batches its
 //!   replay evaluations on one worker, then re-enqueues the tenant, so a
 //!   thousand tenants round-robin fairly over a handful of threads.
@@ -98,32 +98,30 @@ impl Tenant {
         Tenant { id, name: name.into(), iters, meta_feature, driver: driver.boxed() }
     }
 
-    /// A ResTune-w/o-ML tenant. The proposer runs serial
-    /// (`config.parallel = false`): at fleet scale the tenant is the parallel
-    /// unit, and the serial path is bit-identical by the PR-2 contract.
+    /// A ResTune-w/o-ML tenant. On a pool worker its recommend-side
+    /// fan-outs run inline (DESIGN.md §8): the tenant is the parallel unit,
+    /// and the inline path is bit-identical to a solo session's.
     pub fn restune(
         id: u64,
         name: impl Into<String>,
         env: TuningEnvironment,
-        mut config: RestuneConfig,
+        config: RestuneConfig,
         iters: usize,
     ) -> Tenant {
-        config.parallel = false;
         Tenant::new(id, name, iters, Vec::new(), TuningSession::new(env, config).into_driver())
     }
 
     /// A meta-boosted ResTune tenant over base-learners fitted from a store
-    /// snapshot (or any history). Serial proposer, as [`Tenant::restune`].
+    /// snapshot (or any history). Runs inline, as [`Tenant::restune`].
     pub fn restune_meta(
         id: u64,
         name: impl Into<String>,
         env: TuningEnvironment,
-        mut config: RestuneConfig,
+        config: RestuneConfig,
         base_learners: Vec<BaseLearner>,
         meta_feature: Vec<f64>,
         iters: usize,
     ) -> Tenant {
-        config.parallel = false;
         let session =
             TuningSession::with_base_learners(env, config, base_learners, meta_feature.clone());
         Tenant::new(id, name, iters, meta_feature, session.into_driver())

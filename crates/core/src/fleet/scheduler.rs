@@ -1,12 +1,12 @@
 //! The fleet's persistent worker pool (DESIGN.md §12).
 //!
-//! The per-tenant recommend path used to be the only source of parallelism,
-//! fanning out short-lived `std::thread::scope` spawns inside every
-//! iteration. At fleet scale the parallel unit is the *tenant*: a fixed pool
-//! of long-lived workers pulls tenant slices off one injector queue, so a
-//! thousand tenants share `workers` threads instead of spawning thousands of
-//! their own, and a slice re-enqueues itself until its tenant finishes —
-//! cooperative round-robin fairness without preemption.
+//! A solo session fans its recommend path out on short-lived scoped threads
+//! (`core::exec`). At fleet scale the parallel unit is the *tenant*: a fixed
+//! pool of long-lived workers pulls tenant slices off one injector queue, so
+//! a thousand tenants share `workers` threads instead of spawning thousands
+//! of their own, and a slice re-enqueues itself until its tenant finishes —
+//! cooperative round-robin fairness without preemption. Each worker marks
+//! itself once, so the seam runs its tenants' fan-outs inline.
 //!
 //! The pool is deliberately strategy-agnostic: a job is any `FnOnce` that
 //! receives a [`PoolHandle`] (to resubmit follow-up work). Panic isolation
@@ -103,6 +103,9 @@ impl WorkerPool {
                 std::thread::Builder::new()
                     .name(format!("fleet-worker-{i}"))
                     .spawn(move || {
+                        // The tenant is the parallel unit here: its own
+                        // recommend-side fan-outs run inline.
+                        crate::exec::mark_pool_worker();
                         while let Some(job) = handle.inner.pop() {
                             // The job's own catch_unwind reports tenant-level
                             // failures; this outer net only keeps the worker

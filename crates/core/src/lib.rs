@@ -31,6 +31,7 @@ pub mod diag;
 pub mod drift;
 pub mod driver;
 pub mod engine;
+mod exec;
 pub mod fleet;
 pub mod lhs;
 pub mod meta;

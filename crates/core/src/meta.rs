@@ -201,34 +201,18 @@ fn draws_from_loo(
 
 /// Dynamic weights: the probability that each learner (historical learners
 /// first, target last) attains the lowest summed ranking loss over
-/// {res, tps, lat} (§6.4.2).
+/// {res, tps, lat} (§6.4.2). `dilution_guard` switches the RGPE
+/// weight-dilution guard (the ablation harness runs both arms). Each
+/// (learner, metric) pair draws from its own RNG stream seeded via
+/// splitmix64, so the per-learner draws fan out through `core::exec` with
+/// bit-identical weights however they are scheduled.
 pub fn dynamic_weights(
     base: &[BaseLearner],
     target: &GpTaskModel,
     obs: &TargetObservations<'_>,
     samples: usize,
     max_points: usize,
-    seed: u64,
-) -> Vec<f64> {
-    dynamic_weights_with_options(base, target, obs, samples, max_points, true, true, seed)
-}
-
-/// [`dynamic_weights`] with the RGPE weight-dilution guard switchable (the
-/// ablation harness runs both arms) and the per-learner draw fan-out
-/// switchable (`parallel`). Each (learner, metric) pair draws from its own
-/// RNG stream seeded via splitmix64, so the weights are bit-identical
-/// whether the draws run on scoped threads or serially.
-// Every argument is an independent ablation axis; bundling them into an
-// options struct would obscure the call sites that flip exactly one.
-#[allow(clippy::too_many_arguments)]
-pub fn dynamic_weights_with_options(
-    base: &[BaseLearner],
-    target: &GpTaskModel,
-    obs: &TargetObservations<'_>,
-    samples: usize,
-    max_points: usize,
     dilution_guard: bool,
-    parallel: bool,
     seed: u64,
 ) -> Vec<f64> {
     let n_all = obs.points.len();
@@ -254,12 +238,7 @@ pub fn dynamic_weights_with_options(
     // draws[learner][metric][sample] -> predictions at `points`.
     let mut seeder = SplitMix64::new(seed);
     let stream_seeds: Vec<u64> = (0..(t + 1) * 3).map(|_| seeder.next_u64()).collect();
-    // Draw spans re-enter the caller's context so the per-learner fan-out
-    // aggregates under the ambient `weight_update` path on both the scoped
-    // threads and the serial fallback.
-    let trace_ctx = trace::current_context();
-    let draw_learner = |li: usize| -> [Vec<Vec<f64>>; 3] {
-        let _trace_guard = trace_ctx.enter();
+    let draws: Vec<[Vec<Vec<f64>>; 3]> = crate::exec::map(t + 1, |li| {
         let span = trace::span!("learner_draws", learner = li);
         let model = if li == t { target } else { &base[li].model };
         let metric = |m: usize, gp: &SurrogateGp| -> Vec<Vec<f64>> {
@@ -273,17 +252,7 @@ pub fn dynamic_weights_with_options(
         let out = [metric(0, &model.res), metric(1, &model.tps), metric(2, &model.lat)];
         let _ = span.finish_s();
         out
-    };
-    let draws: Vec<[Vec<Vec<f64>>; 3]> = if parallel {
-        let draw_learner = &draw_learner;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                (0..=t).map(|li| scope.spawn(move || draw_learner(li))).collect();
-            handles.into_iter().map(|h| h.join().expect("draw thread panicked")).collect()
-        })
-    } else {
-        (0..=t).map(draw_learner).collect()
-    };
+    });
 
     // Per-learner per-sample summed losses.
     let mut losses = vec![vec![0usize; samples]; t + 1];
@@ -570,7 +539,7 @@ mod tests {
             tps: &tps_std,
             lat: &lat_std,
         };
-        let w = dynamic_weights(&base, &target, &obs, 40, 50, 7);
+        let w = dynamic_weights(&base, &target, &obs, 40, 50, true, 7);
         assert_eq!(w.len(), 3);
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(w[0] > w[1] + 0.2, "match {} anti {}", w[0], w[1]);
@@ -590,7 +559,7 @@ mod tests {
         )
         .unwrap();
         let obs = TargetObservations { points: &points, res: &vals, tps: &vals, lat: &vals };
-        let w = dynamic_weights(&base, &target, &obs, 10, 50, 0);
+        let w = dynamic_weights(&base, &target, &obs, 10, 50, true, 0);
         assert_eq!(w, vec![0.0, 1.0]);
     }
 
@@ -662,38 +631,9 @@ mod tests {
         let target =
             GpTaskModel::fit(&points, &vals, &vals, &vals, &GpConfig::fixed()).unwrap();
         let obs = TargetObservations { points: &points, res: &vals, tps: &vals, lat: &vals };
-        let w = dynamic_weights(&base, &target, &obs, 0, 50, 3);
+        let w = dynamic_weights(&base, &target, &obs, 0, 50, true, 3);
         assert_eq!(w, vec![0.0, 1.0]);
         assert!(w.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn parallel_and_serial_dynamic_weights_agree_bitwise() {
-        let base = vec![
-            learner("match", vec![0.5], |x| x),
-            learner("anti", vec![0.5], |x| 1.0 - x),
-        ];
-        let points: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();
-        let res_raw: Vec<f64> = points.iter().map(|p| 40.0 + 30.0 * p[0]).collect();
-        let tps_raw: Vec<f64> = points.iter().map(|p| 200.0 - 20.0 * p[0]).collect();
-        let lat_raw: Vec<f64> = points.iter().map(|p| 10.0 + 2.0 * p[0]).collect();
-        let target =
-            GpTaskModel::fit(&points, &res_raw, &tps_raw, &lat_raw, &GpConfig::fixed()).unwrap();
-        let res_std = target.scalers.res.transform_all(&res_raw);
-        let tps_std = target.scalers.tps.transform_all(&tps_raw);
-        let lat_std = target.scalers.lat.transform_all(&lat_raw);
-        let obs = TargetObservations {
-            points: &points,
-            res: &res_std,
-            tps: &tps_std,
-            lat: &lat_std,
-        };
-        let par = dynamic_weights_with_options(&base, &target, &obs, 25, 50, true, true, 11);
-        let ser = dynamic_weights_with_options(&base, &target, &obs, 25, 50, true, false, 11);
-        assert_eq!(par.len(), ser.len());
-        for (a, b) in par.iter().zip(&ser) {
-            assert_eq!(a.to_bits(), b.to_bits(), "parallel {par:?} vs serial {ser:?}");
-        }
     }
 
     #[test]

@@ -163,7 +163,6 @@ impl RestuneProposer {
             view.lat,
             scalers,
             &gp_config,
-            self.config.parallel,
         )?;
         self.target_cache = Some(fitted.clone());
         Ok(fitted)
@@ -196,14 +195,13 @@ impl RestuneProposer {
                     tps: &tps_std,
                     lat: &lat_std,
                 };
-                crate::meta::dynamic_weights_with_options(
+                crate::meta::dynamic_weights(
                     &self.base_learners,
                     &target,
                     &obs,
                     self.config.dynamic_samples,
                     self.config.max_rank_points,
                     self.config.dilution_guard,
-                    self.config.parallel,
                     seed,
                 )
             };
@@ -324,7 +322,7 @@ impl RestuneProposer {
 
         // Per-prediction acquisition value. Resolving the incumbent up front
         // keeps the scoring closure pure (no RNG, no per-call setup), which
-        // is what allows batched/parallel candidate scoring below.
+        // is what allows batched, fanned-out candidate scoring below.
         enum Scorer {
             Cei(ConstrainedExpectedImprovement),
             Ei { incumbent: f64 },
@@ -366,34 +364,24 @@ impl RestuneProposer {
             }
         };
 
-        if self.config.parallel {
-            // Joint *batched* prediction with the same constraint override as
-            // `predict`; each batch is one blocked solve per metric GP.
-            let predict_batch = |pts: &[Vec<f64>]| -> Vec<SurrogatePrediction> {
-                let mut preds = surrogate.predict_batch(pts);
-                if constraints_from_target {
-                    let t = surrogate.target();
-                    let tps = t.tps.predict_batch(pts).expect("dim");
-                    let lat = t.lat.predict_batch(pts).expect("dim");
-                    for ((pred, tps), lat) in preds.iter_mut().zip(tps).zip(lat) {
-                        pred.tps = tps;
-                        pred.lat = lat;
-                    }
+        // Joint *batched* prediction with the same constraint override as
+        // `predict`; each scoring block is one blocked solve per metric GP.
+        let predict_batch = |pts: &[Vec<f64>]| -> Vec<SurrogatePrediction> {
+            let mut preds = surrogate.predict_batch(pts);
+            if constraints_from_target {
+                let t = surrogate.target();
+                let tps = t.tps.predict_batch(pts).expect("dim");
+                let lat = t.lat.predict_batch(pts).expect("dim");
+                for ((pred, tps), lat) in preds.iter_mut().zip(tps).zip(lat) {
+                    pred.tps = tps;
+                    pred.lat = lat;
                 }
-                preds
-            };
-            self.config.optimizer.optimize_batch(
-                view.problem.dim(),
-                &anchors,
-                seed,
-                true,
-                |pts| predict_batch(pts).iter().map(&value).collect(),
-            )
-        } else {
-            self.config.optimizer.optimize(view.problem.dim(), &anchors, seed, |p| {
-                value(&predict(p))
-            })
-        }
+            }
+            preds
+        };
+        self.config.optimizer.optimize(view.problem.dim(), &anchors, seed, |pts| {
+            predict_batch(pts).iter().map(&value).collect()
+        })
     }
 }
 

@@ -60,15 +60,14 @@ impl GpTaskModel {
         config: &GpConfig,
     ) -> Result<Self, GpError> {
         let scalers = TaskScalers::fit(res_raw, tps_raw, lat_raw);
-        Self::fit_with_scalers(points, res_raw, tps_raw, lat_raw, scalers, config, false)
+        Self::fit_with_scalers(points, res_raw, tps_raw, lat_raw, scalers, config)
     }
 
-    /// [`GpTaskModel::fit`] with externally fitted scalers (so callers that
-    /// already standardized — e.g. for ranking-loss bookkeeping — don't pay
-    /// for a second pass) and an opt-in parallel mode that fits the three
-    /// metric GPs on scoped threads. Each GP's fit is self-contained and
-    /// seeded by `config`, so the parallel and serial paths produce
-    /// bit-identical models.
+    /// [`GpTaskModel::fit`] with externally fitted scalers, so callers that
+    /// already standardized (e.g. for ranking-loss bookkeeping) don't pay for
+    /// a second pass. The three metric fits fan out through `core::exec`;
+    /// each is self-contained and seeded by `config`, so the models are
+    /// bit-identical however they are scheduled.
     pub fn fit_with_scalers(
         points: &[Vec<f64>],
         res_raw: &[f64],
@@ -76,45 +75,23 @@ impl GpTaskModel {
         lat_raw: &[f64],
         scalers: TaskScalers,
         config: &GpConfig,
-        parallel: bool,
     ) -> Result<Self, GpError> {
-        let pts = points.to_vec();
-        let res_std = scalers.res.transform_all(res_raw);
-        let tps_std = scalers.tps.transform_all(tps_raw);
-        let lat_std = scalers.lat.transform_all(lat_raw);
-        // Per-metric fit spans; the scoped-thread fits re-enter the calling
-        // thread's span context so they aggregate under the ambient
-        // `gp_fit` path whichever path runs.
-        let ctx = trace::current_context();
-        let timed_fit = |name: &'static str, pts: Vec<Vec<f64>>, ys: Vec<f64>| {
-            let _guard = ctx.enter();
+        let metrics = [
+            ("fit_res", scalers.res, res_raw),
+            ("fit_tps", scalers.tps, tps_raw),
+            ("fit_lat", scalers.lat, lat_raw),
+        ];
+        let mut fits = crate::exec::map(metrics.len(), |i| {
+            let (name, scaler, raw) = metrics[i];
+            let ys = scaler.transform_all(raw);
             let span = trace::Span::new(name).with_field("n_obs", ys.len() as f64);
-            let fitted = GaussianProcess::fit(pts, ys, config);
+            let fitted = GaussianProcess::fit(points.to_vec(), ys, config);
             let _ = span.finish_s();
-            fitted
-        };
-        let (res, tps, lat) = if parallel {
-            let pts_tps = pts.clone();
-            let pts_lat = pts.clone();
-            std::thread::scope(|scope| {
-                let tps_h = scope.spawn(|| timed_fit("fit_tps", pts_tps, tps_std));
-                let lat_h = scope.spawn(|| timed_fit("fit_lat", pts_lat, lat_std));
-                let res = timed_fit("fit_res", pts, res_std);
-                (res, tps_h.join().expect("tps fit panicked"), lat_h.join().expect("lat fit panicked"))
-            })
-        } else {
-            (
-                timed_fit("fit_res", pts.clone(), res_std),
-                timed_fit("fit_tps", pts.clone(), tps_std),
-                timed_fit("fit_lat", pts, lat_std),
-            )
-        };
-        Ok(GpTaskModel {
-            res: SurrogateGp::Dense(res?),
-            tps: SurrogateGp::Dense(tps?),
-            lat: SurrogateGp::Dense(lat?),
-            scalers,
+            fitted.map(SurrogateGp::Dense)
         })
+        .into_iter();
+        let mut next = || fits.next().expect("one fit per metric");
+        Ok(GpTaskModel { res: next()?, tps: next()?, lat: next()?, scalers })
     }
 
     /// Fits the three metric models as inducing-point sparse GPs — the
@@ -256,28 +233,6 @@ mod tests {
     #[test]
     fn n_reports_observation_count() {
         assert_eq!(toy_model().n(), 10);
-    }
-
-    #[test]
-    fn parallel_fit_matches_serial_fit_bitwise() {
-        let points: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();
-        let res: Vec<f64> = points.iter().map(|p| 80.0 * p[0] + 10.0).collect();
-        let tps: Vec<f64> = points.iter().map(|p| 100.0 - 50.0 * p[0]).collect();
-        let lat: Vec<f64> = points.iter().map(|p| 10.0 + 5.0 * p[0]).collect();
-        let cfg = GpConfig { restarts: 2, adam_iters: 20, seed: 5, ..Default::default() };
-        let scalers = TaskScalers::fit(&res, &tps, &lat);
-        let serial =
-            GpTaskModel::fit_with_scalers(&points, &res, &tps, &lat, scalers, &cfg, false).unwrap();
-        let par =
-            GpTaskModel::fit_with_scalers(&points, &res, &tps, &lat, scalers, &cfg, true).unwrap();
-        for x in [0.0, 0.17, 0.5, 0.83, 1.0] {
-            let a = serial.predict(&[x]);
-            let b = par.predict(&[x]);
-            assert_eq!(a.res.mean.to_bits(), b.res.mean.to_bits());
-            assert_eq!(a.tps.mean.to_bits(), b.tps.mean.to_bits());
-            assert_eq!(a.lat.mean.to_bits(), b.lat.mean.to_bits());
-            assert_eq!(a.res.variance.to_bits(), b.res.variance.to_bits());
-        }
     }
 
     #[test]

@@ -222,13 +222,6 @@ pub struct RestuneConfig {
     /// During the static-weight bootstrap, source constraint predictions
     /// from the target learner only (see DESIGN.md §5b). On by default.
     pub static_constraints_from_target: bool,
-    /// Run the recommend-side of each iteration parallel and batched: the
-    /// three metric GPs fit on scoped threads, dynamic-weight posterior
-    /// draws fan out one thread per learner, and acquisition candidates are
-    /// scored in parallel chunks over batched predictions. Same-seed runs
-    /// are bit-identical with this on or off (see DESIGN.md §8); off keeps
-    /// the legacy serial per-point path for benchmarking.
-    pub parallel: bool,
     /// Retry budget for transient replay failures (DESIGN.md §9).
     pub max_retries: usize,
     /// Initial retry backoff in simulated seconds (doubles per retry).
@@ -269,7 +262,6 @@ impl Default for RestuneConfig {
             convergence_epsilon: 0.005,
             dilution_guard: true,
             static_constraints_from_target: true,
-            parallel: true,
             max_retries: 2,
             retry_backoff_s: 5.0,
             trace: false,
@@ -463,8 +455,6 @@ impl TuningSession {
 mod tests {
     use super::*;
     use crate::resilience::FailureKind;
-    use crate::surrogate::GpTaskModel;
-    use xrand::{RngExt, SeedableRng};
 
     fn quick_config(seed: u64) -> RestuneConfig {
         RestuneConfig {
@@ -573,24 +563,6 @@ mod tests {
         assert!(r.timing.gp_fit_s <= r.timing.model_update_s + 1e-9);
     }
 
-    fn toy_learner(seed: u64) -> BaseLearner {
-        let mut rng = xrand::rngs::StdRng::seed_from_u64(seed);
-        let points: Vec<Vec<f64>> =
-            (0..12).map(|_| (0..3).map(|_| rng.random::<f64>()).collect()).collect();
-        let res: Vec<f64> = points.iter().map(|p| 30.0 + 40.0 * p[0] + 10.0 * p[1]).collect();
-        let tps: Vec<f64> = points.iter().map(|p| 150.0 - 30.0 * p[2]).collect();
-        let lat: Vec<f64> = points.iter().map(|p| 8.0 + 4.0 * p[1]).collect();
-        let model = GpTaskModel::fit(&points, &res, &tps, &lat, &GpConfig::fixed()).unwrap();
-        BaseLearner {
-            task_id: format!("toy-{seed}"),
-            workload: "toy".into(),
-            instance: InstanceType::A,
-            meta_feature: vec![0.2, 0.3, 0.5],
-            promising_point: Some(points[0].clone()),
-            model,
-        }
-    }
-
     #[test]
     fn degenerate_observations_degrade_to_exploration_not_panic() {
         // Regression: `fit_target(..).expect("target surrogate fit")` used to
@@ -674,44 +646,5 @@ mod tests {
             "retries should absorb most transients: {:?}",
             outcome.failures
         );
-    }
-
-    #[test]
-    fn parallel_and_serial_step_paths_are_bit_identical() {
-        // The determinism contract of `RestuneConfig::parallel`: flipping it
-        // changes thread fan-out and batching only, never a single bit of
-        // the algorithmic trace — through the static bootstrap, the dynamic
-        // weight switch, and batched acquisition scoring.
-        let fingerprint = |o: &TuningOutcome| -> Vec<String> {
-            o.history
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{} {:?} {:?} {:?} {:?} {:?} {:?} {}",
-                        r.iteration,
-                        r.point,
-                        r.objective,
-                        r.feasible,
-                        r.weights,
-                        r.timing.replay_s,
-                        r.failure,
-                        r.retries
-                    )
-                })
-                .collect()
-        };
-        let run = |parallel: bool| {
-            let mut config = quick_config(21);
-            config.init_iters = 3;
-            config.parallel = parallel;
-            let base = vec![toy_learner(1), toy_learner(2)];
-            TuningSession::with_base_learners(twitter_env(21), config, base, vec![0.2, 0.3, 0.5])
-                .run(8)
-        };
-        let par = run(true);
-        let ser = run(false);
-        assert_eq!(fingerprint(&par), fingerprint(&ser));
-        assert_eq!(par.best_objective, ser.best_objective);
-        assert_eq!(format!("{:?}", par.best_config), format!("{:?}", ser.best_config));
     }
 }

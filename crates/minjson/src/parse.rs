@@ -9,7 +9,7 @@ use crate::{Json, JsonError};
 
 /// Parses a complete JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -20,6 +20,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -202,12 +203,14 @@ impl<'a> Parser<'a> {
                     return Err(self.err("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Copy one complete UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = rest.chars().next().expect("non-empty by peek");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte. Those are all ASCII, so the run ends on a
+                    // char boundary of the (already valid UTF-8) input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -275,6 +278,16 @@ mod tests {
         let v = parse(r#""😀""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "\u{1F600}");
         assert!(parse(r#""\ud83d""#).is_err(), "lone high surrogate");
+    }
+
+    #[test]
+    fn multibyte_runs_and_escapes_interleave() {
+        let v = parse(r#"["aé\n漢字\u00e9x\"", "", "\t"]"#).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str().unwrap(), "aé\n漢字éx\"");
+        assert_eq!(items[1].as_str().unwrap(), "");
+        assert_eq!(items[2].as_str().unwrap(), "\t");
+        assert!(parse("\"a\u{1}b\"").is_err(), "raw control character");
     }
 
     #[test]

@@ -103,9 +103,8 @@ pub fn reset() {
 ///
 /// Fresh stamps are drawn from the monotonic `next_gen` counter;
 /// [`ContextGuard`] *restores* the previous stamp on drop, so a balanced
-/// same-thread `enter()`/drop pair (the serial GP-fit path re-enters its own
-/// context) is transparent to enclosing spans, while distinct installs never
-/// share a stamp.
+/// same-thread `enter()`/drop pair is transparent to enclosing spans, while
+/// distinct installs never share a stamp.
 struct PathState {
     stack: Vec<&'static str>,
     generation: u64,

@@ -400,13 +400,15 @@ fn build_repository(seed: u64) -> DataRepository {
 }
 
 #[test]
-fn parallel_and_serial_step_paths_agree_for_arbitrary_seeds() {
+fn inline_and_fanned_out_step_paths_agree_for_arbitrary_seeds() {
     use propcheck::{check, Config};
-    // The `RestuneConfig::parallel` contract, property-tested: thread
-    // fan-out and batched candidate scoring must not move a single bit of
-    // the algorithmic trace, for any session seed. Base learners are built
-    // once; the property varies the seed and compares a full meta-boosted
-    // run on both paths.
+    use restune::core::fleet::{FleetConfig, FleetService, Tenant};
+    // The one execution choice left on the recommend path, property-tested:
+    // a solo session fans its GP fits, posterior draws and candidate
+    // scoring out on scoped threads, while the same configuration as a
+    // fleet tenant runs them inline on its pool worker. Neither may move a
+    // single bit of the algorithmic trace, for any session seed. Base
+    // learners are built once; the property varies the seed.
     let characterizer = workload::WorkloadCharacterizer::train_default(5);
     let mut repo = DataRepository::new();
     for (i, spec) in WorkloadSpec::twitter_variations().into_iter().take(2).enumerate() {
@@ -422,34 +424,45 @@ fn parallel_and_serial_step_paths_agree_for_arbitrary_seeds() {
     }
     let learners = repo.base_learners(&gp::GpConfig::fixed(), |_| true);
     let mf = characterizer.embed_workload(&WorkloadSpec::twitter(), 1).probs;
+    let iters = 6;
     check(
-        "parallel_and_serial_step_paths_agree_for_arbitrary_seeds",
+        "inline_and_fanned_out_step_paths_agree_for_arbitrary_seeds",
         Config::default().cases(3).seed(0xD0_0001),
         |g| {
             let seed = g.usize_in(0, 1_000_000) as u64;
-            let run = |parallel: bool| {
-                let mut config = quick_config(seed);
-                config.init_iters = 3;
-                config.optimizer =
-                    AcquisitionOptimizer { n_candidates: 150, n_local: 40, local_sigma: 0.08 };
-                config.parallel = parallel;
-                let env = TuningEnvironment::builder()
+            let mut config = quick_config(seed);
+            config.init_iters = 3;
+            config.optimizer =
+                AcquisitionOptimizer { n_candidates: 150, n_local: 40, local_sigma: 0.08 };
+            let env = || {
+                TuningEnvironment::builder()
                     .instance(InstanceType::A)
                     .workload(WorkloadSpec::twitter())
                     .resource(ResourceKind::Cpu)
                     .knob_set(KnobSet::cpu())
                     .seed(seed)
-                    .build();
-                TuningSession::with_base_learners(env, config, learners.clone(), mf.clone())
-                    .run(6)
+                    .build()
             };
-            let par = run(true);
-            let ser = run(false);
-            propcheck::prop_assert_eq!(par.history.len(), ser.history.len());
-            for (ra, rb) in par.history.iter().zip(&ser.history) {
+            let tenant = Tenant::restune_meta(
+                0,
+                "inline",
+                env(),
+                config.clone(),
+                learners.clone(),
+                mf.clone(),
+                iters,
+            );
+            let fanned =
+                TuningSession::with_base_learners(env(), config, learners.clone(), mf.clone())
+                    .run(iters);
+            let fleet = FleetService::new(FleetConfig { workers: 1, slice: 2, shards: 1 })
+                .run(vec![tenant]);
+            let inline = &fleet.tenants[0].outcome;
+            propcheck::prop_assert_eq!(fanned.history.len(), inline.history.len());
+            for (ra, rb) in fanned.history.iter().zip(&inline.history) {
                 propcheck::prop_assert_eq!(fingerprint(ra), fingerprint(rb));
             }
-            propcheck::prop_assert_eq!(par.best_objective, ser.best_objective);
+            propcheck::prop_assert_eq!(fanned.best_objective, inline.best_objective);
             Ok(())
         },
     );
@@ -468,7 +481,6 @@ fn fleet_runs_are_bit_identical_across_worker_counts_and_to_single_driver() {
         config.optimizer =
             AcquisitionOptimizer { n_candidates: 100, n_local: 25, local_sigma: 0.1 };
         config.init_iters = 2;
-        config.parallel = false;
         config
     };
     let tenant_env = |id: u64, seed: u64| {

@@ -2,8 +2,8 @@
 //! under a 20% transient fault rate must complete every iteration without
 //! panicking, never certify an incumbent from a failed or infeasible replay,
 //! retain most of the fault-free improvement, and keep the fault schedule —
-//! and the whole algorithmic trace — a pure function of the seeds, with the
-//! `parallel` flag moving nothing.
+//! and the whole algorithmic trace — a pure function of the seeds, whether
+//! the recommend path fans out or runs inline as a fleet tenant.
 
 use dbsim::{FaultPlan, InstanceType, KnobSet, SimulatedDbms, WorkloadSpec};
 use restune::core::acquisition::AcquisitionOptimizer;
@@ -49,24 +49,21 @@ fn six_learners() -> (Vec<BaseLearner>, Vec<f64>) {
     (learners, mf)
 }
 
-fn run_meta(
-    seed: u64,
-    plan: FaultPlan,
-    parallel: bool,
-    learners: &[BaseLearner],
-    mf: &[f64],
-) -> TuningOutcome {
-    let env = TuningEnvironment::builder()
+fn meta_env(seed: u64, plan: FaultPlan) -> TuningEnvironment {
+    TuningEnvironment::builder()
         .instance(InstanceType::A)
         .workload(WorkloadSpec::twitter())
         .resource(ResourceKind::Cpu)
         .knob_set(KnobSet::case_study())
         .seed(seed)
         .fault_plan(plan)
-        .build();
-    let mut config = quick_config(seed);
-    config.parallel = parallel;
-    TuningSession::with_base_learners(env, config, learners.to_vec(), mf.to_vec()).run(ITERS)
+        .build()
+}
+
+fn run_meta(seed: u64, plan: FaultPlan, learners: &[BaseLearner], mf: &[f64]) -> TuningOutcome {
+    let env = meta_env(seed, plan);
+    TuningSession::with_base_learners(env, quick_config(seed), learners.to_vec(), mf.to_vec())
+        .run(ITERS)
 }
 
 /// Full algorithmic fingerprint of one iteration, failure channel included.
@@ -92,8 +89,8 @@ fn faulted_runs_complete_stay_feasible_and_keep_most_improvement() {
     let plan = FaultPlan::none().with_transient_rate(TRANSIENT_RATE).with_seed(0xFA);
     let mut any_failures = false;
     for seed in [3u64, 11, 42] {
-        let clean = run_meta(seed, FaultPlan::none(), false, &learners, &mf);
-        let faulted = run_meta(seed, plan, false, &learners, &mf);
+        let clean = run_meta(seed, FaultPlan::none(), &learners, &mf);
+        let faulted = run_meta(seed, plan, &learners, &mf);
 
         // Every iteration completes — failures degrade, never abort.
         assert_eq!(faulted.history.len(), ITERS, "seed {} aborted early", seed);
@@ -135,8 +132,8 @@ fn faulted_runs_complete_stay_feasible_and_keep_most_improvement() {
 fn fault_schedule_is_a_pure_function_of_the_seeds() {
     let (learners, mf) = six_learners();
     let plan = FaultPlan::none().with_transient_rate(TRANSIENT_RATE).with_seed(0xFA);
-    let a = run_meta(11, plan, false, &learners, &mf);
-    let b = run_meta(11, plan, false, &learners, &mf);
+    let a = run_meta(11, plan, &learners, &mf);
+    let b = run_meta(11, plan, &learners, &mf);
     for (ra, rb) in a.history.iter().zip(&b.history) {
         assert_eq!(fingerprint(ra), fingerprint(rb), "iteration {} diverged", ra.iteration);
     }
@@ -145,15 +142,27 @@ fn fault_schedule_is_a_pure_function_of_the_seeds() {
 }
 
 #[test]
-fn parallel_flag_does_not_move_the_fault_schedule() {
+fn inline_tenant_execution_does_not_move_the_fault_schedule() {
+    use restune::core::fleet::{FleetConfig, FleetService, Tenant};
     let (learners, mf) = six_learners();
     let plan = FaultPlan::none().with_transient_rate(TRANSIENT_RATE).with_seed(0xFA);
-    let ser = run_meta(42, plan, false, &learners, &mf);
-    let par = run_meta(42, plan, true, &learners, &mf);
-    assert_eq!(ser.history.len(), par.history.len());
-    for (ra, rb) in ser.history.iter().zip(&par.history) {
+    let fanned = run_meta(42, plan, &learners, &mf);
+    let tenant = Tenant::restune_meta(
+        0,
+        "faulted",
+        meta_env(42, plan),
+        quick_config(42),
+        learners,
+        mf,
+        ITERS,
+    );
+    let fleet =
+        FleetService::new(FleetConfig { workers: 1, slice: 4, shards: 1 }).run(vec![tenant]);
+    let inline = &fleet.tenants[0].outcome;
+    assert_eq!(fanned.history.len(), inline.history.len());
+    for (ra, rb) in fanned.history.iter().zip(&inline.history) {
         assert_eq!(fingerprint(ra), fingerprint(rb), "iteration {} diverged", ra.iteration);
     }
-    assert_eq!(ser.failures, par.failures);
-    assert_eq!(format!("{:?}", ser.best_config), format!("{:?}", par.best_config));
+    assert_eq!(fanned.failures, inline.failures);
+    assert_eq!(format!("{:?}", fanned.best_config), format!("{:?}", inline.best_config));
 }

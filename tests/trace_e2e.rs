@@ -1,6 +1,6 @@
 //! End-to-end checks of the tracing layer (DESIGN.md §10) against real
 //! tuning runs: JSONL round-trips, span nesting under the scoped-thread
-//! parallel path, counter accuracy against known eval/retry counts from a
+//! fan-out, counter accuracy against known eval/retry counts from a
 //! seeded faulty run, and the span-totals-vs-`IterationTiming` contract.
 
 use dbsim::{FaultPlan, InstanceType, KnobSet, WorkloadSpec};
@@ -44,9 +44,7 @@ fn thirty_iteration_span_totals_match_iteration_timing_sums() {
     let _g = trace_lock();
     trace::enable();
     trace::reset();
-    let mut config = quick_config(11);
-    config.parallel = true;
-    let mut session = TuningSession::new(env_with(11, None), config);
+    let mut session = TuningSession::new(env_with(11, None), quick_config(11));
     let mut sums = [0.0_f64; 5];
     let mut replay_sim = 0.0;
     for _ in 0..30 {
@@ -89,10 +87,9 @@ fn parallel_path_nests_scoped_thread_spans_under_their_phases() {
     trace::enable();
     trace::reset();
     let mut config = quick_config(5);
-    config.parallel = true;
     config.init_iters = 2;
     // Meta-boosted session so per-learner dynamic-weight draws fan out on
-    // scoped threads (serial draws would produce the same paths).
+    // scoped threads (inline draws would produce the same paths).
     let characterizer = workload::WorkloadCharacterizer::train_default(3);
     let mut repo = restune::core::repository::DataRepository::new();
     for (i, spec) in WorkloadSpec::twitter_variations().into_iter().take(2).enumerate() {
