@@ -1,139 +1,81 @@
-//! Bench-trajectory regression gate (DESIGN.md §15): diffs current
-//! `BENCH_gp.json` / `BENCH_fleet.json` / `BENCH_projection.json` /
-//! `BENCH_drift.json` files
-//! against committed baselines with per-metric tolerances and exits nonzero
-//! on any regression. Gates ratios and deterministic facts, never absolute
-//! wall clocks, so it holds across machines; incommensurate runs (e.g. CI
-//! smoke sizes vs. full baselines) compare the arms they share and skip the
-//! rest visibly.
+//! Bench-trajectory regression gate (DESIGN.md §15): pairs every
+//! `BENCH_*.json` baseline with the current file of the same name and
+//! applies the checks the baseline declares in its `"gate"` block
+//! (`restune_bench::gate`). Exits nonzero on any regression.
 //!
 //! Usage:
-//!   bench_gate [--baseline-dir DIR] [--current-dir DIR] [--prefix P]
-//!              [--speedup-drop F] [--throughput-drop F] [--quality-pp F]
-//!              [--iters-growth N] [--lax-digest]
-//!   bench_gate --self-test [--baseline-dir DIR]
+//!   bench_gate [--baseline-dir DIR] [--current-dir DIR] [--prefix P] [--floor-drop F]
+//!   bench_gate --self-test [--baseline-dir DIR] [--floor-drop F]
 //!
 //! Defaults: baseline-dir `.` (the committed baselines), current-dir =
 //! baseline-dir (a self-diff, which must pass on an unmodified tree).
-//! `--prefix` is prepended to the *current* filenames, matching CI's
-//! `results/ci.BENCH_*.json` outputs. `--self-test` proves the regression
-//! machinery trips: it synthesizes a 2x slowdown of the GP incremental path
-//! from the baseline and exits 0 only if the gate catches it.
+//! `--prefix` is prepended to the *current* file names, matching CI's
+//! `results/ci.BENCH_*.json` outputs. `--floor-drop` replaces the drop of
+//! every declared `floor` check. `--self-test` proves the regression
+//! machinery trips: it pushes each checked value just past its bound and
+//! exits 0 only if every one regresses.
 //!
 //! Exit codes: 0 gate passed, 1 regression (or self-test failed to trip),
-//! 2 usage/parse error.
+//! 2 usage, read or parse error, or a baseline without a gate block.
 
-use std::path::Path;
+use std::path::PathBuf;
 
-use minjson::Json;
-use restune_bench::gate::{gate_all, gate_gp, synthesize_gp_slowdown, GateReport, Tolerances};
+use restune_bench::gate;
 
-fn load(dir: &str, prefix: &str, name: &str) -> Option<Json> {
-    let path = Path::new(dir).join(format!("{prefix}{name}"));
-    let text = std::fs::read_to_string(&path).ok()?;
-    match Json::parse(&text) {
-        Ok(doc) => Some(doc),
-        Err(e) => {
-            eprintln!("bench_gate: failed to parse {}: {e:?}", path.display());
-            std::process::exit(2);
-        }
-    }
+const VALUE_FLAGS: [&str; 4] = ["--baseline-dir", "--current-dir", "--prefix", "--floor-drop"];
+
+fn usage(msg: &str) -> ! {
+    eprintln!("bench_gate: {msg}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
-    };
-    let known = [
-        "--baseline-dir",
-        "--current-dir",
-        "--prefix",
-        "--speedup-drop",
-        "--throughput-drop",
-        "--quality-pp",
-        "--iters-growth",
-        "--lax-digest",
-        "--self-test",
-    ];
-    for (i, a) in args.iter().enumerate() {
-        let follows_value_flag = i > 0 && known.contains(&args[i - 1].as_str())
-            && args[i - 1] != "--lax-digest"
-            && args[i - 1] != "--self-test";
-        if a.starts_with("--") && !known.contains(&a.as_str()) {
-            eprintln!("bench_gate: unknown flag {a}");
-            std::process::exit(2);
+    let mut values: Vec<(&str, &str)> = Vec::new();
+    let mut self_test = false;
+    let mut i = 0;
+    while i < args.len() {
+        let flag = args[i].as_str();
+        if flag == "--self-test" {
+            self_test = true;
+        } else if VALUE_FLAGS.contains(&flag) {
+            let value = args.get(i + 1).unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+            values.push((flag, value));
+            i += 1;
+        } else {
+            usage(&format!("unexpected argument {flag}"));
         }
-        if !a.starts_with("--") && !follows_value_flag {
-            eprintln!("bench_gate: unexpected argument {a}");
-            std::process::exit(2);
-        }
+        i += 1;
     }
+    let get = |flag: &str| values.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| *v);
 
-    let parse_f64 = |flag: &str, default: f64| -> f64 {
-        match get(flag) {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("bench_gate: {flag} expects a number, got {v}");
-                std::process::exit(2);
-            }),
-            None => default,
-        }
-    };
-    let defaults = Tolerances::default();
-    let tol = Tolerances {
-        speedup_drop: parse_f64("--speedup-drop", defaults.speedup_drop),
-        throughput_drop: parse_f64("--throughput-drop", defaults.throughput_drop),
-        quality_pp: parse_f64("--quality-pp", defaults.quality_pp),
-        iters_growth: parse_f64("--iters-growth", defaults.iters_growth as f64) as i64,
-        strict_digest: !args.iter().any(|a| a == "--lax-digest"),
-    };
-    let baseline_dir = get("--baseline-dir").unwrap_or_else(|| ".".to_string());
-    let current_dir = get("--current-dir").unwrap_or_else(|| baseline_dir.clone());
-    let prefix = get("--prefix").unwrap_or_default();
+    let floor_drop = get("--floor-drop").map(|v| {
+        v.parse::<f64>()
+            .unwrap_or_else(|_| usage(&format!("--floor-drop expects a number, got {v}")))
+    });
+    let baseline_dir = PathBuf::from(get("--baseline-dir").unwrap_or("."));
+    let current_dir =
+        get("--current-dir").map(PathBuf::from).unwrap_or_else(|| baseline_dir.clone());
 
-    if args.iter().any(|a| a == "--self-test") {
-        // Prove the gate trips: halve every GP speedup (a synthetic 2x
-        // slowdown of the optimized path) and require a regression verdict.
-        let Some(gp) = load(&baseline_dir, "", "BENCH_gp.json") else {
-            eprintln!("bench_gate: --self-test needs {baseline_dir}/BENCH_gp.json");
-            std::process::exit(2);
-        };
-        let slow = synthesize_gp_slowdown(&gp);
-        let mut report = GateReport::default();
-        gate_gp(&gp, &slow, &tol, &mut report);
-        print!("{}", report.render());
-        if report.passed() {
-            eprintln!("bench_gate: SELF-TEST FAILED: synthetic 2x slowdown was not detected");
+    let result = if self_test {
+        gate::self_test_dir(&baseline_dir, floor_drop)
+    } else {
+        gate::gate_dirs(&baseline_dir, &current_dir, get("--prefix").unwrap_or(""), floor_drop)
+    };
+    let report = result.unwrap_or_else(|e| usage(&e));
+    print!("{}", report.render());
+    if self_test {
+        let mutated = report.checks.len();
+        if mutated == 0 || report.regressions() != mutated {
+            eprintln!(
+                "bench_gate: SELF-TEST FAILED: only {} of {mutated} values pushed past \
+                 their bounds regressed",
+                report.regressions()
+            );
             std::process::exit(1);
         }
-        println!("self-test ok: synthetic 2x slowdown detected ({} regressions)", report.regressions());
-        return;
-    }
-
-    let baselines = [
-        ("gp", load(&baseline_dir, "", "BENCH_gp.json")),
-        ("fleet", load(&baseline_dir, "", "BENCH_fleet.json")),
-        ("projection", load(&baseline_dir, "", "BENCH_projection.json")),
-        ("drift", load(&baseline_dir, "", "BENCH_drift.json")),
-    ];
-    if baselines.iter().all(|(_, b)| b.is_none()) {
-        eprintln!("bench_gate: no BENCH_*.json baselines found in {baseline_dir}");
-        std::process::exit(2);
-    }
-    let currents = [
-        load(&current_dir, &prefix, "BENCH_gp.json"),
-        load(&current_dir, &prefix, "BENCH_fleet.json"),
-        load(&current_dir, &prefix, "BENCH_projection.json"),
-        load(&current_dir, &prefix, "BENCH_drift.json"),
-    ];
-    let pairs: Vec<(&str, Option<&Json>, Option<&Json>)> = baselines
-        .iter()
-        .zip(&currents)
-        .map(|((label, b), c)| (*label, b.as_ref(), c.as_ref()))
-        .collect();
-    let report = gate_all(&pairs, &tol);
-    print!("{}", report.render());
-    if !report.passed() {
+        println!("self-test ok: all {mutated} values pushed past their bounds regressed");
+    } else if !report.passed() {
         std::process::exit(1);
     }
 }

@@ -2,7 +2,7 @@
 //! workload drift.
 //!
 //! Usage:
-//!   drift_sweep [--smoke] [--out BENCH_drift.json]
+//!   drift_sweep [--out BENCH_drift.json]
 //!
 //! Every arm tunes the same twitter/instance-B environment whose workload
 //! drifts into the OLAP reporting mix partway through the run (a seeded
@@ -27,18 +27,24 @@
 //! (censored at the window).
 //!
 //! Gates:
-//! * always — two identically seeded `warm` runs produce bit-identical
-//!   histories (the determinism digest recorded in `BENCH_drift.json`), the
-//!   detector fires (≥ 1 drift detected, ≥ 1 restart), and the `drift.*`
-//!   counters/spans reached the trace;
-//! * full run only (`--smoke` budgets are too small) — the ISSUE acceptance
-//!   line: `warm` reaches within 10 % of `scratch`'s final TCO, in at most
-//!   half the post-drift iterations `cold` needs (censored at the window).
+//! * two identically seeded `warm` runs produce bit-identical histories (the
+//!   determinism digest recorded in `BENCH_drift.json`), the detector fires
+//!   (≥ 1 drift detected, ≥ 1 restart), and the `drift.*` counters/spans
+//!   reached the trace;
+//! * the acceptance line: `warm` reaches within 10 % of `scratch`'s final
+//!   TCO, in at most half the post-drift iterations `cold` needs (censored
+//!   at the window). The file records that ratio as `warm_vs_cold`.
+//!
+//! The file's `"gate"` block declares what `bench_gate` compares against
+//! the committed baseline: the digest, a nonzero restart count, per-arm
+//! quality (+5 pp) and convergence (+6 iterations) ceilings, and
+//! `warm_vs_cold` ≤ 0.5.
 
 use std::sync::Arc;
 
 use dbsim::{InstanceType, KnobSet, WorkloadSchedule, WorkloadSpec};
 use restune_bench::context::{build_repository_from, scale_rate_to_instance};
+use restune_bench::gate::{Check, Gate, Rule};
 use restune_core::acquisition::AcquisitionOptimizer;
 use restune_core::drift::{DriftConfig, DriftController, LocalSealSink, RestartPolicy};
 use restune_core::engine::IterationRecord;
@@ -207,7 +213,6 @@ fn run_digest(run: &ArmRun) -> u64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -215,18 +220,11 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_drift.json".to_string());
 
-    let plan = if smoke {
-        Plan { total_iters: 16, drift_at: 6, drift_ramp: 4 }
-    } else {
-        Plan { total_iters: 34, drift_at: 10, drift_ramp: 6 }
-    };
+    let plan = Plan { total_iters: 34, drift_at: 10, drift_ramp: 6 };
 
     println!(
-        "drift_sweep: {} iters, OLTP->OLAP drift at eval {} over {}{}",
-        plan.total_iters,
-        plan.drift_at,
-        plan.drift_ramp,
-        if smoke { " (smoke)" } else { "" }
+        "drift_sweep: {} iters, OLTP->OLAP drift at eval {} over {}",
+        plan.total_iters, plan.drift_at, plan.drift_ramp,
     );
 
     trace::enable();
@@ -246,7 +244,7 @@ fn main() {
         ],
         &KnobSet::case_study(),
         ResourceKind::Cpu,
-        if smoke { 10 } else { 24 },
+        24,
         SEED,
     );
 
@@ -325,31 +323,42 @@ fn main() {
         ));
     }
 
-    if !smoke {
-        // ISSUE acceptance: the warm restart lands within 10 % of a
-        // from-scratch retune's final TCO in at most half the post-drift
-        // iterations the cold restart needs (censored at the window).
-        let warm_curve = post_curve(&warm.history, restart_iter);
-        let warm_needs = iters_to_10pct(&warm_curve, scratch_final)
-            .expect("warm arm never reached within 10% of the scratch retune");
-        let cold_needs = iters_to_10pct(&post_curve(&cold.history, restart_iter), scratch_final)
-            .unwrap_or(post_iters);
-        println!(
-            "\ngate: warm hit 10% of scratch in {warm_needs} post-drift iters; cold needed {cold_needs}"
-        );
-        assert!(
-            warm_needs * 2 <= cold_needs,
-            "warm needed {warm_needs} post-drift iterations; not <= half of cold's {cold_needs}"
-        );
-    }
+    // Acceptance line: the warm restart lands within 10 % of a from-scratch
+    // retune's final TCO in at most half the post-drift iterations the cold
+    // restart needs (censored at the window).
+    let warm_curve = post_curve(&warm.history, restart_iter);
+    let warm_needs = iters_to_10pct(&warm_curve, scratch_final)
+        .expect("warm arm never reached within 10% of the scratch retune");
+    let cold_needs = iters_to_10pct(&post_curve(&cold.history, restart_iter), scratch_final)
+        .unwrap_or(post_iters);
+    println!(
+        "\ngate: warm hit 10% of scratch in {warm_needs} post-drift iters; cold needed {cold_needs}"
+    );
+    assert!(
+        warm_needs * 2 <= cold_needs,
+        "warm needed {warm_needs} post-drift iterations; not <= half of cold's {cold_needs}"
+    );
+    let warm_vs_cold = warm_needs as f64 / cold_needs as f64;
+
+    let gate = Gate {
+        same: vec!["total_iters".into(), "drift_at".into()],
+        checks: vec![
+            Check { path: "determinism_digest".into(), rule: Rule::Equal },
+            Check { path: "drift_counters.restarts".into(), rule: Rule::Nonzero },
+            Check { path: "arms[arm].final_cpu_pct".into(), rule: Rule::Ceiling { add: 5.0 } },
+            Check { path: "arms[arm].iters_to_10pct".into(), rule: Rule::Ceiling { add: 6.0 } },
+            Check { path: "warm_vs_cold".into(), rule: Rule::Max { bound: 0.5 } },
+        ],
+    };
 
     let json = format!(
-        "{{\n  \"bench\": \"drift_sweep\",\n  \"smoke\": {smoke},\n  \"total_iters\": {},\n  \"drift_at\": {},\n  \"drift_ramp\": {},\n  \"restart_iter\": {restart_iter},\n  \"post_drift_iters\": {post_iters},\n  \"scratch_final_cpu_pct\": {scratch_final:.4},\n  \"determinism_digest\": \"{:#018x}\",\n  \"drift_counters\": {{\"checks\": {checks}, \"detected\": {detected}, \"restarts\": {restarts}, \"epochs_sealed\": {sealed_epochs}}},\n  \"arms\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"drift_sweep\",\n  \"total_iters\": {},\n  \"drift_at\": {},\n  \"drift_ramp\": {},\n  \"restart_iter\": {restart_iter},\n  \"post_drift_iters\": {post_iters},\n  \"scratch_final_cpu_pct\": {scratch_final:.4},\n  \"warm_vs_cold\": {warm_vs_cold:.4},\n  \"determinism_digest\": \"{:#018x}\",\n  \"drift_counters\": {{\"checks\": {checks}, \"detected\": {detected}, \"restarts\": {restarts}, \"epochs_sealed\": {sealed_epochs}}},\n  \"arms\": [\n{}\n  ],\n{}\n}}\n",
         plan.total_iters,
         plan.drift_at,
         plan.drift_ramp,
         digest,
         rows.join(",\n"),
+        gate.render(),
     );
     std::fs::write(&out_path, json).expect("write bench json");
     println!("\nwrote {out_path}");

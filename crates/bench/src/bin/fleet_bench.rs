@@ -7,8 +7,11 @@
 //!   fleet_bench [--tenants N] [--iters K] [--out BENCH_fleet.json]
 //!
 //! Defaults: 1000 tenants × 4 iterations. The JSON written to `--out` is the
-//! tracked `BENCH_fleet.json` trajectory CI keeps an arm of.
+//! tracked `BENCH_fleet.json` trajectory CI keeps an arm of. Its `"gate"`
+//! block declares what `bench_gate` compares on same-size runs: each arm's
+//! throughput (may drop 50 %) and the determinism digest (exact).
 
+use restune_bench::gate::{Check, Gate, Rule};
 use restune_core::acquisition::AcquisitionOptimizer;
 use restune_core::fleet::{mix_seed, FleetConfig, FleetService, Tenant};
 use restune_core::problem::ResourceKind;
@@ -119,8 +122,15 @@ fn main() {
     }
 
     // Tracked trajectory entry (BENCH_fleet.json).
+    let gate = Gate {
+        same: vec!["tenants".into(), "iters".into()],
+        checks: vec![
+            Check { path: "arms[workers].tenants_per_s".into(), rule: Rule::Floor { drop: 0.5 } },
+            Check { path: "determinism_digest".into(), rule: Rule::Equal },
+        ],
+    };
     let json = format!(
-        "{{\n  \"bench\": \"fleet_scaling\",\n  \"tenants\": {tenants},\n  \"iters\": {iters},\n  \"ncpu\": {ncpu},\n  \"arms\": [\n{}\n  ],\n  \"determinism_digest\": \"{:#x}\"\n}}\n",
+        "{{\n  \"bench\": \"fleet_scaling\",\n  \"tenants\": {tenants},\n  \"iters\": {iters},\n  \"ncpu\": {ncpu},\n  \"arms\": [\n{}\n  ],\n  \"determinism_digest\": \"{:#x}\",\n{}\n}}\n",
         arms.iter()
             .map(|a| format!(
                 "    {{\"workers\": {}, \"wall_s\": {:.3}, \"tenants_per_s\": {:.1}}}",
@@ -128,7 +138,8 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(",\n"),
-        arms[0].digest
+        arms[0].digest,
+        gate.render(),
     );
     std::fs::write(&out_path, json).expect("write bench json");
     println!("[saved {out_path}]");

@@ -16,8 +16,13 @@
 //!   counter (the rank-1 path really ran; nothing silently fell back).
 //!
 //! The JSON written to `--out` is the tracked `BENCH_gp.json` trajectory.
+//! Its `"gate"` block declares what `bench_gate` compares: every speedup arm
+//! the current run shares with the baseline (may drop 40 %, so a 2x
+//! slowdown of the optimized path trips it) and a nonzero rank-1 update
+//! count.
 
 use gp::{GaussianProcess, GpConfig, InducingSelector, SparseGp, SparseGpConfig};
+use restune_bench::gate::{Check, Gate, Rule};
 use restune_bench::microbench::{black_box, suite, Bencher};
 
 /// Deterministic synthetic training set: a smooth 3-dim response surface
@@ -180,8 +185,16 @@ fn main() {
     );
 
     // Tracked trajectory entry (BENCH_gp.json).
+    let gate = Gate {
+        same: Vec::new(),
+        checks: vec![
+            Check { path: "incremental[n].speedup".into(), rule: Rule::Floor { drop: 0.4 } },
+            Check { path: "sparse[n,m].speedup".into(), rule: Rule::Floor { drop: 0.4 } },
+            Check { path: "cholesky_updates".into(), rule: Rule::Nonzero },
+        ],
+    };
     let json = format!(
-        "{{\n  \"bench\": \"gp_fit\",\n  \"smoke\": {smoke},\n  \"cholesky_updates\": {updates},\n  \"incremental\": [\n{}\n  ],\n  \"sparse\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"gp_fit\",\n  \"smoke\": {smoke},\n  \"cholesky_updates\": {updates},\n  \"incremental\": [\n{}\n  ],\n  \"sparse\": [\n{}\n  ],\n{}\n}}\n",
         inc.iter()
             .map(|a| format!(
                 "    {{\"n\": {}, \"full_us\": {:.1}, \"incremental_us\": {:.1}, \"speedup\": {:.1}}}",
@@ -204,6 +217,7 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(",\n"),
+        gate.render(),
     );
     std::fs::write(&out_path, json).expect("write bench json");
     println!("[saved {out_path}]");

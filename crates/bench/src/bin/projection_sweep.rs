@@ -2,7 +2,7 @@
 //! 200-knob extended registry.
 //!
 //! Usage:
-//!   projection_sweep [--smoke] [--out BENCH_projection.json]
+//!   projection_sweep [--out BENCH_projection.json]
 //!
 //! Arms (all ResTune sessions on the same twitter/instance-A environment,
 //! identical seeds and budgets unless noted):
@@ -22,15 +22,19 @@
 //! `expert40`'s final value (censored at the arm's budget).
 //!
 //! Gates:
-//! * always — same-seed projected runs are bit-identical, and projected arms
-//!   drive the `space.project` trace counter (the lift seam really ran);
-//! * full run only (`--smoke` skips the convergence gates; CI budgets are
-//!   too small for them to be meaningful) — some projected arm with
-//!   d_low ≤ 16 reaches within 5 % of `expert40`'s final TCO in at most
-//!   half the iterations random search needs (censored = its full budget),
-//!   which is the ISSUE acceptance line recorded in `BENCH_projection.json`.
+//! * same-seed projected runs are bit-identical, and projected arms drive
+//!   the `space.project` trace counter (the lift seam really ran);
+//! * some projected arm with d_low ≤ 16 reaches within 5 % of `expert40`'s
+//!   final TCO in at most half the iterations random search needs
+//!   (censored = its full budget), the acceptance line recorded in
+//!   `BENCH_projection.json`.
+//!
+//! The file's `"gate"` block declares what `bench_gate` compares against
+//! the committed baseline: per-arm quality (+5 pp) and convergence (+6
+//! iterations) ceilings, and the seed-exact lift counters.
 
 use dbsim::{Configuration, InstanceType, KnobSet, SimulatedDbms, WorkloadSpec};
+use restune_bench::gate::{Check, Gate, Rule};
 use restune_core::acquisition::AcquisitionOptimizer;
 use restune_core::problem::SlaConstraints;
 use restune_core::space::{projected_space, Projection};
@@ -39,6 +43,8 @@ use xrand::rngs::StdRng;
 use xrand::{RngExt, SeedableRng};
 
 const SEED: u64 = 42;
+const BO_ITERS: usize = 24;
+const RANDOM_ITERS: usize = 48;
 
 fn bo_config(seed: u64) -> RestuneConfig {
     RestuneConfig {
@@ -136,15 +142,12 @@ fn random_arm(set: &KnobSet, iters: usize) -> (f64, Vec<f64>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_projection.json".to_string());
-
-    let (bo_iters, rand_iters) = if smoke { (6, 12) } else { (24, 48) };
 
     // Determinism gate: two identically-seeded projected sessions must agree
     // on every best-curve bit before any comparison below means anything.
@@ -156,19 +159,19 @@ fn main() {
         "same-seed projected sessions diverged"
     );
 
-    println!("projection_sweep: {} BO iters, {} random iters{}", bo_iters, rand_iters, if smoke { " (smoke)" } else { "" });
+    println!("projection_sweep: {BO_ITERS} BO iters, {RANDOM_ITERS} random iters");
 
-    let (expert_default, expert_curve, _) = bo_arm(KnobSet::expert(), None, bo_iters);
+    let (expert_default, expert_curve, _) = bo_arm(KnobSet::expert(), None, BO_ITERS);
     let expert_final = *expert_curve.last().unwrap();
 
-    let (full_default, full_curve, _) = bo_arm(KnobSet::extended(), None, bo_iters);
-    let (p8_default, p8_curve, p8_projects) = bo_arm(KnobSet::extended(), Some(8), bo_iters);
-    let (p16_default, p16_curve, p16_projects) = bo_arm(KnobSet::extended(), Some(16), bo_iters);
-    let (rand_default, rand_curve) = random_arm(&KnobSet::extended(), rand_iters);
+    let (full_default, full_curve, _) = bo_arm(KnobSet::extended(), None, BO_ITERS);
+    let (p8_default, p8_curve, p8_projects) = bo_arm(KnobSet::extended(), Some(8), BO_ITERS);
+    let (p16_default, p16_curve, p16_projects) = bo_arm(KnobSet::extended(), Some(16), BO_ITERS);
+    let (rand_default, rand_curve) = random_arm(&KnobSet::extended(), RANDOM_ITERS);
 
     // The lift seam must have run once per projected evaluation.
     assert!(
-        p8_projects >= bo_iters && p16_projects >= bo_iters,
+        p8_projects >= BO_ITERS && p16_projects >= BO_ITERS,
         "space.project counters too low ({p8_projects}, {p16_projects}): lift seam not traced"
     );
 
@@ -197,35 +200,41 @@ fn main() {
         );
     }
 
-    if !smoke {
-        // ISSUE acceptance: a d_low ≤ 16 projected arm reaches within 5 % of
-        // the expert-40 final TCO in ≤ half the iterations random search
-        // needs (censored at its full budget when it never gets there).
-        let random_needs =
-            arms.iter().find(|a| a.name == "random200").unwrap().to_5pct.unwrap_or(rand_iters);
-        let best_projected = arms
-            .iter()
-            .filter(|a| a.search_dims <= 16 && a.name.starts_with("proj"))
-            .filter_map(|a| a.to_5pct.map(|i| (a.name, i)))
-            .min_by_key(|&(_, i)| i);
-        match best_projected {
-            Some((name, iters)) => {
-                println!(
-                    "\ngate: {name} hit 5% of expert40 in {iters} iters; random needed {random_needs}"
-                );
-                assert!(
-                    iters * 2 <= random_needs,
-                    "{name} needed {iters} iterations; not <= half of random search's {random_needs}"
-                );
-            }
-            None => panic!(
-                "no projected arm (d_low <= 16) reached within 5% of expert40's final TCO"
-            ),
+    // Acceptance line: a d_low ≤ 16 projected arm reaches within 5 % of the
+    // expert-40 final TCO in ≤ half the iterations random search needs
+    // (censored at its full budget when it never gets there).
+    let random_needs =
+        arms.iter().find(|a| a.name == "random200").unwrap().to_5pct.unwrap_or(RANDOM_ITERS);
+    let best_projected = arms
+        .iter()
+        .filter(|a| a.search_dims <= 16 && a.name.starts_with("proj"))
+        .filter_map(|a| a.to_5pct.map(|i| (a.name, i)))
+        .min_by_key(|&(_, i)| i);
+    match best_projected {
+        Some((name, iters)) => {
+            println!(
+                "\ngate: {name} hit 5% of expert40 in {iters} iters; random needed {random_needs}"
+            );
+            assert!(
+                iters * 2 <= random_needs,
+                "{name} needed {iters} iterations; not <= half of random search's {random_needs}"
+            );
         }
+        None => panic!(
+            "no projected arm (d_low <= 16) reached within 5% of expert40's final TCO"
+        ),
     }
 
+    let gate = Gate {
+        same: vec!["bo_iters".into(), "random_iters".into()],
+        checks: vec![
+            Check { path: "arms[arm].final_cpu_pct".into(), rule: Rule::Ceiling { add: 5.0 } },
+            Check { path: "arms[arm].iters_to_5pct".into(), rule: Rule::Ceiling { add: 6.0 } },
+            Check { path: "space_projects.*".into(), rule: Rule::Equal },
+        ],
+    };
     let json = format!(
-        "{{\n  \"bench\": \"projection_sweep\",\n  \"smoke\": {smoke},\n  \"bo_iters\": {bo_iters},\n  \"random_iters\": {rand_iters},\n  \"expert_final_cpu_pct\": {expert_final:.4},\n  \"space_projects\": {{\"proj8\": {p8_projects}, \"proj16\": {p16_projects}}},\n  \"arms\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"projection_sweep\",\n  \"bo_iters\": {BO_ITERS},\n  \"random_iters\": {RANDOM_ITERS},\n  \"expert_final_cpu_pct\": {expert_final:.4},\n  \"space_projects\": {{\"proj8\": {p8_projects}, \"proj16\": {p16_projects}}},\n  \"arms\": [\n{}\n  ],\n{}\n}}\n",
         arms.iter()
             .map(|a| format!(
                 "    {{\"arm\": \"{}\", \"native_dims\": {}, \"search_dims\": {}, \"iters\": {}, \"default_cpu_pct\": {:.4}, \"final_cpu_pct\": {:.4}, \"vs_expert_pct\": {:.2}, \"iters_to_5pct\": {}}}",
@@ -240,6 +249,7 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(",\n"),
+        gate.render(),
     );
     std::fs::write(&out_path, json).expect("write bench json");
     println!("\nwrote {out_path}");

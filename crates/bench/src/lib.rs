@@ -14,9 +14,8 @@
 pub mod context;
 pub mod experiments;
 pub mod gate;
-pub mod health_view;
 pub mod microbench;
 pub mod report;
-pub mod trace_view;
+pub mod view;
 
 pub use context::{ExperimentContext, Scale};

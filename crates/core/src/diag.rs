@@ -28,7 +28,7 @@
 //! timestamp-free so two same-seed diagnostic streams are byte-identical.
 //!
 //! `core::fleet::health` folds these events into fleet-level digests;
-//! `restune-bench`'s `health_report` and `fleet_health` bins render them.
+//! `restune-bench`'s `report` bin renders them.
 
 use crate::engine::{HistoryView, IterationRecord};
 use crate::resilience::{FailureCounts, FailureKind};

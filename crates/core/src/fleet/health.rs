@@ -17,7 +17,7 @@
 //! Everything operates on data already recorded — aggregation never touches
 //! the collector — so it can run on a live [`trace::snapshot`] or on a
 //! JSONL file parsed back with [`trace::TraceSnapshot::from_jsonl`]. The
-//! `fleet_health` bench bin renders the result.
+//! `report` bench bin renders the result.
 
 use crate::diag::{TunerHealth, HEALTH_EVENT};
 use trace::TraceSnapshot;
