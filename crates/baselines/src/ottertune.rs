@@ -23,7 +23,7 @@ use restune_core::engine::{EngineSettings, EvalEngine, HistoryView};
 use restune_core::lhs::latin_hypercube;
 use restune_core::repository::DataRepository;
 use restune_core::resilience::ReplayPolicy;
-use restune_core::surrogate::{GpTaskModel, TaskSurrogate};
+use restune_core::surrogate::GpTaskModel;
 use restune_core::tuner::{RestuneConfig, TuningEnvironment, TuningOutcome};
 
 /// The OtterTune strategy: LHS bootstrap, then one merged GP over target +
@@ -131,13 +131,7 @@ impl Proposer for OtterTuneProposer {
         let model_update_s = model_span.finish_s();
 
         let recommendation_span = trace::span!("recommendation");
-        // CEI with thresholds at the merged model's default-point prediction.
-        let default_pred = model.predict(view.default_point);
         let sla = view.problem.constraints;
-        let tps_floor =
-            default_pred.tps.mean - sla.tolerance * sla.min_tps / model.scalers.tps.std;
-        let lat_ceiling =
-            default_pred.lat.mean + sla.tolerance * sla.max_p99_ms / model.scalers.lat.std;
         // Incumbent: best feasible target observation.
         let mut best_feasible: Option<(Vec<f64>, f64)> = None;
         for (i, p) in view.points.iter().enumerate() {
@@ -149,12 +143,19 @@ impl Proposer for OtterTuneProposer {
                 best_feasible = Some((p.clone(), view.res[i]));
             }
         }
-        let (anchors, incumbent) = match &best_feasible {
-            Some((p, _)) => (vec![p.clone()], Some(model.predict(p).res.mean)),
-            None => (vec![view.default_point.to_vec()], {
-                Some(model.predict(view.default_point).res.mean)
-            }),
-        };
+        // CEI with thresholds at the merged model's default-point prediction
+        // and the incumbent's predicted objective (the default's when no
+        // observation is feasible), both from one batch.
+        let mut probes = vec![view.default_point.to_vec()];
+        probes.extend(best_feasible.map(|(p, _)| p));
+        let probed = model.predict_batch(&probes);
+        let default_pred = probed[0];
+        let tps_floor =
+            default_pred.tps.mean - sla.tolerance * sla.min_tps / model.scalers.tps.std;
+        let lat_ceiling =
+            default_pred.lat.mean + sla.tolerance * sla.max_p99_ms / model.scalers.lat.std;
+        let incumbent = Some(probed[probes.len() - 1].res.mean);
+        let anchors = vec![probes[probes.len() - 1].clone()];
         let cei =
             ConstrainedExpectedImprovement { best_feasible: incumbent, tps_floor, lat_ceiling };
         // OtterTune keeps its own published seeding schedule (it predates the

@@ -33,12 +33,12 @@ fn main() {
         black_box(GaussianProcess::fit(black_box(xs.clone()), black_box(ys.clone()), &opt_cfg).ok());
     });
 
+    // Acquisition scoring predicts in 256-candidate blocks
+    // (`AcquisitionOptimizer`'s block size), so time exactly that call.
     let model = GaussianProcess::fit(xs.clone(), ys.clone(), &GpConfig::fixed()).unwrap();
-    let probes = dataset(500, 14, 3).0;
-    b.bench("predict_500_points_n100", || {
-        for p in &probes {
-            black_box(model.predict(p).unwrap());
-        }
+    let probes = dataset(256, 14, 3).0;
+    b.bench("predict_batch_256_points_n100", || {
+        black_box(model.predict_batch(black_box(&probes)).unwrap());
     });
 
     let sample_points = dataset(40, 14, 4).0;

@@ -3,11 +3,14 @@
 //! and self-checks it.
 //!
 //! Usage:
-//!   report FILE
-//!   report session [ITERS] [--out F]
-//!   report baseline [ITERS] [--out F]
-//!   report fleet [--smoke] [--tenants N] [--iters K] [--workers W] [--out F]
-//!   report methods [ITERS]
+//!
+//! ```text
+//! report FILE
+//! report session [ITERS] [--out F]
+//! report baseline [ITERS] [--out F]
+//! report fleet [--smoke] [--tenants N] [--iters K] [--workers W] [--out F]
+//! report methods [ITERS]
+//! ```
 //!
 //! - `FILE` renders every section the trace holds (`restune_bench::view`):
 //!   the span tree and Table-3 breakdown, the per-iteration health table

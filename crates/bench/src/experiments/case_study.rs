@@ -125,10 +125,10 @@ pub fn run(ctx: &ExperimentContext, iterations: usize) -> CaseStudyResult {
     let total_pairs = (probe_points.len() * (probe_points.len() - 1)) as f64;
     let mut table5 = Vec::new();
     for (i, learner) in learners.iter().enumerate() {
-        let pred: Vec<f64> = probe_points
-            .iter()
-            .map(|p| learner.model.res.predict(p).map(|q| q.mean).unwrap_or(0.0))
-            .collect();
+        let pred: Vec<f64> = match learner.model.res.predict_batch(&probe_points) {
+            Ok(preds) => preds.iter().map(|q| q.mean).collect(),
+            Err(_) => vec![0.0; probe_points.len()],
+        };
         let loss = ranking_loss(&pred, &actual_cpu) as f64 / total_pairs;
         let spec = &variations[i];
         table5.push(VariationRow {

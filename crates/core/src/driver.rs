@@ -1,6 +1,6 @@
 //! The tuning run loop: a [`TuningDriver`] repeatedly asks a [`Proposer`]
 //! for the next configuration point and hands it to the shared
-//! [`EvalEngine`](crate::engine::EvalEngine) to apply, replay, and record.
+//! [`EvalEngine`] to apply, replay, and record.
 //!
 //! This is the paper's Fig. 5 control flow with the strategy factored out:
 //! the *recommendation policy* (ResTune's meta-boosted CEI, OtterTune's

@@ -65,5 +65,5 @@ pub use repository::{DataRepository, TaskObservation, TaskRecord};
 pub use resilience::{FailureCounts, FailureKind, ReplayPolicy};
 pub use scale::Standardizer;
 pub use space::{IdentityTransform, Projection, RandomProjection, SpacePipeline, SpaceTransform};
-pub use surrogate::{SurrogatePrediction, TaskSurrogate};
+pub use surrogate::SurrogatePrediction;
 pub use tuner::{IterationRecord, RestuneConfig, TuningEnvironment, TuningOutcome, TuningSession};

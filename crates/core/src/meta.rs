@@ -18,7 +18,7 @@
 //!   base-learner means; the variance is the *target* learner's variance
 //!   alone, because only target observations should shrink uncertainty.
 
-use crate::surrogate::{GpTaskModel, SurrogatePrediction, TaskSurrogate};
+use crate::surrogate::{GpTaskModel, SurrogatePrediction};
 use gp::{GpError, Prediction, SurrogateGp};
 use xrand::rngs::StdRng;
 use xrand::{Rng, SeedableRng, SplitMix64};
@@ -135,6 +135,16 @@ pub fn ranking_loss(pred: &[f64], actual: &[f64]) -> usize {
     loss
 }
 
+/// The degenerate-draw fallback: `n_samples` copies of the posterior means
+/// at `points` (zeros if the GP cannot predict there).
+fn mean_draws(gp: &SurrogateGp, points: &[Vec<f64>], n_samples: usize) -> Vec<Vec<f64>> {
+    let means = match gp.predict_batch(points) {
+        Ok(preds) => preds.iter().map(|q| q.mean).collect(),
+        Err(_) => vec![0.0; points.len()],
+    };
+    vec![means; n_samples]
+}
+
 /// Posterior draws of a GP at `points`: one `Vec<f64>` per sample.
 fn posterior_draws(
     gp: &SurrogateGp,
@@ -142,12 +152,8 @@ fn posterior_draws(
     n_samples: usize,
     rng: &mut impl Rng,
 ) -> Vec<Vec<f64>> {
-    gp.sample_joint(points, n_samples, rng).unwrap_or_else(|_| {
-        // Degenerate covariance: fall back to the posterior means.
-        let means: Vec<f64> =
-            points.iter().map(|p| gp.predict(p).map(|q| q.mean).unwrap_or(0.0)).collect();
-        vec![means; n_samples]
-    })
+    // Degenerate covariance: fall back to the posterior means.
+    gp.sample_joint(points, n_samples, rng).unwrap_or_else(|_| mean_draws(gp, points, n_samples))
 }
 
 /// Independent draws from leave-one-out predictive distributions (used for
@@ -191,11 +197,7 @@ fn draws_from_loo(
                 })
                 .collect()
         }
-        _ => {
-            let means: Vec<f64> =
-                points.iter().map(|p| gp.predict(p).map(|q| q.mean).unwrap_or(0.0)).collect();
-            vec![means; n_samples]
-        }
+        _ => mean_draws(gp, points, n_samples),
     }
 }
 
@@ -373,29 +375,11 @@ impl MetaLearner {
         &self.base
     }
 
-    fn ensemble(&self, extract: impl Fn(&GpTaskModel, &[f64]) -> Prediction, point: &[f64]) -> Prediction {
-        let wsum: f64 = self.weights.iter().sum();
-        let target_pred = extract(&self.target, point);
-        if wsum <= 1e-12 {
-            return target_pred;
-        }
-        // Eq. 6: weighted mean across all learners.
-        let mut mean = 0.0;
-        for (b, w) in self.base.iter().zip(&self.weights) {
-            if *w > 0.0 {
-                mean += w * extract(&b.model, point).mean;
-            }
-        }
-        mean += self.weights[self.base.len()] * target_pred.mean;
-        mean /= wsum;
-        // Eq. 7: variance from the target learner only.
-        Prediction { mean, variance: target_pred.variance }
-    }
-
-    /// Batched [`MetaLearner::ensemble`]: one batched GP predict per learner
-    /// instead of one triangular-solve per (learner, point). The per-point
-    /// arithmetic (accumulation order, single division by the weight sum) is
-    /// preserved exactly, so each output matches `ensemble` bit-for-bit.
+    /// Eqs. 6–7 for one metric at every point: the mean is the weighted
+    /// average of the learners' means (historical learners in order, target
+    /// last, one division by the weight sum), the variance the target's
+    /// alone. `extract` predicts one learner's metric GP at `points`; a
+    /// learner without positive weight is not predicted at all.
     fn ensemble_batch(
         &self,
         extract: impl Fn(&GpTaskModel, &[Vec<f64>]) -> Vec<Prediction>,
@@ -425,26 +409,19 @@ impl MetaLearner {
             })
             .collect()
     }
-}
 
-impl TaskSurrogate for MetaLearner {
-    fn predict(&self, point: &[f64]) -> SurrogatePrediction {
-        SurrogatePrediction {
-            res: self.ensemble(|m, p| m.res.predict(p).expect("dim"), point),
-            tps: self.ensemble(|m, p| m.tps.predict(p).expect("dim"), point),
-            lat: self.ensemble(|m, p| m.lat.predict(p).expect("dim"), point),
-        }
-    }
-
-    fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<SurrogatePrediction> {
-        let res = self.ensemble_batch(|m, p| m.res.predict_batch(p).expect("dim"), points);
-        let tps = self.ensemble_batch(|m, p| m.tps.predict_batch(p).expect("dim"), points);
-        let lat = self.ensemble_batch(|m, p| m.lat.predict_batch(p).expect("dim"), points);
-        res.into_iter()
-            .zip(tps)
-            .zip(lat)
-            .map(|((res, tps), lat)| SurrogatePrediction { res, tps, lat })
-            .collect()
+    /// The ensemble's joint prediction at every point: one batched
+    /// prediction per (learner, metric) GP.
+    ///
+    /// # Panics
+    ///
+    /// If a point's length is not the knob-space dimensionality (checked
+    /// against every learner at construction).
+    pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<SurrogatePrediction> {
+        let column = |metric: fn(&GpTaskModel) -> &SurrogateGp| {
+            self.ensemble_batch(|m, p| metric(m).predict_batch(p).expect("dim"), points)
+        };
+        SurrogatePrediction::zip(column(|m| &m.res), column(|m| &m.tps), column(|m| &m.lat))
     }
 }
 
@@ -569,7 +546,7 @@ mod tests {
         let target = model_from(|x| 0.5 * x);
         let target_pred = target.res.predict(&[0.3]).unwrap();
         let meta = MetaLearner::new(base, target, vec![1.0, 1.0, 2.0]);
-        let pred = meta.predict(&[0.3]);
+        let pred = meta.predict_batch(&[vec![0.3]])[0];
         assert_eq!(pred.res.variance, target_pred.variance);
         // Mean is pulled between the learners; with symmetric base learners
         // (x and 1-x standardized are mirror images) it stays near target's.
@@ -582,7 +559,7 @@ mod tests {
         let target = model_from(|x| x * x);
         let expected = target.res.predict(&[0.4]).unwrap();
         let meta = MetaLearner::new(base, target, vec![0.0, 0.0]);
-        let pred = meta.predict(&[0.4]);
+        let pred = meta.predict_batch(&[vec![0.4]])[0];
         assert_eq!(pred.res, expected);
     }
 
@@ -591,7 +568,7 @@ mod tests {
         let target = model_from(|x| x);
         let direct = target.res.predict(&[0.6]).unwrap();
         let meta = MetaLearner::target_only(target);
-        assert_eq!(meta.predict(&[0.6]).res, direct);
+        assert_eq!(meta.predict_batch(&[vec![0.6]])[0].res, direct);
     }
 
     #[test]
@@ -636,19 +613,45 @@ mod tests {
         assert!(w.iter().all(|v| v.is_finite()));
     }
 
+    /// Selects one metric GP of a task model.
+    type Metric = fn(&GpTaskModel) -> &SurrogateGp;
+
+    /// Eqs. 6–7 at one point, written out: the weighted mean accumulated in
+    /// learner order (historical learners with positive weight, then the
+    /// target), one division by the weight sum, and the target's variance.
+    /// The oracle the batched ensemble is held to, bit for bit.
+    fn reference_ensemble(meta: &MetaLearner, metric: Metric, point: &[f64]) -> Prediction {
+        let target = metric(&meta.target).predict(point).unwrap();
+        let wsum: f64 = meta.weights.iter().sum();
+        if wsum <= 1e-12 {
+            return target;
+        }
+        let mut mean = 0.0;
+        for (b, w) in meta.base.iter().zip(&meta.weights) {
+            if *w > 0.0 {
+                mean += w * metric(&b.model).predict(point).unwrap().mean;
+            }
+        }
+        mean += meta.weights[meta.base.len()] * target.mean;
+        Prediction { mean: mean / wsum, variance: target.variance }
+    }
+
     #[test]
-    fn meta_predict_batch_matches_per_point_bitwise() {
-        let base = vec![learner("a", vec![0.5], |x| x), learner("b", vec![0.5], |x| 1.0 - x)];
-        let target = model_from(|x| 0.5 * x);
-        let meta = MetaLearner::new(base, target, vec![0.6, 0.0, 1.4]);
+    fn meta_predict_batch_matches_the_per_point_reference_bitwise() {
         let pts: Vec<Vec<f64>> = (0..17).map(|i| vec![i as f64 / 16.0]).collect();
-        let batch = meta.predict_batch(&pts);
-        for (p, b) in pts.iter().zip(&batch) {
-            let single = meta.predict(p);
-            assert_eq!(single.res.mean.to_bits(), b.res.mean.to_bits());
-            assert_eq!(single.tps.mean.to_bits(), b.tps.mean.to_bits());
-            assert_eq!(single.lat.mean.to_bits(), b.lat.mean.to_bits());
-            assert_eq!(single.res.variance.to_bits(), b.res.variance.to_bits());
+        for weights in [vec![0.6, 0.0, 1.4], vec![0.3, 0.9, 0.2], vec![0.0, 0.0, 0.0]] {
+            let base = vec![learner("a", vec![0.5], |x| x), learner("b", vec![0.5], |x| 1.0 - x)];
+            let meta = MetaLearner::new(base, model_from(|x| 0.5 * x), weights);
+            let batch = meta.predict_batch(&pts);
+            for (p, b) in pts.iter().zip(&batch) {
+                let metrics: [(Metric, Prediction); 3] =
+                    [(|m| &m.res, b.res), (|m| &m.tps, b.tps), (|m| &m.lat, b.lat)];
+                for (metric, got) in metrics {
+                    let want = reference_ensemble(&meta, metric, p);
+                    assert_eq!(want.mean.to_bits(), got.mean.to_bits(), "mean at {p:?}");
+                    assert_eq!(want.variance.to_bits(), got.variance.to_bits(), "var at {p:?}");
+                }
+            }
         }
     }
 }

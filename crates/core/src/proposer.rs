@@ -14,7 +14,7 @@ use crate::drift::DriftEvent;
 use crate::driver::{Proposal, ProposalTiming, Proposer};
 use crate::engine::{HistoryView, IterationRecord};
 use crate::meta::{static_weights, BaseLearner, MetaLearner, TargetObservations};
-use crate::surrogate::{GpTaskModel, SurrogatePrediction, TaskSurrogate};
+use crate::surrogate::{GpTaskModel, SurrogatePrediction};
 use crate::tuner::{InitStrategy, RestuneConfig};
 use xrand::{RngExt, SeedableRng};
 
@@ -263,33 +263,53 @@ impl RestuneProposer {
         constraints_from_target: bool,
         seed: u64,
     ) -> Vec<f64> {
-        // Joint prediction with constraints optionally sourced from the
-        // target learner alone.
-        let predict = |p: &[f64]| {
-            let mut pred = surrogate.predict(p);
+        // Joint batched prediction (one blocked solve per metric GP), with
+        // constraints optionally sourced from the target learner alone.
+        let predict = |pts: &[Vec<f64>]| -> Vec<SurrogatePrediction> {
+            let mut preds = surrogate.predict_batch(pts);
             if constraints_from_target {
                 let t = surrogate.target();
-                pred.tps = t.tps.predict(p).expect("dim");
-                pred.lat = t.lat.predict(p).expect("dim");
+                let column = |gp: &gp::SurrogateGp| gp.predict_batch(pts).expect("dim");
+                for ((pred, tps), lat) in preds.iter_mut().zip(column(&t.tps)).zip(column(&t.lat)) {
+                    pred.tps = tps;
+                    pred.lat = lat;
+                }
             }
-            pred
+            preds
         };
+        // One batch predicts every point the scorer's thresholds read: the
+        // default (§6.1's re-scaled bounds), the incumbent, and, for
+        // unconstrained EI, the overall best observation. Filter non-finite
+        // objectives before taking that minimum: a seeded-in NaN observation
+        // must degrade, not panic.
+        let best_overall = match self.config.acquisition {
+            AcquisitionKind::ExpectedImprovement => view
+                .points
+                .iter()
+                .zip(view.res)
+                .filter(|(_, r)| r.is_finite())
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(p, _)| p),
+            _ => None,
+        };
+        let incumbent = view.best.map(|(_, _, point)| point);
+        let mut probes = vec![view.default_point.to_vec()];
+        probes.extend(incumbent.into_iter().chain(best_overall).cloned());
+        let probed = predict(&probes);
+        let default_pred = probed[0];
+        let incumbent_pred = incumbent.map(|_| probed[1]);
+        let best_overall_pred = best_overall.map(|_| probed[probes.len() - 1]);
+
         // Re-scaled constraint bounds λ' = L_M(θ_d) (§6.1), widened by the
         // 5 % tolerance expressed in target-σ units.
-        let default_pred = predict(view.default_point);
         let scalers = surrogate.target().scalers;
         let sla = view.problem.constraints;
         let tol = sla.tolerance;
         let tps_floor = default_pred.tps.mean - tol * sla.min_tps / scalers.tps.std;
         let lat_ceiling = default_pred.lat.mean + tol * sla.max_p99_ms / scalers.lat.std;
 
-        let (best_feasible, mut anchors) = match view.best {
-            Some((_, _, point)) => {
-                let incumbent = predict(point).res.mean;
-                (Some(incumbent), vec![point.clone()])
-            }
-            None => (None, Vec::new()),
-        };
+        let best_feasible = incumbent_pred.map(|p| p.res.mean);
+        let mut anchors: Vec<Vec<f64>> = incumbent.into_iter().cloned().collect();
         // Seed local refinement with the best observed points of the
         // highest-weight base-learners: "suggest knobs that are promising
         // according to similar historical tasks" (§6.4.3).
@@ -334,25 +354,12 @@ impl RestuneProposer {
             AcquisitionKind::PenalizedExpectedImprovement => {
                 // Plain EI on the penalized surrogate; the penalty encoded at
                 // fit time does the constraint handling.
-                let incumbent = view
-                    .best
-                    .map(|(_, _, p)| predict(p).res.mean)
-                    .unwrap_or_else(|| predict(view.default_point).res.mean);
-                Scorer::Ei { incumbent }
+                Scorer::Ei { incumbent: incumbent_pred.unwrap_or(default_pred).res.mean }
             }
             AcquisitionKind::ExpectedImprovement => {
                 // Unconstrained EI over the *overall* best (iTuned's behavior
                 // after the objective swap): ignores the SLA entirely.
-                // Filter non-finite objectives before taking the minimum: a
-                // seeded-in NaN observation must degrade, not panic.
-                let best_overall = view
-                    .points
-                    .iter()
-                    .zip(view.res)
-                    .filter(|(_, r)| r.is_finite())
-                    .min_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(p, _)| predict(p).res.mean);
-                Scorer::Ei { incumbent: best_overall.unwrap_or(0.0) }
+                Scorer::Ei { incumbent: best_overall_pred.map_or(0.0, |p| p.res.mean) }
             }
         };
         let value = |pred: &SurrogatePrediction| -> f64 {
@@ -363,24 +370,8 @@ impl RestuneProposer {
                 }
             }
         };
-
-        // Joint *batched* prediction with the same constraint override as
-        // `predict`; each scoring block is one blocked solve per metric GP.
-        let predict_batch = |pts: &[Vec<f64>]| -> Vec<SurrogatePrediction> {
-            let mut preds = surrogate.predict_batch(pts);
-            if constraints_from_target {
-                let t = surrogate.target();
-                let tps = t.tps.predict_batch(pts).expect("dim");
-                let lat = t.lat.predict_batch(pts).expect("dim");
-                for ((pred, tps), lat) in preds.iter_mut().zip(tps).zip(lat) {
-                    pred.tps = tps;
-                    pred.lat = lat;
-                }
-            }
-            preds
-        };
         self.config.optimizer.optimize(view.problem.dim(), &anchors, seed, |pts| {
-            predict_batch(pts).iter().map(&value).collect()
+            predict(pts).iter().map(&value).collect()
         })
     }
 }

@@ -17,18 +17,18 @@ pub struct SurrogatePrediction {
     pub lat: Prediction,
 }
 
-/// Anything that can predict `(f_res, f_tps, f_lat)` at a normalized point:
-/// a single task model, or the meta-learner ensemble.
-pub trait TaskSurrogate {
-    /// Predicts the three outputs (standardized scale).
-    fn predict(&self, point: &[f64]) -> SurrogatePrediction;
-
-    /// Predicts a whole batch of points. Implementations must return exactly
-    /// the same bits as mapping [`TaskSurrogate::predict`] over `points`;
-    /// the default does precisely that, while model-backed implementations
-    /// override it with one blocked solve per metric GP.
-    fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<SurrogatePrediction> {
-        points.iter().map(|p| self.predict(p)).collect()
+impl SurrogatePrediction {
+    /// Joint predictions from one column of per-point predictions per metric.
+    pub(crate) fn zip(
+        res: Vec<Prediction>,
+        tps: Vec<Prediction>,
+        lat: Vec<Prediction>,
+    ) -> Vec<Self> {
+        res.into_iter()
+            .zip(tps)
+            .zip(lat)
+            .map(|((res, tps), lat)| SurrogatePrediction { res, tps, lat })
+            .collect()
     }
 }
 
@@ -175,26 +175,16 @@ impl GpTaskModel {
     pub fn n(&self) -> usize {
         self.res.n()
     }
-}
 
-impl TaskSurrogate for GpTaskModel {
-    fn predict(&self, point: &[f64]) -> SurrogatePrediction {
-        SurrogatePrediction {
-            res: self.res.predict(point).expect("dimension checked at fit"),
-            tps: self.tps.predict(point).expect("dimension checked at fit"),
-            lat: self.lat.predict(point).expect("dimension checked at fit"),
-        }
-    }
-
-    fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<SurrogatePrediction> {
-        let res = self.res.predict_batch(points).expect("dimension checked at fit");
-        let tps = self.tps.predict_batch(points).expect("dimension checked at fit");
-        let lat = self.lat.predict_batch(points).expect("dimension checked at fit");
-        res.into_iter()
-            .zip(tps)
-            .zip(lat)
-            .map(|((res, tps), lat)| SurrogatePrediction { res, tps, lat })
-            .collect()
+    /// Predicts the three outputs (standardized scale) at every point: one
+    /// batched prediction, so one blocked solve, per metric GP.
+    ///
+    /// # Panics
+    ///
+    /// If a point's length is not the model's knob-space dimensionality.
+    pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<SurrogatePrediction> {
+        let column = |gp: &SurrogateGp| gp.predict_batch(points).expect("dimension checked at fit");
+        SurrogatePrediction::zip(column(&self.res), column(&self.tps), column(&self.lat))
     }
 }
 
@@ -214,8 +204,8 @@ mod tests {
     #[test]
     fn predictions_track_the_training_signal() {
         let m = toy_model();
-        let lo = m.predict(&[0.05]);
-        let hi = m.predict(&[0.95]);
+        let preds = m.predict_batch(&[vec![0.05], vec![0.95]]);
+        let (lo, hi) = (preds[0], preds[1]);
         // Standardized res increases with x, tps decreases, lat increases.
         assert!(lo.res.mean < hi.res.mean);
         assert!(lo.tps.mean > hi.tps.mean);
@@ -225,7 +215,7 @@ mod tests {
     #[test]
     fn scalers_invert_to_raw_units() {
         let m = toy_model();
-        let p = m.predict(&[0.5]);
+        let p = m.predict_batch(&[vec![0.5]])[0];
         let raw_res = m.scalers.res.inverse(p.res.mean);
         assert!((raw_res - 50.0).abs() < 8.0, "raw res {raw_res}");
     }
@@ -236,19 +226,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_surrogate_prediction_matches_per_point_bitwise() {
+    fn batched_prediction_routes_each_metric_gp_to_its_field() {
+        // Each field holds its own metric GP's prediction at that point,
+        // bit for bit; the GP's numbers are held to a per-point reference
+        // in `gp`'s unit tests.
         let m = toy_model();
         let pts: Vec<Vec<f64>> = (0..23).map(|i| vec![i as f64 / 22.0 * 1.4 - 0.2]).collect();
         let batch = m.predict_batch(&pts);
         assert_eq!(batch.len(), pts.len());
         for (p, b) in pts.iter().zip(&batch) {
-            let single = m.predict(p);
-            assert_eq!(single.res.mean.to_bits(), b.res.mean.to_bits());
-            assert_eq!(single.tps.mean.to_bits(), b.tps.mean.to_bits());
-            assert_eq!(single.lat.mean.to_bits(), b.lat.mean.to_bits());
-            assert_eq!(single.res.variance.to_bits(), b.res.variance.to_bits());
-            assert_eq!(single.tps.variance.to_bits(), b.tps.variance.to_bits());
-            assert_eq!(single.lat.variance.to_bits(), b.lat.variance.to_bits());
+            for (gp, got) in [(&m.res, b.res), (&m.tps, b.tps), (&m.lat, b.lat)] {
+                let want = gp.predict(p).unwrap();
+                assert_eq!(want.mean.to_bits(), got.mean.to_bits(), "mean at {p:?}");
+                assert_eq!(want.variance.to_bits(), got.variance.to_bits(), "variance at {p:?}");
+            }
         }
     }
 }

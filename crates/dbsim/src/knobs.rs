@@ -716,7 +716,7 @@ const MICRO_IMPACT: &[(&str, f64)] = &[
 ];
 
 /// Weighted mean squared deviation (in normalized coordinates) of the
-/// [`MICRO_IMPACT`] knobs from their defaults, in `[0, 1]`.
+/// `MICRO_IMPACT` knobs from their defaults, in `[0, 1]`.
 ///
 /// Exactly `0.0` — bit-for-bit — when every micro knob sits at its default,
 /// so configurations that never touch the extended catalogue evaluate

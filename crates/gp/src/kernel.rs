@@ -1,41 +1,7 @@
-//! Covariance kernels with ARD lengthscales and analytic log-parameter
-//! gradients.
-
+//! The Matérn-5/2 covariance kernel with ARD lengthscales and analytic
+//! log-parameter gradients: the one kernel every GP in this crate uses.
 
 const SQRT5: f64 = 2.236_067_977_499_79;
-
-/// A stationary covariance kernel over `R^d` with tunable hyperparameters.
-///
-/// Hyperparameters are exposed as a flat vector of *log*-values so the fitter
-/// can run unconstrained gradient ascent; implementations clamp to
-/// [`Kernel::bounds`] when values are set.
-pub trait Kernel: Clone + Send + Sync {
-    /// Input dimensionality.
-    fn dim(&self) -> usize;
-
-    /// Covariance between two points.
-    fn value(&self, a: &[f64], b: &[f64]) -> f64;
-
-    /// Covariance and the gradient with respect to each log-hyperparameter.
-    ///
-    /// The gradient buffer must have length [`Kernel::n_params`].
-    fn value_and_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64;
-
-    /// Number of hyperparameters.
-    fn n_params(&self) -> usize;
-
-    /// Current log-hyperparameters as a flat vector.
-    fn params(&self) -> Vec<f64>;
-
-    /// Sets log-hyperparameters (clamped to [`Kernel::bounds`]).
-    fn set_params(&mut self, params: &[f64]);
-
-    /// Per-parameter `(lo, hi)` bounds in log space.
-    fn bounds(&self) -> Vec<(f64, f64)>;
-
-    /// Prior variance at a point, `k(x, x)`.
-    fn prior_variance(&self) -> f64;
-}
 
 /// Matérn-5/2 kernel with automatic relevance determination (per-dimension
 /// lengthscales):
@@ -43,8 +9,10 @@ pub trait Kernel: Clone + Send + Sync {
 /// `k(x, x') = s^2 (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r)` with
 /// `r^2 = sum_i (x_i - x'_i)^2 / l_i^2`.
 ///
-/// This is the default BoTorch kernel ResTune inherits. Parameters are
-/// `[log l_1, ..., log l_d, log s^2]`.
+/// This is the default BoTorch kernel ResTune inherits. Hyperparameters are
+/// exposed as a flat vector of *log*-values, `[log l_1, ..., log l_d, log
+/// s^2]`, so the fitter can run unconstrained gradient ascent;
+/// [`Matern52::set_params`] clamps them to [`Matern52::bounds`].
 #[derive(Debug, Clone)]
 pub struct Matern52 {
     log_lengthscales: Vec<f64>,
@@ -67,16 +35,6 @@ impl Matern52 {
         }
     }
 
-    /// Natural-scale lengthscales.
-    pub fn lengthscales(&self) -> Vec<f64> {
-        self.log_lengthscales.iter().map(|l| l.exp()).collect()
-    }
-
-    /// Natural-scale signal variance `s^2`.
-    pub fn signal_variance(&self) -> f64 {
-        self.log_signal_variance.exp()
-    }
-
     /// Scaled distance `r` between two points.
     #[inline]
     fn scaled_distance(&self, a: &[f64], b: &[f64]) -> f64 {
@@ -87,14 +45,14 @@ impl Matern52 {
         }
         r2.sqrt()
     }
-}
 
-impl Kernel for Matern52 {
-    fn dim(&self) -> usize {
+    /// Input dimensionality.
+    pub fn dim(&self) -> usize {
         self.log_lengthscales.len()
     }
 
-    fn value(&self, a: &[f64], b: &[f64]) -> f64 {
+    /// Covariance between two points.
+    pub fn value(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), self.dim());
         debug_assert_eq!(b.len(), self.dim());
         let r = self.scaled_distance(a, b);
@@ -102,7 +60,10 @@ impl Kernel for Matern52 {
         s2 * (1.0 + SQRT5 * r + 5.0 / 3.0 * r * r) * (-SQRT5 * r).exp()
     }
 
-    fn value_and_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
+    /// Covariance and the gradient with respect to each log-hyperparameter.
+    ///
+    /// The gradient buffer must have length [`Matern52::n_params`].
+    pub fn value_and_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(grad.len(), self.n_params());
         let d = self.dim();
         let s2 = self.log_signal_variance.exp();
@@ -124,17 +85,20 @@ impl Kernel for Matern52 {
         k
     }
 
-    fn n_params(&self) -> usize {
+    /// Number of hyperparameters.
+    pub fn n_params(&self) -> usize {
         self.dim() + 1
     }
 
-    fn params(&self) -> Vec<f64> {
+    /// Current log-hyperparameters as a flat vector.
+    pub fn params(&self) -> Vec<f64> {
         let mut p = self.log_lengthscales.clone();
         p.push(self.log_signal_variance);
         p
     }
 
-    fn set_params(&mut self, params: &[f64]) {
+    /// Sets log-hyperparameters (clamped to [`Matern52::bounds`]).
+    pub fn set_params(&mut self, params: &[f64]) {
         assert_eq!(params.len(), self.n_params());
         let bounds = self.bounds();
         for (i, l) in self.log_lengthscales.iter_mut().enumerate() {
@@ -144,7 +108,8 @@ impl Kernel for Matern52 {
         self.log_signal_variance = params[d].clamp(bounds[d].0, bounds[d].1);
     }
 
-    fn bounds(&self) -> Vec<(f64, f64)> {
+    /// Per-parameter `(lo, hi)` bounds in log space.
+    pub fn bounds(&self) -> Vec<(f64, f64)> {
         // Lengthscales in [0.03, 30] for [0,1]^d inputs; signal variance in
         // [1e-4, 1e3] for standardized outputs.
         let mut b = vec![((0.03_f64).ln(), (30.0_f64).ln()); self.dim()];
@@ -152,93 +117,8 @@ impl Kernel for Matern52 {
         b
     }
 
-    fn prior_variance(&self) -> f64 {
-        self.signal_variance()
-    }
-}
-
-// Persisted in the data repository as part of fitted task models; the
-// log-space parameters round-trip bit-exactly through minjson.
-minjson::json_struct!(Matern52 { log_lengthscales, log_signal_variance });
-
-/// Squared-exponential (RBF) kernel with ARD lengthscales:
-/// `k(x, x') = s^2 exp(-r^2 / 2)`.
-///
-/// Kept as an alternative surrogate for ablations (iTuned's original
-/// description uses an RBF-style GP).
-#[derive(Debug, Clone)]
-pub struct SquaredExponential {
-    log_lengthscales: Vec<f64>,
-    log_signal_variance: f64,
-}
-
-impl SquaredExponential {
-    /// Unit lengthscales / unit variance kernel.
-    pub fn new(dim: usize) -> Self {
-        SquaredExponential { log_lengthscales: vec![0.0; dim], log_signal_variance: 0.0 }
-    }
-}
-
-impl Kernel for SquaredExponential {
-    fn dim(&self) -> usize {
-        self.log_lengthscales.len()
-    }
-
-    fn value(&self, a: &[f64], b: &[f64]) -> f64 {
-        let mut r2 = 0.0;
-        for i in 0..a.len() {
-            let d = (a[i] - b[i]) / self.log_lengthscales[i].exp();
-            r2 += d * d;
-        }
-        self.log_signal_variance.exp() * (-0.5 * r2).exp()
-    }
-
-    fn value_and_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
-        let d = self.dim();
-        let mut r2 = 0.0;
-        let mut scaled = vec![0.0; d];
-        for i in 0..d {
-            let li = self.log_lengthscales[i].exp();
-            let diff = (a[i] - b[i]) / li;
-            scaled[i] = diff;
-            r2 += diff * diff;
-        }
-        let k = self.log_signal_variance.exp() * (-0.5 * r2).exp();
-        for i in 0..d {
-            // dk/dlog(l_i) = k * d_i^2 / l_i^2
-            grad[i] = k * scaled[i] * scaled[i];
-        }
-        grad[d] = k;
-        k
-    }
-
-    fn n_params(&self) -> usize {
-        self.dim() + 1
-    }
-
-    fn params(&self) -> Vec<f64> {
-        let mut p = self.log_lengthscales.clone();
-        p.push(self.log_signal_variance);
-        p
-    }
-
-    fn set_params(&mut self, params: &[f64]) {
-        assert_eq!(params.len(), self.n_params());
-        let bounds = self.bounds();
-        for (i, l) in self.log_lengthscales.iter_mut().enumerate() {
-            *l = params[i].clamp(bounds[i].0, bounds[i].1);
-        }
-        let d = self.dim();
-        self.log_signal_variance = params[d].clamp(bounds[d].0, bounds[d].1);
-    }
-
-    fn bounds(&self) -> Vec<(f64, f64)> {
-        let mut b = vec![((0.03_f64).ln(), (30.0_f64).ln()); self.dim()];
-        b.push(((1e-4_f64).ln(), (1e3_f64).ln()));
-        b
-    }
-
-    fn prior_variance(&self) -> f64 {
+    /// Prior variance at a point, `k(x, x) = s^2`.
+    pub fn prior_variance(&self) -> f64 {
         self.log_signal_variance.exp()
     }
 }
@@ -247,7 +127,7 @@ impl Kernel for SquaredExponential {
 mod tests {
     use super::*;
 
-    fn finite_difference_grad<K: Kernel>(kernel: &K, a: &[f64], b: &[f64]) -> Vec<f64> {
+    fn finite_difference_grad(kernel: &Matern52, a: &[f64], b: &[f64]) -> Vec<f64> {
         let eps = 1e-6;
         let base = kernel.params();
         let mut grad = vec![0.0; kernel.n_params()];
@@ -317,20 +197,6 @@ mod tests {
         assert_eq!(grad[0], 0.0);
         assert_eq!(grad[1], 0.0);
         assert!((grad[2] - 1.0).abs() < 1e-12); // dk/dlog s^2 = k
-    }
-
-    #[test]
-    fn se_gradient_matches_finite_differences() {
-        let mut k = SquaredExponential::new(2);
-        k.set_params(&[-0.2, 0.4, 0.1]);
-        let a = [0.2, 0.8];
-        let b = [0.6, 0.3];
-        let mut grad = vec![0.0; k.n_params()];
-        k.value_and_grad(&a, &b, &mut grad);
-        let fd = finite_difference_grad(&k, &a, &b);
-        for p in 0..k.n_params() {
-            assert!((grad[p] - fd[p]).abs() < 1e-5 * (1.0 + fd[p].abs()));
-        }
     }
 
     #[test]

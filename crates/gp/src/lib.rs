@@ -32,7 +32,7 @@ pub mod rand_util;
 pub mod sparse;
 
 pub use calibration::Calibration;
-pub use kernel::{Kernel, Matern52, SquaredExponential};
+pub use kernel::Matern52;
 pub use model::SurrogateGp;
 pub use process::{GaussianProcess, GpConfig, GpError, Prediction};
 pub use sparse::{InducingSelector, SparseGp, SparseGpConfig};

@@ -58,16 +58,13 @@ impl SurrogateGp {
         }
     }
 
-    /// Posterior prediction at one point.
+    /// Posterior prediction at one point: a batch of one.
     pub fn predict(&self, point: &[f64]) -> Result<Prediction, GpError> {
-        match self {
-            SurrogateGp::Dense(gp) => gp.predict(point),
-            SurrogateGp::Sparse(gp) => gp.predict(point),
-        }
+        Ok(self.predict_batch(&[point.to_vec()])?[0])
     }
 
-    /// Batched posterior prediction; element `c` is bit-identical to
-    /// `predict(&points[c])` for both backends.
+    /// Batched posterior prediction. For both backends, element `c` depends
+    /// on `points[c]` alone, so it is bit-identical to `predict(&points[c])`.
     pub fn predict_batch(&self, points: &[Vec<f64>]) -> Result<Vec<Prediction>, GpError> {
         match self {
             SurrogateGp::Dense(gp) => gp.predict_batch(points),
@@ -157,5 +154,35 @@ mod tests {
         let batch = model.predict_batch(&[vec![0.25], vec![0.75]]).unwrap();
         assert_eq!(batch.len(), 2);
         assert!(batch.iter().all(|p| p.mean.is_finite() && p.variance >= 0.0));
+    }
+
+    #[test]
+    fn both_variants_batch_bitwise_like_their_per_point_reference() {
+        let pts: Vec<Vec<f64>> = (0..21).map(|i| vec![i as f64 / 20.0 * 1.2 - 0.1]).collect();
+        let (xs, ys) = data(12);
+        let dense = GaussianProcess::fit(xs, ys, &GpConfig::fixed()).unwrap();
+        let (xs, ys) = data(120);
+        let cfg = SparseGpConfig {
+            n_inducing: 24,
+            selector: InducingSelector::GreedyFarthest,
+            gp: GpConfig::fixed(),
+        };
+        let sparse = SparseGp::fit(xs, ys, &cfg).unwrap();
+        let references: Vec<Vec<Prediction>> = vec![
+            pts.iter().map(|p| dense.reference_predict(p)).collect(),
+            pts.iter().map(|p| sparse.reference_predict(p)).collect(),
+        ];
+        let models = [SurrogateGp::from(dense), SurrogateGp::from(sparse)];
+        for (model, reference) in models.iter().zip(&references) {
+            let batch = model.predict_batch(&pts).unwrap();
+            for ((p, b), r) in pts.iter().zip(&batch).zip(reference) {
+                let sparse = model.is_sparse();
+                assert_eq!(b.mean.to_bits(), r.mean.to_bits(), "sparse={sparse} at {p:?}");
+                assert_eq!(b.variance.to_bits(), r.variance.to_bits());
+                let single = model.predict(p).unwrap();
+                assert_eq!(single.mean.to_bits(), r.mean.to_bits());
+                assert_eq!(single.variance.to_bits(), r.variance.to_bits());
+            }
+        }
     }
 }

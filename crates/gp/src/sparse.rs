@@ -14,9 +14,10 @@
 //! so same-seed runs are bit-identical — the repository-wide determinism
 //! contract extends to the sparse path.
 
-use crate::kernel::{Kernel, Matern52};
-use crate::process::{GaussianProcess, GpConfig, GpError, Prediction};
-use crate::rand_util;
+use crate::kernel::Matern52;
+use crate::process::{
+    check_dims, sample_gaussian, weighted_columns, GaussianProcess, GpConfig, GpError, Prediction,
+};
 use linalg::{Cholesky, Matrix};
 use xrand::Rng;
 
@@ -165,8 +166,7 @@ impl SparseGp {
         let y_c: Vec<f64> = y.iter().map(|v| v - mean_offset).collect();
 
         let kmm = Matrix::from_fn(m, m, |i, j| kernel.value(&x_m[i], &x_m[j]));
-        let lm = Cholesky::factor_with_jitter(&kmm)
-            .map_err(|e| GpError::Factorization(e.to_string()))?;
+        let lm = Cholesky::factor_with_jitter(&kmm)?;
         let kmn = Matrix::from_fn(m, n, |i, j| kernel.value(&x_m[i], &x[j]));
 
         // A = K_mm + sigma^-2 K_mn K_nm.
@@ -178,13 +178,11 @@ impl SparseGp {
                 a[(i, j)] = kmm[(i, j)] + inv_noise * a[(i, j)];
             }
         }
-        let la = Cholesky::factor_with_jitter(&a)
-            .map_err(|e| GpError::Factorization(e.to_string()))?;
+        let la = Cholesky::factor_with_jitter(&a)?;
 
         // weights = sigma^-2 A^-1 K_mn y_c.
         let kmn_y = kmn.matvec(&y_c).expect("m x n times n");
-        let mut weights =
-            la.solve(&kmn_y).map_err(|e| GpError::Factorization(e.to_string()))?;
+        let mut weights = la.solve(&kmn_y)?;
         for w in &mut weights {
             *w *= inv_noise;
         }
@@ -212,33 +210,48 @@ impl SparseGp {
         &self.kernel
     }
 
-    fn kstar(&self, point: &[f64]) -> Vec<f64> {
-        self.x_m.iter().map(|xi| self.kernel.value(xi, point)).collect()
-    }
-
-    /// Posterior prediction at one point: mean `k_*^T w`, variance
-    /// `k_** - ||L_m^{-1} k_*||^2 + ||L_a^{-1} k_*||^2`.
-    pub fn predict(&self, point: &[f64]) -> Result<Prediction, GpError> {
-        if point.len() != self.dim {
-            return Err(GpError::DimensionMismatch { expected: self.dim, found: point.len() });
+    /// The posterior terms prediction and joint sampling share at `points`:
+    /// the means `mean + w^T K(X_m, P)` and the forward solves
+    /// `V1 = L_m^{-1} K(X_m, P)` and `V2 = L_a^{-1} K(X_m, P)` (`m x q`), one
+    /// cross-kernel matrix and one blocked solve per factor.
+    fn posterior_terms(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix, Matrix), GpError> {
+        check_dims(points, self.dim)?;
+        if points.is_empty() {
+            return Ok((Vec::new(), Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
         }
-        let kstar = self.kstar(point);
-        let mean = self.mean_offset + linalg::vector::dot(&kstar, &self.weights);
-        let v1 = self.lm.solve_lower(&kstar).expect("factor dims match inducing set");
-        let v2 = self.la.solve_lower(&kstar).expect("factor dims match inducing set");
-        let variance = (self.kernel.prior_variance() - linalg::vector::dot(&v1, &v1)
-            + linalg::vector::dot(&v2, &v2))
-        .max(0.0);
-        Ok(Prediction { mean, variance })
+        let kstar = Matrix::from_fn(self.x_m.len(), points.len(), |i, c| {
+            self.kernel.value(&self.x_m[i], &points[c])
+        });
+        let means = weighted_columns(self.mean_offset, &self.weights, &kstar);
+        Ok((means, self.lm.solve_lower_matrix(&kstar)?, self.la.solve_lower_matrix(&kstar)?))
     }
 
-    /// Batched prediction; element `c` is bit-identical to
-    /// `self.predict(&points[c])`.
+    /// Posterior prediction at one point: a batch of one.
+    pub fn predict(&self, point: &[f64]) -> Result<Prediction, GpError> {
+        Ok(self.predict_batch(&[point.to_vec()])?[0])
+    }
+
+    /// Posterior predictions at many points: mean `mean + k_*^T w`, variance
+    /// `(k_** - ||L_m^{-1} k_*||^2) + ||L_a^{-1} k_*||^2`, each norm summed
+    /// over the inducing index in ascending order.
     pub fn predict_batch(&self, points: &[Vec<f64>]) -> Result<Vec<Prediction>, GpError> {
-        points.iter().map(|p| self.predict(p)).collect()
+        let (means, v1, v2) = self.posterior_terms(points)?;
+        let prior_var = self.kernel.prior_variance();
+        Ok(means
+            .into_iter()
+            .enumerate()
+            .map(|(c, mean)| {
+                let (mut n1, mut n2) = (0.0, 0.0);
+                for i in 0..v1.rows() {
+                    n1 += v1[(i, c)] * v1[(i, c)];
+                    n2 += v2[(i, c)] * v2[(i, c)];
+                }
+                Prediction { mean, variance: (prior_var - n1 + n2).max(0.0) }
+            })
+            .collect())
     }
 
-    /// Joint posterior samples at `points`, mirroring
+    /// Joint posterior samples at `points`, with
     /// [`GaussianProcess::sample_joint`]'s regularization and draw order.
     pub fn sample_joint(
         &self,
@@ -250,49 +263,18 @@ impl SparseGp {
         if q == 0 {
             return Ok(vec![Vec::new(); n_samples]);
         }
-        for p in points {
-            if p.len() != self.dim {
-                return Err(GpError::DimensionMismatch { expected: self.dim, found: p.len() });
-            }
-        }
-        let mut mean = vec![self.mean_offset; q];
+        let (mean, v1, v2) = self.posterior_terms(points)?;
+        let (v1t, v2t) = (v1.transpose(), v2.transpose());
         let mut cov = Matrix::from_fn(q, q, |i, j| self.kernel.value(&points[i], &points[j]));
-        let mut v1_cols: Vec<Vec<f64>> = Vec::with_capacity(q);
-        let mut v2_cols: Vec<Vec<f64>> = Vec::with_capacity(q);
-        for (c, p) in points.iter().enumerate() {
-            let kstar = self.kstar(p);
-            mean[c] += linalg::vector::dot(&kstar, &self.weights);
-            v1_cols.push(self.lm.solve_lower(&kstar).expect("dims"));
-            v2_cols.push(self.la.solve_lower(&kstar).expect("dims"));
-        }
         for i in 0..q {
             for j in 0..=i {
-                let reduce = linalg::vector::dot(&v1_cols[i], &v1_cols[j])
-                    - linalg::vector::dot(&v2_cols[i], &v2_cols[j]);
+                let reduce = linalg::vector::dot(v1t.row(i), v1t.row(j))
+                    - linalg::vector::dot(v2t.row(i), v2t.row(j));
                 cov[(i, j)] -= reduce;
                 cov[(j, i)] = cov[(i, j)];
             }
         }
-        cov.symmetrize();
-        cov.add_diagonal(1e-9 + 1e-6 * self.kernel.prior_variance());
-        let cov_chol = Cholesky::factor_with_jitter(&cov)
-            .map_err(|e| GpError::Factorization(e.to_string()))?;
-        let l = cov_chol.l();
-        let mut samples = Vec::with_capacity(n_samples);
-        for _ in 0..n_samples {
-            let z = rand_util::standard_normal_vec(rng, q);
-            let mut s = mean.clone();
-            for i in 0..q {
-                let mut acc = 0.0;
-                let row = l.row(i);
-                for k in 0..=i {
-                    acc += row[k] * z[k];
-                }
-                s[i] += acc;
-            }
-            samples.push(s);
-        }
-        Ok(samples)
+        sample_gaussian(&mean, cov, self.kernel.prior_variance(), n_samples, rng)
     }
 }
 
@@ -301,6 +283,22 @@ mod tests {
     use super::*;
     use xrand::rngs::StdRng;
     use xrand::SeedableRng;
+
+    impl SparseGp {
+        /// The textbook per-point posterior over the private fields (`k_*`,
+        /// `mean + k_*^T w`, and one forward solve per factor): the oracle
+        /// the batched path is held to, bit for bit.
+        pub(crate) fn reference_predict(&self, point: &[f64]) -> Prediction {
+            let kstar: Vec<f64> = self.x_m.iter().map(|xi| self.kernel.value(xi, point)).collect();
+            let mean = self.mean_offset + linalg::vector::dot(&kstar, &self.weights);
+            let v1 = self.lm.solve_lower(&kstar).unwrap();
+            let v2 = self.la.solve_lower(&kstar).unwrap();
+            let variance = (self.kernel.prior_variance() - linalg::vector::dot(&v1, &v1)
+                + linalg::vector::dot(&v2, &v2))
+            .max(0.0);
+            Prediction { mean, variance }
+        }
+    }
 
     fn wave_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let xs: Vec<Vec<f64>> = (0..n)
@@ -391,6 +389,79 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn predict_batch_is_bitwise_identical_to_the_per_point_reference() {
+        let (xs, ys) = wave_data(130);
+        for selector in [InducingSelector::Strided, InducingSelector::GreedyFarthest] {
+            let cfg = SparseGpConfig { n_inducing: 28, selector, gp: GpConfig::fixed() };
+            let sparse = SparseGp::fit(xs.clone(), ys.clone(), &cfg).unwrap();
+            let pts: Vec<Vec<f64>> = (0..31)
+                .map(|i| vec![i as f64 / 30.0 * 1.4 - 0.2, (i as f64 * 0.61).fract()])
+                .collect();
+            let batch = sparse.predict_batch(&pts).unwrap();
+            assert_eq!(batch.len(), pts.len());
+            for (p, b) in pts.iter().zip(&batch) {
+                let reference = sparse.reference_predict(p);
+                let (want, at) = (reference, format!("{selector:?} at {p:?}"));
+                assert_eq!(want.mean.to_bits(), b.mean.to_bits(), "{at}");
+                assert_eq!(want.variance.to_bits(), b.variance.to_bits(), "{at}");
+            }
+            assert!(sparse.predict_batch(&[]).unwrap().is_empty());
+            assert!(matches!(
+                sparse.predict_batch(&[vec![0.5]]),
+                Err(GpError::DimensionMismatch { expected: 2, found: 1 })
+            ));
+        }
+    }
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn fnv1a_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in values {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn sparse_outputs_match_their_pinned_digest() {
+        // No golden run builds a sparse learner, so this digest over
+        // `predict_batch` and `sample_joint` of two fixed models (both
+        // selectors, one with hyperparameter fitting) is what holds the
+        // sparse backend's outputs still, bit for bit.
+        let (xs, ys) = wave_data(150);
+        let fitted = SparseGpConfig {
+            n_inducing: 32,
+            selector: InducingSelector::GreedyFarthest,
+            gp: GpConfig { restarts: 1, adam_iters: 10, seed: 4, ..Default::default() },
+        };
+        let strided = SparseGpConfig {
+            n_inducing: 24,
+            selector: InducingSelector::Strided,
+            gp: GpConfig::fixed(),
+        };
+        let pts: Vec<Vec<f64>> = (0..19)
+            .map(|i| {
+                let t = i as f64 / 18.0 * 1.2 - 0.1;
+                vec![t, (t * 3.1).abs().fract()]
+            })
+            .collect();
+        let mut values = Vec::new();
+        for cfg in [&fitted, &strided] {
+            let gp = SparseGp::fit(xs.clone(), ys.clone(), cfg).unwrap();
+            for p in gp.predict_batch(&pts).unwrap() {
+                values.extend([p.mean, p.variance]);
+            }
+            let mut rng = StdRng::seed_from_u64(11);
+            values.extend(gp.sample_joint(&pts[..7], 5, &mut rng).unwrap().into_iter().flatten());
+        }
+        assert_eq!(values.len(), 2 * (19 * 2 + 7 * 5));
+        assert_eq!(fnv1a_bits(values), 0x7d6b_c9e1_488e_5b5e);
     }
 
     #[test]

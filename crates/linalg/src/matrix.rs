@@ -186,31 +186,6 @@ impl Matrix {
     }
 }
 
-impl minjson::ToJson for Matrix {
-    fn to_json(&self) -> minjson::Json {
-        minjson::Json::Obj(vec![
-            ("rows".to_string(), minjson::ToJson::to_json(&self.rows)),
-            ("cols".to_string(), minjson::ToJson::to_json(&self.cols)),
-            ("data".to_string(), minjson::ToJson::to_json(&self.data)),
-        ])
-    }
-}
-
-impl minjson::FromJson for Matrix {
-    fn from_json(v: &minjson::Json) -> std::result::Result<Self, minjson::JsonError> {
-        let rows: usize = minjson::FromJson::from_json(v.field("rows")?)?;
-        let cols: usize = minjson::FromJson::from_json(v.field("cols")?)?;
-        let data: Vec<f64> = minjson::FromJson::from_json(v.field("data")?)?;
-        if data.len() != rows * cols {
-            return Err(minjson::JsonError::new(format!(
-                "matrix data length {} does not match {rows}x{cols}",
-                data.len()
-            )));
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-}
-
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
     #[inline]

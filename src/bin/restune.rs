@@ -160,11 +160,25 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
                 let characterizer = workload::WorkloadCharacterizer::train_default(seed);
                 let mf = characterizer.embed_workload(&workload, seed).probs;
                 let gp_config = gp::GpConfig { restarts: 1, adam_iters: 25, ..Default::default() };
-                let learners = repo.base_learners(&gp_config, |t| {
+                let search_dim = env.search_dim();
+                let in_space = |t: &TaskRecord| {
                     t.knob_names == knob_set.names()
                         && t.space_id == space_id
                         && t.resource == resource
-                });
+                };
+                // A task can name this space and still hold points of another
+                // length (a hand-edited or corrupted file); fitting it would
+                // build a learner the session rejects.
+                let well_formed =
+                    |t: &TaskRecord| t.observations.iter().all(|o| o.point.len() == search_dim);
+                let malformed =
+                    repo.tasks().iter().filter(|t| in_space(t) && !well_formed(t)).count();
+                if malformed > 0 {
+                    println!(
+                        "skipped {malformed} repository task(s) whose points are not {search_dim}-dimensional"
+                    );
+                }
+                let learners = repo.base_learners(&gp_config, |t| in_space(t) && well_formed(t));
                 println!("usable base-learners in this search space: {}", learners.len());
                 TuningSession::with_base_learners(env, config, learners, mf).run(iters)
             }
