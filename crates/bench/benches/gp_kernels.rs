@@ -40,6 +40,11 @@ fn main() {
     b.bench("predict_batch_256_points_n100", || {
         black_box(model.predict_batch(black_box(&probes)).unwrap());
     });
+    // The same block through the mean-only call ensemble base learners use:
+    // the gap to the arm above is the variance's forward solve.
+    b.bench("predict_mean_batch_256_points_n100", || {
+        black_box(model.predict_mean_batch(black_box(&probes)).unwrap());
+    });
 
     let sample_points = dataset(40, 14, 4).0;
     let mut rng = StdRng::seed_from_u64(9);

@@ -131,6 +131,16 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_gp.json".to_string());
 
+    // Allocator warm-up. The timed `extend` allocates its grown factor
+    // (`Cholesky::append_row`), 5 KB at n = 25 but 8 MB at n = 1000. glibc
+    // serves a block above its mmap threshold (128 KiB at start) from a fresh
+    // `mmap`, whose pages fault in inside the timed region, and raises the
+    // threshold whenever such a block is freed. So whether an arm paid for
+    // page faults depended on which unrelated allocations came first.
+    // Freeing one 16 MiB block here raises the threshold past every factor
+    // this bench grows, before any arm runs.
+    black_box(vec![0u8; 16 << 20]);
+
     let b = Bencher::from_env();
     let inc_sizes: &[usize] = if smoke { &[25, 50] } else { &[25, 50, 200, 1000] };
     let sparse_sizes: &[usize] = if smoke { &[300] } else { &[1000] };

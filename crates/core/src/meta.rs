@@ -16,7 +16,9 @@
 //!   avoid in-sample optimism).
 //! * **Ensemble predictions** (Eqs. 6–7): the mean is the weighted average of
 //!   base-learner means; the variance is the *target* learner's variance
-//!   alone, because only target observations should shrink uncertainty.
+//!   alone, because only target observations should shrink uncertainty. So
+//!   historical learners are predicted by their means alone
+//!   ([`gp::SurrogateGp::predict_mean_batch`]), without a variance solve.
 
 use crate::surrogate::{GpTaskModel, SurrogatePrediction};
 use gp::{GpError, Prediction, SurrogateGp};
@@ -138,10 +140,7 @@ pub fn ranking_loss(pred: &[f64], actual: &[f64]) -> usize {
 /// The degenerate-draw fallback: `n_samples` copies of the posterior means
 /// at `points` (zeros if the GP cannot predict there).
 fn mean_draws(gp: &SurrogateGp, points: &[Vec<f64>], n_samples: usize) -> Vec<Vec<f64>> {
-    let means = match gp.predict_batch(points) {
-        Ok(preds) => preds.iter().map(|q| q.mean).collect(),
-        Err(_) => vec![0.0; points.len()],
-    };
+    let means = gp.predict_mean_batch(points).unwrap_or_else(|_| vec![0.0; points.len()]);
     vec![means; n_samples]
 }
 
@@ -319,6 +318,9 @@ pub fn dynamic_weights(
     counts
 }
 
+/// Selects one metric GP of a task model.
+pub(crate) type Metric = fn(&GpTaskModel) -> &SurrogateGp;
+
 /// The ensemble surrogate L_M (§6.3).
 #[derive(Debug, Clone)]
 pub struct MetaLearner {
@@ -378,23 +380,26 @@ impl MetaLearner {
     /// Eqs. 6–7 for one metric at every point: the mean is the weighted
     /// average of the learners' means (historical learners in order, target
     /// last, one division by the weight sum), the variance the target's
-    /// alone. `extract` predicts one learner's metric GP at `points`; a
-    /// learner without positive weight is not predicted at all.
-    fn ensemble_batch(
-        &self,
-        extract: impl Fn(&GpTaskModel, &[Vec<f64>]) -> Vec<Prediction>,
-        points: &[Vec<f64>],
-    ) -> Vec<Prediction> {
+    /// alone. So the target is predicted in full and each historical learner
+    /// with positive weight by its means alone, skipping the variance solve
+    /// nothing reads; a learner without positive weight is not predicted at
+    /// all.
+    ///
+    /// # Panics
+    ///
+    /// If a point's length is not the knob-space dimensionality.
+    pub(crate) fn ensemble_batch(&self, metric: Metric, points: &[Vec<f64>]) -> Vec<Prediction> {
         let wsum: f64 = self.weights.iter().sum();
-        let target_preds = extract(&self.target, points);
+        let target_preds = metric(&self.target).predict_batch(points).expect("dim");
         if wsum <= 1e-12 {
             return target_preds;
         }
         let mut means = vec![0.0; points.len()];
         for (b, w) in self.base.iter().zip(&self.weights) {
             if *w > 0.0 {
-                for (acc, p) in means.iter_mut().zip(extract(&b.model, points)) {
-                    *acc += w * p.mean;
+                let learner = metric(&b.model).predict_mean_batch(points).expect("dim");
+                for (acc, mean) in means.iter_mut().zip(learner) {
+                    *acc += w * mean;
                 }
             }
         }
@@ -418,9 +423,7 @@ impl MetaLearner {
     /// If a point's length is not the knob-space dimensionality (checked
     /// against every learner at construction).
     pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<SurrogatePrediction> {
-        let column = |metric: fn(&GpTaskModel) -> &SurrogateGp| {
-            self.ensemble_batch(|m, p| metric(m).predict_batch(p).expect("dim"), points)
-        };
+        let column = |metric: Metric| self.ensemble_batch(metric, points);
         SurrogatePrediction::zip(column(|m| &m.res), column(|m| &m.tps), column(|m| &m.lat))
     }
 }
@@ -612,9 +615,6 @@ mod tests {
         assert_eq!(w, vec![0.0, 1.0]);
         assert!(w.iter().all(|v| v.is_finite()));
     }
-
-    /// Selects one metric GP of a task model.
-    type Metric = fn(&GpTaskModel) -> &SurrogateGp;
 
     /// Eqs. 6–7 at one point, written out: the weighted mean accumulated in
     /// learner order (historical learners with positive weight, then the

@@ -263,19 +263,17 @@ impl RestuneProposer {
         constraints_from_target: bool,
         seed: u64,
     ) -> Vec<f64> {
-        // Joint batched prediction (one blocked solve per metric GP), with
-        // constraints optionally sourced from the target learner alone.
+        // Joint batched prediction, with constraints optionally sourced from
+        // the target learner alone: then only the objective goes through the
+        // ensemble, and throughput and latency are the target's predictions.
         let predict = |pts: &[Vec<f64>]| -> Vec<SurrogatePrediction> {
-            let mut preds = surrogate.predict_batch(pts);
-            if constraints_from_target {
-                let t = surrogate.target();
-                let column = |gp: &gp::SurrogateGp| gp.predict_batch(pts).expect("dim");
-                for ((pred, tps), lat) in preds.iter_mut().zip(column(&t.tps)).zip(column(&t.lat)) {
-                    pred.tps = tps;
-                    pred.lat = lat;
-                }
+            if !constraints_from_target {
+                return surrogate.predict_batch(pts);
             }
-            preds
+            let t = surrogate.target();
+            let column = |gp: &gp::SurrogateGp| gp.predict_batch(pts).expect("dim");
+            let res = surrogate.ensemble_batch(|m| &m.res, pts);
+            SurrogatePrediction::zip(res, column(&t.tps), column(&t.lat))
         };
         // One batch predicts every point the scorer's thresholds read: the
         // default (§6.1's re-scaled bounds), the incumbent, and, for

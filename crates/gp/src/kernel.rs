@@ -1,5 +1,13 @@
 //! The Matérn-5/2 covariance kernel with ARD lengthscales and analytic
 //! log-parameter gradients: the one kernel every GP in this crate uses.
+//!
+//! The kernel stores its hyperparameters twice: as the log values the
+//! fitter optimizes, and as their natural-scale `exp`, which every
+//! covariance reads. The natural-scale copies are derived from the log
+//! values whenever those change (construction and [`Matern52::set_params`])
+//! and never set independently, so a covariance computes exactly the bits
+//! it would with `exp` evaluated on every call, without the `d + 1` `exp`
+//! calls per covariance.
 
 const SQRT5: f64 = 2.236_067_977_499_79;
 
@@ -17,22 +25,37 @@ const SQRT5: f64 = 2.236_067_977_499_79;
 pub struct Matern52 {
     log_lengthscales: Vec<f64>,
     log_signal_variance: f64,
+    /// `exp` of each log-lengthscale.
+    lengthscales: Vec<f64>,
+    /// `exp(log_signal_variance)`.
+    signal_variance: f64,
 }
 
 impl Matern52 {
+    /// A kernel with the given log-hyperparameters and their natural-scale
+    /// copies: the one place the copies are computed from scratch.
+    fn from_logs(log_lengthscales: Vec<f64>, log_signal_variance: f64) -> Self {
+        let lengthscales = log_lengthscales.iter().map(|l| l.exp()).collect();
+        Matern52 {
+            log_lengthscales,
+            log_signal_variance,
+            lengthscales,
+            signal_variance: log_signal_variance.exp(),
+        }
+    }
+
     /// Creates a kernel with unit lengthscales and unit signal variance —
     /// a sensible default for `[0,1]^d` inputs and standardized outputs.
     pub fn new(dim: usize) -> Self {
-        Matern52 { log_lengthscales: vec![0.0; dim], log_signal_variance: 0.0 }
+        Self::from_logs(vec![0.0; dim], 0.0)
     }
 
-    /// Creates a kernel with explicit (natural-scale) hyperparameters.
+    /// Creates a kernel with explicit (natural-scale) hyperparameters. The
+    /// kernel keeps their logs and reads `exp` of those, not the values
+    /// passed here.
     pub fn with_hyperparameters(lengthscales: &[f64], signal_variance: f64) -> Self {
         assert!(lengthscales.iter().all(|l| *l > 0.0) && signal_variance > 0.0);
-        Matern52 {
-            log_lengthscales: lengthscales.iter().map(|l| l.ln()).collect(),
-            log_signal_variance: signal_variance.ln(),
-        }
+        Self::from_logs(lengthscales.iter().map(|l| l.ln()).collect(), signal_variance.ln())
     }
 
     /// Scaled distance `r` between two points.
@@ -40,7 +63,7 @@ impl Matern52 {
     fn scaled_distance(&self, a: &[f64], b: &[f64]) -> f64 {
         let mut r2 = 0.0;
         for i in 0..a.len() {
-            let d = (a[i] - b[i]) / self.log_lengthscales[i].exp();
+            let d = (a[i] - b[i]) / self.lengthscales[i];
             r2 += d * d;
         }
         r2.sqrt()
@@ -56,7 +79,7 @@ impl Matern52 {
         debug_assert_eq!(a.len(), self.dim());
         debug_assert_eq!(b.len(), self.dim());
         let r = self.scaled_distance(a, b);
-        let s2 = self.log_signal_variance.exp();
+        let s2 = self.signal_variance;
         s2 * (1.0 + SQRT5 * r + 5.0 / 3.0 * r * r) * (-SQRT5 * r).exp()
     }
 
@@ -66,7 +89,7 @@ impl Matern52 {
     pub fn value_and_grad(&self, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(grad.len(), self.n_params());
         let d = self.dim();
-        let s2 = self.log_signal_variance.exp();
+        let s2 = self.signal_variance;
         let r = self.scaled_distance(a, b);
         let e = (-SQRT5 * r).exp();
         let k = s2 * (1.0 + SQRT5 * r + 5.0 / 3.0 * r * r) * e;
@@ -77,8 +100,7 @@ impl Matern52 {
         // dk/dlog(l_i) = g * d_i^2 / l_i^2 (no singularity at r = 0).
         let g = s2 * (5.0 / 3.0) * (1.0 + SQRT5 * r) * e;
         for i in 0..d {
-            let li = self.log_lengthscales[i].exp();
-            let diff = (a[i] - b[i]) / li;
+            let diff = (a[i] - b[i]) / self.lengthscales[i];
             grad[i] = g * diff * diff;
         }
         grad[d] = k; // dk/dlog(s^2) = k
@@ -97,15 +119,20 @@ impl Matern52 {
         p
     }
 
-    /// Sets log-hyperparameters (clamped to [`Matern52::bounds`]).
+    /// Sets log-hyperparameters (clamped to [`Matern52::bounds`]) and
+    /// refreshes the natural-scale copies from the clamped values.
     pub fn set_params(&mut self, params: &[f64]) {
         assert_eq!(params.len(), self.n_params());
         let bounds = self.bounds();
-        for (i, l) in self.log_lengthscales.iter_mut().enumerate() {
-            *l = params[i].clamp(bounds[i].0, bounds[i].1);
+        for (i, (log_l, l)) in
+            self.log_lengthscales.iter_mut().zip(&mut self.lengthscales).enumerate()
+        {
+            *log_l = params[i].clamp(bounds[i].0, bounds[i].1);
+            *l = log_l.exp();
         }
         let d = self.dim();
         self.log_signal_variance = params[d].clamp(bounds[d].0, bounds[d].1);
+        self.signal_variance = self.log_signal_variance.exp();
     }
 
     /// Per-parameter `(lo, hi)` bounds in log space.
@@ -119,7 +146,7 @@ impl Matern52 {
 
     /// Prior variance at a point, `k(x, x) = s^2`.
     pub fn prior_variance(&self) -> f64 {
-        self.log_signal_variance.exp()
+        self.signal_variance
     }
 }
 
@@ -207,6 +234,77 @@ mod tests {
         let b = k.bounds();
         assert!((p[0] - b[0].0).abs() < 1e-12);
         assert!((p[1] - b[1].1).abs() < 1e-12);
+    }
+
+    /// `value_and_grad` with `exp` of the log fields evaluated on every call
+    /// instead of read from the natural-scale copies; its return value is
+    /// `value`'s expression too. The oracle the cached kernel is held to,
+    /// bit for bit.
+    fn reference_value_and_grad(k: &Matern52, a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
+        let d = k.dim();
+        let s2 = k.log_signal_variance.exp();
+        let mut r2 = 0.0;
+        for i in 0..d {
+            let di = (a[i] - b[i]) / k.log_lengthscales[i].exp();
+            r2 += di * di;
+        }
+        let r = r2.sqrt();
+        let e = (-SQRT5 * r).exp();
+        let value = s2 * (1.0 + SQRT5 * r + 5.0 / 3.0 * r * r) * e;
+        let g = s2 * (5.0 / 3.0) * (1.0 + SQRT5 * r) * e;
+        for i in 0..d {
+            let diff = (a[i] - b[i]) / k.log_lengthscales[i].exp();
+            grad[i] = g * diff * diff;
+        }
+        grad[d] = value;
+        value
+    }
+
+    #[test]
+    fn cached_hyperparameters_match_per_call_exp_bitwise() {
+        use xrand::rngs::StdRng;
+        use xrand::{RngExt, SeedableRng};
+        let d = 14;
+        let mut rng = StdRng::seed_from_u64(0x4d35_3200);
+        let mut uniform = |n: usize, lo: f64, hi: f64| -> Vec<f64> {
+            (0..n).map(|_| lo + (hi - lo) * rng.random::<f64>()).collect()
+        };
+        let mut kernels = vec![
+            ("new", Matern52::new(d)),
+            ("with_hyperparameters", Matern52::with_hyperparameters(&uniform(d, 0.05, 5.0), 1.7)),
+        ];
+        // In bounds: every log lengthscale within [ln 0.03, ln 30], and
+        // log s^2 within [ln 1e-4, ln 1e3].
+        let inside = uniform(d + 1, -3.0, 3.0);
+        let mut in_bounds = Matern52::new(d);
+        in_bounds.set_params(&inside);
+        assert_eq!(in_bounds.params(), inside, "no parameter may have been clamped");
+        kernels.push(("set_params in bounds", in_bounds));
+        // Out of bounds on both sides, so most values are clamped; refreshed
+        // on a kernel that already held other values.
+        let mut clamped = Matern52::with_hyperparameters(&uniform(d, 0.05, 5.0), 0.3);
+        let wild: Vec<f64> = uniform(d + 1, -12.0, 12.0);
+        clamped.set_params(&wild);
+        assert_ne!(clamped.params(), wild, "some parameters must have been clamped");
+        kernels.push(("set_params clamped", clamped));
+
+        let mut grad = vec![0.0; d + 1];
+        let mut want_grad = vec![0.0; d + 1];
+        for (label, k) in &kernels {
+            assert_eq!(k.prior_variance().to_bits(), k.log_signal_variance.exp().to_bits());
+            for case in 0..64 {
+                let a = uniform(d, -0.2, 1.2);
+                // Every eighth pair is a point with itself (r = 0).
+                let b = if case % 8 == 0 { a.clone() } else { uniform(d, -0.2, 1.2) };
+                let want = reference_value_and_grad(k, &a, &b, &mut want_grad);
+                assert_eq!(k.value(&a, &b).to_bits(), want.to_bits(), "{label}: value");
+                let got = k.value_and_grad(&a, &b, &mut grad);
+                assert_eq!(got.to_bits(), want.to_bits(), "{label}: value_and_grad");
+                for (p, (g, w)) in grad.iter().zip(&want_grad).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{label}: gradient {p}");
+                }
+            }
+        }
     }
 
     #[test]

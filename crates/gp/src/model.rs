@@ -72,6 +72,15 @@ impl SurrogateGp {
         }
     }
 
+    /// Posterior means alone: `predict_batch(points)`'s means bit for bit,
+    /// without the variance's forward solves.
+    pub fn predict_mean_batch(&self, points: &[Vec<f64>]) -> Result<Vec<f64>, GpError> {
+        match self {
+            SurrogateGp::Dense(gp) => gp.predict_mean_batch(points),
+            SurrogateGp::Sparse(gp) => gp.predict_mean_batch(points),
+        }
+    }
+
     /// Joint posterior samples at `points`.
     pub fn sample_joint(
         &self,
@@ -159,30 +168,46 @@ mod tests {
     #[test]
     fn both_variants_batch_bitwise_like_their_per_point_reference() {
         let pts: Vec<Vec<f64>> = (0..21).map(|i| vec![i as f64 / 20.0 * 1.2 - 0.1]).collect();
+        let cfg = GpConfig::fixed();
+        let empty = GaussianProcess::fit(Vec::new(), Vec::new(), &cfg).unwrap();
         let (xs, ys) = data(12);
-        let dense = GaussianProcess::fit(xs, ys, &GpConfig::fixed()).unwrap();
+        let dense = GaussianProcess::fit(xs.clone(), ys.clone(), &cfg).unwrap();
+        let mut extended = GaussianProcess::fit(xs[..11].to_vec(), ys[..11].to_vec(), &cfg).unwrap();
+        extended.extend(xs[11].clone(), ys[11], &cfg).unwrap();
         let (xs, ys) = data(120);
-        let cfg = SparseGpConfig {
-            n_inducing: 24,
-            selector: InducingSelector::GreedyFarthest,
-            gp: GpConfig::fixed(),
+        let sparse = |selector| {
+            let cfg = SparseGpConfig { n_inducing: 24, selector, gp: GpConfig::fixed() };
+            SparseGp::fit(xs.clone(), ys.clone(), &cfg).unwrap()
         };
-        let sparse = SparseGp::fit(xs, ys, &cfg).unwrap();
+        let strided = sparse(InducingSelector::Strided);
+        let greedy = sparse(InducingSelector::GreedyFarthest);
         let references: Vec<Vec<Prediction>> = vec![
+            pts.iter().map(|p| empty.reference_predict(p)).collect(),
             pts.iter().map(|p| dense.reference_predict(p)).collect(),
-            pts.iter().map(|p| sparse.reference_predict(p)).collect(),
+            pts.iter().map(|p| extended.reference_predict(p)).collect(),
+            pts.iter().map(|p| strided.reference_predict(p)).collect(),
+            pts.iter().map(|p| greedy.reference_predict(p)).collect(),
         ];
-        let models = [SurrogateGp::from(dense), SurrogateGp::from(sparse)];
-        for (model, reference) in models.iter().zip(&references) {
+        let models = [empty, dense, extended].map(SurrogateGp::from);
+        let models = models.into_iter().chain([strided, greedy].map(SurrogateGp::from));
+        for (case, (model, reference)) in models.zip(&references).enumerate() {
             let batch = model.predict_batch(&pts).unwrap();
-            for ((p, b), r) in pts.iter().zip(&batch).zip(reference) {
-                let sparse = model.is_sparse();
-                assert_eq!(b.mean.to_bits(), r.mean.to_bits(), "sparse={sparse} at {p:?}");
+            // The mean-only call returns the same means without the solves.
+            let means = model.predict_mean_batch(&pts).unwrap();
+            assert_eq!(means.len(), pts.len());
+            for (((p, b), m), r) in pts.iter().zip(&batch).zip(&means).zip(reference) {
+                assert_eq!(b.mean.to_bits(), r.mean.to_bits(), "case {case} at {p:?}");
                 assert_eq!(b.variance.to_bits(), r.variance.to_bits());
+                assert_eq!(m.to_bits(), b.mean.to_bits(), "case {case}: mean-only at {p:?}");
                 let single = model.predict(p).unwrap();
                 assert_eq!(single.mean.to_bits(), r.mean.to_bits());
                 assert_eq!(single.variance.to_bits(), r.variance.to_bits());
             }
+            assert!(model.predict_mean_batch(&[]).unwrap().is_empty());
+            let wrong = [vec![0.1, 0.2]];
+            let want = Err(GpError::DimensionMismatch { expected: 1, found: 2 });
+            assert_eq!(model.predict_batch(&wrong).map(|_| ()), want);
+            assert_eq!(model.predict_mean_batch(&wrong).map(|_| ()), want);
         }
     }
 }

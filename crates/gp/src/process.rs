@@ -6,7 +6,11 @@
 //! product, and the variance reduction one blocked forward solve.
 //! [`GaussianProcess::predict`] is a batch of one, and
 //! [`GaussianProcess::sample_joint`] builds its posterior mean and
-//! covariance from the same terms.
+//! covariance from the same terms. [`GaussianProcess::predict_mean_batch`]
+//! stops after the means, skipping the solve, for callers that discard the
+//! variance: an ensemble's base learners, whose variance Eq. 7 never reads.
+//! The kernel reads cached natural-scale hyperparameters derived from its
+//! log values, so every covariance is the same bits as an `exp` per call.
 
 use crate::kernel::Matern52;
 use crate::rand_util;
@@ -401,21 +405,38 @@ impl GaussianProcess {
         Ok(self.predict_batch(&[point.to_vec()])?[0])
     }
 
-    /// The posterior terms prediction and joint sampling share at `points`:
-    /// the means `mean + alpha^T K(X, P)` and `V = L^{-1} K(X, P)` (`n x m`),
-    /// from one cross-kernel matrix and one blocked forward solve
-    /// ([`linalg::Cholesky::solve_lower_matrix`]). Column `c` depends on
-    /// `points[c]` alone, so a point's prediction does not depend on the
-    /// rest of its batch.
-    fn posterior_terms(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix), GpError> {
+    /// The means `mean + alpha^T K(X, P)` at `points` and the cross-kernel
+    /// `K(X, P)` (`n x m`) they came from: the one place this backend
+    /// computes posterior means. An empty model or batch gives a `0 x m`
+    /// matrix. Column `c` depends on `points[c]` alone, so a point's
+    /// prediction does not depend on the rest of its batch.
+    fn mean_terms(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix), GpError> {
         check_dims(points, self.dim)?;
         let (n, m) = (self.x.len(), points.len());
         if n == 0 || m == 0 {
             return Ok((vec![self.mean_offset; m], Matrix::zeros(0, m)));
         }
         let kstar = Matrix::from_fn(n, m, |i, c| self.kernel.value(&self.x[i], &points[c]));
-        let means = weighted_columns(self.mean_offset, &self.alpha, &kstar);
+        Ok((weighted_columns(self.mean_offset, &self.alpha, &kstar), kstar))
+    }
+
+    /// The posterior terms prediction and joint sampling share at `points`:
+    /// the means and `V = L^{-1} K(X, P)`, by one blocked forward solve
+    /// ([`linalg::Cholesky::solve_lower_matrix`]) on top of `mean_terms`.
+    fn posterior_terms(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix), GpError> {
+        let (means, kstar) = self.mean_terms(points)?;
+        if kstar.rows() == 0 {
+            return Ok((means, kstar));
+        }
         Ok((means, self.chol.solve_lower_matrix(&kstar)?))
+    }
+
+    /// Posterior means alone at many points: [`GaussianProcess::predict_batch`]'s
+    /// means bit for bit, without the variance's forward solve. For callers
+    /// that discard the variance, such as an ensemble's base learners
+    /// (Eq. 7 takes the variance from the target alone).
+    pub fn predict_mean_batch(&self, points: &[Vec<f64>]) -> Result<Vec<f64>, GpError> {
+        Ok(self.mean_terms(points)?.0)
     }
 
     /// Posterior predictions at many points: mean `mean + alpha^T k_*` and

@@ -210,25 +210,41 @@ impl SparseGp {
         &self.kernel
     }
 
-    /// The posterior terms prediction and joint sampling share at `points`:
-    /// the means `mean + w^T K(X_m, P)` and the forward solves
-    /// `V1 = L_m^{-1} K(X_m, P)` and `V2 = L_a^{-1} K(X_m, P)` (`m x q`), one
-    /// cross-kernel matrix and one blocked solve per factor.
-    fn posterior_terms(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix, Matrix), GpError> {
+    /// The means `mean + w^T K(X_m, P)` at `points` and the cross-kernel
+    /// `K(X_m, P)` (`m x q`) they came from: the one place this backend
+    /// computes posterior means. An empty batch gives a `0 x 0` matrix.
+    fn mean_terms(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix), GpError> {
         check_dims(points, self.dim)?;
         if points.is_empty() {
-            return Ok((Vec::new(), Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
+            return Ok((Vec::new(), Matrix::zeros(0, 0)));
         }
         let kstar = Matrix::from_fn(self.x_m.len(), points.len(), |i, c| {
             self.kernel.value(&self.x_m[i], &points[c])
         });
-        let means = weighted_columns(self.mean_offset, &self.weights, &kstar);
+        Ok((weighted_columns(self.mean_offset, &self.weights, &kstar), kstar))
+    }
+
+    /// The posterior terms prediction and joint sampling share at `points`:
+    /// the means and the forward solves `V1 = L_m^{-1} K(X_m, P)` and
+    /// `V2 = L_a^{-1} K(X_m, P)`, one blocked solve per factor on top of
+    /// `mean_terms`.
+    fn posterior_terms(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix, Matrix), GpError> {
+        let (means, kstar) = self.mean_terms(points)?;
+        if points.is_empty() {
+            return Ok((means, Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
+        }
         Ok((means, self.lm.solve_lower_matrix(&kstar)?, self.la.solve_lower_matrix(&kstar)?))
     }
 
     /// Posterior prediction at one point: a batch of one.
     pub fn predict(&self, point: &[f64]) -> Result<Prediction, GpError> {
         Ok(self.predict_batch(&[point.to_vec()])?[0])
+    }
+
+    /// Posterior means alone at many points: [`SparseGp::predict_batch`]'s
+    /// means bit for bit, without either forward solve.
+    pub fn predict_mean_batch(&self, points: &[Vec<f64>]) -> Result<Vec<f64>, GpError> {
+        Ok(self.mean_terms(points)?.0)
     }
 
     /// Posterior predictions at many points: mean `mean + k_*^T w`, variance

@@ -1,7 +1,10 @@
 //! Property-based tests on Gaussian-process invariants, on the in-tree
 //! `propcheck` harness with fixed suite seeds.
 
-use gp::{GaussianProcess, GpConfig};
+use gp::{
+    GaussianProcess, GpConfig, GpError, InducingSelector, Matern52, SparseGp, SparseGpConfig,
+    SurrogateGp,
+};
 use propcheck::{check, Config, Gen};
 
 /// Draws what the old proptest `dataset()` strategy produced: `n` points in
@@ -103,8 +106,11 @@ fn batch_predictions_do_not_depend_on_the_rest_of_the_batch() {
     // A point's prediction is a function of that point alone: predicting it
     // alone, inside the whole batch, or inside the reversed batch gives the
     // same bits. The acquisition optimizer relies on this when it scores
-    // candidates in 256-point blocks split across lanes. The per-point
-    // formula itself is held by the reference tests in the unit modules.
+    // candidates in 256-point blocks split across lanes. The mean-only call
+    // gives the same mean bits in each of those positions. Both hold for an
+    // empty, a fitted and an extended dense model and for sparse models
+    // under both selectors. The per-point formula itself is held by the
+    // reference tests in the unit modules.
     check(
         "batch_predictions_do_not_depend_on_the_rest_of_the_batch",
         Config::default().cases(48).seed(0x6B_0006),
@@ -115,20 +121,52 @@ fn batch_predictions_do_not_depend_on_the_rest_of_the_batch() {
             } else {
                 GpConfig { restarts: 1, adam_iters: 10, seed: 17, ..Default::default() }
             };
-            let gp = GaussianProcess::fit(xs, ys, &cfg).unwrap();
+            let gp = GaussianProcess::fit(xs.clone(), ys.clone(), &cfg).unwrap();
             let m = g.usize_in(1, 40);
             let pts: Vec<Vec<f64>> = (0..m).map(|_| g.vec_f64(gp.dim(), -0.5, 1.5)).collect();
-            let batch = gp.predict_batch(&pts).unwrap();
+            let (n, d) = (xs.len(), gp.dim());
+            let empty =
+                GaussianProcess::fit_with_kernel(Vec::new(), Vec::new(), Matern52::new(d), &cfg)
+                    .unwrap();
+            let mut grown =
+                GaussianProcess::fit(xs[..n - 1].to_vec(), ys[..n - 1].to_vec(), &cfg).unwrap();
+            grown.extend(xs[n - 1].clone(), ys[n - 1], &cfg).unwrap();
+            let sparse = |selector| {
+                let cfg = SparseGpConfig { n_inducing: n.div_ceil(2), selector, gp: cfg.clone() };
+                SurrogateGp::from(SparseGp::fit(xs.clone(), ys.clone(), &cfg).unwrap())
+            };
+            let models = [
+                SurrogateGp::from(gp),
+                SurrogateGp::from(empty),
+                SurrogateGp::from(grown),
+                sparse(InducingSelector::Strided),
+                sparse(InducingSelector::GreedyFarthest),
+            ];
             let reversed: Vec<Vec<f64>> = pts.iter().rev().cloned().collect();
-            let mut rev_batch = gp.predict_batch(&reversed).unwrap();
-            rev_batch.reverse();
-            propcheck::prop_assert_eq!(batch.len(), pts.len());
-            for ((p, b), r) in pts.iter().zip(&batch).zip(&rev_batch) {
-                let single = gp.predict(p).unwrap();
-                for other in [&single, r] {
-                    propcheck::prop_assert_eq!(other.mean.to_bits(), b.mean.to_bits());
-                    propcheck::prop_assert_eq!(other.variance.to_bits(), b.variance.to_bits());
+            for model in &models {
+                let batch = model.predict_batch(&pts).unwrap();
+                let mut rev_batch = model.predict_batch(&reversed).unwrap();
+                rev_batch.reverse();
+                let means = model.predict_mean_batch(&pts).unwrap();
+                let mut rev_means = model.predict_mean_batch(&reversed).unwrap();
+                rev_means.reverse();
+                propcheck::prop_assert_eq!(batch.len(), pts.len());
+                propcheck::prop_assert_eq!(means.len(), pts.len());
+                for (c, (p, b)) in pts.iter().zip(&batch).enumerate() {
+                    let single = model.predict(p).unwrap();
+                    for other in [&single, &rev_batch[c]] {
+                        propcheck::prop_assert_eq!(other.mean.to_bits(), b.mean.to_bits());
+                        propcheck::prop_assert_eq!(other.variance.to_bits(), b.variance.to_bits());
+                    }
+                    let alone = model.predict_mean_batch(std::slice::from_ref(p)).unwrap();
+                    for mean in [means[c], rev_means[c], alone[0]] {
+                        propcheck::prop_assert_eq!(mean.to_bits(), b.mean.to_bits());
+                    }
                 }
+                let wrong = vec![vec![0.5; d + 1]];
+                let want = Err(GpError::DimensionMismatch { expected: d, found: d + 1 });
+                propcheck::prop_assert_eq!(model.predict_batch(&wrong).map(|_| ()), want.clone());
+                propcheck::prop_assert_eq!(model.predict_mean_batch(&wrong).map(|_| ()), want);
             }
             Ok(())
         },
