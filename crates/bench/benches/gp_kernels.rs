@@ -33,6 +33,17 @@ fn main() {
         black_box(GaussianProcess::fit(black_box(xs.clone()), black_box(ys.clone()), &opt_cfg).ok());
     });
 
+    // The default refit (2 restarts x 40 Adam steps) a metric GP pays on a
+    // hyperparameter-refit step once a session is past 100 observations.
+    let (xs110, ys110) = dataset(110, 14, 5);
+    let default_cfg = GpConfig::default();
+    b.bench("fit_default_hypers_n110_d14", || {
+        black_box(
+            GaussianProcess::fit(black_box(xs110.clone()), black_box(ys110.clone()), &default_cfg)
+                .ok(),
+        );
+    });
+
     // Acquisition scoring predicts in 256-candidate blocks
     // (`AcquisitionOptimizer`'s block size), so time exactly that call.
     let model = GaussianProcess::fit(xs.clone(), ys.clone(), &GpConfig::fixed()).unwrap();

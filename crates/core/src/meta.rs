@@ -205,8 +205,9 @@ fn draws_from_loo(
 /// {res, tps, lat} (§6.4.2). `dilution_guard` switches the RGPE
 /// weight-dilution guard (the ablation harness runs both arms). Each
 /// (learner, metric) pair draws from its own RNG stream seeded via
-/// splitmix64, so the per-learner draws fan out through `core::exec` with
-/// bit-identical weights however they are scheduled.
+/// splitmix64, so the per-learner draws fan out through `core::exec`, in
+/// `exec::lanes()` contiguous ranges of learners, with bit-identical weights
+/// however they are scheduled.
 pub fn dynamic_weights(
     base: &[BaseLearner],
     target: &GpTaskModel,
@@ -239,7 +240,7 @@ pub fn dynamic_weights(
     // draws[learner][metric][sample] -> predictions at `points`.
     let mut seeder = SplitMix64::new(seed);
     let stream_seeds: Vec<u64> = (0..(t + 1) * 3).map(|_| seeder.next_u64()).collect();
-    let draws: Vec<[Vec<Vec<f64>>; 3]> = crate::exec::map(t + 1, |li| {
+    let draw_learner = |li: usize| -> [Vec<Vec<f64>>; 3] {
         let span = trace::span!("learner_draws", learner = li);
         let model = if li == t { target } else { &base[li].model };
         let metric = |m: usize, gp: &SurrogateGp| -> Vec<Vec<f64>> {
@@ -253,7 +254,17 @@ pub fn dynamic_weights(
         let out = [metric(0, &model.res), metric(1, &model.tps), metric(2, &model.lat)];
         let _ = span.finish_s();
         out
-    });
+    };
+    // One task per lane of contiguous learners, not per learner: at most
+    // `lanes()` threads are live, and each may hold its own allocator arena
+    // (DESIGN.md §8).
+    let learners: Vec<usize> = (0..=t).collect();
+    let lanes: Vec<&[usize]> =
+        learners.chunks(learners.len().div_ceil(crate::exec::lanes())).collect();
+    let draws: Vec<[Vec<Vec<f64>>; 3]> = crate::exec::map(lanes.len(), |l| {
+        lanes[l].iter().map(|&li| draw_learner(li)).collect::<Vec<_>>()
+    })
+    .concat();
 
     // Per-learner per-sample summed losses.
     let mut losses = vec![vec![0usize; samples]; t + 1];

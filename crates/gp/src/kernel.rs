@@ -90,7 +90,15 @@ impl Matern52 {
         debug_assert_eq!(grad.len(), self.n_params());
         let d = self.dim();
         let s2 = self.signal_variance;
-        let r = self.scaled_distance(a, b);
+        // `scaled_distance`'s loop, keeping each scaled difference in `grad`
+        // for the gradient below.
+        let mut r2 = 0.0;
+        for i in 0..d {
+            let diff = (a[i] - b[i]) / self.lengthscales[i];
+            grad[i] = diff;
+            r2 += diff * diff;
+        }
+        let r = r2.sqrt();
         let e = (-SQRT5 * r).exp();
         let k = s2 * (1.0 + SQRT5 * r + 5.0 / 3.0 * r * r) * e;
         // dk/dr = -s^2 * (5/3) r (1 + sqrt5 r) e^{-sqrt5 r}; we need
@@ -99,9 +107,8 @@ impl Matern52 {
         // dk/dr, so define g = s^2 * (5/3)(1 + sqrt5 r) e^{-sqrt5 r} and
         // dk/dlog(l_i) = g * d_i^2 / l_i^2 (no singularity at r = 0).
         let g = s2 * (5.0 / 3.0) * (1.0 + SQRT5 * r) * e;
-        for i in 0..d {
-            let diff = (a[i] - b[i]) / self.lengthscales[i];
-            grad[i] = g * diff * diff;
+        for diff in &mut grad[..d] {
+            *diff = g * *diff * *diff;
         }
         grad[d] = k; // dk/dlog(s^2) = k
         k

@@ -11,6 +11,15 @@
 //! variance: an ensemble's base learners, whose variance Eq. 7 never reads.
 //! The kernel reads cached natural-scale hyperparameters derived from its
 //! log values, so every covariance is the same bits as an `exp` per call.
+//!
+//! Hyperparameters are fitted by Adam on the negative log marginal
+//! likelihood. Its gradient `-0.5 tr((alpha alpha^T - K^{-1}) dK/dθ)` takes
+//! one pass per evaluation: the kernel gradients live in one packed
+//! lower-triangle table (the `d + 1` gradients of a pair side by side), not
+//! in one n×n matrix per parameter, and one row-major sweep weighs each
+//! entry once and adds it to every parameter's trace. `K^{-1}` comes from
+//! [`linalg::Cholesky::inverse`]'s blocked passes. Both keep every sum's
+//! order, so the fit returns the bits the per-parameter formulation does.
 
 use crate::kernel::Matern52;
 use crate::rand_util;
@@ -496,7 +505,7 @@ impl GaussianProcess {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let kinv = self.chol.inverse()?;
+        let kinv = self.chol.inverse();
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let kii = kinv[(i, i)];
@@ -511,6 +520,13 @@ impl GaussianProcess {
 
     /// Negative log marginal likelihood and its gradient for flat parameters
     /// `[kernel params..., log noise variance]`.
+    ///
+    /// One pass over the lower triangle builds `K_y` and a packed table of
+    /// kernel gradients: the `kp` gradients of pair `(i, j <= i)` sit together
+    /// at `(i(i+1)/2 + j) * kp`. One row-major pass over all `n²` entries then
+    /// forms `w = alpha_i alpha_j - K^{-1}_ij` once and adds `w * dK_ij/dθ_p`
+    /// to every parameter's trace, so each trace sums the same terms in the
+    /// same `(i, j)` order as a full n×n gradient matrix per parameter would.
     fn nll_and_grad(&self, params: &[f64], min_noise: f64) -> Option<(f64, Vec<f64>)> {
         let n = self.x.len();
         let kp = self.kernel.n_params();
@@ -518,46 +534,43 @@ impl GaussianProcess {
         kernel.set_params(&params[..kp]);
         let noise_var = params[kp].exp().max(min_noise * min_noise);
 
-        // Assemble K_y and per-parameter gradient matrices.
         let mut k = Matrix::zeros(n, n);
-        let mut grads: Vec<Matrix> = (0..kp).map(|_| Matrix::zeros(n, n)).collect();
-        let mut gbuf = vec![0.0; kp];
+        let mut dk = vec![0.0; n * (n + 1) / 2 * kp];
+        let mut slots = dk.chunks_exact_mut(kp);
         for i in 0..n {
-            for j in 0..=i {
-                let v = kernel.value_and_grad(&self.x[i], &self.x[j], &mut gbuf);
+            for (j, slot) in (0..=i).zip(slots.by_ref()) {
+                let v = kernel.value_and_grad(&self.x[i], &self.x[j], slot);
                 k[(i, j)] = v;
                 k[(j, i)] = v;
-                for (p, g) in gbuf.iter().enumerate() {
-                    grads[p][(i, j)] = *g;
-                    grads[p][(j, i)] = *g;
-                }
             }
             k[(i, i)] += noise_var;
         }
         let chol = Cholesky::factor_with_jitter(&k).ok()?;
         let alpha = chol.solve(&self.y_centered).ok()?;
-        let kinv = chol.inverse().ok()?;
+        let kinv = chol.inverse();
         let nll = 0.5 * linalg::vector::dot(&self.y_centered, &alpha)
             + 0.5 * chol.log_determinant()
             + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
 
         // dNLL/dtheta = -0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta)
-        let mut grad = vec![0.0; kp + 1];
-        for (p, dk) in grads.iter().enumerate() {
-            let mut tr = 0.0;
-            for i in 0..n {
-                for j in 0..n {
-                    tr += (alpha[i] * alpha[j] - kinv[(i, j)]) * dk[(i, j)];
+        let mut tr = vec![0.0; kp];
+        for i in 0..n {
+            let kinv_row = kinv.row(i);
+            for j in 0..n {
+                let pair = if j <= i { i * (i + 1) / 2 + j } else { j * (j + 1) / 2 + i };
+                let w = alpha[i] * alpha[j] - kinv_row[j];
+                for (t, g) in tr.iter_mut().zip(&dk[pair * kp..(pair + 1) * kp]) {
+                    *t += w * g;
                 }
             }
-            grad[p] = -0.5 * tr;
         }
+        let mut grad: Vec<f64> = tr.iter().map(|t| -0.5 * t).collect();
         // Noise gradient: dK/dlog(sigma_n^2) = sigma_n^2 I.
         let mut tr = 0.0;
         for i in 0..n {
             tr += alpha[i] * alpha[i] - kinv[(i, i)];
         }
-        grad[kp] = -0.5 * tr * noise_var;
+        grad.push(-0.5 * tr * noise_var);
         Some((nll, grad))
     }
 
@@ -651,6 +664,73 @@ mod tests {
             let mean = self.mean_offset + linalg::vector::dot(&kstar, &self.alpha);
             let v = self.chol.solve_lower(&kstar).unwrap();
             Prediction { mean, variance: (prior_var - linalg::vector::dot(&v, &v)).max(0.0) }
+        }
+
+        /// The NLL and gradient the textbook way: one full n×n gradient
+        /// matrix per parameter, `K^{-1}` by one
+        /// `solve_upper(solve_lower(e_j))` per column, and one row-major
+        /// trace per parameter. The oracle `nll_and_grad` is held to, bit
+        /// for bit.
+        fn reference_nll_and_grad(
+            &self,
+            params: &[f64],
+            min_noise: f64,
+        ) -> Option<(f64, Vec<f64>)> {
+            let n = self.x.len();
+            let kp = self.kernel.n_params();
+            let mut kernel = self.kernel.clone();
+            kernel.set_params(&params[..kp]);
+            let noise_var = params[kp].exp().max(min_noise * min_noise);
+
+            // Assemble K_y and per-parameter gradient matrices.
+            let mut k = Matrix::zeros(n, n);
+            let mut grads: Vec<Matrix> = (0..kp).map(|_| Matrix::zeros(n, n)).collect();
+            let mut gbuf = vec![0.0; kp];
+            for i in 0..n {
+                for j in 0..=i {
+                    let v = kernel.value_and_grad(&self.x[i], &self.x[j], &mut gbuf);
+                    k[(i, j)] = v;
+                    k[(j, i)] = v;
+                    for (p, g) in gbuf.iter().enumerate() {
+                        grads[p][(i, j)] = *g;
+                        grads[p][(j, i)] = *g;
+                    }
+                }
+                k[(i, i)] += noise_var;
+            }
+            let chol = Cholesky::factor_with_jitter(&k).ok()?;
+            let alpha = chol.solve(&self.y_centered).ok()?;
+            let mut kinv = Matrix::zeros(n, n);
+            for j in 0..n {
+                let mut e = vec![0.0; n];
+                e[j] = 1.0;
+                let col = chol.solve(&e).ok()?;
+                for i in 0..n {
+                    kinv[(i, j)] = col[i];
+                }
+            }
+            let nll = 0.5 * linalg::vector::dot(&self.y_centered, &alpha)
+                + 0.5 * chol.log_determinant()
+                + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+
+            // dNLL/dtheta = -0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta)
+            let mut grad = vec![0.0; kp + 1];
+            for (p, dk) in grads.iter().enumerate() {
+                let mut tr = 0.0;
+                for i in 0..n {
+                    for j in 0..n {
+                        tr += (alpha[i] * alpha[j] - kinv[(i, j)]) * dk[(i, j)];
+                    }
+                }
+                grad[p] = -0.5 * tr;
+            }
+            // Noise gradient: dK/dlog(sigma_n^2) = sigma_n^2 I.
+            let mut tr = 0.0;
+            for i in 0..n {
+                tr += alpha[i] * alpha[i] - kinv[(i, i)];
+            }
+            grad[kp] = -0.5 * tr * noise_var;
+            Some((nll, grad))
         }
     }
 
@@ -909,6 +989,58 @@ mod tests {
             refit.log_marginal_likelihood(),
             tuned.log_marginal_likelihood()
         );
+    }
+
+    /// `Some((nll, grad))` as bit patterns, so `None`, NaN and signed zeros
+    /// compare exactly.
+    fn nll_bits(out: Option<(f64, Vec<f64>)>) -> Option<(u64, Vec<u64>)> {
+        out.map(|(nll, grad)| (nll.to_bits(), grad.iter().map(|g| g.to_bits()).collect()))
+    }
+
+    #[test]
+    fn nll_and_grad_matches_the_per_parameter_reference_bitwise() {
+        use propcheck::{check, Config};
+        // The size ramp runs n from 1 (case 0) and 2 (case 1) up to 48.
+        let cfg = Config::default().cases(64).seed(0x6B_4E11).max_size(48);
+        check("nll_and_grad_matches_the_per_parameter_reference_bitwise", cfg, |g| {
+            let n = g.size().max(1);
+            let d = g.usize_in(1, 14);
+            let mut xs: Vec<Vec<f64>> = (0..n).map(|_| g.vec_f64(d, 0.0, 1.0)).collect();
+            if n >= 2 && g.flag() {
+                let (from, to) = (g.usize_in(0, n - 1), g.usize_in(0, n - 1));
+                xs[to] = xs[from].clone();
+            }
+            let ys = g.vec_f64(n, -2.0, 2.0);
+            let gp = GaussianProcess::fit(xs, ys, &GpConfig::fixed()).unwrap();
+            let min_noise = GpConfig::default().min_noise;
+            // Kernel parameters in bounds, or drawn wide so most are clamped
+            // on both sides.
+            let wide = g.flag();
+            let mut params =
+                if wide { g.vec_f64(d + 1, -12.0, 12.0) } else { g.vec_f64(d + 1, -3.0, 3.0) };
+            // Log-noise in range, below the `min_noise²` floor, or non-finite.
+            let noise = match g.usize_in(0, 5) {
+                0 => (min_noise * min_noise).ln() - g.f64_in(0.5, 10.0),
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => f64::NAN,
+                _ => g.f64_in((min_noise * min_noise).ln(), 0.0),
+            };
+            params.push(noise);
+            let got = nll_bits(gp.nll_and_grad(&params, min_noise));
+            let want = nll_bits(gp.reference_nll_and_grad(&params, min_noise));
+            if noise == f64::INFINITY {
+                propcheck::prop_assert!(
+                    want.is_none(),
+                    "an infinite noise variance must not factor"
+                );
+            }
+            propcheck::prop_assert!(
+                got == want,
+                "n = {n}, d = {d}, wide = {wide}, noise = {noise}: {got:?} vs reference {want:?}"
+            );
+            Ok(())
+        });
     }
 
     #[test]

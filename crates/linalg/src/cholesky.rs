@@ -216,26 +216,57 @@ impl Cholesky {
         Ok(y)
     }
 
-    /// Solves `A X = B` column by column.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
+    /// The inverse `A^{-1}` (O(n^3)): read by the GP's log-marginal-likelihood
+    /// gradient and its closed-form leave-one-out predictions.
+    ///
+    /// One blocked forward pass over rows forms `L^{-1}` and one blocked
+    /// backward pass over rows in reverse turns it into `L^{-T} L^{-1}` in
+    /// place, each streaming contiguous rows into a per-column accumulator.
+    ///
+    /// Bit-compatibility contract: column `j` is exactly what
+    /// `solve_upper(&solve_lower(&e_j))` returns, because every entry sums the
+    /// same terms in the same `k` order and subtracts once. The forward pass
+    /// skips the terms above row `j` of column `j`: each is `L_ik * 0.0`
+    /// added to an accumulator that is still `+0.0`, which leaves it `+0.0`.
+    /// Counted as the `2n` solves it stands in for.
+    pub fn inverse(&self) -> Matrix {
         let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::DimensionMismatch { expected: n, found: b.rows() });
-        }
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve(&col)?;
-            for i in 0..n {
-                out[(i, j)] = x[i];
+        trace::count("linalg.cholesky.solve", 2 * n as u64);
+        let mut x = Matrix::identity(n);
+        let mut acc = vec![0.0; n];
+        // Forward: row `i` of `L^{-1}`. Row `k < i` is zero past column `k`,
+        // so it contributes to columns `0..=k` only.
+        for i in 0..n {
+            let acc = &mut acc[..=i];
+            acc.fill(0.0);
+            let lrow = self.l.row(i);
+            for k in 0..i {
+                let lik = lrow[k];
+                for (a, y) in acc.iter_mut().zip(&x.row(k)[..=k]) {
+                    *a += lik * y;
+                }
+            }
+            let diag = lrow[i];
+            for (v, a) in x.row_mut(i).iter_mut().zip(acc.iter()) {
+                *v = (*v - a) / diag;
             }
         }
-        Ok(out)
-    }
-
-    /// The inverse `A^{-1}` (used by leave-one-out formulas; O(n^3)).
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
+        // Backward: row `i` of the inverse from the finished rows below it,
+        // reading `L` down column `i`.
+        for i in (0..n).rev() {
+            acc.fill(0.0);
+            for k in (i + 1)..n {
+                let lki = self.l[(k, i)];
+                for (a, v) in acc.iter_mut().zip(x.row(k)) {
+                    *a += lki * v;
+                }
+            }
+            let diag = self.l[(i, i)];
+            for (v, a) in x.row_mut(i).iter_mut().zip(&acc) {
+                *v = (*v - a) / diag;
+            }
+        }
+        x
     }
 
     /// `log |A| = 2 * sum_i log L_ii`.
@@ -461,7 +492,7 @@ mod tests {
     #[test]
     fn inverse_times_matrix_is_identity() {
         let a = spd3();
-        let inv = Cholesky::factor(&a).unwrap().inverse().unwrap();
+        let inv = Cholesky::factor(&a).unwrap().inverse();
         let prod = a.matmul(&inv).unwrap();
         for i in 0..3 {
             for j in 0..3 {

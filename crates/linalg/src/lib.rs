@@ -7,15 +7,18 @@
 //! * a column-owning dense [`Matrix`] with row-major storage,
 //! * [`Cholesky`] factorization of symmetric positive-definite matrices with
 //!   adaptive jitter,
-//! * forward/backward triangular solves, SPD solves and inverses,
+//! * forward/backward triangular solves (the forward one also for a whole
+//!   right-hand-side matrix), SPD solves, the SPD inverse and
 //!   log-determinants,
 //! * small vector helpers ([`vector`] module) used throughout the workspace.
 //!
 //! Everything is `f64`; sizes in this project are small (a few hundred
 //! observations, a few dozen dimensions), so clarity and numerical robustness
-//! are prioritized over blocked/SIMD kernels. Operations that matter for the
-//! O(n^3) GP hot path (`Cholesky::factor`, the triangular solves) are written
-//! cache-friendly over contiguous rows.
+//! come first, and there are no SIMD kernels. Operations that matter for the
+//! O(n^3) GP hot path (`Cholesky::factor`, the triangular solves, the
+//! inverse) stream contiguous rows, and the blocked ones
+//! (`Cholesky::solve_lower_matrix`, `Cholesky::inverse`) return the same
+//! bits as their per-column counterparts.
 
 // Indexed loops are intentional in the numeric kernels below: they mirror
 // the textbook formulations and keep bounds explicit.

@@ -92,3 +92,56 @@ fn matvec_linearity() {
         Ok(())
     });
 }
+
+/// `A^{-1}` the textbook way: one `solve_upper(solve_lower(e_j))` per column.
+fn per_column_inverse(c: &Cholesky) -> Matrix {
+    let n = c.dim();
+    let mut inv = Matrix::zeros(n, n);
+    for j in 0..n {
+        let mut e = vec![0.0; n];
+        e[j] = 1.0;
+        let col = c.solve_upper(&c.solve_lower(&e).unwrap()).unwrap();
+        for i in 0..n {
+            inv[(i, j)] = col[i];
+        }
+    }
+    inv
+}
+
+#[test]
+fn inverse_matches_per_column_solves_bitwise() {
+    // The size ramp runs n from 0 (case 0) to 40.
+    let cfg = Config::default().cases(64).seed(0xC0DE_0006).max_size(41);
+    check("inverse_matches_per_column_solves_bitwise", cfg, |g| {
+        let n = g.size().saturating_sub(1);
+        let jittered = n >= 2 && g.flag();
+        let a = if jittered {
+            // Rank r < n, then shifted just below semidefinite, so only the
+            // jitter ladder can factor it.
+            let r = g.usize_in(1, n - 1);
+            let b = Matrix::from_fn(n, r, |_, _| g.f64_in(-3.0, 3.0));
+            let mut a = b.matmul(&b.transpose()).unwrap();
+            let mean_diag = (0..n).map(|i| a[(i, i)]).sum::<f64>() / n as f64;
+            a.add_diagonal(-1e-9 * mean_diag);
+            a
+        } else {
+            let coeffs = g.vec_f64(n * n, -3.0, 3.0);
+            spd_from_coeffs(n, &coeffs)
+        };
+        let c = Cholesky::factor_with_jitter(&a).unwrap();
+        propcheck::prop_assert_eq!(c.jitter() > 0.0, jittered);
+        let (got, want) = (c.inverse(), per_column_inverse(&c));
+        propcheck::prop_assert_eq!((got.rows(), got.cols()), (n, n));
+        for i in 0..n {
+            for j in 0..n {
+                propcheck::prop_assert!(
+                    got[(i, j)].to_bits() == want[(i, j)].to_bits(),
+                    "n = {n}, jittered = {jittered}: entry ({i}, {j}) is {} vs per-column {}",
+                    got[(i, j)],
+                    want[(i, j)]
+                );
+            }
+        }
+        Ok(())
+    });
+}
