@@ -161,9 +161,13 @@ impl Proposer for OtterTuneProposer {
         // OtterTune keeps its own published seeding schedule (it predates the
         // driver's per-iteration seed).
         let seed = self.config.seed.wrapping_add(iter as u64).wrapping_mul(0x51);
-        let point = self.config.optimizer.optimize(view.problem.dim(), &anchors, seed, |pts| {
-            model.predict_batch(pts).iter().map(|p| cei.value(p)).collect()
-        });
+        let point = self.config.optimizer.optimize(
+            view.problem.dim(),
+            &anchors,
+            seed,
+            |pts| model.res.predict_batch(pts).expect("dim").iter().map(|p| cei.bound(p)).collect(),
+            |pts| model.predict_batch(pts).iter().map(|p| cei.value(p)).collect(),
+        );
         let recommendation_s = recommendation_span.finish_s();
         Proposal {
             point,

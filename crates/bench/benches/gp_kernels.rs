@@ -3,6 +3,8 @@
 
 use gp::{GaussianProcess, GpConfig};
 use restune_bench::microbench::{black_box, suite, Bencher};
+use restune_core::acquisition::{AcquisitionOptimizer, ConstrainedExpectedImprovement};
+use restune_core::surrogate::GpTaskModel;
 use xrand::rngs::StdRng;
 use xrand::{RngExt, SeedableRng};
 
@@ -65,5 +67,30 @@ fn main() {
 
     b.bench("loo_predictions_n100", || {
         black_box(model.loo_predictions().unwrap());
+    });
+
+    // One default acquisition (1,500 uniform + 200 local candidates) with
+    // CEI over a fitted three-metric model: the bounded search alone,
+    // objective-only bounds for every candidate and the full prediction for
+    // those it values, without the fits a tuning step runs first.
+    let tps: Vec<f64> = xs.iter().map(|x| (2.0 * x[0]).cos() + x[2]).collect();
+    let lat: Vec<f64> = xs.iter().map(|x| x[1] - x[3] * x[4]).collect();
+    let task = GpTaskModel::fit(&xs, &ys, &tps, &lat, &GpConfig::fixed()).unwrap();
+    let incumbent = ys.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).unwrap().0;
+    let anchors = vec![xs[incumbent].clone()];
+    let cei = ConstrainedExpectedImprovement {
+        best_feasible: Some(task.predict_batch(&anchors)[0].res.mean),
+        tps_floor: -0.5,
+        lat_ceiling: 0.5,
+    };
+    let optimizer = AcquisitionOptimizer::default();
+    b.bench("cei_optimize_n100_d14", || {
+        black_box(optimizer.optimize(
+            14,
+            &anchors,
+            7,
+            |pts| task.res.predict_batch(pts).unwrap().iter().map(|p| cei.bound(p)).collect(),
+            |pts| task.predict_batch(pts).iter().map(|p| cei.value(p)).collect(),
+        ));
     });
 }

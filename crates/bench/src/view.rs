@@ -218,6 +218,7 @@ pub fn render_breakdown(snap: &TraceSnapshot) -> String {
     // The surrogate/lift path taken, from the counters the proposer and
     // engine maintain: how many target fits were from-scratch vs. rank-1
     // incremental (DESIGN.md §13), the hyperopt refit schedule behind them,
+    // how many bounded candidates the acquisition went on to value (§8),
     // and how many evaluations crossed the space-transform seam (§14).
     let full = snap.counter("gp.fit.full");
     let incremental = snap.counter("gp.fit.incremental");
@@ -227,6 +228,14 @@ pub fn render_breakdown(snap: &TraceSnapshot) -> String {
     if full + incremental > 0 {
         out.push_str(&format!(
             "  surrogate fits: {full} full + {incremental} incremental (hyperopt: {refit} refit / {reuse} reuse)\n"
+        ));
+    }
+    let scored = snap.counter("acq.candidates_scored");
+    if scored > 0 {
+        let valued = snap.counter("acq.candidates_valued");
+        out.push_str(&format!(
+            "  acquisition: valued {valued} of {scored} candidates ({:.1}%)\n",
+            100.0 * valued as f64 / scored as f64
         ));
     }
     if projects > 0 {
@@ -456,6 +465,8 @@ mod tests {
         snap.counters.insert("gp.hypers.refit".to_string(), 9);
         snap.counters.insert("gp.hypers.reuse".to_string(), 35);
         snap.counters.insert("space.project".to_string(), 45);
+        snap.counters.insert("acq.candidates_scored".to_string(), 1720);
+        snap.counters.insert("acq.candidates_valued".to_string(), 172);
         snap.counters.insert("drift.checks".to_string(), 13);
         snap.counters.insert("drift.detected".to_string(), 2);
         snap.counters.insert("drift.restarts".to_string(), 1);
@@ -464,11 +475,13 @@ mod tests {
         assert!(text.contains("surrogate fits: 40 full + 4 incremental"));
         assert!(text.contains("hyperopt: 9 refit / 35 reuse"));
         assert!(text.contains("space projections: 45"));
+        assert!(text.contains("acquisition: valued 172 of 1720 candidates (10.0%)"));
         assert!(text.contains("drift: 13 checks, 2 detected, 1 warm restarts, 1 epochs sealed"));
         // Absent counters keep the lines out entirely.
         let empty = render_breakdown(&TraceSnapshot::default());
         assert!(!empty.contains("surrogate fits"));
         assert!(!empty.contains("space projections"));
+        assert!(!empty.contains("valued"));
         assert!(!empty.contains("drift:"));
     }
 

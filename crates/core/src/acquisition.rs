@@ -1,9 +1,20 @@
 //! Acquisition functions (§5.2): Expected Improvement and the paper's
 //! Constrained Expected Improvement (CEI, Eq. 5), plus the candidate-based
 //! optimizer that proposes the next configuration.
+//!
+//! The optimizer is an exact branch and bound over a seeded candidate set.
+//! A cheap `bound_batch` bounds every candidate; an expensive
+//! `value_batch` then values candidates in descending-bound order and
+//! skips every one whose bound is strictly below the best value found so
+//! far. CEI is EI times two feasibility probabilities in `[0, 1]`, so
+//! [`ConstrainedExpectedImprovement::bound`], `max(EI, 0)` from the
+//! objective's prediction alone, bounds it: only the candidates that can
+//! still win pay for the throughput and latency predictions. The proposal
+//! is the strict-`>`, first-index argmax of the values, bit for bit
+//! (DESIGN.md §8).
 
 use crate::surrogate::SurrogatePrediction;
-use gp::{normal_cdf, normal_pdf};
+use gp::{normal_cdf, normal_pdf, Prediction};
 use xrand::rngs::StdRng;
 use xrand::{RngExt, SeedableRng};
 
@@ -82,6 +93,22 @@ impl ConstrainedExpectedImprovement {
             None => pf,
         }
     }
+
+    /// An upper bound on [`ConstrainedExpectedImprovement::value`] from the
+    /// objective's prediction alone: `max(EI, 0)` with a feasible
+    /// incumbent, `+∞` without one. `value(p) <= bound(&p.res)` whenever
+    /// the value is not NaN, because the feasibility probability lies in
+    /// `[0, 1]` in f64 (`normal_cdf` lies in `[0, 1]`, and the exact
+    /// branches return 0 or 1), so `pf · EI ≤ EI` for `EI ≥ 0` and
+    /// `pf · EI ≤ 0` otherwise. The clamp is needed: in f64, `expected_improvement` is
+    /// slightly negative in places (mean 8.25, std 0.985, best 0 gives
+    /// −2.28e-16), and there `pf · EI > EI`.
+    pub fn bound(&self, res: &Prediction) -> f64 {
+        match self.best_feasible {
+            Some(best) => expected_improvement(res.mean, res.std_dev(), best).max(0.0),
+            None => f64::INFINITY,
+        }
+    }
 }
 
 /// Configuration for the acquisition optimizer.
@@ -101,11 +128,15 @@ impl Default for AcquisitionOptimizer {
     }
 }
 
-/// Candidates per `score_batch` call. A batched GP prediction builds an
+/// Candidates per `bound_batch` call. A batched GP prediction builds an
 /// n×m cross-kernel matrix (plus its solve copy) per GP: scoring a whole
 /// 1,720-candidate set at once raised the benchmark fleet's peak RSS by ~9%,
 /// 256-wide blocks keep the batching's speed at +1.7% (DESIGN.md §8).
 const SCORE_BLOCK: usize = 256;
+
+/// Candidates per `value_batch` call in the bounded search. A constant, so
+/// which candidates get valued never depends on `exec::lanes()`.
+const VALUE_ROUND: usize = 32;
 
 impl AcquisitionOptimizer {
     /// Draws the full candidate set from the seeded RNG: `n_candidates`
@@ -138,48 +169,93 @@ impl AcquisitionOptimizer {
         candidates
     }
 
-    /// Argmax over scored candidates with first-index tie-breaking (a strict
-    /// `>` scan), so the choice never depends on how scoring was split.
-    fn select(mut candidates: Vec<Vec<f64>>, scores: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(candidates.len(), scores.len());
-        let mut best = 0;
-        let mut best_score = f64::NEG_INFINITY;
-        for (i, &s) in scores.iter().enumerate() {
-            if s > best_score {
-                best_score = s;
-                best = i;
-            }
-        }
-        candidates.swap_remove(best)
-    }
-
     /// Maximizes a batched acquisition over `[0,1]^d` via random search plus
     /// local refinement around `anchors` (typically the incumbent best
-    /// points). The candidates are split into `core::exec` lanes of
-    /// contiguous ranges, and each lane is scored by `score_batch` in blocks
-    /// of at most 256. For any scorer whose `score_batch(pts)[i]` depends on
-    /// `pts[i]` alone, the proposal is the per-point argmax whatever the
-    /// lane count.
+    /// points), by an exact branch and bound over two batched scorers.
+    ///
+    /// 1. **Bound.** The candidates are split into `core::exec` lanes of
+    ///    contiguous ranges, and `bound_batch` bounds each lane in blocks of
+    ///    at most 256.
+    /// 2. **Value.** `value_batch` values candidates in descending-bound
+    ///    order (NaN bounds first), in rounds of 32, skipping every
+    ///    candidate whose bound is strictly below the best value found so
+    ///    far. A later candidate replaces the best only with a strictly
+    ///    greater value, or an equal one at a lower index.
+    ///
+    /// The proposal is the first candidate with the greatest value (a strict
+    /// `>` scan from `-∞`; candidate 0 if no value beats `-∞`), whatever the
+    /// lane count, provided that
+    ///
+    /// - `value ≤ bound` at every candidate whose value is not NaN (a NaN
+    ///   bound is never pruned, and `+∞` bounds nothing), and
+    /// - each scorer's `batch(pts)[i]` depends on `pts[i]` alone.
+    ///
+    /// A pruned candidate's value is at most its bound, strictly below the
+    /// best value, so it could neither win nor tie.
     pub fn optimize(
         &self,
         dim: usize,
         anchors: &[Vec<f64>],
         seed: u64,
-        score_batch: impl Fn(&[Vec<f64>]) -> Vec<f64> + Sync,
+        bound_batch: impl Fn(&[Vec<f64>]) -> Vec<f64> + Sync,
+        value_batch: impl Fn(&[Vec<f64>]) -> Vec<f64>,
     ) -> Vec<f64> {
-        let candidates = self.generate_candidates(dim, anchors, seed);
-        trace::count("acq.candidates_scored", candidates.len() as u64);
-        let lanes: Vec<&[Vec<f64>]> =
-            candidates.chunks(candidates.len().div_ceil(crate::exec::lanes())).collect();
-        let scores = crate::exec::map(lanes.len(), |l| {
+        let mut candidates = self.generate_candidates(dim, anchors, seed);
+        let n = candidates.len();
+        trace::count("acq.candidates_scored", n as u64);
+        let lanes: Vec<&[Vec<f64>]> = candidates.chunks(n.div_ceil(crate::exec::lanes())).collect();
+        let bounds = crate::exec::map(lanes.len(), |l| {
             let span = trace::span!("score_candidates", n = lanes[l].len());
-            let scores: Vec<f64> = lanes[l].chunks(SCORE_BLOCK).flat_map(&score_batch).collect();
+            let bounds: Vec<f64> = lanes[l].chunks(SCORE_BLOCK).flat_map(&bound_batch).collect();
             let _ = span.finish_s();
-            scores
+            bounds
         })
         .concat();
-        assert_eq!(scores.len(), candidates.len(), "scorer must return one score per candidate");
-        Self::select(candidates, &scores)
+        assert_eq!(bounds.len(), n, "bound_batch must return one bound per candidate");
+
+        // Descending bound, NaN first, ties by index. The candidates move
+        // into that order (no copies), so each round is one contiguous slice.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&i, &j| match (bounds[i].is_nan(), bounds[j].is_nan()) {
+            (false, false) => bounds[j].total_cmp(&bounds[i]),
+            (a, b) => b.cmp(&a),
+        });
+        let mut sorted: Vec<Vec<f64>> =
+            order.iter().map(|&i| std::mem::take(&mut candidates[i])).collect();
+
+        let span = trace::span!("value_candidates");
+        // (position in `sorted`, original index) of the best value so far.
+        let mut best: Option<(usize, usize)> = None;
+        let mut best_value = f64::NEG_INFINITY;
+        let mut next = 0;
+        while next < n {
+            // The next round: bounds not strictly below the best value (a
+            // NaN bound is never pruned), at most `VALUE_ROUND` of them.
+            let round = order[next..].iter().take(VALUE_ROUND);
+            let end = next
+                + round.take_while(|&&i| bounds[i] >= best_value || bounds[i].is_nan()).count();
+            if end == next {
+                break;
+            }
+            let values = value_batch(&sorted[next..end]);
+            assert_eq!(values.len(), end - next, "value_batch must return one value per candidate");
+            for (pos, v) in (next..end).zip(values) {
+                let i = order[pos];
+                if v > best_value || (v == best_value && best.is_some_and(|(_, b)| i < b)) {
+                    best_value = v;
+                    best = Some((pos, i));
+                }
+            }
+            next = end;
+        }
+        trace::count("acq.candidates_valued", next as u64);
+        let _ = span.with_field("n", next as f64).finish_s();
+        // No value beat -∞: the scan's answer is candidate 0.
+        let pos = match best {
+            Some((pos, _)) => pos,
+            None => order.iter().position(|&i| i == 0).expect("a candidate 0 exists"),
+        };
+        sorted.swap_remove(pos)
     }
 }
 
@@ -272,6 +348,69 @@ mod tests {
         assert!(cei.value(&likely) > cei.value(&unlikely));
     }
 
+    #[test]
+    fn cei_value_never_exceeds_its_bound() {
+        use propcheck::{check, Config};
+        // The f64 tail where the closed-form EI goes negative: there
+        // `pf · EI > EI` for any `pf < 1`, which is why the bound clamps.
+        let tail = expected_improvement(8.25, 0.985, 0.0);
+        assert!(tail < 0.0, "EI {tail} at the pinned tail point");
+        let cfg = Config::default().cases(512).seed(0xCE1_B0D);
+        check("cei_value_never_exceeds_its_bound", cfg, |g| {
+            let mode = g.usize_in(0, 5);
+            let best_feasible = match g.usize_in(0, 4) {
+                0 => None,
+                _ if mode == 0 => Some(0.0),
+                _ => Some(g.f64_in(-3.0, 3.0)),
+            };
+            let best = best_feasible.unwrap_or(0.0);
+            let res = match mode {
+                // The pinned tail point, at a best of exactly 0.
+                0 => Prediction { mean: 8.25, variance: 0.985 * 0.985 },
+                // Deep in the tail: z = (best - mean) / std in [-10, -6].
+                1 => {
+                    let std = g.f64_in(0.01, 5.0);
+                    Prediction { mean: best + g.f64_in(6.0, 10.0) * std, variance: std * std }
+                }
+                // A degenerate std: zero, tiny, or a negative variance.
+                2 => Prediction {
+                    mean: g.f64_in(-4.0, 4.0),
+                    variance: [0.0, 1e-30, -g.f64_in(1e-6, 1.0)][g.usize_in(0, 2)],
+                },
+                // NaN in the mean or the variance.
+                3 => {
+                    let nan_mean = g.flag();
+                    Prediction {
+                        mean: if nan_mean { f64::NAN } else { g.f64_in(-4.0, 4.0) },
+                        variance: if nan_mean { 1.0 } else { f64::NAN },
+                    }
+                }
+                _ => Prediction { mean: g.f64_in(-4.0, 4.0), variance: g.f64_in(0.0, 9.0) },
+            };
+            let cei = ConstrainedExpectedImprovement {
+                best_feasible,
+                tps_floor: g.f64_in(-2.0, 2.0),
+                lat_ceiling: g.f64_in(-2.0, 2.0),
+            };
+            // Constraint predictions with `pf` strictly inside (0, 1) or at
+            // its exact 0/1 branches.
+            let constraint = |g: &mut propcheck::Gen| Prediction {
+                mean: g.f64_in(-3.0, 3.0),
+                variance: if g.usize_in(0, 3) == 0 { 0.0 } else { g.f64_in(0.01, 4.0) },
+            };
+            let pred = SurrogatePrediction { res, tps: constraint(g), lat: constraint(g) };
+            let (value, bound) = (cei.value(&pred), cei.bound(&pred.res));
+            propcheck::prop_assert!(
+                value.is_nan() || value <= bound,
+                "{cei:?} at {pred:?}: value {value:e} above bound {bound:e}"
+            );
+            if cei.best_feasible.is_none() {
+                propcheck::prop_assert!(bound == f64::INFINITY, "no incumbent: bound {bound}");
+            }
+            Ok(())
+        });
+    }
+
     /// Per-point scoring lifted to the batched form `optimize` takes, with
     /// a check that no call exceeds one scoring block.
     fn batched(score: impl Fn(&[f64]) -> f64 + Sync) -> impl Fn(&[Vec<f64>]) -> Vec<f64> + Sync {
@@ -281,8 +420,15 @@ mod tests {
         }
     }
 
-    /// The per-point argmax `optimize` must reproduce, however it splits and
-    /// blocks the scoring: a strict `>` scan keeps the first of tied points.
+    /// A bound that prunes nothing.
+    fn unbounded(_: &[f64]) -> f64 {
+        f64::INFINITY
+    }
+
+    /// The argmax `optimize` must reproduce, however it splits, blocks and
+    /// prunes the scoring: the strict `>` scan from `-∞` over every
+    /// candidate's value, which keeps the first of tied points, never picks
+    /// a NaN or `-∞` value, and falls back to candidate 0.
     fn reference_argmax(
         opt: &AcquisitionOptimizer,
         dim: usize,
@@ -291,25 +437,22 @@ mod tests {
         score: impl Fn(&[f64]) -> f64,
     ) -> Vec<f64> {
         let candidates = opt.generate_candidates(dim, anchors, seed);
-        let mut best = &candidates[0];
-        for c in &candidates[1..] {
-            if score(c) > score(best) {
-                best = c;
+        let (mut best, mut best_score) = (0, f64::NEG_INFINITY);
+        for (i, c) in candidates.iter().enumerate() {
+            let s = score(c);
+            if s > best_score {
+                (best, best_score) = (i, s);
             }
         }
-        best.clone()
+        candidates[best].clone()
     }
 
     #[test]
     fn optimizer_finds_a_known_peak() {
         let opt = AcquisitionOptimizer::default();
-        // Score peaks at (0.7, 0.3).
-        let best = opt.optimize(
-            2,
-            &[],
-            3,
-            batched(|p| -((p[0] - 0.7) * (p[0] - 0.7) + (p[1] - 0.3) * (p[1] - 0.3))),
-        );
+        // Score peaks at (0.7, 0.3); the value is its own bound.
+        let score = |p: &[f64]| -((p[0] - 0.7) * (p[0] - 0.7) + (p[1] - 0.3) * (p[1] - 0.3));
+        let best = opt.optimize(2, &[], 3, batched(score), batched(score));
         assert!((best[0] - 0.7).abs() < 0.08, "{best:?}");
         assert!((best[1] - 0.3).abs() < 0.08, "{best:?}");
     }
@@ -323,6 +466,7 @@ mod tests {
             2,
             std::slice::from_ref(&anchor),
             5,
+            batched(unbounded),
             batched(|p| {
                 let d2 = (p[0] - 0.91) * (p[0] - 0.91) + (p[1] - 0.12) * (p[1] - 0.12);
                 (-d2 * 2000.0).exp()
@@ -349,44 +493,106 @@ mod tests {
         ]
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn optimize_matches_the_per_point_argmax_across_block_edges() {
         let score = |p: &[f64]| {
             -((p[0] - 0.42) * (p[0] - 0.42)) - (p[1] - 0.77).abs() + (p[2] * 3.0).sin()
         };
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (opt, anchors) in block_edge_cases() {
             let n = opt.generate_candidates(3, &anchors, 0).len();
             for seed in [0, 3, 19] {
                 let expected = reference_argmax(&opt, 3, &anchors, seed, score);
-                let fanned = opt.optimize(3, &anchors, seed, batched(score));
+                // The value as its own bound, and a bound that prunes nothing.
+                let own = opt.optimize(3, &anchors, seed, batched(score), batched(score));
+                let fanned = opt.optimize(3, &anchors, seed, batched(unbounded), batched(score));
                 let a = anchors.clone();
-                let inline =
-                    crate::exec::on_pool_worker(move || opt.optimize(3, &a, seed, batched(score)));
-                assert_eq!(bits(&fanned), bits(&expected), "{n} candidates, seed {seed}");
+                let inline = crate::exec::on_pool_worker(move || {
+                    opt.optimize(3, &a, seed, batched(score), batched(score))
+                });
+                assert_eq!(bits(&own), bits(&expected), "{n} candidates, seed {seed}");
+                assert_eq!(bits(&fanned), bits(&expected), "{n} candidates, seed {seed} unbounded");
                 assert_eq!(bits(&inline), bits(&expected), "{n} candidates, seed {seed} inline");
             }
         }
     }
 
     #[test]
+    fn bounded_optimize_matches_the_strict_scan_bitwise() {
+        use propcheck::{check, Config};
+        use std::collections::HashMap;
+        use std::sync::Arc;
+        // Few distinct values, so ties are common, with NaN and -∞ among
+        // them.
+        const VALUES: [f64; 7] = [f64::NAN, f64::NEG_INFINITY, -1.0, 0.0, 0.25, 0.5, 1.0];
+        let cfg = Config::default().cases(40).seed(0xB0_B0B);
+        check("bounded_optimize_matches_the_strict_scan_bitwise", cfg, |g| {
+            for (opt, anchors) in block_edge_cases() {
+                let seed = g.usize_in(0, 1 << 20) as u64;
+                // One (value, bound) per distinct candidate, keyed by its bits
+                // so both scorers are functions of the point alone.
+                let mut table: HashMap<Vec<u64>, (f64, f64)> = HashMap::new();
+                for c in opt.generate_candidates(3, &anchors, seed) {
+                    let value = VALUES[g.usize_in(0, VALUES.len() - 1)];
+                    let bound = match g.usize_in(0, 4) {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => value,
+                        // A NaN value may carry any bound: it never wins.
+                        _ if value.is_nan() => VALUES[g.usize_in(1, VALUES.len() - 1)],
+                        _ => value + [0.0, 0.25, 0.5, 1.5][g.usize_in(0, 3)],
+                    };
+                    table.entry(bits(&c)).or_insert((value, bound));
+                }
+                let table = Arc::new(table);
+                let value = {
+                    let t = Arc::clone(&table);
+                    move |p: &[f64]| t[&bits(p)].0
+                };
+                let bound = {
+                    let t = Arc::clone(&table);
+                    move |p: &[f64]| t[&bits(p)].1
+                };
+                let n = table.len();
+                let want = bits(&reference_argmax(&opt, 3, &anchors, seed, &value));
+                let fanned = opt.optimize(3, &anchors, seed, batched(&bound), batched(&value));
+                let a = anchors.clone();
+                let inline = crate::exec::on_pool_worker(move || {
+                    opt.optimize(3, &a, seed, batched(bound), batched(value))
+                });
+                let at = format!("{n} distinct candidates, seed {seed}");
+                propcheck::prop_assert!(bits(&fanned) == want, "{at}, fanned out");
+                propcheck::prop_assert!(bits(&inline) == want, "{at}, inline");
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
     fn tied_scores_pick_the_first_candidate() {
         // Index tie-breaking is part of the determinism contract: a constant
-        // score must select the very first generated candidate.
+        // score must select the very first generated candidate, with the
+        // value as its own bound or with a bound that prunes nothing.
         for (opt, anchors) in block_edge_cases() {
             let first = opt.generate_candidates(3, &anchors, 8)[0].clone();
-            assert_eq!(opt.optimize(3, &anchors, 8, batched(|_| 1.0)), first);
+            let tied = batched(|_| 1.0);
+            assert_eq!(opt.optimize(3, &anchors, 8, &tied, &tied), first);
+            assert_eq!(opt.optimize(3, &anchors, 8, batched(unbounded), &tied), first);
         }
     }
 
     #[test]
     fn an_empty_candidate_budget_still_proposes_a_point() {
         let opt = AcquisitionOptimizer { n_candidates: 0, n_local: 0, local_sigma: 0.1 };
-        let point = opt.optimize(4, &[], 2, batched(|p| p[0]));
+        let first = batched(|p| p[0]);
+        let point = opt.optimize(4, &[], 2, &first, &first);
         assert_eq!(point.len(), 4);
         assert!(point.iter().all(|v| (0.0..=1.0).contains(v)), "{point:?}");
         // An anchored run whose local budget is zero falls back the same way.
-        let anchored = opt.optimize(4, &[vec![0.5; 4]], 2, batched(|p| p[0]));
+        let anchored = opt.optimize(4, &[vec![0.5; 4]], 2, batched(unbounded), &first);
         assert_eq!(anchored, point);
     }
 }

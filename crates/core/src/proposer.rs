@@ -338,9 +338,10 @@ impl RestuneProposer {
             }
         }
 
-        // Per-prediction acquisition value. Resolving the incumbent up front
-        // keeps the scoring closure pure (no RNG, no per-call setup), which
-        // is what allows batched, fanned-out candidate scoring below.
+        // Per-prediction acquisition value, and its bound from the objective
+        // alone. Resolving the incumbent up front keeps both scorers pure (no
+        // RNG, no per-call setup), which is what allows batched, fanned-out
+        // bounding and the bounded search below.
         enum Scorer {
             Cei(ConstrainedExpectedImprovement),
             Ei { incumbent: f64 },
@@ -360,17 +361,28 @@ impl RestuneProposer {
                 Scorer::Ei { incumbent: best_overall_pred.map_or(0.0, |p| p.res.mean) }
             }
         };
-        let value = |pred: &SurrogatePrediction| -> f64 {
+        let objective = |pts: &[Vec<f64>]| surrogate.ensemble_batch(|m| &m.res, pts);
+        let bound_batch = |pts: &[Vec<f64>]| -> Vec<f64> {
             match &scorer {
-                Scorer::Cei(cei) => cei.value(pred),
-                Scorer::Ei { incumbent } => {
-                    expected_improvement(pred.res.mean, pred.res.std_dev(), *incumbent)
-                }
+                // Without a feasible incumbent every bound is +∞: nothing to
+                // predict.
+                Scorer::Cei(cei) if cei.best_feasible.is_none() => vec![f64::INFINITY; pts.len()],
+                Scorer::Cei(cei) => objective(pts).iter().map(|p| cei.bound(p)).collect(),
+                Scorer::Ei { incumbent } => objective(pts)
+                    .iter()
+                    .map(|p| expected_improvement(p.mean, p.std_dev(), *incumbent))
+                    .collect(),
             }
         };
-        self.config.optimizer.optimize(view.problem.dim(), &anchors, seed, |pts| {
-            predict(pts).iter().map(&value).collect()
-        })
+        let value_batch = |pts: &[Vec<f64>]| -> Vec<f64> {
+            match &scorer {
+                Scorer::Cei(cei) => predict(pts).iter().map(|p| cei.value(p)).collect(),
+                // EI reads the objective alone: its value is its own bound.
+                Scorer::Ei { .. } => bound_batch(pts),
+            }
+        };
+        let dim = view.problem.dim();
+        self.config.optimizer.optimize(dim, &anchors, seed, bound_batch, value_batch)
     }
 }
 

@@ -8,6 +8,15 @@
 //! and never set independently, so a covariance computes exactly the bits
 //! it would with `exp` evaluated on every call, without the `d + 1` `exp`
 //! calls per covariance.
+//!
+//! [`Matern52::value`] is the per-pair form. Covariance blocks `K(A, B)`
+//! (the cross-kernels of prediction, `K(P, P)` for joint sampling and the
+//! sparse backend's `K_mm` and `K_mn`) come from the crate-private
+//! `Matern52::cross`, which builds them dimension-major so independent
+//! entries share SIMD lanes, while each entry runs `value`'s operations in
+//! `value`'s order. A unit test holds it to `value` by `to_bits()`.
+
+use linalg::Matrix;
 
 const SQRT5: f64 = 2.236_067_977_499_79;
 
@@ -79,8 +88,49 @@ impl Matern52 {
         debug_assert_eq!(a.len(), self.dim());
         debug_assert_eq!(b.len(), self.dim());
         let r = self.scaled_distance(a, b);
+        self.covariance_at(r)
+    }
+
+    /// The covariance at scaled distance `r`.
+    #[inline]
+    fn covariance_at(&self, r: f64) -> f64 {
         let s2 = self.signal_variance;
         s2 * (1.0 + SQRT5 * r + 5.0 / 3.0 * r * r) * (-SQRT5 * r).exp()
+    }
+
+    /// The cross-covariance `K(A, B)`, `|a| x |b|`, entry `(i, c)` equal to
+    /// `value(&a[i], &b[c])` bit for bit.
+    ///
+    /// Built dimension-major: `b` is transposed once, then each row
+    /// accumulates its scaled squared differences one dimension at a time
+    /// across all columns. Each entry still runs `value`'s operations in
+    /// `value`'s order (`r² = 0`, then `+= ((a_k - b_k) / l_k)²` for `k`
+    /// ascending, `sqrt`, the Matérn expression), but independent entries
+    /// now share SIMD lanes instead of one serial chain per entry.
+    pub(crate) fn cross(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> Matrix {
+        let (d, m) = (self.dim(), b.len());
+        debug_assert!(a.iter().chain(b).all(|p| p.len() == d));
+        let mut bt = vec![0.0; d * m];
+        for (c, p) in b.iter().enumerate() {
+            for (k, v) in p.iter().enumerate() {
+                bt[k * m + c] = *v;
+            }
+        }
+        let mut out = Matrix::zeros(a.len(), m);
+        for (i, p) in a.iter().enumerate() {
+            let r2 = out.row_mut(i);
+            let dims = p.iter().zip(&self.lengthscales).zip(bt.chunks_exact(m.max(1)));
+            for ((&ak, &lk), bk) in dims {
+                for (acc, &bkc) in r2.iter_mut().zip(bk) {
+                    let diff = (ak - bkc) / lk;
+                    *acc += diff * diff;
+                }
+            }
+            for entry in r2.iter_mut() {
+                *entry = self.covariance_at(entry.sqrt());
+            }
+        }
+        out
     }
 
     /// Covariance and the gradient with respect to each log-hyperparameter.
@@ -312,6 +362,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cross_matches_value_bitwise() {
+        use propcheck::{check, Config};
+        let cfg = Config::default().cases(96).seed(0xC2_055).max_size(40);
+        check("cross_matches_value_bitwise", cfg, |g| {
+            let d = g.usize_in(1, 14);
+            let mut kernel = Matern52::new(d);
+            // Log parameters in bounds, or drawn wide so most are clamped.
+            let wide = g.flag();
+            let (lo, hi) = if wide { (-12.0, 12.0) } else { (-3.0, 3.0) };
+            let params = g.vec_f64(d + 1, lo, hi);
+            kernel.set_params(&params);
+            // Either side may be empty or a single point; the size ramp
+            // grows both.
+            let side = |g: &mut propcheck::Gen| -> Vec<Vec<f64>> {
+                let n = match g.usize_in(0, 5) {
+                    0 => 0,
+                    1 => 1,
+                    _ => g.usize_in(1, g.size().max(1)),
+                };
+                (0..n).map(|_| g.vec_f64(d, -0.2, 1.2)).collect()
+            };
+            let a = side(g);
+            let mut b = side(g);
+            // Duplicated points, within `b` and shared with `a` (r = 0).
+            if b.len() >= 2 && g.flag() {
+                let (from, to) = (g.usize_in(0, b.len() - 1), g.usize_in(0, b.len() - 1));
+                b[to] = b[from].clone();
+            }
+            if !a.is_empty() && !b.is_empty() && g.flag() {
+                let c = g.usize_in(0, b.len() - 1);
+                b[c] = a[g.usize_in(0, a.len() - 1)].clone();
+            }
+            for (lhs, rhs) in [(&a, &b), (&b, &a), (&b, &b)] {
+                let k = kernel.cross(lhs, rhs);
+                propcheck::prop_assert!(k.rows() == lhs.len() && k.cols() == rhs.len());
+                for (i, p) in lhs.iter().enumerate() {
+                    for (c, q) in rhs.iter().enumerate() {
+                        let (got, want) = (k[(i, c)], kernel.value(p, q));
+                        propcheck::prop_assert!(
+                            got.to_bits() == want.to_bits(),
+                            "d = {d}, wide = {wide}, entry ({i}, {c}): {got} vs value {want}"
+                        );
+                    }
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! fitting, and the posterior pieces both GP backends share.
 //!
 //! Prediction has one implementation, [`GaussianProcess::predict_batch`]:
-//! the cross-kernel `K(X, P)` is one matrix, the means one `alpha^T K(X, P)`
-//! product, and the variance reduction one blocked forward solve.
+//! the cross-kernel `K(X, P)` is one matrix, built dimension-major by the
+//! kernel, the means one `alpha^T K(X, P)` product, and the variance
+//! reduction one blocked forward solve whose column norms are summed row
+//! by row.
 //! [`GaussianProcess::predict`] is a batch of one, and
 //! [`GaussianProcess::sample_joint`] builds its posterior mean and
 //! covariance from the same terms. [`GaussianProcess::predict_mean_batch`]
@@ -76,6 +78,19 @@ pub(crate) fn check_dims(points: &[Vec<f64>], dim: usize) -> Result<(), GpError>
 pub(crate) fn weighted_columns(offset: f64, w: &[f64], k: &Matrix) -> Vec<f64> {
     let cross = Matrix::from_vec(1, w.len(), w.to_vec()).matmul(k).expect("one weight per row");
     cross.data().iter().map(|c| offset + c).collect()
+}
+
+/// `‖v_c‖²` for each column of `v`, accumulated row by row so the inner
+/// loop streams a contiguous row; each column still sums its squares over
+/// the row index in ascending order. A `0 x m` `v` gives `m` zeros.
+pub(crate) fn column_sq_norms(v: &Matrix) -> Vec<f64> {
+    let mut norms = vec![0.0; v.cols()];
+    for i in 0..v.rows() {
+        for (norm, x) in norms.iter_mut().zip(v.row(i)) {
+            *norm += x * x;
+        }
+    }
+    norms
 }
 
 /// Draws `n_samples` vectors from `N(mean, cov)`, the sampling tail both GP
@@ -425,7 +440,7 @@ impl GaussianProcess {
         if n == 0 || m == 0 {
             return Ok((vec![self.mean_offset; m], Matrix::zeros(0, m)));
         }
-        let kstar = Matrix::from_fn(n, m, |i, c| self.kernel.value(&self.x[i], &points[c]));
+        let kstar = self.kernel.cross(&self.x, points);
         Ok((weighted_columns(self.mean_offset, &self.alpha, &kstar), kstar))
     }
 
@@ -454,16 +469,11 @@ impl GaussianProcess {
     pub fn predict_batch(&self, points: &[Vec<f64>]) -> Result<Vec<Prediction>, GpError> {
         let (means, v) = self.posterior_terms(points)?;
         let prior_var = self.kernel.prior_variance();
+        let reduce = column_sq_norms(&v);
         Ok(means
             .into_iter()
-            .enumerate()
-            .map(|(c, mean)| {
-                let mut reduce = 0.0;
-                for i in 0..v.rows() {
-                    reduce += v[(i, c)] * v[(i, c)];
-                }
-                Prediction { mean, variance: (prior_var - reduce).max(0.0) }
-            })
+            .zip(reduce)
+            .map(|(mean, reduce)| Prediction { mean, variance: (prior_var - reduce).max(0.0) })
             .collect())
     }
 
@@ -486,7 +496,7 @@ impl GaussianProcess {
         // of V^T are V's columns, so each entry is one contiguous dot.
         let (mean, v) = self.posterior_terms(points)?;
         let vt = v.transpose();
-        let mut cov = Matrix::from_fn(m, m, |i, j| self.kernel.value(&points[i], &points[j]));
+        let mut cov = self.kernel.cross(points, points);
         for i in 0..m {
             for j in 0..=i {
                 cov[(i, j)] -= linalg::vector::dot(vt.row(i), vt.row(j));

@@ -16,7 +16,8 @@
 
 use crate::kernel::Matern52;
 use crate::process::{
-    check_dims, sample_gaussian, weighted_columns, GaussianProcess, GpConfig, GpError, Prediction,
+    check_dims, column_sq_norms, sample_gaussian, weighted_columns, GaussianProcess, GpConfig,
+    GpError, Prediction,
 };
 use linalg::{Cholesky, Matrix};
 use xrand::Rng;
@@ -165,9 +166,9 @@ impl SparseGp {
         let mean_offset = y.iter().sum::<f64>() / n as f64;
         let y_c: Vec<f64> = y.iter().map(|v| v - mean_offset).collect();
 
-        let kmm = Matrix::from_fn(m, m, |i, j| kernel.value(&x_m[i], &x_m[j]));
+        let kmm = kernel.cross(&x_m, &x_m);
         let lm = Cholesky::factor_with_jitter(&kmm)?;
-        let kmn = Matrix::from_fn(m, n, |i, j| kernel.value(&x_m[i], &x[j]));
+        let kmn = kernel.cross(&x_m, &x);
 
         // A = K_mm + sigma^-2 K_mn K_nm.
         let inv_noise = 1.0 / noise_var;
@@ -218,9 +219,7 @@ impl SparseGp {
         if points.is_empty() {
             return Ok((Vec::new(), Matrix::zeros(0, 0)));
         }
-        let kstar = Matrix::from_fn(self.x_m.len(), points.len(), |i, c| {
-            self.kernel.value(&self.x_m[i], &points[c])
-        });
+        let kstar = self.kernel.cross(&self.x_m, points);
         Ok((weighted_columns(self.mean_offset, &self.weights, &kstar), kstar))
     }
 
@@ -253,17 +252,11 @@ impl SparseGp {
     pub fn predict_batch(&self, points: &[Vec<f64>]) -> Result<Vec<Prediction>, GpError> {
         let (means, v1, v2) = self.posterior_terms(points)?;
         let prior_var = self.kernel.prior_variance();
+        let (n1, n2) = (column_sq_norms(&v1), column_sq_norms(&v2));
         Ok(means
             .into_iter()
-            .enumerate()
-            .map(|(c, mean)| {
-                let (mut n1, mut n2) = (0.0, 0.0);
-                for i in 0..v1.rows() {
-                    n1 += v1[(i, c)] * v1[(i, c)];
-                    n2 += v2[(i, c)] * v2[(i, c)];
-                }
-                Prediction { mean, variance: (prior_var - n1 + n2).max(0.0) }
-            })
+            .zip(n1.into_iter().zip(n2))
+            .map(|(mean, (n1, n2))| Prediction { mean, variance: (prior_var - n1 + n2).max(0.0) })
             .collect())
     }
 
@@ -281,7 +274,7 @@ impl SparseGp {
         }
         let (mean, v1, v2) = self.posterior_terms(points)?;
         let (v1t, v2t) = (v1.transpose(), v2.transpose());
-        let mut cov = Matrix::from_fn(q, q, |i, j| self.kernel.value(&points[i], &points[j]));
+        let mut cov = self.kernel.cross(points, points);
         for i in 0..q {
             for j in 0..=i {
                 let reduce = linalg::vector::dot(v1t.row(i), v1t.row(j))

@@ -83,6 +83,7 @@ fn thirty_iteration_span_totals_match_iteration_timing_sums() {
 
 #[test]
 fn parallel_path_nests_scoped_thread_spans_under_their_phases() {
+    use restune::core::fleet::{FleetConfig, FleetService, Tenant};
     let _g = trace_lock();
     trace::enable();
     trace::reset();
@@ -106,12 +107,22 @@ fn parallel_path_nests_scoped_thread_spans_under_their_phases() {
     let learners = repo.base_learners(&gp::GpConfig::fixed(), |_| true);
     let mf = characterizer.embed_workload(&WorkloadSpec::twitter(), 1).probs;
     trace::reset(); // drop events from repository collection
-    let mut session =
-        TuningSession::with_base_learners(env_with(5, None), config, learners, mf);
+    let mut session = TuningSession::with_base_learners(
+        env_with(5, None),
+        config.clone(),
+        learners.clone(),
+        mf.clone(),
+    );
     for _ in 0..6 {
         session.step();
     }
     let snap = trace::snapshot();
+    trace::reset();
+    // The same session as a fleet tenant, whose pool worker runs every
+    // fan-out inline.
+    let tenant = Tenant::restune_meta(0, "inline", env_with(5, None), config, learners, mf, 6);
+    FleetService::new(FleetConfig { workers: 1, slice: 2, shards: 1 }).run(vec![tenant]);
+    let inline = trace::snapshot();
     trace::reset();
     trace::disable();
     let agg = snap.span_agg();
@@ -133,6 +144,17 @@ fn parallel_path_nests_scoped_thread_spans_under_their_phases() {
         .sum::<u64>();
     assert!(scored >= 6, "expected chunk-scoring spans, got {scored}");
     assert_eq!(snap.counter("acq.candidates_scored"), 6 * 360);
+    // The bounded search values a nonempty share of the bounded candidates,
+    // one `value_candidates` span per acquisition.
+    let (scored, valued) =
+        (snap.counter("acq.candidates_scored"), snap.counter("acq.candidates_valued"));
+    assert!(0 < valued && valued <= scored, "valued {valued} of {scored} candidates");
+    assert_eq!(agg["iteration/recommendation/value_candidates"].count, 6);
+    // Which candidates get valued depends on bounds and values alone, not on
+    // the lane count: the inline run counts the same work.
+    for counter in ["acq.candidates_scored", "acq.candidates_valued", "linalg.cholesky.solve"] {
+        assert_eq!(inline.counter(counter), snap.counter(counter), "{counter}");
+    }
 }
 
 #[test]
