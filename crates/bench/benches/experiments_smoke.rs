@@ -1,6 +1,7 @@
 //! Smoke-scale runs of every experiment pipeline, so `cargo bench` exercises
 //! each table/figure regeneration path end to end. Budgets are tiny; the
-//! full-scale harnesses live in `src/bin/` (`cargo run --bin <id> -- --full`).
+//! paper's budgets run through the `paper` bin (`paper <id> --full`, see
+//! `restune_bench::paper`).
 
 use baselines::method::Setting;
 use baselines::Method;

@@ -22,23 +22,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--full` from the process arguments.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
-
-    /// Tuning iterations per run (paper: 200).
-    pub fn iterations(&self) -> usize {
-        match self {
-            Scale::Quick => 50,
-            Scale::Full => 200,
-        }
-    }
-
     /// Observations collected per historical task (paper: ~188).
     pub fn task_observations(&self) -> usize {
         match self {
@@ -56,7 +39,7 @@ impl Scale {
     }
 }
 
-/// Everything the experiment binaries share.
+/// Everything the experiment runs share.
 pub struct ExperimentContext {
     /// Budget scale.
     pub scale: Scale,
@@ -246,8 +229,6 @@ mod tests {
 
     #[test]
     fn scale_budgets() {
-        assert_eq!(Scale::Full.iterations(), 200);
-        assert!(Scale::Quick.iterations() < Scale::Full.iterations());
         assert_eq!(Scale::Full.repeats(), 3);
     }
 }

@@ -1,17 +1,7 @@
-//! One module per paper artifact (or family of artifacts sharing a runner).
-//!
-//! | Module | Regenerates |
-//! |---|---|
-//! | [`fig1`] | Figure 1 — TPS & CPU heatmap over 2 knobs |
-//! | [`table3`] | Table 3 — per-iteration execution-time breakdown |
-//! | [`efficiency`] | Figures 3, 4, 5 — tuning curves under the three settings |
-//! | [`table4`] | Table 4 — adaptation to instances C–F |
-//! | [`case_study`] | Figure 6(a–e), Table 5, Table 6, Figure 7 (§7.3) |
-//! | [`sensitivity`] | Figure 8 (request rate), Table 7 (data size) |
-//! | [`resources`] | Figure 9 — I/O (BPS, IOPS) and memory tuning |
-//! | [`tco`] | Tables 8–9 — 1-year TCO reduction |
-//! | [`ablations`] | Design-choice ablations (acquisition, dilution guard, constraint sourcing) |
-//! | [`fault_sweep`] | Improvement vs injected replay-failure rate (DESIGN.md §9) |
+//! One module per paper artifact (or family of artifacts sharing a runner):
+//! each returns a serializable result and prints it as text.
+//! [`crate::paper::ARTIFACTS`] is the index: it maps every EXPERIMENTS.md
+//! section to the module that produces it.
 
 pub mod ablations;
 pub mod case_study;

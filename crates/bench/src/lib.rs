@@ -3,11 +3,13 @@
 //!
 //! Each experiment lives in [`experiments`] as a function returning a
 //! serializable result struct plus a text renderer printing the same
-//! rows/series the paper reports. One binary per table/figure (see
-//! `src/bin/`) calls into here; `reproduce_all` runs everything and dumps
-//! JSON under `results/`.
+//! rows/series the paper reports. [`paper::ARTIFACTS`] registers one entry
+//! per generated EXPERIMENTS.md section; the `paper` binary runs one
+//! (`paper <id>`) or all of them (`paper all`), saving JSON under
+//! `results/`, and renders EXPERIMENTS.md's sections from that JSON
+//! (`paper md`).
 //!
-//! Scale: binaries default to a reduced budget (fewer iterations/seeds) so a
+//! Scale: runs default to a reduced budget (fewer iterations/seeds) so a
 //! full reproduction pass finishes in minutes on a laptop; pass `--full` for
 //! paper-scale budgets (200 iterations, 3 seeds).
 
@@ -15,6 +17,7 @@ pub mod context;
 pub mod experiments;
 pub mod gate;
 pub mod microbench;
+pub mod paper;
 pub mod report;
 pub mod view;
 

@@ -1,6 +1,6 @@
-//! Rendering and persistence helpers shared by the experiment binaries.
+//! Rendering and persistence helpers shared by the experiment harnesses.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Prints a section header.
 pub fn header(title: &str) {
@@ -34,28 +34,38 @@ pub fn series(label: &str, values: &[f64], max_points: usize) {
     println!("{label:<22} {}", pts.join("  "));
 }
 
-/// Directory experiment outputs are written to (`results/` in the repo root,
-/// created on demand).
+/// Directory experiment outputs are written to: `$RESTUNE_RESULTS_DIR`, by
+/// default `results/` under the working directory.
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("RESTUNE_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let path = PathBuf::from(dir);
-    let _ = std::fs::create_dir_all(&path);
-    path
+    PathBuf::from(std::env::var("RESTUNE_RESULTS_DIR").unwrap_or_else(|_| "results".to_string()))
 }
 
-/// Saves an experiment result as pretty JSON under `results/<id>.json`.
-pub fn save_json<T: minjson::ToJson>(id: &str, value: &T) {
-    let path = results_dir().join(format!("{id}.json"));
-    match minjson::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("[saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {id}: {e}"),
+/// An experiment result that was not saved.
+#[derive(Debug)]
+pub struct SaveError {
+    /// The file that was not written.
+    pub path: PathBuf,
+    /// The serializer's or the filesystem's error.
+    pub reason: String,
+}
+
+impl std::fmt::Display for SaveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cannot save {}: {}", self.path.display(), self.reason)
     }
+}
+
+/// Saves an experiment result as pretty JSON at `<dir>/<id>.json`, creating
+/// `dir` if needed. A value that does not serialize (`minjson` refuses
+/// non-finite numbers) writes nothing.
+pub fn save_json<T: minjson::ToJson>(dir: &Path, id: &str, value: &T) -> Result<(), SaveError> {
+    let path = dir.join(format!("{id}.json"));
+    let fail = |reason: String| SaveError { path: path.clone(), reason };
+    let json = minjson::to_string_pretty(value).map_err(|e| fail(e.to_string()))?;
+    std::fs::create_dir_all(dir).map_err(|e| fail(e.to_string()))?;
+    std::fs::write(&path, json).map_err(|e| fail(e.to_string()))?;
+    println!("[saved {}]", path.display());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -70,11 +80,19 @@ mod tests {
 
     #[test]
     fn save_json_writes_a_file() {
-        std::env::set_var("RESTUNE_RESULTS_DIR", std::env::temp_dir().join("rt_test_results"));
-        save_json("unit_test", &vec![1, 2, 3]);
-        let path = results_dir().join("unit_test.json");
-        assert!(path.exists());
-        let _ = std::fs::remove_file(path);
-        std::env::remove_var("RESTUNE_RESULTS_DIR");
+        let dir = std::env::temp_dir().join(format!("rt_save_json_{}", std::process::id()));
+        save_json(&dir, "unit_test", &vec![1, 2, 3]).unwrap();
+        let json = std::fs::read_to_string(dir.join("unit_test.json")).unwrap();
+        assert_eq!(minjson::from_str::<Vec<u32>>(&json).unwrap(), vec![1, 2, 3]);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn save_json_refuses_a_non_finite_value_and_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!("rt_save_json_inf_{}", std::process::id()));
+        let err = save_json(&dir, "inf", &vec![1.0, f64::INFINITY]).unwrap_err();
+        assert_eq!(err.path, dir.join("inf.json"));
+        assert!(!err.path.exists());
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

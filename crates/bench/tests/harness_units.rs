@@ -34,7 +34,6 @@ fn fig1_plateau_structure_at_small_scale() {
 
 #[test]
 fn scale_budget_relationships() {
-    assert!(Scale::Quick.iterations() < Scale::Full.iterations());
     assert!(Scale::Quick.task_observations() < Scale::Full.task_observations());
     assert!(Scale::Quick.repeats() <= Scale::Full.repeats());
 }
