@@ -598,7 +598,7 @@ fn fig9_md(dir: &Path, out: &mut String) -> Result<(), PathBuf> {
             .iter()
             .filter(|(l, _)| l != "ResTune")
             .filter_map(|(l, c)| c.last().map(|v| (l.clone(), *v)))
-            .min_by(|a, b| a.1.total_cmp(&b.1));
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         if let (Some(rt), Some((bl, bv))) = (restune, best_baseline) {
             md!(
                 out,
@@ -750,6 +750,17 @@ mod tests {
     fn registry_ids_are_unique() {
         let ids: HashSet<&str> = ARTIFACTS.iter().map(|a| a.id).collect();
         assert_eq!(ids.len(), ARTIFACTS.len());
+    }
+
+    #[test]
+    fn budgets_never_shrink_at_full_scale_and_keep_the_papers_200_iterations() {
+        for a in ARTIFACTS {
+            assert!(a.budget.0 <= a.budget.1, "{}: {:?}", a.id, a.budget);
+        }
+        for id in ["fig3_efficiency", "fig4_hardware", "table4_instances", "fig5_workload"] {
+            let a = ARTIFACTS.iter().find(|a| a.id == id).expect("registered");
+            assert_eq!(a.budget, (50, 200), "{id}");
+        }
     }
 
     #[test]
