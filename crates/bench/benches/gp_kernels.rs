@@ -46,6 +46,23 @@ fn main() {
         );
     });
 
+    // The same default refit at fleet size: every full-refit step of a
+    // tenant with n <= 40 pays it, at a native tenant's 14 knobs and at a
+    // HeSBO tenant's 8 embedded dimensions.
+    for d in [14, 8] {
+        let (xs12, ys12) = dataset(12, d, 6);
+        b.bench(&format!("fit_default_hypers_n12_d{d}"), || {
+            black_box(
+                GaussianProcess::fit(
+                    black_box(xs12.clone()),
+                    black_box(ys12.clone()),
+                    &default_cfg,
+                )
+                .ok(),
+            );
+        });
+    }
+
     // Acquisition scoring predicts in 256-candidate blocks
     // (`AcquisitionOptimizer`'s block size), so time exactly that call.
     let model = GaussianProcess::fit(xs.clone(), ys.clone(), &GpConfig::fixed()).unwrap();

@@ -29,8 +29,9 @@
 //! Gates:
 //! * two identically seeded `warm` runs produce bit-identical histories (the
 //!   determinism digest recorded in `BENCH_drift.json`), the detector fires
-//!   (≥ 1 drift detected, ≥ 1 restart), and the `drift.*` counters/spans
-//!   reached the trace;
+//!   (≥ 1 drift detected, ≥ 1 restart), the `drift.*` counters/spans
+//!   reached the trace, and checks re-embedded the live workload only when
+//!   it moved (`0 < drift.embeds < drift.checks`);
 //! * the acceptance line: `warm` reaches within 10 % of `scratch`'s final
 //!   TCO, in at most half the post-drift iterations `cold` needs (censored
 //!   at the window). The file records that ratio as `warm_vs_cold`.
@@ -255,11 +256,14 @@ fn main() {
     let warm = drift_arm(&plan, Some(RestartPolicy::Warm), &characterizer, &repo);
     let after = trace::snapshot();
     let checks = after.counter("drift.checks") - before.counter("drift.checks");
+    let embeds = after.counter("drift.embeds") - before.counter("drift.embeds");
     let detected = after.counter("drift.detected") - before.counter("drift.detected");
     let restarts = after.counter("drift.restarts") - before.counter("drift.restarts");
     let sealed_epochs =
         after.counter("drift.epochs.sealed") - before.counter("drift.epochs.sealed");
     assert!(detected >= 1 && restarts >= 1, "drift never detected (checks {checks})");
+    // Checks re-embed only a workload that moved since the last embedding.
+    assert!(0 < embeds && embeds < checks, "{embeds} embeddings over {checks} checks");
     assert!(
         after.spans.iter().any(|s| s.path.ends_with("drift_check"))
             && after.spans.iter().any(|s| s.path.ends_with("drift_restart")),

@@ -246,7 +246,9 @@ pub fn render_breakdown(snap: &TraceSnapshot) -> String {
     let drift_checks = snap.counter("drift.checks");
     if drift_checks > 0 {
         out.push_str(&format!(
-            "  drift: {drift_checks} checks, {} detected, {} warm restarts, {} epochs sealed\n",
+            "  drift: {drift_checks} checks ({} embeds), {} detected, {} warm restarts, {} epochs \
+             sealed\n",
+            snap.counter("drift.embeds"),
             snap.counter("drift.detected"),
             snap.counter("drift.restarts"),
             snap.counter("drift.epochs.sealed"),
@@ -468,6 +470,7 @@ mod tests {
         snap.counters.insert("acq.candidates_scored".to_string(), 1720);
         snap.counters.insert("acq.candidates_valued".to_string(), 172);
         snap.counters.insert("drift.checks".to_string(), 13);
+        snap.counters.insert("drift.embeds".to_string(), 4);
         snap.counters.insert("drift.detected".to_string(), 2);
         snap.counters.insert("drift.restarts".to_string(), 1);
         snap.counters.insert("drift.epochs.sealed".to_string(), 1);
@@ -476,7 +479,8 @@ mod tests {
         assert!(text.contains("hyperopt: 9 refit / 35 reuse"));
         assert!(text.contains("space projections: 45"));
         assert!(text.contains("acquisition: valued 172 of 1720 candidates (10.0%)"));
-        assert!(text.contains("drift: 13 checks, 2 detected, 1 warm restarts, 1 epochs sealed"));
+        assert!(text
+            .contains("drift: 13 checks (4 embeds), 2 detected, 1 warm restarts, 1 epochs sealed"));
         // Absent counters keep the lines out entirely.
         let empty = render_breakdown(&TraceSnapshot::default());
         assert!(!empty.contains("surrogate fits"));

@@ -14,7 +14,9 @@
 //!   workload characterization against the *live* workload (which a
 //!   [`dbsim::WorkloadSchedule`] may be evolving) and compares the class
 //!   distribution with the session's reference profile by total-variation
-//!   distance.
+//!   distance. It keeps the last spec it embedded with its profile and
+//!   re-embeds only when the live spec has changed (`drift.embeds` counts
+//!   the embeddings, `drift.checks` every check).
 //! - On a threshold crossing it drives [`EvalEngine::warm_restart`]: the
 //!   pre-drift epoch becomes a [`TaskRecord`] (with its `space_id`), handed
 //!   to a [`SealSink`] which commits it and returns the refitted
@@ -212,6 +214,11 @@ pub struct DriftController {
     /// A drifted profile seen by the previous check, awaiting confirmation
     /// that the workload has settled (see [`DriftConfig::settle_tol`]).
     pending: Option<Vec<f64>>,
+    /// The last spec embedded and its profile. The embedding reads the spec
+    /// only through `generate_queries(spec, n, embed_seed)`, so equal specs
+    /// embed to the same bits: a check re-embeds only when the live spec
+    /// differs from this one.
+    embedded: Option<(dbsim::WorkloadSpec, Vec<f64>)>,
     epoch: usize,
     restarts: u64,
     sealed: usize,
@@ -241,6 +248,7 @@ impl DriftController {
             sink,
             task_prefix: task_prefix.into(),
             pending: None,
+            embedded: None,
             epoch: 0,
             restarts: 0,
             sealed: 0,
@@ -249,7 +257,8 @@ impl DriftController {
     }
 
     /// A controller that derives its reference profile from `spec` — the
-    /// common construction (the session's base workload).
+    /// common construction (the session's base workload). Checks that find
+    /// the live workload still equal to `spec` reuse that profile.
     pub fn for_workload(
         config: DriftConfig,
         characterizer: Arc<WorkloadCharacterizer>,
@@ -258,7 +267,8 @@ impl DriftController {
         sink: Box<dyn SealSink>,
     ) -> Self {
         let reference = characterizer.embed_workload(spec, config.embed_seed).probs;
-        Self::new(config, characterizer, reference, task_prefix, sink)
+        let embedded = Some((spec.clone(), reference.clone()));
+        Self { embedded, ..Self::new(config, characterizer, reference, task_prefix, sink) }
     }
 
     /// Warm restarts executed so far.
@@ -295,10 +305,16 @@ impl DriftController {
         }
         let check_span = trace::span!("drift_check", iter = iter);
         trace::count("drift.checks", 1);
-        let live = self
-            .characterizer
-            .embed_workload(engine.environment().dbms.workload(), self.config.embed_seed)
-            .probs;
+        let spec = engine.environment().dbms.workload();
+        let live = match &self.embedded {
+            Some((embedded, probs)) if embedded == spec => probs.clone(),
+            _ => {
+                trace::count("drift.embeds", 1);
+                let probs = self.characterizer.embed_workload(spec, self.config.embed_seed).probs;
+                self.embedded = Some((spec.clone(), probs.clone()));
+                probs
+            }
+        };
         let score = total_variation(&live, &self.reference);
         self.last_score = score;
         let _ = check_span.finish_s();

@@ -9,16 +9,44 @@
 //! it would with `exp` evaluated on every call, without the `d + 1` `exp`
 //! calls per covariance.
 //!
-//! [`Matern52::value`] is the per-pair form. Covariance blocks `K(A, B)`
-//! (the cross-kernels of prediction, `K(P, P)` for joint sampling and the
-//! sparse backend's `K_mm` and `K_mn`) come from the crate-private
-//! `Matern52::cross`, which builds them dimension-major so independent
-//! entries share SIMD lanes, while each entry runs `value`'s operations in
-//! `value`'s order. A unit test holds it to `value` by `to_bits()`.
+//! [`Matern52::value`] and [`Matern52::value_and_grad`] are the per-pair
+//! forms. Covariance blocks `K(A, B)` (the cross-kernels of prediction,
+//! `K(P, P)` for joint sampling and the sparse backend's `K_mm` and `K_mn`)
+//! come from the crate-private `Matern52::cross`, and the exact GP's
+//! `K(X, X) + noise I`, with or without the packed kernel gradients a
+//! hyperparameter fit reads, from the crate-private `Matern52::gram`. Both
+//! build dimension-major so independent entries share SIMD lanes, while each
+//! entry runs the per-pair form's operations in its order. Unit tests hold
+//! them to `value` and `value_and_grad` by `to_bits()`.
 
 use linalg::Matrix;
 
 const SQRT5: f64 = 2.236_067_977_499_79;
+
+/// Log-space bounds of every lengthscale: `[0.03, 30]` for `[0,1]^d` inputs.
+fn log_lengthscale_bounds() -> (f64, f64) {
+    ((0.03_f64).ln(), (30.0_f64).ln())
+}
+
+/// Log-space bounds of the signal variance: `[1e-4, 1e3]` for standardized
+/// outputs.
+fn log_signal_variance_bounds() -> (f64, f64) {
+    ((1e-4_f64).ln(), (1e3_f64).ln())
+}
+
+/// `points` (each of length `d`) transposed dimension-major: coordinate `c`
+/// of point `j` at `c * points.len() + j`.
+pub(crate) fn transpose(points: &[Vec<f64>], d: usize) -> Vec<f64> {
+    let m = points.len();
+    debug_assert!(points.iter().all(|p| p.len() == d));
+    let mut t = vec![0.0; d * m];
+    for (j, p) in points.iter().enumerate() {
+        for (c, v) in p.iter().enumerate() {
+            t[c * m + j] = *v;
+        }
+    }
+    t
+}
 
 /// Matérn-5/2 kernel with automatic relevance determination (per-dimension
 /// lengthscales):
@@ -109,13 +137,8 @@ impl Matern52 {
     /// now share SIMD lanes instead of one serial chain per entry.
     pub(crate) fn cross(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> Matrix {
         let (d, m) = (self.dim(), b.len());
-        debug_assert!(a.iter().chain(b).all(|p| p.len() == d));
-        let mut bt = vec![0.0; d * m];
-        for (c, p) in b.iter().enumerate() {
-            for (k, v) in p.iter().enumerate() {
-                bt[k * m + c] = *v;
-            }
-        }
+        debug_assert!(a.iter().all(|p| p.len() == d));
+        let bt = transpose(b, d);
         let mut out = Matrix::zeros(a.len(), m);
         for (i, p) in a.iter().enumerate() {
             let r2 = out.row_mut(i);
@@ -131,6 +154,83 @@ impl Matern52 {
             }
         }
         out
+    }
+
+    /// `K(X, X) + noise * I` into `k` (`n x n`; every entry is overwritten),
+    /// from the `n` training inputs transposed by [`transpose`]: entry
+    /// `(i, j)` is `value(&x[i], &x[j])` bit for bit, plus `noise` on the
+    /// diagonal. With `grads = Some((table, diffs))`, the kernel gradients
+    /// of each pair `(i, j <= i)` go into `table` packed,
+    /// `value_and_grad(&x[i], &x[j], ..)`'s bits at
+    /// `(i(i+1)/2 + j) * n_params()`; `diffs` (at least `d * n` long) is
+    /// scratch for one row's scaled differences.
+    ///
+    /// The one `K(X, X)` builder, dimension-major like [`Matern52::cross`]:
+    /// row `i` of `k` first accumulates the scaled squared differences to
+    /// points `0..=i` one dimension at a time, so independent pairs share
+    /// SIMD lanes (with `grads`, each scaled difference is also kept in
+    /// `diffs`, dimension by dimension), then turns each into the covariance
+    /// and, with `grads`, the gradients `g * diff * diff`. Each entry runs
+    /// `value_and_grad`'s operations in its order.
+    pub(crate) fn gram(
+        &self,
+        xt: &[f64],
+        noise: f64,
+        k: &mut Matrix,
+        mut grads: Option<(&mut [f64], &mut [f64])>,
+    ) {
+        let (d, n, kp) = (self.dim(), k.rows(), self.n_params());
+        debug_assert!(k.cols() == n && xt.len() == d * n);
+        if let Some((table, diffs)) = &grads {
+            debug_assert!(table.len() == n * (n + 1) / 2 * kp && diffs.len() >= d * n);
+        }
+        if n == 0 {
+            return;
+        }
+        let s2 = self.signal_variance;
+        for i in 0..n {
+            // Row `i` holds `r²` to each point `0..=i` until it holds `K`.
+            let row = &mut k.row_mut(i)[..=i];
+            row.fill(0.0);
+            for (c, (xc, &lc)) in xt.chunks_exact(n).zip(&self.lengthscales).enumerate() {
+                let xic = xc[i];
+                match grads.as_mut() {
+                    Some((_, diffs)) => {
+                        let kept = &mut diffs[c * (i + 1)..(c + 1) * (i + 1)];
+                        for ((r2, &xjc), kept) in row.iter_mut().zip(xc).zip(kept) {
+                            let diff = (xic - xjc) / lc;
+                            *kept = diff;
+                            *r2 += diff * diff;
+                        }
+                    }
+                    None => {
+                        for (r2, &xjc) in row.iter_mut().zip(xc) {
+                            let diff = (xic - xjc) / lc;
+                            *r2 += diff * diff;
+                        }
+                    }
+                }
+            }
+            for (j, entry) in row.iter_mut().enumerate() {
+                let r = entry.sqrt();
+                let e = (-SQRT5 * r).exp();
+                *entry = s2 * (1.0 + SQRT5 * r + 5.0 / 3.0 * r * r) * e;
+                if let Some((table, diffs)) = grads.as_mut() {
+                    let g = s2 * (5.0 / 3.0) * (1.0 + SQRT5 * r) * e;
+                    let pair = i * (i + 1) / 2 + j;
+                    let slot = &mut table[pair * kp..(pair + 1) * kp];
+                    for (grad, kept) in slot[..d].iter_mut().zip(diffs.chunks_exact(i + 1)) {
+                        let diff = kept[j];
+                        *grad = g * diff * diff;
+                    }
+                    slot[d] = *entry;
+                }
+            }
+            for j in 0..i {
+                k[(j, i)] = k[(i, j)];
+            }
+            k[(i, i)] += noise;
+        }
     }
 
     /// Covariance and the gradient with respect to each log-hyperparameter.
@@ -180,24 +280,21 @@ impl Matern52 {
     /// refreshes the natural-scale copies from the clamped values.
     pub fn set_params(&mut self, params: &[f64]) {
         assert_eq!(params.len(), self.n_params());
-        let bounds = self.bounds();
-        for (i, (log_l, l)) in
-            self.log_lengthscales.iter_mut().zip(&mut self.lengthscales).enumerate()
-        {
-            *log_l = params[i].clamp(bounds[i].0, bounds[i].1);
+        let (lo, hi) = log_lengthscale_bounds();
+        let logs = self.log_lengthscales.iter_mut().zip(&mut self.lengthscales);
+        for ((log_l, l), p) in logs.zip(params) {
+            *log_l = p.clamp(lo, hi);
             *l = log_l.exp();
         }
-        let d = self.dim();
-        self.log_signal_variance = params[d].clamp(bounds[d].0, bounds[d].1);
+        let (lo, hi) = log_signal_variance_bounds();
+        self.log_signal_variance = params[self.dim()].clamp(lo, hi);
         self.signal_variance = self.log_signal_variance.exp();
     }
 
     /// Per-parameter `(lo, hi)` bounds in log space.
     pub fn bounds(&self) -> Vec<(f64, f64)> {
-        // Lengthscales in [0.03, 30] for [0,1]^d inputs; signal variance in
-        // [1e-4, 1e3] for standardized outputs.
-        let mut b = vec![((0.03_f64).ln(), (30.0_f64).ln()); self.dim()];
-        b.push(((1e-4_f64).ln(), (1e3_f64).ln()));
+        let mut b = vec![log_lengthscale_bounds(); self.dim()];
+        b.push(log_signal_variance_bounds());
         b
     }
 
@@ -407,6 +504,70 @@ mod tests {
                             got.to_bits() == want.to_bits(),
                             "d = {d}, wide = {wide}, entry ({i}, {c}): {got} vs value {want}"
                         );
+                    }
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn gram_matches_value_and_grad_bitwise() {
+        use propcheck::{check, Config};
+        // The size ramp runs n from 0 (case 0) to 48.
+        let cfg = Config::default().cases(96).seed(0x6_7A11).max_size(49);
+        check("gram_matches_value_and_grad_bitwise", cfg, |g| {
+            let n = g.size().saturating_sub(1);
+            let d = g.usize_in(1, 14);
+            let kp = d + 1;
+            let mut x: Vec<Vec<f64>> = (0..n).map(|_| g.vec_f64(d, -0.2, 1.2)).collect();
+            // Duplicated points (r = 0 off the diagonal).
+            if n >= 2 && g.flag() {
+                let (from, to) = (g.usize_in(0, n - 1), g.usize_in(0, n - 1));
+                x[to] = x[from].clone();
+            }
+            let xt = transpose(&x, d);
+            // One set of buffers, junk to begin with, through two parameter
+            // draws, with or without the table each time.
+            let mut k = Matrix::from_fn(n, n, |_, _| g.f64_in(-9.0, 9.0));
+            let mut table = g.vec_f64(n * (n + 1) / 2 * kp, -9.0, 9.0);
+            let mut diffs = g.vec_f64(d * n, -9.0, 9.0);
+            let mut kernel = Matern52::new(d);
+            let mut want_grad = vec![0.0; kp];
+            for draw in 0..2 {
+                // Log parameters in bounds, or drawn wide so most are clamped.
+                let wide = g.flag();
+                let (lo, hi) = if wide { (-12.0, 12.0) } else { (-3.0, 3.0) };
+                kernel.set_params(&g.vec_f64(kp, lo, hi));
+                let noise = g.f64_in(0.0, 1.0);
+                let with_grads = g.flag();
+                let grads = with_grads.then_some((table.as_mut_slice(), diffs.as_mut_slice()));
+                kernel.gram(&xt, noise, &mut k, grads);
+                let label = format!("n = {n}, d = {d}, draw {draw}, wide = {wide}");
+                for i in 0..n {
+                    for j in 0..n {
+                        let mut want = kernel.value(&x[i], &x[j]);
+                        if i == j {
+                            want += noise;
+                        }
+                        propcheck::prop_assert!(
+                            k[(i, j)].to_bits() == want.to_bits(),
+                            "{label}: entry ({i}, {j}) is {} vs value {want}",
+                            k[(i, j)]
+                        );
+                    }
+                    if !with_grads {
+                        continue;
+                    }
+                    for j in 0..=i {
+                        kernel.value_and_grad(&x[i], &x[j], &mut want_grad);
+                        let slot = &table[(i * (i + 1) / 2 + j) * kp..][..kp];
+                        for (p, (got, want)) in slot.iter().zip(&want_grad).enumerate() {
+                            propcheck::prop_assert!(
+                                got.to_bits() == want.to_bits(),
+                                "{label}: pair ({i}, {j}) gradient {p} is {got} vs {want}"
+                            );
+                        }
                     }
                 }
             }

@@ -18,12 +18,16 @@
 //! likelihood. Its gradient `-0.5 tr((alpha alpha^T - K^{-1}) dK/dθ)` takes
 //! one pass per evaluation: the kernel gradients live in one packed
 //! lower-triangle table (the `d + 1` gradients of a pair side by side), not
-//! in one n×n matrix per parameter, and one row-major sweep weighs each
-//! entry once and adds it to every parameter's trace. `K^{-1}` comes from
-//! [`linalg::Cholesky::inverse`]'s blocked passes. Both keep every sum's
-//! order, so the fit returns the bits the per-parameter formulation does.
+//! in one n×n matrix per parameter, built with `K_y` in one dimension-major
+//! pass by the kernel, and one row-major sweep weighs each entry once and
+//! adds it to every parameter's trace. `K^{-1}` comes from
+//! [`linalg::Cholesky::inverse_into`]'s blocked passes. All keep every
+//! sum's order, so the fit returns the bits the per-parameter formulation
+//! does. One workspace per fit holds every buffer an evaluation writes, so
+//! an evaluation allocates nothing, and the evaluation after a restart's
+//! last Adam step, whose gradient is never read, computes the NLL alone.
 
-use crate::kernel::Matern52;
+use crate::kernel::{self, Matern52};
 use crate::rand_util;
 use linalg::{Cholesky, LinalgError, Matrix};
 use xrand::rngs::StdRng;
@@ -306,19 +310,6 @@ impl GaussianProcess {
         (self.log_noise_variance.exp()).sqrt()
     }
 
-    fn kernel_matrix(&self) -> Matrix {
-        let n = self.x.len();
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let v = self.kernel.value(&self.x[i], &self.x[j]);
-                k[(i, j)] = v;
-                k[(j, i)] = v;
-            }
-        }
-        k
-    }
-
     fn refactor(&mut self, min_noise: f64) -> Result<(), GpError> {
         let n = self.x.len();
         if n == 0 {
@@ -327,8 +318,8 @@ impl GaussianProcess {
             return Ok(());
         }
         let noise_var = self.log_noise_variance.exp().max(min_noise * min_noise);
-        let mut k = self.kernel_matrix();
-        k.add_diagonal(noise_var);
+        let mut k = Matrix::zeros(n, n);
+        self.kernel.gram(&kernel::transpose(&self.x, self.dim), noise_var, &mut k, None);
         let chol = Cholesky::factor_with_jitter(&k)?;
         self.alpha = chol.solve(&self.y_centered)?;
         self.chol = chol;
@@ -528,71 +519,21 @@ impl GaussianProcess {
 
     // ---- hyperparameter optimization ------------------------------------
 
-    /// Negative log marginal likelihood and its gradient for flat parameters
-    /// `[kernel params..., log noise variance]`.
-    ///
-    /// One pass over the lower triangle builds `K_y` and a packed table of
-    /// kernel gradients: the `kp` gradients of pair `(i, j <= i)` sit together
-    /// at `(i(i+1)/2 + j) * kp`. One row-major pass over all `n²` entries then
-    /// forms `w = alpha_i alpha_j - K^{-1}_ij` once and adds `w * dK_ij/dθ_p`
-    /// to every parameter's trace, so each trace sums the same terms in the
-    /// same `(i, j)` order as a full n×n gradient matrix per parameter would.
-    fn nll_and_grad(&self, params: &[f64], min_noise: f64) -> Option<(f64, Vec<f64>)> {
-        let n = self.x.len();
-        let kp = self.kernel.n_params();
-        let mut kernel = self.kernel.clone();
-        kernel.set_params(&params[..kp]);
-        let noise_var = params[kp].exp().max(min_noise * min_noise);
-
-        let mut k = Matrix::zeros(n, n);
-        let mut dk = vec![0.0; n * (n + 1) / 2 * kp];
-        let mut slots = dk.chunks_exact_mut(kp);
-        for i in 0..n {
-            for (j, slot) in (0..=i).zip(slots.by_ref()) {
-                let v = kernel.value_and_grad(&self.x[i], &self.x[j], slot);
-                k[(i, j)] = v;
-                k[(j, i)] = v;
-            }
-            k[(i, i)] += noise_var;
-        }
-        let chol = Cholesky::factor_with_jitter(&k).ok()?;
-        let alpha = chol.solve(&self.y_centered).ok()?;
-        let kinv = chol.inverse();
-        let nll = 0.5 * linalg::vector::dot(&self.y_centered, &alpha)
-            + 0.5 * chol.log_determinant()
-            + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-
-        // dNLL/dtheta = -0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta)
-        let mut tr = vec![0.0; kp];
-        for i in 0..n {
-            let kinv_row = kinv.row(i);
-            for j in 0..n {
-                let pair = if j <= i { i * (i + 1) / 2 + j } else { j * (j + 1) / 2 + i };
-                let w = alpha[i] * alpha[j] - kinv_row[j];
-                for (t, g) in tr.iter_mut().zip(&dk[pair * kp..(pair + 1) * kp]) {
-                    *t += w * g;
-                }
-            }
-        }
-        let mut grad: Vec<f64> = tr.iter().map(|t| -0.5 * t).collect();
-        // Noise gradient: dK/dlog(sigma_n^2) = sigma_n^2 I.
-        let mut tr = 0.0;
-        for i in 0..n {
-            tr += alpha[i] * alpha[i] - kinv[(i, i)];
-        }
-        grad.push(-0.5 * tr * noise_var);
-        Some((nll, grad))
-    }
-
     fn optimize_hyperparameters(&mut self, config: &GpConfig) {
         let kp = self.kernel.n_params();
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(self.x.len() as u64));
         let noise_bounds = ((config.min_noise * config.min_noise).ln(), (1.0_f64).ln());
+        let kernel_bounds = self.kernel.bounds();
 
         let mut start = self.kernel.params();
         start.push(self.log_noise_variance);
 
-        let mut best: Option<(f64, Vec<f64>)> = None;
+        let mut ws = FitWorkspace::new(self);
+        // The best NLL seen and its parameters: overall, and along the
+        // current restart's trajectory (`+∞` until a finite NLL is noted).
+        let (mut best_nll, mut best) = (f64::INFINITY, start.clone());
+        let mut restart_best = start.clone();
+        let (mut m, mut v) = (vec![0.0; kp + 1], vec![0.0; kp + 1]);
         for restart in 0..config.restarts.max(1) {
             let mut params = if restart == 0 {
                 start.clone()
@@ -609,49 +550,153 @@ impl GaussianProcess {
             // is the best-NLL iterate seen *along* the trajectory, not the
             // last one: Adam does not descend monotonically, and a diverging
             // final step used to be selected over an earlier better point.
-            let mut m = vec![0.0; kp + 1];
-            let mut v = vec![0.0; kp + 1];
+            m.fill(0.0);
+            v.fill(0.0);
             let (b1, b2, eps) = (0.9, 0.999, 1e-8);
-            let mut restart_best: Option<(f64, Vec<f64>)> = None;
-            let note = |nll: f64, params: &[f64], best: &mut Option<(f64, Vec<f64>)>| {
-                if nll.is_finite() && best.as_ref().map(|(b, _)| nll < *b).unwrap_or(true) {
-                    *best = Some((nll, params.to_vec()));
+            let mut restart_nll = f64::INFINITY;
+            let mut note = |nll: f64, params: &[f64]| {
+                if nll.is_finite() && nll < restart_nll {
+                    restart_nll = nll;
+                    restart_best.copy_from_slice(params);
                 }
             };
             for t in 1..=config.adam_iters {
-                let Some((nll, grad)) = self.nll_and_grad(&params, config.min_noise) else {
+                let Some(nll) = ws.nll(&params, config.min_noise, true) else {
                     break;
                 };
-                note(nll, &params, &mut restart_best);
-                for i in 0..params.len() {
-                    m[i] = b1 * m[i] + (1.0 - b1) * grad[i];
-                    v[i] = b2 * v[i] + (1.0 - b2) * grad[i] * grad[i];
+                note(nll, &params);
+                for (i, grad) in ws.grad.iter().enumerate() {
+                    m[i] = b1 * m[i] + (1.0 - b1) * grad;
+                    v[i] = b2 * v[i] + (1.0 - b2) * grad * grad;
                     let mhat = m[i] / (1.0 - b1.powi(t as i32));
                     let vhat = v[i] / (1.0 - b2.powi(t as i32));
                     params[i] -= config.learning_rate * mhat / (vhat.sqrt() + eps);
                 }
                 // Clamp: kernel bounds + noise bounds.
-                let kb = self.kernel.bounds();
-                for i in 0..kp {
-                    params[i] = params[i].clamp(kb[i].0, kb[i].1);
+                for (p, (lo, hi)) in params.iter_mut().zip(&kernel_bounds) {
+                    *p = p.clamp(*lo, *hi);
                 }
                 params[kp] = params[kp].clamp(noise_bounds.0, noise_bounds.1);
             }
             // The post-loop iterate was stepped to but never evaluated inside
-            // the loop; it competes on equal terms.
-            if let Some((final_nll, _)) = self.nll_and_grad(&params, config.min_noise) {
-                note(final_nll, &params, &mut restart_best);
+            // the loop; it competes on equal terms. Its gradient would go
+            // unread, so this evaluation computes the NLL alone.
+            if let Some(final_nll) = ws.nll(&params, config.min_noise, false) {
+                note(final_nll, &params);
             }
-            if let Some((nll, p)) = restart_best {
-                if best.as_ref().map(|(b, _)| nll < *b).unwrap_or(true) {
-                    best = Some((nll, p));
+            if restart_nll < best_nll {
+                best_nll = restart_nll;
+                best.copy_from_slice(&restart_best);
+            }
+        }
+        if best_nll.is_finite() {
+            self.kernel.set_params(&best[..kp]);
+            self.log_noise_variance = best[kp].clamp(noise_bounds.0, noise_bounds.1);
+        }
+    }
+}
+
+/// The buffers one hyperparameter fit reuses across all of its NLL
+/// evaluations, so that an evaluation allocates nothing: one kernel that
+/// `set_params` moves to each evaluation's parameters, the inputs
+/// transposed once, `K_y` and its packed gradient table, the factor,
+/// `alpha`, the inverse with its accumulator, and the gradient. Every
+/// evaluation overwrites all it reads, so a buffer's earlier contents never
+/// reach a result.
+struct FitWorkspace<'a> {
+    /// The centered targets.
+    y: &'a [f64],
+    kernel: Matern52,
+    /// The inputs, dimension-major ([`kernel::transpose`]).
+    xt: Vec<f64>,
+    /// `K_y`, `n x n`.
+    k: Matrix,
+    /// The kernel gradients, packed by pair, and one row's scaled
+    /// differences ([`Matern52::gram`]).
+    table: Vec<f64>,
+    diffs: Vec<f64>,
+    chol: Cholesky,
+    alpha: Vec<f64>,
+    kinv: Matrix,
+    /// [`Cholesky::inverse_into`]'s accumulator.
+    acc: Vec<f64>,
+    /// The last full evaluation's gradient, `[kernel params..., log noise]`.
+    grad: Vec<f64>,
+}
+
+impl<'a> FitWorkspace<'a> {
+    fn new(gp: &'a GaussianProcess) -> Self {
+        let (n, kp) = (gp.x.len(), gp.kernel.n_params());
+        FitWorkspace {
+            y: &gp.y_centered,
+            kernel: gp.kernel.clone(),
+            xt: kernel::transpose(&gp.x, gp.dim),
+            k: Matrix::zeros(n, n),
+            table: vec![0.0; n * (n + 1) / 2 * kp],
+            diffs: vec![0.0; gp.dim * n],
+            chol: Cholesky::from_factor(Matrix::zeros(0, 0)),
+            alpha: Vec::with_capacity(n),
+            kinv: Matrix::zeros(n, n),
+            acc: Vec::with_capacity(n),
+            grad: vec![0.0; kp + 1],
+        }
+    }
+
+    /// Negative log marginal likelihood for flat parameters
+    /// `[kernel params..., log noise variance]`, or `None` when `K_y` does
+    /// not factor even with jitter. With `with_grad`, its gradient goes
+    /// into `grad`; without, the evaluation builds `K_y` without the
+    /// gradient table and skips the inverse and the trace sweep, returning
+    /// the same NLL bits.
+    ///
+    /// The kernel builds `K_y` and the packed table in one dimension-major
+    /// pass ([`Matern52::gram`]): the `kp` gradients of pair `(i, j <= i)`
+    /// sit together at `(i(i+1)/2 + j) * kp`. One row-major pass over all
+    /// `n²` entries then forms `w = alpha_i alpha_j - K^{-1}_ij` once and
+    /// adds `w * dK_ij/dθ_p` to every parameter's trace, so each trace sums
+    /// the same terms in the same `(i, j)` order as a full n×n gradient
+    /// matrix per parameter would.
+    fn nll(&mut self, params: &[f64], min_noise: f64, with_grad: bool) -> Option<f64> {
+        let n = self.k.rows();
+        let kp = self.kernel.n_params();
+        self.kernel.set_params(&params[..kp]);
+        let noise_var = params[kp].exp().max(min_noise * min_noise);
+        let grads = with_grad.then_some((self.table.as_mut_slice(), self.diffs.as_mut_slice()));
+        self.kernel.gram(&self.xt, noise_var, &mut self.k, grads);
+        self.chol.refactor_with_jitter(&self.k).ok()?;
+        self.chol.solve_into(self.y, &mut self.alpha).ok()?;
+        let nll = 0.5 * linalg::vector::dot(self.y, &self.alpha)
+            + 0.5 * self.chol.log_determinant()
+            + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        if !with_grad {
+            return Some(nll);
+        }
+        self.chol.inverse_into(&mut self.kinv, &mut self.acc);
+        let (alpha, kinv, dk) = (&self.alpha, &self.kinv, &self.table);
+
+        // dNLL/dtheta = -0.5 tr((alpha alpha^T - K^{-1}) dK/dtheta)
+        let (tr, noise_grad) = self.grad.split_at_mut(kp);
+        tr.fill(0.0);
+        for i in 0..n {
+            let kinv_row = kinv.row(i);
+            for j in 0..n {
+                let pair = if j <= i { i * (i + 1) / 2 + j } else { j * (j + 1) / 2 + i };
+                let w = alpha[i] * alpha[j] - kinv_row[j];
+                for (t, g) in tr.iter_mut().zip(&dk[pair * kp..(pair + 1) * kp]) {
+                    *t += w * g;
                 }
             }
         }
-        if let Some((_, params)) = best {
-            self.kernel.set_params(&params[..kp]);
-            self.log_noise_variance = params[kp].clamp(noise_bounds.0, noise_bounds.1);
+        for t in tr {
+            *t *= -0.5;
         }
+        // Noise gradient: dK/dlog(sigma_n^2) = sigma_n^2 I.
+        let mut tr = 0.0;
+        for i in 0..n {
+            tr += alpha[i] * alpha[i] - kinv[(i, i)];
+        }
+        noise_grad[0] = -0.5 * tr * noise_var;
+        Some(nll)
     }
 }
 
@@ -1010,6 +1055,10 @@ mod tests {
     #[test]
     fn nll_and_grad_matches_the_per_parameter_reference_bitwise() {
         use propcheck::{check, Config};
+        use std::cell::Cell;
+        // Evaluations that failed to factor, needed jitter, or factored
+        // strictly, over the whole run: each kind must occur.
+        let outcomes = [Cell::new(0), Cell::new(0), Cell::new(0)];
         // The size ramp runs n from 1 (case 0) and 2 (case 1) up to 48.
         let cfg = Config::default().cases(64).seed(0x6B_4E11).max_size(48);
         check("nll_and_grad_matches_the_per_parameter_reference_bitwise", cfg, |g| {
@@ -1022,35 +1071,66 @@ mod tests {
             }
             let ys = g.vec_f64(n, -2.0, 2.0);
             let gp = GaussianProcess::fit(xs, ys, &GpConfig::fixed()).unwrap();
-            let min_noise = GpConfig::default().min_noise;
-            // Kernel parameters in bounds, or drawn wide so most are clamped
-            // on both sides.
-            let wide = g.flag();
-            let mut params =
-                if wide { g.vec_f64(d + 1, -12.0, 12.0) } else { g.vec_f64(d + 1, -3.0, 3.0) };
-            // Log-noise in range, below the `min_noise²` floor, or non-finite.
-            let noise = match g.usize_in(0, 5) {
-                0 => (min_noise * min_noise).ln() - g.f64_in(0.5, 10.0),
-                1 => f64::INFINITY,
-                2 => f64::NEG_INFINITY,
-                3 => f64::NAN,
-                _ => g.f64_in((min_noise * min_noise).ln(), 0.0),
-            };
-            params.push(noise);
-            let got = nll_bits(gp.nll_and_grad(&params, min_noise));
-            let want = nll_bits(gp.reference_nll_and_grad(&params, min_noise));
-            if noise == f64::INFINITY {
+            // The default floor, or one far below rounding error, where a
+            // duplicated point leaves `K_y` singular to working precision
+            // and only the jitter ladder factors it.
+            let min_noise = if g.flag() { GpConfig::default().min_noise } else { 1e-12 };
+            let floor = (min_noise * min_noise).ln();
+            // One workspace through several parameter vectors in turn, so a
+            // buffer one evaluation leaves behind reaches the next.
+            let mut ws = FitWorkspace::new(&gp);
+            for step in 0..6 {
+                // Kernel parameters in bounds, or drawn wide so most are
+                // clamped on both sides.
+                let wide = g.flag();
+                let mut params =
+                    if wide { g.vec_f64(d + 1, -12.0, 12.0) } else { g.vec_f64(d + 1, -3.0, 3.0) };
+                // Log-noise in range, at or below the floor, or non-finite.
+                let noise = match g.usize_in(0, 6) {
+                    0 => floor - g.f64_in(0.5, 10.0),
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => f64::NAN,
+                    4 => floor,
+                    _ => g.f64_in(floor, 0.0),
+                };
+                params.push(noise);
+                let want = nll_bits(gp.reference_nll_and_grad(&params, min_noise));
+                if noise == f64::INFINITY {
+                    propcheck::prop_assert!(
+                        want.is_none(),
+                        "an infinite noise variance must not factor"
+                    );
+                }
+                // The NLL-only evaluation runs before or after the full one.
+                let early = g.flag().then(|| ws.nll(&params, min_noise, false));
+                let got =
+                    nll_bits(ws.nll(&params, min_noise, true).map(|nll| (nll, ws.grad.clone())));
+                let outcome = match &got {
+                    None => 0,
+                    Some(_) if ws.chol.jitter() > 0.0 => 1,
+                    Some(_) => 2,
+                };
+                outcomes[outcome].set(outcomes[outcome].get() + 1);
+                let late = early.unwrap_or_else(|| ws.nll(&params, min_noise, false));
+                let late = late.map(f64::to_bits);
                 propcheck::prop_assert!(
-                    want.is_none(),
-                    "an infinite noise variance must not factor"
+                    got == want,
+                    "n = {n}, d = {d}, step {step}, wide = {wide}, noise = {noise}: {got:?} vs \
+                     reference {want:?}"
+                );
+                propcheck::prop_assert!(
+                    late == want.as_ref().map(|w| w.0),
+                    "n = {n}, d = {d}, step {step}: NLL-only {late:?} vs reference {want:?}"
                 );
             }
-            propcheck::prop_assert!(
-                got == want,
-                "n = {n}, d = {d}, wide = {wide}, noise = {noise}: {got:?} vs reference {want:?}"
-            );
             Ok(())
         });
+        let [failed, jittered, strict] = outcomes.map(Cell::into_inner);
+        assert!(
+            failed > 0 && jittered > 0 && strict > 0,
+            "failed {failed}, jittered {jittered}, strict {strict}"
+        );
     }
 
     #[test]

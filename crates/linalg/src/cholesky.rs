@@ -21,27 +21,53 @@ impl Cholesky {
     /// Factors `a` without jitter. Fails on non-square, non-finite, or
     /// non-positive-definite input.
     pub fn factor(a: &Matrix) -> Result<Self> {
-        Self::factor_impl(a, 0.0)
+        let mut l = Matrix::zeros(0, 0);
+        factor_into(&mut l, a, 0.0)?;
+        Ok(Cholesky { l, jitter: 0.0 })
     }
 
     /// Factors `a`, escalating diagonal jitter from `1e-10 * mean(diag)` by
     /// factors of 10 until the factorization succeeds or the jitter exceeds
-    /// `1e-2 * mean(diag)`.
+    /// `1e-2 * mean(diag)`: [`Cholesky::refactor_with_jitter`] into fresh
+    /// storage.
     ///
     /// Jitter can only rescue a matrix that is positive definite up to
     /// floating-point error; a non-square or non-finite input fails
     /// identically at every jitter level and is rejected after the first
     /// attempt instead of paying up to 9 more O(n³) factorizations.
     pub fn factor_with_jitter(a: &Matrix) -> Result<Self> {
-        Self::factor_with_jitter_counted(a).0
+        let mut c = Cholesky { l: Matrix::zeros(0, 0), jitter: 0.0 };
+        c.refactor_with_jitter(a)?;
+        Ok(c)
     }
 
-    /// [`Cholesky::factor_with_jitter`] exposing how many `factor_impl`
-    /// attempts were spent — the unit that pins the early-return contract.
-    fn factor_with_jitter_counted(a: &Matrix) -> (Result<Self>, usize) {
+    /// Replaces this factor with [`Cholesky::factor_with_jitter`]'s factor
+    /// of `a`, bit for bit, written into this factor's storage when it has
+    /// `a`'s shape: a caller that factors many same-sized matrices in turn
+    /// allocates once.
+    ///
+    /// Every attempt writes every entry it reads before reading it, and a
+    /// success leaves nothing of an earlier attempt or factor behind: the
+    /// lower triangle is this attempt's, the strict upper triangle zero. On
+    /// failure the factor is empty (dimension 0), so nothing a failed
+    /// attempt wrote reaches a later solve.
+    pub fn refactor_with_jitter(&mut self, a: &Matrix) -> Result<()> {
+        let result = self.escalate(a).0;
+        if result.is_err() {
+            self.l = Matrix::zeros(0, 0);
+            self.jitter = 0.0;
+        }
+        result
+    }
+
+    /// The jitter ladder of [`Cholesky::refactor_with_jitter`], exposing how
+    /// many attempts were spent — the unit that pins the early-return
+    /// contract.
+    fn escalate(&mut self, a: &Matrix) -> (Result<()>, usize) {
         let mut attempts = 1;
-        match Self::factor_impl(a, 0.0) {
-            Ok(c) => return (Ok(c), attempts),
+        self.jitter = 0.0;
+        match factor_into(&mut self.l, a, 0.0) {
+            Ok(()) => return (Ok(()), attempts),
             Err(e @ (LinalgError::NonFinite | LinalgError::NotSquare { .. })) => {
                 return (Err(e), attempts)
             }
@@ -54,8 +80,11 @@ impl Cholesky {
         let max_jitter = 1e-2 * mean_diag;
         loop {
             attempts += 1;
-            match Self::factor_impl(a, jitter) {
-                Ok(c) => return (Ok(c), attempts),
+            match factor_into(&mut self.l, a, jitter) {
+                Ok(()) => {
+                    self.jitter = jitter;
+                    return (Ok(()), attempts);
+                }
                 Err(e) => {
                     if jitter >= max_jitter {
                         return (Err(e), attempts);
@@ -64,42 +93,6 @@ impl Cholesky {
                 }
             }
         }
-    }
-
-    fn factor_impl(a: &Matrix, jitter: f64) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
-        }
-        if !a.all_finite() {
-            return Err(LinalgError::NonFinite);
-        }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                // Row prefixes of `l` are contiguous: the dot is sequential.
-                let mut sum = a[(i, j)];
-                if i == j {
-                    sum += jitter;
-                }
-                let (li, lj) = (l.row(i), l.row(j));
-                let mut acc = 0.0;
-                for k in 0..j {
-                    acc += li[k] * lj[k];
-                }
-                sum -= acc;
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { pivot: i, value: sum });
-                    }
-                    l[(i, i)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        trace::count("linalg.cholesky.factor", 1);
-        Ok(Cholesky { l, jitter })
     }
 
     /// Wraps an existing lower-triangular factor `L` (as produced by a prior
@@ -135,15 +128,18 @@ impl Cholesky {
         self.l.rows()
     }
 
-    /// Solves `L y = b` (forward substitution).
-    pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch { expected: n, found: b.len() });
+    /// Rejects a right-hand side whose length is not the factor's dimension.
+    fn check_len(&self, b: &[f64]) -> Result<()> {
+        if b.len() != self.dim() {
+            return Err(LinalgError::DimensionMismatch { expected: self.dim(), found: b.len() });
         }
+        Ok(())
+    }
+
+    /// Forward substitution `y <- L^{-1} y` in place.
+    fn forward_in_place(&self, y: &mut [f64]) {
         trace::count("linalg.cholesky.solve", 1);
-        let mut y = b.to_vec();
-        for i in 0..n {
+        for i in 0..y.len() {
             let row = self.l.row(i);
             let mut acc = 0.0;
             for k in 0..i {
@@ -151,17 +147,12 @@ impl Cholesky {
             }
             y[i] = (y[i] - acc) / row[i];
         }
-        Ok(y)
     }
 
-    /// Solves `L^T x = b` (backward substitution).
-    pub fn solve_upper(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch { expected: n, found: b.len() });
-        }
+    /// Backward substitution `x <- L^{-T} x` in place.
+    fn backward_in_place(&self, x: &mut [f64]) {
         trace::count("linalg.cholesky.solve", 1);
-        let mut x = b.to_vec();
+        let n = x.len();
         for i in (0..n).rev() {
             let mut acc = 0.0;
             for k in (i + 1)..n {
@@ -169,12 +160,39 @@ impl Cholesky {
             }
             x[i] = (x[i] - acc) / self.l[(i, i)];
         }
+    }
+
+    /// Solves `L y = b` (forward substitution).
+    pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
+        self.check_len(b)?;
+        let mut y = b.to_vec();
+        self.forward_in_place(&mut y);
+        Ok(y)
+    }
+
+    /// Solves `L^T x = b` (backward substitution).
+    pub fn solve_upper(&self, b: &[f64]) -> Result<Vec<f64>> {
+        self.check_len(b)?;
+        let mut x = b.to_vec();
+        self.backward_in_place(&mut x);
         Ok(x)
     }
 
     /// Solves `A x = b` via the two triangular solves.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        self.solve_upper(&self.solve_lower(b)?)
+        let mut x = Vec::new();
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`Cholesky::solve`] into `x`, reusing its allocation: the same bits.
+    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
+        self.check_len(b)?;
+        x.clear();
+        x.extend_from_slice(b);
+        self.forward_in_place(x);
+        self.backward_in_place(x);
+        Ok(())
     }
 
     /// Solves `L Y = B` for a whole right-hand-side matrix in one blocked
@@ -218,6 +236,16 @@ impl Cholesky {
 
     /// The inverse `A^{-1}` (O(n^3)): read by the GP's log-marginal-likelihood
     /// gradient and its closed-form leave-one-out predictions.
+    /// [`Cholesky::inverse_into`] into fresh storage.
+    pub fn inverse(&self) -> Matrix {
+        let mut x = Matrix::zeros(0, 0);
+        self.inverse_into(&mut x, &mut Vec::new());
+        x
+    }
+
+    /// The inverse `A^{-1}` into `x`, with `acc` as the per-row accumulator.
+    /// Both are overwritten whatever they held; `x`'s allocation is reused
+    /// when it already has the inverse's shape.
     ///
     /// One blocked forward pass over rows forms `L^{-1}` and one blocked
     /// backward pass over rows in reverse turns it into `L^{-T} L^{-1}` in
@@ -229,44 +257,55 @@ impl Cholesky {
     /// skips the terms above row `j` of column `j`: each is `L_ik * 0.0`
     /// added to an accumulator that is still `+0.0`, which leaves it `+0.0`.
     /// Counted as the `2n` solves it stands in for.
-    pub fn inverse(&self) -> Matrix {
+    pub fn inverse_into(&self, x: &mut Matrix, acc: &mut Vec<f64>) {
         let n = self.dim();
         trace::count("linalg.cholesky.solve", 2 * n as u64);
-        let mut x = Matrix::identity(n);
-        let mut acc = vec![0.0; n];
+        // Both passes read the identity's entries as the right-hand side.
+        if (x.rows(), x.cols()) == (n, n) {
+            x.data_mut().fill(0.0);
+        } else {
+            *x = Matrix::zeros(n, n);
+        }
+        for i in 0..n {
+            x[(i, i)] = 1.0;
+        }
+        acc.clear();
+        acc.resize(n, 0.0);
+        let x = x.data_mut();
         // Forward: row `i` of `L^{-1}`. Row `k < i` is zero past column `k`,
         // so it contributes to columns `0..=k` only.
         for i in 0..n {
+            let (done, rest) = x.split_at_mut(i * n);
             let acc = &mut acc[..=i];
             acc.fill(0.0);
             let lrow = self.l.row(i);
-            for k in 0..i {
+            for (k, row) in done.chunks_exact(n).enumerate() {
                 let lik = lrow[k];
-                for (a, y) in acc.iter_mut().zip(&x.row(k)[..=k]) {
+                for (a, y) in acc.iter_mut().zip(&row[..=k]) {
                     *a += lik * y;
                 }
             }
             let diag = lrow[i];
-            for (v, a) in x.row_mut(i).iter_mut().zip(acc.iter()) {
+            for (v, a) in rest[..n].iter_mut().zip(acc.iter()) {
                 *v = (*v - a) / diag;
             }
         }
         // Backward: row `i` of the inverse from the finished rows below it,
         // reading `L` down column `i`.
         for i in (0..n).rev() {
+            let (head, below) = x.split_at_mut((i + 1) * n);
             acc.fill(0.0);
-            for k in (i + 1)..n {
-                let lki = self.l[(k, i)];
-                for (a, v) in acc.iter_mut().zip(x.row(k)) {
+            for (k, row) in below.chunks_exact(n).enumerate() {
+                let lki = self.l[(i + 1 + k, i)];
+                for (a, v) in acc.iter_mut().zip(row) {
                     *a += lki * v;
                 }
             }
             let diag = self.l[(i, i)];
-            for (v, a) in x.row_mut(i).iter_mut().zip(&acc) {
+            for (v, a) in head[i * n..].iter_mut().zip(acc.iter()) {
                 *v = (*v - a) / diag;
             }
         }
-        x
     }
 
     /// `log |A| = 2 * sum_i log L_ii`.
@@ -374,7 +413,7 @@ impl Cholesky {
         }
         trace::count("linalg.cholesky.update", 1);
         // Forward solve, inlined rather than via `solve_lower` so the
-        // accumulation order matches `factor_impl`'s inner loop exactly
+        // accumulation order matches `factor`'s inner loop exactly
         // (sequential k, one subtraction of the accumulated sum).
         let mut l12 = cross.to_vec();
         for i in 0..n {
@@ -405,6 +444,53 @@ impl Cholesky {
         self.l = grown;
         Ok(())
     }
+}
+
+/// The factorization of `a + jitter * I` into `l`, replaced by fresh zeros
+/// when its shape differs. Row by row, the strict upper part is zeroed and
+/// the lower part written in `(i, j)` order from entries this call already
+/// wrote, so `l`'s earlier contents never reach the result.
+fn factor_into(l: &mut Matrix, a: &Matrix, jitter: f64) -> Result<()> {
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
+    }
+    if !a.all_finite() {
+        return Err(LinalgError::NonFinite);
+    }
+    let n = a.rows();
+    if (l.rows(), l.cols()) != (n, n) {
+        *l = Matrix::zeros(n, n);
+    }
+    // Rows `0..i` are finished; row `i` is written left to right.
+    let l = l.data_mut();
+    for i in 0..n {
+        let (done, rest) = l.split_at_mut(i * n);
+        let li = &mut rest[..n];
+        li[i + 1..].fill(0.0);
+        for j in 0..=i {
+            let mut sum = a[(i, j)];
+            if i == j {
+                sum += jitter;
+            }
+            // Row prefixes are contiguous: the dot is sequential.
+            let lj = if j < i { &done[j * n..j * n + j] } else { &li[..j] };
+            let mut acc = 0.0;
+            for (x, y) in li[..j].iter().zip(lj) {
+                acc += x * y;
+            }
+            sum -= acc;
+            if i == j {
+                if sum <= 0.0 || !sum.is_finite() {
+                    return Err(LinalgError::NotPositiveDefinite { pivot: i, value: sum });
+                }
+                li[i] = sum.sqrt();
+            } else {
+                li[j] = sum / done[j * n + j];
+            }
+        }
+    }
+    trace::count("linalg.cholesky.factor", 1);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -506,19 +592,20 @@ mod tests {
     fn jitter_escalation_stops_immediately_on_non_finite_input() {
         // Regression: jitter cannot fix a NaN/Inf matrix, so the escalation
         // loop must not burn up to 9 more O(n³) factorizations on one.
+        let mut c = Cholesky::factor(&spd3()).unwrap();
         let a = Matrix::from_vec(2, 2, vec![1.0, f64::NAN, f64::NAN, 1.0]);
-        let (res, attempts) = Cholesky::factor_with_jitter_counted(&a);
+        let (res, attempts) = c.escalate(&a);
         assert!(matches!(res, Err(LinalgError::NonFinite)));
         assert_eq!(attempts, 1, "non-finite input must fail on the first attempt");
 
         let inf = Matrix::from_vec(2, 2, vec![1.0, f64::INFINITY, f64::INFINITY, 1.0]);
-        let (res, attempts) = Cholesky::factor_with_jitter_counted(&inf);
+        let (res, attempts) = c.escalate(&inf);
         assert!(matches!(res, Err(LinalgError::NonFinite)));
         assert_eq!(attempts, 1);
 
         // A genuinely semidefinite matrix still goes through the escalation.
         let semi = Matrix::from_vec(2, 2, vec![1.0, 1.0, 1.0, 1.0]);
-        let (res, attempts) = Cholesky::factor_with_jitter_counted(&semi);
+        let (res, attempts) = c.escalate(&semi);
         assert!(res.is_ok());
         assert!(attempts > 1, "jitter escalation should have been exercised");
     }

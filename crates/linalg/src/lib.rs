@@ -18,7 +18,11 @@
 //! O(n^3) GP hot path (`Cholesky::factor`, the triangular solves, the
 //! inverse) stream contiguous rows, and the blocked ones
 //! (`Cholesky::solve_lower_matrix`, `Cholesky::inverse`) return the same
-//! bits as their per-column counterparts.
+//! bits as their per-column counterparts. The factorization, the inverse and
+//! the SPD solve each have one implementation that writes into caller-owned
+//! storage (`Cholesky::refactor_with_jitter`, `Cholesky::inverse_into`,
+//! `Cholesky::solve_into`), so a caller repeating them at one size, like a
+//! hyperparameter fit, allocates once; the allocating forms wrap them.
 
 // Indexed loops are intentional in the numeric kernels below: they mirror
 // the textbook formulations and keep bounds explicit.

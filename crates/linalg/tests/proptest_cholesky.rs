@@ -145,3 +145,116 @@ fn inverse_matches_per_column_solves_bitwise() {
         Ok(())
     });
 }
+
+/// A drawn `n x n` test matrix of one of three kinds: SPD (`0`); rank
+/// deficient and shifted just below semidefinite, so only the jitter ladder
+/// factors it (`1`); or SPD but for a negative last diagonal entry, so every
+/// attempt fails at the last pivot, after writing all rows above it (`2`).
+fn draw_kind(g: &mut Gen, n: usize) -> (usize, Matrix) {
+    let kind = if n >= 2 { g.usize_in(0, 2) } else { 0 };
+    let a = match kind {
+        1 => {
+            let r = g.usize_in(1, n - 1);
+            let b = Matrix::from_fn(n, r, |_, _| g.f64_in(-3.0, 3.0));
+            let mut a = b.matmul(&b.transpose()).unwrap();
+            let mean_diag = (0..n).map(|i| a[(i, i)]).sum::<f64>() / n as f64;
+            a.add_diagonal(-1e-9 * mean_diag);
+            a
+        }
+        _ => {
+            let coeffs = g.vec_f64(n * n, -3.0, 3.0);
+            let mut a = spd_from_coeffs(n, &coeffs);
+            if kind == 2 {
+                a[(n - 1, n - 1)] = -1.0;
+            }
+            a
+        }
+    };
+    (kind, a)
+}
+
+#[test]
+fn refactoring_into_used_storage_matches_a_fresh_factorization_bitwise() {
+    let cfg = Config::default().cases(64).seed(0xC0DE_0007).max_size(25);
+    check("refactoring_into_used_storage_matches_a_fresh_factorization_bitwise", cfg, |g| {
+        let mut n = g.size().saturating_sub(1);
+        // Storage a factorization left, or a wrapped matrix with junk in its
+        // strict upper triangle.
+        let mut c = if g.flag() {
+            Cholesky::factor_with_jitter(&draw_kind(g, n).1).unwrap_or_else(|_| {
+                Cholesky::factor(&spd_from_coeffs(n, &g.vec_f64(n * n, -3.0, 3.0))).unwrap()
+            })
+        } else {
+            let junk = Matrix::from_fn(n, n, |i, j| if i == j { 1.0 } else { g.f64_in(-9.0, 9.0) });
+            Cholesky::from_factor(junk)
+        };
+        // Matrices of every kind in turn through the one factor, mostly at
+        // one size, sometimes at another.
+        for step in 0..4 {
+            if g.usize_in(0, 3) == 0 {
+                n = g.usize_in(0, g.size());
+            }
+            let (kind, a) = draw_kind(g, n);
+            let fresh = Cholesky::factor_with_jitter(&a);
+            let got = c.refactor_with_jitter(&a);
+            let label = format!("n = {n}, step {step}, kind {kind}");
+            match &fresh {
+                Ok(want) => {
+                    propcheck::prop_assert!(got.is_ok(), "{label}: {got:?}");
+                    propcheck::prop_assert_eq!(c.jitter().to_bits(), want.jitter().to_bits());
+                    propcheck::prop_assert_eq!((c.l().rows(), c.l().cols()), (n, n));
+                    for i in 0..n {
+                        for j in 0..n {
+                            let (x, y) = (c.l()[(i, j)], want.l()[(i, j)]);
+                            propcheck::prop_assert!(
+                                x.to_bits() == y.to_bits(),
+                                "{label}: entry ({i}, {j}) is {x} vs fresh {y}"
+                            );
+                        }
+                    }
+                }
+                Err(e) => {
+                    propcheck::prop_assert_eq!(
+                        format!("{got:?}"),
+                        format!("{:?}", Err::<(), _>(e))
+                    );
+                    propcheck::prop_assert_eq!(c.dim(), 0);
+                }
+            }
+            propcheck::prop_assert!(fresh.is_ok() == (kind != 2), "{label}: {fresh:?}");
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn inverse_into_a_dirty_buffer_matches_inverse_bitwise() {
+    let cfg = Config::default().cases(64).seed(0xC0DE_0008).max_size(25);
+    check("inverse_into_a_dirty_buffer_matches_inverse_bitwise", cfg, |g| {
+        let n = g.size().saturating_sub(1);
+        let (kind, a) = draw_kind(g, n);
+        if kind == 2 {
+            return Ok(());
+        }
+        let c = Cholesky::factor_with_jitter(&a).unwrap();
+        let want = c.inverse();
+        // Junk of the same size, or of another.
+        let m = if g.flag() { n } else { g.usize_in(0, 30) };
+        let mut x = Matrix::from_fn(m, m, |_, _| g.f64_in(-9.0, 9.0));
+        let len = g.usize_in(0, 30);
+        let mut acc = g.vec_f64(len, -9.0, 9.0);
+        c.inverse_into(&mut x, &mut acc);
+        propcheck::prop_assert_eq!((x.rows(), x.cols()), (n, n));
+        for i in 0..n {
+            for j in 0..n {
+                propcheck::prop_assert!(
+                    x[(i, j)].to_bits() == want[(i, j)].to_bits(),
+                    "n = {n}, m = {m}: entry ({i}, {j}) is {} vs inverse() {}",
+                    x[(i, j)],
+                    want[(i, j)]
+                );
+            }
+        }
+        Ok(())
+    });
+}

@@ -118,6 +118,9 @@ fn drifting_session_seals_its_past_and_warm_restarts_with_it_as_transfer_source(
     // Observability: the counters fired, including the settle debounce (the
     // first threshold crossing lands mid-ramp and must defer the restart).
     assert!(snap.counter("drift.checks") >= 2);
+    // Only a moved workload is re-embedded.
+    let embeds = snap.counter("drift.embeds");
+    assert!(0 < embeds && embeds < snap.counter("drift.checks"), "{embeds} embeddings");
     assert!(snap.counter("drift.detected") >= 2);
     assert!(snap.counter("drift.pending") >= 1, "ramp crossing must debounce before restarting");
     assert_eq!(snap.counter("drift.restarts"), 1);
