@@ -28,9 +28,11 @@
 //!   transient faults at rate 0.2; the last tenant is a planted failure
 //!   storm at 0.9. `--smoke` adds the contracts: every tenant completes
 //!   unpoisoned with one `iteration` span and one health event per
-//!   iteration, the storm tenant is flagged, the aggregate survives the
-//!   JSONL round trip, and per-tenant records are byte-identical at a
-//!   second worker count.
+//!   iteration, every step counts one fit path (`gp.fit.full`,
+//!   `.incremental` and `.skipped` sum to the steps, and every tenant's
+//!   LHS bootstrap steps skip), the storm tenant is flagged, the aggregate
+//!   survives the JSONL round trip, and per-tenant records are
+//!   byte-identical at a second worker count.
 //! - `methods` (12 by default) prints the six-method health table behind
 //!   EXPERIMENTS.md (golden-methods setup: seeded transient faults, shared
 //!   repository). Progress/failure columns come from each method's
@@ -318,6 +320,10 @@ fn baseline(opts: &Opts) {
     finish(&violations, &format!("one driver iteration root span per step ({iters})"));
 }
 
+/// The fleet tenants' LHS bootstrap length: each tenant's first
+/// `FLEET_INIT_ITERS` steps need no model, so they skip their fits.
+const FLEET_INIT_ITERS: usize = 2;
+
 /// A fleet tenant with tracing, diagnostics and seeded transient faults.
 fn tenant(id: u64, iters: usize, transient_rate: f64) -> Tenant {
     let seed = mix_seed(0x5EED_F1EE7, id);
@@ -333,7 +339,7 @@ fn tenant(id: u64, iters: usize, transient_rate: f64) -> Tenant {
         optimizer: AcquisitionOptimizer { n_candidates: 80, n_local: 20, local_sigma: 0.1 },
         gp: gp::GpConfig { restarts: 1, adam_iters: 5, ..Default::default() },
         dynamic_samples: 4,
-        init_iters: 2,
+        init_iters: FLEET_INIT_ITERS,
         seed,
         trace: true,
         diag: true,
@@ -412,6 +418,20 @@ fn fleet(opts: &Opts) {
         let n = t.iterations;
         violations.push(format!("tenant {} has {n} health events, want {iters}", t.task));
     }
+    // Every step counts exactly one fit path, and the LHS bootstrap steps
+    // (at n <= 40, where the next step refits anyway) all skip.
+    let [full, incremental, skipped] =
+        ["gp.fit.full", "gp.fit.incremental", "gp.fit.skipped"].map(|c| snap.counter(c) as usize);
+    if full + incremental + skipped != tenants * iters {
+        violations.push(format!(
+            "{full} full + {incremental} incremental + {skipped} skipped fits, want {} steps",
+            tenants * iters
+        ));
+    }
+    let bootstrap = tenants * FLEET_INIT_ITERS.min(iters);
+    if skipped < bootstrap {
+        violations.push(format!("{skipped} skipped fits, want at least {bootstrap} (LHS steps)"));
+    }
     let storm = tenants as u64 - 1;
     if !health.stragglers.iter().any(|s| s.task == storm) {
         violations.push(format!("planted failure-storm tenant {storm} was not flagged"));
@@ -442,8 +462,9 @@ fn fleet(opts: &Opts) {
     finish(
         &violations,
         &format!(
-            "smoke ok: {tenants} tenants x {iters} iterations, storm tenant flagged, \
-             round-trippable, bit-identical at workers={workers} and workers={other}"
+            "smoke ok: {tenants} tenants x {iters} iterations, one fit path per step, storm \
+             tenant flagged, round-trippable, bit-identical at workers={workers} and \
+             workers={other}"
         ),
     );
 }

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use restune_core::diag::{TunerHealth, HEALTH_EVENT};
+use restune_core::diag::{Stage, TunerHealth, HEALTH_EVENT};
 use restune_core::fleet::health::{Digest, FleetHealth, StragglerPolicy};
 use trace::{SpanAgg, TraceSnapshot};
 
@@ -217,17 +217,20 @@ pub fn render_breakdown(snap: &TraceSnapshot) -> String {
     out.push_str(&format!("  iterations: {}\n", p.iterations));
     // The surrogate/lift path taken, from the counters the proposer and
     // engine maintain: how many target fits were from-scratch vs. rank-1
-    // incremental (DESIGN.md §13), the hyperopt refit schedule behind them,
-    // how many bounded candidates the acquisition went on to value (§8),
-    // and how many evaluations crossed the space-transform seam (§14).
+    // incremental vs. skipped because nothing read them (DESIGN.md §13),
+    // the hyperopt refit schedule behind them, how many bounded candidates
+    // the acquisition went on to value (§8), and how many evaluations
+    // crossed the space-transform seam (§14).
     let full = snap.counter("gp.fit.full");
     let incremental = snap.counter("gp.fit.incremental");
+    let skipped = snap.counter("gp.fit.skipped");
     let refit = snap.counter("gp.hypers.refit");
     let reuse = snap.counter("gp.hypers.reuse");
     let projects = snap.counter("space.project");
-    if full + incremental > 0 {
+    if full + incremental + skipped > 0 {
         out.push_str(&format!(
-            "  surrogate fits: {full} full + {incremental} incremental (hyperopt: {refit} refit / {reuse} reuse)\n"
+            "  surrogate fits: {full} full + {incremental} incremental, {skipped} skipped \
+             (hyperopt: {refit} refit / {reuse} reuse)\n"
         ));
     }
     let scored = snap.counter("acq.candidates_scored");
@@ -299,12 +302,13 @@ fn opt(v: Option<f64>) -> String {
 pub fn render_session(records: &[TunerHealth]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>4} {:>10} {:>10} {:>9} {:>5} {:<11} {:<6} {:>7} {:>7} {:>7} {:>7}  flags\n",
+        "{:>4} {:>10} {:>10} {:>9} {:>5} {:<8} {:<11} {:<6} {:>7} {:>7} {:>7} {:>7}  flags\n",
         "iter",
         "objective",
         "incumbent",
         "regret",
         "stagn",
+        "stage",
         "fit",
         "model",
         "cov1s",
@@ -332,12 +336,13 @@ pub fn render_session(records: &[TunerHealth]) -> String {
             prev_epoch = d.epoch;
         }
         out.push_str(&format!(
-            "{:>4} {:>10.4} {:>10.4} {:>9.4} {:>5} {:<11} {:<6} {} {} {} {}  {}\n",
+            "{:>4} {:>10.4} {:>10.4} {:>9.4} {:>5} {:<8} {:<11} {:<6} {} {} {} {}  {}\n",
             r.iteration,
             r.objective,
             r.incumbent,
             r.regret,
             r.since_improvement,
+            r.stage.as_str(),
             r.fit_path.as_str(),
             r.surrogate,
             opt(r.calibration.map(|c| c.coverage_1s)),
@@ -357,6 +362,13 @@ pub fn render_session(records: &[TunerHealth]) -> String {
             last.incumbent,
             mean_regret
         ));
+        let tally = [Stage::Lhs, Stage::Explore, Stage::Acquire, Stage::Fallback]
+            .map(|stage| {
+                let n = records.iter().filter(|r| r.stage == stage).count();
+                format!("{n} {}", stage.as_str())
+            })
+            .join(", ");
+        out.push_str(&format!("stages: {tally}\n"));
         if !calibrated.is_empty() {
             let m = calibrated.len() as f64;
             out.push_str(&format!(
@@ -475,7 +487,10 @@ mod tests {
         snap.counters.insert("drift.restarts".to_string(), 1);
         snap.counters.insert("drift.epochs.sealed".to_string(), 1);
         let text = render_breakdown(&snap);
-        assert!(text.contains("surrogate fits: 40 full + 4 incremental"));
+        assert!(text.contains("surrogate fits: 40 full + 4 incremental, 0 skipped"));
+        snap.counters.insert("gp.fit.skipped".to_string(), 10);
+        let text = render_breakdown(&snap);
+        assert!(text.contains("surrogate fits: 40 full + 4 incremental, 10 skipped"));
         assert!(text.contains("hyperopt: 9 refit / 35 reuse"));
         assert!(text.contains("space projections: 45"));
         assert!(text.contains("acquisition: valued 172 of 1720 candidates (10.0%)"));
@@ -517,7 +532,8 @@ mod tests {
             regret: iter as f64,
             improvement: 0.0,
             since_improvement: iter,
-            fit_path: FitPath::Full,
+            stage: if iter == 0 { Stage::Lhs } else { Stage::Acquire },
+            fit_path: if iter == 0 { FitPath::Skipped } else { FitPath::Full },
             surrogate: "dense".into(),
             fallbacks: 0,
             failures: FailureCounts::default(),
@@ -534,6 +550,8 @@ mod tests {
         let text = render_session(&records);
         assert_eq!(text.lines().filter(|l| l.trim_start().starts_with(char::is_numeric)).count(), 3);
         assert!(text.contains("summary: 3 iterations"));
+        assert!(text.contains("stages: 1 lhs, 0 explore, 2 acquire, 0 fallback"));
+        assert!(text.lines().nth(1).is_some_and(|row| row.contains(" lhs      skipped ")));
         assert!(text.contains("final weights"));
     }
 

@@ -15,8 +15,11 @@
 //!   weights collapsed, usually onto the target learner),
 //! - **optimization progress** — the incumbent, this iteration's regret
 //!   against it, the incumbent improvement, and the stagnation clock,
+//! - **decision** — the stage that produced the point (LHS bootstrap,
+//!   ε-greedy exploration, acquisition, or GP-failure fallback),
 //! - **surrogate path** — dense vs. sparse model and full vs. incremental
-//!   vs. fallback fit, mirroring the `gp.fit.*` counters per iteration,
+//!   vs. skipped vs. fallback fit, mirroring the `gp.fit.*` counters per
+//!   iteration,
 //! - **failure tallies** — the engine's running crash/timeout/partial/retry
 //!   counts plus the proposer's GP-failure fallback count.
 //!
@@ -38,7 +41,8 @@ use trace::FieldValue;
 pub const HEALTH_EVENT: &str = "tuner.health";
 
 /// How the target surrogate was produced this iteration (the per-iteration
-/// view of the `gp.fit.incremental` / `gp.fit.full` counters).
+/// view of the `gp.fit.full` / `gp.fit.incremental` / `gp.fit.skipped`
+/// counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FitPath {
     /// From-scratch fit (with or without a hyperparameter refit).
@@ -47,6 +51,9 @@ pub enum FitPath {
     Incremental,
     /// The fit failed; the proposer degraded to seeded uniform exploration.
     Fallback,
+    /// No fit: neither the step's stage, its weights nor the next step
+    /// read the target model (DESIGN.md §13).
+    Skipped,
 }
 
 impl FitPath {
@@ -56,6 +63,7 @@ impl FitPath {
             FitPath::Full => "full",
             FitPath::Incremental => "incremental",
             FitPath::Fallback => "fallback",
+            FitPath::Skipped => "skipped",
         }
     }
 
@@ -65,6 +73,46 @@ impl FitPath {
             "full" => Some(FitPath::Full),
             "incremental" => Some(FitPath::Incremental),
             "fallback" => Some(FitPath::Fallback),
+            "skipped" => Some(FitPath::Skipped),
+            _ => None,
+        }
+    }
+}
+
+/// The stage of [`crate::proposer::RestuneProposer`] that produced an
+/// iteration's point (DESIGN.md §11). The proposer decides it before the
+/// model update; a failed fit overrides it with [`Stage::Fallback`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// The Latin-hypercube bootstrap (non-meta runs and the w/o-Workload
+    /// ablation, for the first `init_iters` iterations of an epoch).
+    Lhs,
+    /// The stagnation safeguard's ε-greedy uniform point.
+    Explore,
+    /// The acquisition optimization over the surrogate.
+    Acquire,
+    /// The GP-failure fallback's seeded uniform point.
+    Fallback,
+}
+
+impl Stage {
+    /// Stable string form used in the event field.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Stage::Lhs => "lhs",
+            Stage::Explore => "explore",
+            Stage::Acquire => "acquire",
+            Stage::Fallback => "fallback",
+        }
+    }
+
+    /// Parses the string form back (see [`Stage::as_str`]).
+    pub fn parse(s: &str) -> Option<Stage> {
+        match s {
+            "lhs" => Some(Stage::Lhs),
+            "explore" => Some(Stage::Explore),
+            "acquire" => Some(Stage::Acquire),
+            "fallback" => Some(Stage::Fallback),
             _ => None,
         }
     }
@@ -126,10 +174,13 @@ pub struct TunerHealth {
     pub improvement: f64,
     /// Iterations since the incumbent last moved (0 right after a move).
     pub since_improvement: usize,
+    /// The stage that produced the iteration's point.
+    pub stage: Stage,
     /// How the target surrogate was fitted.
     pub fit_path: FitPath,
-    /// Dense or sparse objective surrogate (`"none"` before the first
-    /// successful fit).
+    /// Dense or sparse objective surrogate (`"none"` when the iteration
+    /// holds no fitted model: before the first fit, and after a skipped or
+    /// failed one).
     pub surrogate: String,
     /// GP-failure exploration fallbacks taken so far in this session.
     pub fallbacks: u64,
@@ -155,6 +206,7 @@ impl TunerHealth {
     pub fn collect(
         view: &HistoryView<'_>,
         record: &IterationRecord,
+        stage: Stage,
         fit_path: FitPath,
         surrogate: &str,
         fallbacks: u64,
@@ -190,6 +242,7 @@ impl TunerHealth {
             regret: record.objective - incumbent,
             improvement,
             since_improvement,
+            stage,
             fit_path,
             surrogate: surrogate.to_string(),
             fallbacks,
@@ -213,6 +266,7 @@ impl TunerHealth {
             ("regret", self.regret.into()),
             ("improvement", self.improvement.into()),
             ("since_improvement", self.since_improvement.into()),
+            ("stage", self.stage.as_str().into()),
             ("fit_path", self.fit_path.as_str().into()),
             ("surrogate", self.surrogate.as_str().into()),
             ("fallbacks", self.fallbacks.into()),
@@ -282,6 +336,7 @@ impl TunerHealth {
             regret: ev.f64("regret").unwrap_or(0.0),
             improvement: ev.f64("improvement").unwrap_or(0.0),
             since_improvement: ev.int("since_improvement").unwrap_or(0) as usize,
+            stage: ev.str("stage").and_then(Stage::parse).unwrap_or(Stage::Acquire),
             fit_path: ev
                 .str("fit_path")
                 .and_then(FitPath::parse)
@@ -308,10 +363,18 @@ mod tests {
 
     #[test]
     fn fit_path_round_trips_through_strings() {
-        for p in [FitPath::Full, FitPath::Incremental, FitPath::Fallback] {
+        for p in [FitPath::Full, FitPath::Incremental, FitPath::Fallback, FitPath::Skipped] {
             assert_eq!(FitPath::parse(p.as_str()), Some(p));
         }
         assert_eq!(FitPath::parse("warp"), None);
+    }
+
+    #[test]
+    fn stage_round_trips_through_strings() {
+        for s in [Stage::Lhs, Stage::Explore, Stage::Acquire, Stage::Fallback] {
+            assert_eq!(Stage::parse(s.as_str()), Some(s));
+        }
+        assert_eq!(Stage::parse("warp"), None);
     }
 
     #[test]

@@ -296,7 +296,7 @@ impl FleetHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::FitPath;
+    use crate::diag::{FitPath, Stage};
     use crate::resilience::FailureCounts;
 
     fn record(iter: usize, regret: f64) -> TunerHealth {
@@ -309,6 +309,7 @@ mod tests {
             regret,
             improvement: 0.0,
             since_improvement: iter,
+            stage: Stage::Acquire,
             fit_path: FitPath::Full,
             surrogate: "dense".to_string(),
             fallbacks: 0,

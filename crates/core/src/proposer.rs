@@ -5,11 +5,19 @@
 //! (CEI optimization with the LHS-bootstrap, stagnation, and GP-failure
 //! fallbacks). Everything downstream of the chosen point (apply, replay,
 //! penalties, bookkeeping) lives in [`crate::engine::EvalEngine`].
+//!
+//! Which [`Stage`] produces the point is decided from the epoch clock and
+//! the view *before* the model update, because only the acquisition reads
+//! the surrogate: the LHS bootstrap and the ε-greedy safeguard do not. A
+//! step fits the target GPs only when its stage, its ensemble weights or
+//! the next step read them (DESIGN.md §13); otherwise it skips the fit,
+//! which moves no proposal, weight or record, because a full fit is a pure
+//! function of the view and the config.
 
 use crate::acquisition::{
     expected_improvement, AcquisitionKind, ConstrainedExpectedImprovement,
 };
-use crate::diag::{DriftDiag, FitPath, TunerHealth};
+use crate::diag::{DriftDiag, FitPath, Stage, TunerHealth};
 use crate::drift::DriftEvent;
 use crate::driver::{Proposal, ProposalTiming, Proposer};
 use crate::engine::{HistoryView, IterationRecord};
@@ -29,12 +37,16 @@ pub struct RestuneProposer {
     lhs_plan: Vec<Vec<f64>>,
     /// The previous iteration's fitted target model, kept so no-hyperopt
     /// iterations can grow it by a rank-1 Cholesky append instead of paying
-    /// a from-scratch `O(n^3)` refit. `None` until the first successful fit.
+    /// a from-scratch `O(n^3)` refit. `None` until the first successful fit,
+    /// and after a step that skipped or failed its fit.
     target_cache: Option<GpTaskModel>,
-    /// How the most recent `fit_target` produced its model — the
-    /// per-iteration fact behind the `gp.fit.*` counters, reported by the
-    /// health event (`core::diag`).
+    /// How the most recent step produced its model — the per-iteration fact
+    /// behind the `gp.fit.*` counters, reported by the health event
+    /// (`core::diag`).
     last_fit: FitPath,
+    /// The stage that produced the most recent step's point, reported by
+    /// the health event.
+    last_stage: Stage,
     /// GP-failure exploration fallbacks taken so far in this session.
     gp_fallbacks: u64,
     /// Drift/warm-restart facts for the health event; `None` until the
@@ -64,6 +76,7 @@ impl RestuneProposer {
             lhs_plan,
             target_cache: None,
             last_fit: FitPath::Full,
+            last_stage: Stage::Acquire,
             gp_fallbacks: 0,
             drift: None,
         }
@@ -104,25 +117,83 @@ impl RestuneProposer {
         (res_col, scalers)
     }
 
-    /// Stage 2a — target surrogate fit, with hyperparameter refits gated to
-    /// every `refit_hypers_every` iterations once the observation set grows
-    /// past 40 points. On no-refit iterations, the previous iteration's
-    /// cached model is grown *incrementally* by a rank-1 Cholesky append
-    /// (`O(n^2)`) when exactly one observation arrived since; any mismatch
-    /// (restarted history, failed extension, sparse model) falls back to the
-    /// full fit. The successful model is always re-cached for the next
-    /// iteration.
+    /// Which stage produces the point of the step at epoch-relative
+    /// iteration `rel_iter`: the LHS bootstrap for non-meta runs (and the
+    /// w/o-Workload ablation), else the ε-greedy stagnation safeguard, else
+    /// the acquisition.
+    fn stage(&self, view: &HistoryView<'_>, rel_iter: usize) -> Stage {
+        let init = rel_iter < self.config.init_iters;
+        // Stagnation safeguard: when the incumbent has not moved for a long
+        // stretch (a misled ensemble or a degenerate surrogate can pin the
+        // acquisition in a dead region), interleave a uniform exploration
+        // point every few iterations — standard ε-greedy insurance in BO
+        // implementations. The improvement clock compares two absolute
+        // iteration indices (`last_improvement` rebases to `epoch_start` on
+        // a warm restart), so the difference is epoch-local like `rel_iter`.
+        let stagnated = (view.epoch_start + rel_iter).saturating_sub(view.last_improvement) >= 8
+            && rel_iter.is_multiple_of(4);
+        if init && (!self.use_meta || self.config.init_strategy == InitStrategy::Lhs) {
+            Stage::Lhs
+        } else if !init && stagnated {
+            Stage::Explore
+        } else {
+            Stage::Acquire
+        }
+    }
+
+    /// Whether the step at `rel_iter` learns ranking-loss weights, which
+    /// read the target model and enter the record.
+    fn learns_dynamic_weights(&self, rel_iter: usize) -> bool {
+        self.use_meta && !self.base_learners.is_empty() && rel_iter >= self.config.init_iters
+    }
+
+    /// Whether a step with `n` observations at `rel_iter` refits the
+    /// hyperparameters: with `GpConfig::optimize_hypers` on, every step up
+    /// to 40 observations, then every `refit_hypers_every` iterations. A
+    /// step that does not keeps the last refit's hyperparameters by
+    /// extending the cached model.
+    fn refits_hypers(&self, n: usize, rel_iter: usize) -> bool {
+        self.config.gp.optimize_hypers
+            && (n <= 40 || rel_iter.is_multiple_of(self.config.refit_hypers_every))
+    }
+
+    /// Whether the step must fit the target GPs: when its stage or its
+    /// weights read the model, when the next step may extend it by a rank-1
+    /// append, or when the inputs fail the fit's own check — that fit fails,
+    /// and the step takes the GP-failure fallback as it always has. Any
+    /// other fit would build a model nothing reads.
+    fn fits_target(
+        &self,
+        view: &HistoryView<'_>,
+        stage: Stage,
+        rel_iter: usize,
+        res: &[f64],
+        scalers: crate::scale::TaskScalers,
+    ) -> bool {
+        let n = view.points.len();
+        stage == Stage::Acquire
+            || self.learns_dynamic_weights(rel_iter)
+            || !self.refits_hypers(n + 1, rel_iter + 1)
+            || GpTaskModel::check_inputs(view.points, res, view.tps, view.lat, scalers).is_err()
+    }
+
+    /// Stage 2a — target surrogate fit, with hyperparameter refits gated by
+    /// [`RestuneProposer::refits_hypers`]. On no-refit iterations, the
+    /// previous iteration's cached model is grown *incrementally* by a
+    /// rank-1 Cholesky append (`O(n^2)`) when exactly one observation
+    /// arrived since; any mismatch (restarted history, failed extension,
+    /// sparse model) falls back to the full fit. The successful model is
+    /// always re-cached for the next iteration.
     fn fit_target(
         &mut self,
         view: &HistoryView<'_>,
-        iter: usize,
+        rel_iter: usize,
         res: &[f64],
         scalers: crate::scale::TaskScalers,
     ) -> Result<GpTaskModel, gp::GpError> {
         let n = view.points.len();
         let mut gp_config = self.config.gp.clone();
-        gp_config.optimize_hypers = self.config.gp.optimize_hypers
-            && (n <= 40 || iter.is_multiple_of(self.config.refit_hypers_every));
+        gp_config.optimize_hypers = self.refits_hypers(n, rel_iter);
         gp_config.seed = self.config.seed;
         // Cache-style tally of the hyperparameter-refit schedule: a "miss"
         // pays the full marginal-likelihood optimization, a "hit" reuses the
@@ -132,7 +203,7 @@ impl RestuneProposer {
         } else {
             trace::count("gp.hypers.reuse", 1);
         }
-        if !gp_config.optimize_hypers && self.config.incremental_refit {
+        if !gp_config.optimize_hypers {
             if let Some(mut cached) = self.target_cache.take() {
                 if cached.n() + 1 == n
                     && cached.trained_on(&view.points[..n - 1])
@@ -170,22 +241,27 @@ impl RestuneProposer {
 
     /// Stage 2b — ensemble weight learning (§6.4.3 adaptive schema):
     /// meta-feature static weights for the first `init_iters`, ranking-loss
-    /// dynamic weights afterwards.
+    /// dynamic weights afterwards. Returns the ensemble over the fitted
+    /// target, if there is one, and the weights the record carries.
     fn update_weights(
         &self,
         view: &HistoryView<'_>,
-        iter: usize,
+        rel_iter: usize,
         seed: u64,
-        target: GpTaskModel,
-    ) -> (MetaLearner, Option<Vec<f64>>) {
-        if self.use_meta && !self.base_learners.is_empty() {
-            let w = if iter < self.config.init_iters {
-                static_weights(
-                    &self.base_learners,
-                    &self.target_meta_feature,
-                    self.config.static_bandwidth,
-                )
-            } else {
+        target: Option<GpTaskModel>,
+    ) -> (Option<MetaLearner>, Option<Vec<f64>>) {
+        if !self.use_meta || self.base_learners.is_empty() {
+            return (target.map(MetaLearner::target_only), None);
+        }
+        let weights = if !self.learns_dynamic_weights(rel_iter) {
+            Some(static_weights(
+                &self.base_learners,
+                &self.target_meta_feature,
+                self.config.static_bandwidth,
+            ))
+        } else {
+            // `fits_target` fits every step that learns dynamic weights.
+            target.as_ref().map(|target| {
                 let res_std = target.scalers.res.transform_all(view.res);
                 let tps_std = target.scalers.tps.transform_all(view.tps);
                 let lat_std = target.scalers.lat.transform_all(view.lat);
@@ -197,62 +273,57 @@ impl RestuneProposer {
                 };
                 crate::meta::dynamic_weights(
                     &self.base_learners,
-                    &target,
+                    target,
                     &obs,
                     self.config.dynamic_samples,
                     self.config.max_rank_points,
                     self.config.dilution_guard,
                     seed,
                 )
-            };
-            let learner = MetaLearner::new(self.base_learners.clone(), target, w.clone());
-            (learner, Some(w))
-        } else {
-            (MetaLearner::target_only(target), None)
-        }
+            })
+        };
+        let learner = target.zip(weights.clone()).map(|(target, w)| {
+            MetaLearner::new(self.base_learners.clone(), target, w)
+        });
+        (learner, weights)
     }
 
-    /// Stage 3 — knob recommendation: the LHS bootstrap for non-meta runs
-    /// (and the w/o-Workload ablation), the ε-greedy stagnation safeguard,
-    /// or the acquisition optimization proper.
+    /// Stage 3 — knob recommendation, by the step's stage: the LHS
+    /// bootstrap point (§7 Setting), the ε-greedy point, the acquisition
+    /// optimization proper over the fitted surrogate, or the GP-failure
+    /// fallback's seeded uniform point.
     fn recommend(
         &self,
         view: &HistoryView<'_>,
-        iter: usize,
+        stage: Stage,
+        rel_iter: usize,
         seed: u64,
-        surrogate: &MetaLearner,
+        surrogate: Option<&MetaLearner>,
     ) -> Vec<f64> {
-        let lhs_init = iter < self.config.init_iters
-            && (!self.use_meta || self.config.init_strategy == InitStrategy::Lhs);
-        // During the static bootstrap the ensemble mixes base-learners from
-        // heterogeneous hardware whose *feasibility* surfaces can disagree
-        // with the target instance (a small machine's optimal concurrency
-        // throttles a big one). Constraint predictions therefore come from
-        // the target learner until dynamic (ranking-loss) weights take over —
-        // ranking loss scores tps/lat orderings explicitly, so the dynamic
-        // ensemble is safe for constraints.
-        let constraints_from_target = self.use_meta
-            && iter < self.config.init_iters
-            && self.config.static_constraints_from_target;
-        // Stagnation safeguard: when the incumbent has not moved for a long
-        // stretch (a misled ensemble or a degenerate surrogate can pin the
-        // acquisition in a dead region), interleave a uniform exploration
-        // point every few iterations — standard ε-greedy insurance in BO
-        // implementations. The improvement clock compares two absolute
-        // iteration indices (`last_improvement` rebases to `epoch_start` on
-        // a warm restart), so the difference is epoch-local like `iter`.
-        let stagnated = iter >= self.config.init_iters
-            && (view.epoch_start + iter).saturating_sub(view.last_improvement) >= 8
-            && iter.is_multiple_of(4);
-        if lhs_init {
-            // Non-meta methods (and the w/o-Workload ablation) bootstrap with
-            // LHS (§7 Setting).
-            self.lhs_plan[iter].clone()
-        } else if stagnated {
-            let mut rng = xrand::rngs::StdRng::seed_from_u64(seed ^ 0xE5C4);
+        let uniform = |salt: u64| -> Vec<f64> {
+            let mut rng = xrand::rngs::StdRng::seed_from_u64(seed ^ salt);
             (0..view.problem.dim()).map(|_| rng.random::<f64>()).collect()
-        } else {
-            self.optimize_acquisition(view, surrogate, constraints_from_target, seed)
+        };
+        match (stage, surrogate) {
+            (Stage::Lhs, _) => self.lhs_plan[rel_iter].clone(),
+            (Stage::Explore, _) => uniform(0xE5C4),
+            (Stage::Acquire, Some(surrogate)) => {
+                // During the static bootstrap the ensemble mixes
+                // base-learners from heterogeneous hardware whose
+                // *feasibility* surfaces can disagree with the target
+                // instance (a small machine's optimal concurrency throttles
+                // a big one). Constraint predictions therefore come from the
+                // target learner until dynamic (ranking-loss) weights take
+                // over — ranking loss scores tps/lat orderings explicitly, so
+                // the dynamic ensemble is safe for constraints.
+                let constraints_from_target = self.use_meta
+                    && rel_iter < self.config.init_iters
+                    && self.config.static_constraints_from_target;
+                self.optimize_acquisition(view, surrogate, constraints_from_target, seed)
+            }
+            // `fits_target` fits every acquisition step, so an acquisition
+            // without a surrogate is a failed fit.
+            (Stage::Acquire | Stage::Fallback, _) => uniform(0xFA11),
         }
     }
 
@@ -400,10 +471,20 @@ impl Proposer for RestuneProposer {
         let meta_data_processing_s = meta_span.finish_s();
 
         // ---- stage 2: model update (surrogate fit + weights + ensemble) ---
+        // The stage comes first: a step fits the target only when something
+        // reads the model.
+        let mut stage = self.stage(view, rel_iter);
         let model_span = trace::span!("model_update");
-        let fit_span = trace::span!("gp_fit", n_obs = view.points.len());
-        let fit = self.fit_target(view, rel_iter, &res_col, scalers);
-        let gp_fit_s = fit_span.finish_s();
+        let (fit, gp_fit_s) = if self.fits_target(view, stage, rel_iter, &res_col, scalers) {
+            let fit_span = trace::span!("gp_fit", n_obs = view.points.len());
+            let fit = self.fit_target(view, rel_iter, &res_col, scalers).map(Some);
+            (fit, fit_span.finish_s())
+        } else {
+            trace::count("gp.fit.skipped", 1);
+            self.last_fit = FitPath::Skipped;
+            self.target_cache = None;
+            (Ok(None), 0.0)
+        };
         let (point, weights, model_update_s, weight_update_s, recommendation_s) = match fit {
             Ok(target) => {
                 let weight_span = trace::span!("weight_update");
@@ -413,7 +494,7 @@ impl Proposer for RestuneProposer {
 
                 // ---- stage 3: knob recommendation -------------------------
                 let recommendation_span = trace::span!("recommendation");
-                let point = self.recommend(view, rel_iter, seed, &surrogate);
+                let point = self.recommend(view, stage, rel_iter, seed, surrogate.as_ref());
                 let recommendation_s = recommendation_span.finish_s();
                 (point, weights, model_update_s, weight_update_s, recommendation_s)
             }
@@ -423,15 +504,15 @@ impl Proposer for RestuneProposer {
                 // run: degrade to a seeded uniform exploration point — the
                 // next full observation both makes progress and feeds the
                 // surrogate fresh, usable data.
+                stage = Stage::Fallback;
                 self.last_fit = FitPath::Fallback;
                 self.gp_fallbacks += 1;
-                let mut rng = xrand::rngs::StdRng::seed_from_u64(seed ^ 0xFA11);
-                let point: Vec<f64> =
-                    (0..view.problem.dim()).map(|_| rng.random::<f64>()).collect();
+                let point = self.recommend(view, stage, rel_iter, seed, None);
                 let model_update_s = model_span.finish_s();
                 (point, None, model_update_s, 0.0, 0.0)
             }
         };
+        self.last_stage = stage;
         Proposal {
             point,
             weights,
@@ -468,6 +549,7 @@ impl Proposer for RestuneProposer {
             TunerHealth::collect(
                 view,
                 record,
+                self.last_stage,
                 self.last_fit,
                 surrogate,
                 self.gp_fallbacks,

@@ -63,11 +63,38 @@ impl GpTaskModel {
         Self::fit_with_scalers(points, res_raw, tps_raw, lat_raw, scalers, config)
     }
 
+    /// The input check of [`GpTaskModel::fit_with_scalers`]:
+    /// [`gp::check_inputs`] on each metric's *standardized* column, so a raw
+    /// column that its scaler turns non-finite (an infinite observation
+    /// makes the mean infinite, and with it every standardized value) fails
+    /// here as its fit would.
+    ///
+    /// On inputs it passes, with points in the normalized knob space, a
+    /// dense fit does not fail: its last factorization is of a finite,
+    /// bounded Matérn Gram matrix plus noise, with the jitter ladder behind
+    /// it. The proposer rests its fit skip on that (DESIGN.md §13), and a
+    /// propcheck below holds it.
+    pub fn check_inputs(
+        points: &[Vec<f64>],
+        res_raw: &[f64],
+        tps_raw: &[f64],
+        lat_raw: &[f64],
+        scalers: TaskScalers,
+    ) -> Result<(), GpError> {
+        let dim = points.first().map_or(1, Vec::len);
+        let columns = [(scalers.res, res_raw), (scalers.tps, tps_raw), (scalers.lat, lat_raw)];
+        for (scaler, raw) in columns {
+            gp::check_inputs(points, &scaler.transform_all(raw), dim)?;
+        }
+        Ok(())
+    }
+
     /// [`GpTaskModel::fit`] with externally fitted scalers, so callers that
     /// already standardized (e.g. for ranking-loss bookkeeping) don't pay for
     /// a second pass. The three metric fits fan out through `core::exec`;
     /// each is self-contained and seeded by `config`, so the models are
-    /// bit-identical however they are scheduled.
+    /// bit-identical however they are scheduled. Inputs that fail
+    /// [`GpTaskModel::check_inputs`] return its error before any fit runs.
     pub fn fit_with_scalers(
         points: &[Vec<f64>],
         res_raw: &[f64],
@@ -76,6 +103,7 @@ impl GpTaskModel {
         scalers: TaskScalers,
         config: &GpConfig,
     ) -> Result<Self, GpError> {
+        Self::check_inputs(points, res_raw, tps_raw, lat_raw, scalers)?;
         let metrics = [
             ("fit_res", scalers.res, res_raw),
             ("fit_tps", scalers.tps, tps_raw),
@@ -223,6 +251,72 @@ mod tests {
     #[test]
     fn n_reports_observation_count() {
         assert_eq!(toy_model().n(), 10);
+    }
+
+    #[test]
+    fn fits_succeed_whenever_the_input_check_passes() {
+        use propcheck::{check, prop_assert, Config, Gen};
+        // The oracle the proposer's fit skip rests on: a step that skips its
+        // fit assumes the fit would not have failed, which holds iff every
+        // input that passes `check_inputs` fits. Points stay in the unit
+        // cube the proposer works in; raw columns range up to 1e150 and may
+        // be constant (a constant column standardizes to rounding residue
+        // over the 1e-9 floor, which can reach 1e143).
+        let quick = GpConfig { restarts: 1, adam_iters: 10, ..Default::default() };
+        check(
+            "fits_succeed_whenever_the_input_check_passes",
+            Config::default().cases(48).seed(0xF17_C4EC).max_size(40),
+            |g| {
+                let n = g.dim(40);
+                let d = g.usize_in(1, 14);
+                let mut points: Vec<Vec<f64>> = Vec::with_capacity(n);
+                for i in 0..n {
+                    let point = if i > 0 && g.usize_in(0, 3) == 0 {
+                        points[g.usize_in(0, i - 1)].clone()
+                    } else {
+                        (0..d).map(|_| g.unit()).collect()
+                    };
+                    points.push(point);
+                }
+                let column = |g: &mut Gen| -> Vec<f64> {
+                    let scale = 10f64.powi(g.i64_in(-3, 150) as i32);
+                    let offset = scale * g.f64_in(-1.0, 1.0);
+                    if g.usize_in(0, 3) == 0 {
+                        vec![offset; n]
+                    } else {
+                        (0..n).map(|_| offset + scale * g.f64_in(-1.0, 1.0)).collect()
+                    }
+                };
+                let mut cols = [column(g), column(g), column(g)];
+                let config = if g.flag() {
+                    GpConfig { seed: g.usize_in(0, 1 << 20) as u64, ..GpConfig::default() }
+                } else {
+                    quick.clone()
+                };
+                let outcome = |points: &[Vec<f64>], [res, tps, lat]: &[Vec<f64>; 3]| {
+                    let scalers = TaskScalers::fit(res, tps, lat);
+                    let checked = GpTaskModel::check_inputs(points, res, tps, lat, scalers);
+                    let fitted =
+                        GpTaskModel::fit_with_scalers(points, res, tps, lat, scalers, &config);
+                    (checked, fitted.map(|_| ()))
+                };
+                let (checked, fitted) = outcome(&points, &cols);
+                prop_assert!(checked.is_ok(), "n {n}, d {d}: check {checked:?}");
+                prop_assert!(fitted.is_ok(), "n {n}, d {d}: fit {fitted:?}");
+
+                // One non-finite value in a point or a raw column fails both.
+                let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][g.usize_in(0, 2)];
+                let i = g.usize_in(0, n - 1);
+                match g.usize_in(0, 3) {
+                    3 => points[i][g.usize_in(0, d - 1)] = bad,
+                    c => cols[c][i] = bad,
+                }
+                let (checked, fitted) = outcome(&points, &cols);
+                prop_assert!(checked.is_err(), "n {n}, d {d}, {bad} at {i}: check passed");
+                prop_assert!(fitted.is_err(), "n {n}, d {d}, {bad} at {i}: fit passed");
+                Ok(())
+            },
+        );
     }
 
     #[test]

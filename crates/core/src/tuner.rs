@@ -192,14 +192,10 @@ pub struct RestuneConfig {
     /// GP fitting configuration.
     pub gp: GpConfig,
     /// Refit GP hyperparameters every `k` iterations once > 40 observations.
+    /// The iterations between grow the cached target GPs by a rank-1
+    /// Cholesky append (`O(n^2)`), keeping the last refit's hyperparameters
+    /// (DESIGN.md §13).
     pub refit_hypers_every: usize,
-    /// On iterations that skip the hyperparameter refit, grow the target GPs
-    /// by a rank-1 Cholesky append (`O(n^2)`) instead of refactoring from
-    /// scratch (`O(n^3)`). The extended model keeps the hyperparameters of
-    /// the last refit; the fallback cases (history prefix mismatch, jittered
-    /// factor, sparse model) silently pay the full refit. Same-seed runs are
-    /// deterministic either way (see DESIGN.md §13).
-    pub incremental_refit: bool,
     /// Acquisition function (CEI for ResTune; EI reproduces iTuned).
     pub acquisition: AcquisitionKind,
     /// Acquisition optimizer budget.
@@ -252,7 +248,6 @@ impl Default for RestuneConfig {
             init_strategy: InitStrategy::StaticWeights,
             gp: GpConfig::default(),
             refit_hypers_every: 5,
-            incremental_refit: true,
             acquisition: AcquisitionKind::ConstrainedExpectedImprovement,
             optimizer: AcquisitionOptimizer::default(),
             static_bandwidth: 0.2,

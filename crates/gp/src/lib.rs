@@ -34,7 +34,7 @@ pub mod sparse;
 pub use calibration::Calibration;
 pub use kernel::Matern52;
 pub use model::SurrogateGp;
-pub use process::{GaussianProcess, GpConfig, GpError, Prediction};
+pub use process::{check_inputs, GaussianProcess, GpConfig, GpError, Prediction};
 pub use sparse::{InducingSelector, SparseGp, SparseGpConfig};
 
 /// Standard normal cumulative distribution function.

@@ -69,6 +69,28 @@ impl From<LinalgError> for GpError {
     }
 }
 
+/// The input check every fit runs before it builds anything: one target per
+/// point, every point `dim`-dimensional, every coordinate and target
+/// finite. Points are checked in order, each for its length and then its
+/// values, and the targets last, so the first failure names the error.
+pub fn check_inputs(x: &[Vec<f64>], y: &[f64], dim: usize) -> Result<(), GpError> {
+    if x.len() != y.len() {
+        return Err(GpError::DataMismatch { n_x: x.len(), n_y: y.len() });
+    }
+    for p in x {
+        if p.len() != dim {
+            return Err(GpError::DimensionMismatch { expected: dim, found: p.len() });
+        }
+        if p.iter().any(|v| !v.is_finite()) {
+            return Err(GpError::NonFinite);
+        }
+    }
+    if y.iter().any(|v| !v.is_finite()) {
+        return Err(GpError::NonFinite);
+    }
+    Ok(())
+}
+
 /// Rejects the first point whose length is not `dim`.
 pub(crate) fn check_dims(points: &[Vec<f64>], dim: usize) -> Result<(), GpError> {
     match points.iter().find(|p| p.len() != dim) {
@@ -242,21 +264,8 @@ impl GaussianProcess {
         kernel: Matern52,
         config: &GpConfig,
     ) -> Result<Self, GpError> {
-        if x.len() != y.len() {
-            return Err(GpError::DataMismatch { n_x: x.len(), n_y: y.len() });
-        }
         let dim = kernel.dim();
-        for p in &x {
-            if p.len() != dim {
-                return Err(GpError::DimensionMismatch { expected: dim, found: p.len() });
-            }
-            if p.iter().any(|v| !v.is_finite()) {
-                return Err(GpError::NonFinite);
-            }
-        }
-        if y.iter().any(|v| !v.is_finite()) {
-            return Err(GpError::NonFinite);
-        }
+        check_inputs(&x, &y, dim)?;
 
         let mean_offset = linalg::vector::mean(&y);
         let y_centered: Vec<f64> = y.iter().map(|v| v - mean_offset).collect();
@@ -376,12 +385,7 @@ impl GaussianProcess {
     /// full factorization bit-for-bit, and every downstream quantity is
     /// recomputed the same way.
     pub fn extend(&mut self, x_new: Vec<f64>, y_new: f64, config: &GpConfig) -> Result<(), GpError> {
-        if x_new.len() != self.dim {
-            return Err(GpError::DimensionMismatch { expected: self.dim, found: x_new.len() });
-        }
-        if x_new.iter().any(|v| !v.is_finite()) || !y_new.is_finite() {
-            return Err(GpError::NonFinite);
-        }
+        check_inputs(std::slice::from_ref(&x_new), &[y_new], self.dim)?;
         let n = self.x.len();
         self.x.push(x_new);
         self.y.push(y_new);

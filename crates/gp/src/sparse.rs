@@ -16,8 +16,8 @@
 
 use crate::kernel::Matern52;
 use crate::process::{
-    check_dims, column_sq_norms, sample_gaussian, weighted_columns, GaussianProcess, GpConfig,
-    GpError, Prediction,
+    check_dims, check_inputs, column_sq_norms, sample_gaussian, weighted_columns,
+    GaussianProcess, GpConfig, GpError, Prediction,
 };
 use linalg::{Cholesky, Matrix};
 use xrand::Rng;
@@ -127,24 +127,11 @@ impl SparseGp {
     /// subset, then condition on all `n` observations through the inducing
     /// set (`O(n m^2)`).
     pub fn fit(x: Vec<Vec<f64>>, y: Vec<f64>, config: &SparseGpConfig) -> Result<Self, GpError> {
-        if x.len() != y.len() {
-            return Err(GpError::DataMismatch { n_x: x.len(), n_y: y.len() });
-        }
+        let dim = x.first().map_or(0, Vec::len);
+        check_inputs(&x, &y, dim)?;
         let n = x.len();
         if n == 0 {
             return Err(GpError::DataMismatch { n_x: 0, n_y: 0 });
-        }
-        let dim = x[0].len();
-        for p in &x {
-            if p.len() != dim {
-                return Err(GpError::DimensionMismatch { expected: dim, found: p.len() });
-            }
-            if p.iter().any(|v| !v.is_finite()) {
-                return Err(GpError::NonFinite);
-            }
-        }
-        if y.iter().any(|v| !v.is_finite()) {
-            return Err(GpError::NonFinite);
         }
 
         let idx = select_inducing(&x, config.n_inducing, config.selector);

@@ -1,9 +1,11 @@
 //! End-to-end checks of the incremental surrogate layer (DESIGN.md §13):
 //! the proposer's rank-1 target-GP extension past 40 observations, its
-//! determinism, and the repository's sparse-fit policy for large histories.
+//! determinism, the boundaries of its fit skip, and the repository's
+//! sparse-fit policy for large histories.
 
 use dbsim::{InstanceType, KnobSet, WorkloadSpec};
 use restune::core::acquisition::AcquisitionOptimizer;
+use restune::core::diag::{FitPath, Stage, TunerHealth, HEALTH_EVENT};
 use restune::core::repository::{
     DataRepository, SurrogatePolicy, TaskObservation, TaskRecord,
 };
@@ -16,12 +18,11 @@ fn trace_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn quick_config(seed: u64, incremental: bool) -> RestuneConfig {
+fn quick_config(seed: u64) -> RestuneConfig {
     RestuneConfig {
         optimizer: AcquisitionOptimizer { n_candidates: 120, n_local: 30, local_sigma: 0.1 },
         gp: gp::GpConfig { restarts: 1, adam_iters: 10, ..Default::default() },
         dynamic_samples: 8,
-        incremental_refit: incremental,
         seed,
         ..Default::default()
     }
@@ -44,6 +45,83 @@ fn history_digest(o: &TuningOutcome) -> String {
         .collect()
 }
 
+/// FNV-1a over [`history_digest`]'s text.
+fn outcome_digest(o: &TuningOutcome) -> u64 {
+    history_digest(o).bytes().fold(0xcbf29ce484222325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
+#[test]
+fn skipped_fits_leave_every_boundary_session_unchanged() {
+    // A step skips its target fit only when nothing reads the model (its
+    // stage, its weights, the next step's rank-1 append) and the inputs pass
+    // the fit's own check. These sessions sit on the rule's boundaries; each
+    // digest was captured by running this body at the commit before the
+    // skip existed (b3746a7), where every step fitted.
+    let _g = trace_lock();
+    // (a) LHS steps past n = 40 whose next step extends their model. The
+    // bootstrap runs through iteration 41 (ResTune trains on the default
+    // observation too, so iteration i fits on i + 1 points). Step 40
+    // refits, and the off-schedule steps 41 to 44 extend its model, so the
+    // LHS steps 40 and 41 must fit.
+    let mut lhs_past_forty = quick_config(42);
+    lhs_past_forty.init_iters = 42;
+    let a = TuningSession::new(env(42), lhs_past_forty).run(46);
+    // (b) A non-finite tuple seeded before step 0 fails every fit, so even
+    // the LHS steps take the GP-failure fallback point.
+    let seeded = |res: f64| {
+        let mut s = TuningSession::new(env(6), quick_config(6));
+        s.seed_history(vec![0.5, 0.5, 0.5], res, 1.0, 1.0);
+        for _ in 0..3 {
+            s.step();
+        }
+        s.outcome()
+    };
+    let (nan, inf) = (seeded(f64::NAN), seeded(f64::INFINITY));
+    assert!(nan.history.iter().chain(&inf.history).all(|r| r.weights.is_none()));
+    // (c) ε-greedy steps on both sides of n = 40, traced to show which.
+    trace::enable();
+    trace::reset();
+    let mut explore = quick_config(2);
+    explore.trace = true;
+    explore.diag = true;
+    let c = TuningSession::new(env(2), explore).run(49);
+    let snap = trace::snapshot();
+    trace::reset();
+    trace::disable();
+
+    let got = [&a, &nan, &inf, &c].map(outcome_digest);
+    assert_eq!(
+        got,
+        [0x6116da2bd5dc5ec2, 0xc44cd5e8c18363c8, 0xc44cd5e8c18363c8, 0x6247b67782b35ff1],
+        "{got:#018x?}"
+    );
+    let health: Vec<TunerHealth> =
+        snap.events_named(HEALTH_EVENT).into_iter().filter_map(TunerHealth::from_event).collect();
+    assert_eq!(health.len(), 49);
+    // A skipped step holds no model: no surrogate and no calibration.
+    for h in health.iter().filter(|h| h.fit_path == FitPath::Skipped) {
+        assert!(h.surrogate == "none" && h.calibration.is_none(), "iteration {}", h.iteration);
+    }
+    let explored: Vec<(usize, FitPath)> = health
+        .iter()
+        .filter(|h| h.stage == Stage::Explore)
+        .map(|h| (h.iteration + 1, h.fit_path))
+        .collect();
+    let (small, large): (Vec<_>, Vec<_>) = explored.iter().partition(|(n, _)| *n <= 40);
+    assert!(!small.is_empty() && !large.is_empty(), "ε-greedy steps at n: {explored:?}");
+    // At n <= 40 the next step refits, so nothing reads the model. Past 40
+    // the step fits iff the next step extends its model.
+    assert!(small.iter().all(|(_, path)| *path == FitPath::Skipped), "{explored:?}");
+    for want in [FitPath::Skipped, FitPath::Incremental] {
+        assert!(large.iter().any(|(_, path)| *path == want), "{want:?} past 40: {explored:?}");
+    }
+    // The 10 LHS steps at n <= 40 skip too, and nothing else does.
+    let skipped_explore = explored.iter().filter(|(_, path)| *path == FitPath::Skipped).count();
+    assert_eq!(snap.counter("gp.fit.skipped"), 10 + skipped_explore as u64);
+}
+
 #[test]
 fn incremental_refit_kicks_in_past_forty_observations() {
     let _g = trace_lock();
@@ -52,7 +130,7 @@ fn incremental_refit_kicks_in_past_forty_observations() {
     // 46 iterations: hyperopt runs on every iteration up to n = 40, then only
     // every `refit_hypers_every` (5) iterations. The off-schedule iterations
     // past 40 must extend the cached model instead of refitting.
-    let outcome = TuningSession::new(env(21), quick_config(21, true)).run(46);
+    let outcome = TuningSession::new(env(21), quick_config(21)).run(46);
     let snap = trace::snapshot();
     trace::reset();
     trace::disable();
@@ -76,19 +154,14 @@ fn incremental_refit_kicks_in_past_forty_observations() {
 }
 
 #[test]
-fn incremental_sessions_are_deterministic_and_disabling_is_a_pure_fallback() {
+fn incremental_sessions_are_deterministic() {
     let _g = trace_lock();
-    // Same seed, two runs with the incremental path on: bit-identical traces.
-    let a = TuningSession::new(env(33), quick_config(33, true)).run(45);
-    let b = TuningSession::new(env(33), quick_config(33, true)).run(45);
+    // Same seed, two runs past 40 observations, so off-schedule iterations
+    // extend the cached model: bit-identical traces.
+    let a = TuningSession::new(env(33), quick_config(33)).run(45);
+    let b = TuningSession::new(env(33), quick_config(33)).run(45);
+    assert_eq!(a.history.len(), 45);
     assert_eq!(history_digest(&a), history_digest(&b), "incremental path must be deterministic");
-    // With the path disabled the session still completes and stays
-    // deterministic (it just pays full refits with default hyperparameters
-    // on the off-schedule iterations).
-    let c = TuningSession::new(env(33), quick_config(33, false)).run(45);
-    let d = TuningSession::new(env(33), quick_config(33, false)).run(45);
-    assert_eq!(history_digest(&c), history_digest(&d), "fallback path must be deterministic");
-    assert_eq!(a.history.len(), c.history.len());
 }
 
 fn synthetic_record(n: usize, task_id: &str) -> TaskRecord {
@@ -175,7 +248,7 @@ fn sparse_learners_participate_in_a_meta_boosted_session() {
         |_| true,
     );
     assert!(learners[0].model.res.is_sparse());
-    let mut config = quick_config(7, true);
+    let mut config = quick_config(7);
     config.init_iters = 2;
     let outcome = TuningSession::with_base_learners(
         env(7),
