@@ -1,14 +1,13 @@
 //! GP surrogate fit bench (DESIGN.md §13): incremental rank-1 extension vs
-//! full refactorization at growing history sizes, and sparse inducing-point
-//! fits vs dense fits for large base-task histories.
+//! full refactorization at growing history sizes.
 //!
 //! Usage:
 //!   gp_fit_bench [--smoke] [--out BENCH_gp.json]
 //!
-//! `--smoke` restricts the incremental arms to n ∈ {25, 50} and the sparse
-//! arm to n = 300 so a CI pass finishes in seconds; the default (full) run
-//! covers n ∈ {25, 50, 200, 1000} and sparse n = 1000, the numbers tracked
-//! in EXPERIMENTS.md. Both modes enforce the two hard gates:
+//! `--smoke` restricts the arms to n ∈ {25, 50} so a CI pass finishes in
+//! seconds; the default (full) run covers n ∈ {25, 50, 200, 1000}, the
+//! numbers tracked in EXPERIMENTS.md. Both modes enforce the two hard
+//! gates:
 //!
 //! * extending a 50-observation GP by one point must be ≥ 2x faster than
 //!   refitting it from scratch (median over samples), and
@@ -21,7 +20,7 @@
 //! slowdown of the optimized path trips it) and a nonzero rank-1 update
 //! count.
 
-use gp::{GaussianProcess, GpConfig, InducingSelector, SparseGp, SparseGpConfig};
+use gp::{GaussianProcess, GpConfig};
 use restune_bench::gate::{Check, Gate, Rule};
 use restune_bench::microbench::{black_box, suite, Bencher};
 
@@ -90,37 +89,6 @@ fn incremental_arm(b: &Bencher, n: usize) -> IncArm {
     }
 }
 
-struct SparseArm {
-    n: usize,
-    m: usize,
-    dense_ns: f64,
-    sparse_ns: f64,
-    speedup: f64,
-}
-
-fn sparse_arm(b: &Bencher, n: usize) -> SparseArm {
-    let (xs, ys) = training_data(n);
-    let cfg = SparseGpConfig {
-        n_inducing: 64,
-        selector: InducingSelector::GreedyFarthest,
-        gp: GpConfig::fixed(),
-    };
-    let m = cfg.n_inducing.min(n);
-    let dense_stats = b.bench(&format!("gp_fit/dense/n={n}"), || {
-        black_box(GaussianProcess::fit(xs.clone(), ys.clone(), &GpConfig::fixed()).expect("dense"));
-    });
-    let sparse_stats = b.bench(&format!("gp_fit/sparse/n={n} m={m}"), || {
-        black_box(SparseGp::fit(xs.clone(), ys.clone(), &cfg).expect("sparse"));
-    });
-    SparseArm {
-        n,
-        m,
-        dense_ns: dense_stats.median_ns,
-        sparse_ns: sparse_stats.median_ns,
-        speedup: dense_stats.median_ns / sparse_stats.median_ns,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -143,7 +111,6 @@ fn main() {
 
     let b = Bencher::from_env();
     let inc_sizes: &[usize] = if smoke { &[25, 50] } else { &[25, 50, 200, 1000] };
-    let sparse_sizes: &[usize] = if smoke { &[300] } else { &[1000] };
 
     suite("gp_fit: incremental (rank-1 extend) vs full refit");
     // Count rank-1 factor updates across the incremental arms: the gate
@@ -155,9 +122,6 @@ fn main() {
     trace::reset();
     trace::disable();
 
-    suite("gp_fit: sparse (inducing-point) vs dense fit");
-    let sparse: Vec<SparseArm> = sparse_sizes.iter().map(|&n| sparse_arm(&b, n)).collect();
-
     println!("\n{:>6}  {:>12}  {:>14}  {:>8}", "n", "full", "incremental", "speedup");
     for a in &inc {
         println!(
@@ -165,17 +129,6 @@ fn main() {
             a.n,
             a.full_ns / 1e3,
             a.incremental_ns / 1e3,
-            a.speedup
-        );
-    }
-    println!("\n{:>6}  {:>4}  {:>12}  {:>14}  {:>8}", "n", "m", "dense", "sparse", "speedup");
-    for a in &sparse {
-        println!(
-            "{:>6}  {:>4}  {:>10.1} µs  {:>12.1} µs  {:>7.1}x",
-            a.n,
-            a.m,
-            a.dense_ns / 1e3,
-            a.sparse_ns / 1e3,
             a.speedup
         );
     }
@@ -199,30 +152,17 @@ fn main() {
         same: Vec::new(),
         checks: vec![
             Check { path: "incremental[n].speedup".into(), rule: Rule::Floor { drop: 0.4 } },
-            Check { path: "sparse[n,m].speedup".into(), rule: Rule::Floor { drop: 0.4 } },
             Check { path: "cholesky_updates".into(), rule: Rule::Nonzero },
         ],
     };
     let json = format!(
-        "{{\n  \"bench\": \"gp_fit\",\n  \"smoke\": {smoke},\n  \"cholesky_updates\": {updates},\n  \"incremental\": [\n{}\n  ],\n  \"sparse\": [\n{}\n  ],\n{}\n}}\n",
+        "{{\n  \"bench\": \"gp_fit\",\n  \"smoke\": {smoke},\n  \"cholesky_updates\": {updates},\n  \"incremental\": [\n{}\n  ],\n{}\n}}\n",
         inc.iter()
             .map(|a| format!(
                 "    {{\"n\": {}, \"full_us\": {:.1}, \"incremental_us\": {:.1}, \"speedup\": {:.1}}}",
                 a.n,
                 a.full_ns / 1e3,
                 a.incremental_ns / 1e3,
-                a.speedup
-            ))
-            .collect::<Vec<_>>()
-            .join(",\n"),
-        sparse
-            .iter()
-            .map(|a| format!(
-                "    {{\"n\": {}, \"m\": {}, \"dense_us\": {:.1}, \"sparse_us\": {:.1}, \"speedup\": {:.1}}}",
-                a.n,
-                a.m,
-                a.dense_ns / 1e3,
-                a.sparse_ns / 1e3,
                 a.speedup
             ))
             .collect::<Vec<_>>()

@@ -17,9 +17,9 @@
 //!   against it, the incumbent improvement, and the stagnation clock,
 //! - **decision** — the stage that produced the point (LHS bootstrap,
 //!   ε-greedy exploration, acquisition, or GP-failure fallback),
-//! - **surrogate path** — dense vs. sparse model and full vs. incremental
-//!   vs. skipped vs. fallback fit, mirroring the `gp.fit.*` counters per
-//!   iteration,
+//! - **surrogate path** — whether the step holds a fitted model and whether
+//!   it came from a full, incremental, skipped or fallback fit, mirroring
+//!   the `gp.fit.*` counters per iteration,
 //! - **failure tallies** — the engine's running crash/timeout/partial/retry
 //!   counts plus the proposer's GP-failure fallback count.
 //!
@@ -178,9 +178,9 @@ pub struct TunerHealth {
     pub stage: Stage,
     /// How the target surrogate was fitted.
     pub fit_path: FitPath,
-    /// Dense or sparse objective surrogate (`"none"` when the iteration
-    /// holds no fitted model: before the first fit, and after a skipped or
-    /// failed one).
+    /// `"dense"` when the iteration holds a fitted objective surrogate,
+    /// `"none"` when it holds none: before the first fit, and after a
+    /// skipped or failed one.
     pub surrogate: String,
     /// GP-failure exploration fallbacks taken so far in this session.
     pub fallbacks: u64,
@@ -191,7 +191,7 @@ pub struct TunerHealth {
     /// Shannon entropy of the weights, when present.
     pub weight_entropy: Option<f64>,
     /// LOO calibration of the objective surrogate, in standardized-target
-    /// units (absent on fallback iterations and for sparse surrogates).
+    /// units (absent on fallback iterations and when no model is held).
     pub calibration: Option<gp::Calibration>,
     /// Drift/warm-restart facts (absent until the first restart).
     pub drift: Option<DriftDiag>,

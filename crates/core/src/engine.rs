@@ -137,6 +137,31 @@ pub struct EngineSettings {
     pub seed_default_observation: bool,
 }
 
+/// Why [`EvalEngine::seed_history`] rejected a point. A rejected tuple
+/// leaves the history unchanged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SeedError {
+    /// The point's length is not the search-space dimensionality.
+    DimensionMismatch { expected: usize, found: usize },
+    /// Coordinate `index` lies outside `[0, 1]` (NaN included).
+    OutOfCube { index: usize, value: f64 },
+}
+
+impl std::fmt::Display for SeedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SeedError::DimensionMismatch { expected, found } => {
+                write!(f, "seeded point has {found} coordinates, the search space {expected}")
+            }
+            SeedError::OutOfCube { index, value } => {
+                write!(f, "seeded coordinate {index} is {value}, outside [0, 1]")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SeedError {}
+
 /// A read-only view over the engine's observed state — everything a
 /// [`crate::driver::Proposer`] may condition its next point on.
 #[derive(Debug, Clone, Copy)]
@@ -283,16 +308,37 @@ impl EvalEngine {
 
     /// Appends an externally collected observation tuple to the surrogate's
     /// training data without consuming a replay — warm-starting from
-    /// measurements gathered outside this engine. Values enter the model
-    /// verbatim; a degenerate tuple (NaN/inf) does not abort the run but
-    /// degrades the next recommendations to uniform exploration until enough
-    /// clean data accumulates (see DESIGN.md §9).
-    pub fn seed_history(&mut self, point: Vec<f64>, res: f64, tps: f64, lat: f64) {
+    /// measurements gathered outside this engine.
+    ///
+    /// The point must lie in the search space `[0, 1]^dim`, the only region
+    /// where the surrogate's kernel stays finite (a coordinate of 1e160
+    /// overflows the Matérn distance into a NaN Gram matrix); otherwise the
+    /// tuple is rejected and the history is unchanged. The values enter the
+    /// model verbatim: a degenerate `res`/`tps`/`lat` (NaN/inf) does not
+    /// abort the run but degrades the next recommendations to uniform
+    /// exploration until enough clean data accumulates (see DESIGN.md §9).
+    pub fn seed_history(
+        &mut self,
+        point: Vec<f64>,
+        res: f64,
+        tps: f64,
+        lat: f64,
+    ) -> Result<(), SeedError> {
+        let expected = self.problem.dim();
+        if point.len() != expected {
+            return Err(SeedError::DimensionMismatch { expected, found: point.len() });
+        }
+        if let Some((index, &value)) =
+            point.iter().enumerate().find(|(_, v)| !(0.0..=1.0).contains(*v))
+        {
+            return Err(SeedError::OutOfCube { index, value });
+        }
         self.points.push(point);
         self.res.push(res);
         self.tps.push(tps);
         self.lat.push(lat);
         self.metrics.push(Vec::new());
+        Ok(())
     }
 
     /// The read-only view proposers condition on.

@@ -58,7 +58,7 @@ pub use fleet::{
     mix_seed, FleetConfig, FleetOutcome, FleetService, ShardedStore, StoreSnapshot, Tenant,
     TenantResult,
 };
-pub use meta::{BaseLearner, MetaLearner, WeightStrategy};
+pub use meta::{BaseLearner, MetaLearner};
 pub use problem::{ResourceKind, SlaConstraints, SpaceInfo, TuningProblem};
 pub use proposer::RestuneProposer;
 pub use repository::{DataRepository, TaskObservation, TaskRecord};

@@ -18,10 +18,10 @@
 //!   base-learner means; the variance is the *target* learner's variance
 //!   alone, because only target observations should shrink uncertainty. So
 //!   historical learners are predicted by their means alone
-//!   ([`gp::SurrogateGp::predict_mean_batch`]), without a variance solve.
+//!   ([`gp::GaussianProcess::predict_mean_batch`]), without a variance solve.
 
 use crate::surrogate::{GpTaskModel, SurrogatePrediction};
-use gp::{GpError, Prediction, SurrogateGp};
+use gp::{GaussianProcess, GpError, Prediction};
 use xrand::rngs::StdRng;
 use xrand::{Rng, SeedableRng, SplitMix64};
 
@@ -42,37 +42,6 @@ pub struct BaseLearner {
     pub promising_point: Option<Vec<f64>>,
     /// The task's fitted multi-output surrogate.
     pub model: GpTaskModel,
-}
-
-/// How ensemble weights are assigned.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WeightStrategy {
-    /// Meta-feature distances through the Epanechnikov kernel (Eq. 8).
-    Static {
-        /// Kernel bandwidth ρ.
-        bandwidth: f64,
-    },
-    /// Ranking-loss posterior sampling (Eq. 9).
-    Dynamic {
-        /// Posterior samples used to estimate `P(learner has lowest loss)`.
-        samples: usize,
-        /// At most this many of the most recent target observations enter the
-        /// O(n²) ranking-loss computation.
-        max_points: usize,
-    },
-}
-
-impl WeightStrategy {
-    /// The paper's defaults: bandwidth chosen so Table 5-scale distances
-    /// produce comparable weights; 30 posterior samples.
-    pub fn default_static() -> Self {
-        WeightStrategy::Static { bandwidth: 0.2 }
-    }
-
-    /// Default dynamic strategy.
-    pub fn default_dynamic() -> Self {
-        WeightStrategy::Dynamic { samples: 30, max_points: 50 }
-    }
 }
 
 /// The Epanechnikov quadratic kernel γ(t) = 3/4 (1 − t²) for t ≤ 1 (Eq. 8).
@@ -139,14 +108,14 @@ pub fn ranking_loss(pred: &[f64], actual: &[f64]) -> usize {
 
 /// The degenerate-draw fallback: `n_samples` copies of the posterior means
 /// at `points` (zeros if the GP cannot predict there).
-fn mean_draws(gp: &SurrogateGp, points: &[Vec<f64>], n_samples: usize) -> Vec<Vec<f64>> {
+fn mean_draws(gp: &GaussianProcess, points: &[Vec<f64>], n_samples: usize) -> Vec<Vec<f64>> {
     let means = gp.predict_mean_batch(points).unwrap_or_else(|_| vec![0.0; points.len()]);
     vec![means; n_samples]
 }
 
 /// Posterior draws of a GP at `points`: one `Vec<f64>` per sample.
 fn posterior_draws(
-    gp: &SurrogateGp,
+    gp: &GaussianProcess,
     points: &[Vec<f64>],
     n_samples: usize,
     rng: &mut impl Rng,
@@ -160,7 +129,7 @@ fn posterior_draws(
 /// indices `start..` are drawn, matching the (possibly truncated) ranking
 /// window at `points`.
 fn loo_draws(
-    gp: &SurrogateGp,
+    gp: &GaussianProcess,
     points: &[Vec<f64>],
     start: usize,
     n_samples: usize,
@@ -179,7 +148,7 @@ fn loo_draws(
 /// debug builds).
 fn draws_from_loo(
     loo: Result<Vec<Prediction>, GpError>,
-    gp: &SurrogateGp,
+    gp: &GaussianProcess,
     points: &[Vec<f64>],
     start: usize,
     n_samples: usize,
@@ -243,7 +212,7 @@ pub fn dynamic_weights(
     let draw_learner = |li: usize| -> [Vec<Vec<f64>>; 3] {
         let span = trace::span!("learner_draws", learner = li);
         let model = if li == t { target } else { &base[li].model };
-        let metric = |m: usize, gp: &SurrogateGp| -> Vec<Vec<f64>> {
+        let metric = |m: usize, gp: &GaussianProcess| -> Vec<Vec<f64>> {
             let mut rng = StdRng::seed_from_u64(stream_seeds[li * 3 + m]);
             if li == t {
                 loo_draws(gp, points, start, samples, &mut rng)
@@ -330,7 +299,7 @@ pub fn dynamic_weights(
 }
 
 /// Selects one metric GP of a task model.
-pub(crate) type Metric = fn(&GpTaskModel) -> &SurrogateGp;
+pub(crate) type Metric = fn(&GpTaskModel) -> &GaussianProcess;
 
 /// The ensemble surrogate L_M (§6.3).
 #[derive(Debug, Clone)]

@@ -181,9 +181,9 @@ impl RestuneProposer {
     /// [`RestuneProposer::refits_hypers`]. On no-refit iterations, the
     /// previous iteration's cached model is grown *incrementally* by a
     /// rank-1 Cholesky append (`O(n^2)`) when exactly one observation
-    /// arrived since; any mismatch (restarted history, failed extension,
-    /// sparse model) falls back to the full fit. The successful model is
-    /// always re-cached for the next iteration.
+    /// arrived since; any mismatch (restarted history, failed extension)
+    /// falls back to the full fit. The successful model is always re-cached
+    /// for the next iteration.
     fn fit_target(
         &mut self,
         view: &HistoryView<'_>,
@@ -342,7 +342,7 @@ impl RestuneProposer {
                 return surrogate.predict_batch(pts);
             }
             let t = surrogate.target();
-            let column = |gp: &gp::SurrogateGp| gp.predict_batch(pts).expect("dim");
+            let column = |gp: &gp::GaussianProcess| gp.predict_batch(pts).expect("dim");
             let res = surrogate.ensemble_batch(|m| &m.res, pts);
             SurrogatePrediction::zip(res, column(&t.tps), column(&t.lat))
         };
@@ -539,13 +539,8 @@ impl Proposer for RestuneProposer {
                 .target_cache
                 .as_ref()
                 .filter(|_| self.last_fit != FitPath::Fallback)
-                .and_then(|m| m.res.as_dense())
-                .and_then(|g| g.loo_calibration().ok());
-            let surrogate = match self.target_cache.as_ref().map(|m| &m.res) {
-                Some(gp::SurrogateGp::Dense(_)) => "dense",
-                Some(gp::SurrogateGp::Sparse(_)) => "sparse",
-                None => "none",
-            };
+                .and_then(|m| m.res.loo_calibration().ok());
+            let surrogate = if self.target_cache.is_some() { "dense" } else { "none" };
             TunerHealth::collect(
                 view,
                 record,

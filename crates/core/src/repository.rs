@@ -9,35 +9,8 @@ use crate::meta::BaseLearner;
 use crate::problem::ResourceKind;
 use crate::surrogate::GpTaskModel;
 use dbsim::{Configuration, InstanceType, KnobSet, SimulatedDbms};
-use gp::{GpConfig, InducingSelector, SparseGpConfig};
+use gp::GpConfig;
 use workload::WorkloadCharacterizer;
-
-/// When and how a base-task history is fitted sparsely instead of densely.
-///
-/// A repository in the paper's regime holds a few hundred observations per
-/// task; a cloud vendor's holds thousands. Above `dense_obs_threshold`
-/// observations the dense `O(n^3)` fit is replaced by an inducing-point
-/// sparse fit over `n_inducing` deterministically chosen points
-/// (`O(n m^2)`), so histories of any size stay affordable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SurrogatePolicy {
-    /// Histories strictly larger than this fit sparsely.
-    pub dense_obs_threshold: usize,
-    /// Inducing-point budget for sparse fits.
-    pub n_inducing: usize,
-    /// Inducing-point selection strategy.
-    pub selector: InducingSelector,
-}
-
-impl Default for SurrogatePolicy {
-    fn default() -> Self {
-        SurrogatePolicy {
-            dense_obs_threshold: 256,
-            n_inducing: 64,
-            selector: InducingSelector::GreedyFarthest,
-        }
-    }
-}
 
 /// One stored observation of a historical task.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,37 +95,16 @@ impl TaskRecord {
         }
     }
 
-    /// Fits this task's frozen base-learner, always densely.
+    /// Fits this task's frozen base-learner: one exact GP per metric over
+    /// the whole history (a few hundred observations per task in the
+    /// paper's repository), counted by `repository.fit.dense`.
     pub fn to_base_learner(&self, config: &GpConfig) -> Result<BaseLearner, gp::GpError> {
-        self.to_base_learner_with_policy(
-            config,
-            &SurrogatePolicy { dense_obs_threshold: usize::MAX, ..Default::default() },
-        )
-    }
-
-    /// Fits this task's frozen base-learner, switching to an inducing-point
-    /// sparse fit when the history exceeds `policy.dense_obs_threshold`.
-    pub fn to_base_learner_with_policy(
-        &self,
-        config: &GpConfig,
-        policy: &SurrogatePolicy,
-    ) -> Result<BaseLearner, gp::GpError> {
         let points: Vec<Vec<f64>> = self.observations.iter().map(|o| o.point.clone()).collect();
         let res: Vec<f64> = self.observations.iter().map(|o| o.res).collect();
         let tps: Vec<f64> = self.observations.iter().map(|o| o.tps).collect();
         let lat: Vec<f64> = self.observations.iter().map(|o| o.lat).collect();
-        let model = if points.len() > policy.dense_obs_threshold {
-            trace::count("repository.fit.sparse", 1);
-            let sparse_cfg = SparseGpConfig {
-                n_inducing: policy.n_inducing,
-                selector: policy.selector,
-                gp: config.clone(),
-            };
-            GpTaskModel::fit_sparse(&points, &res, &tps, &lat, &sparse_cfg)?
-        } else {
-            trace::count("repository.fit.dense", 1);
-            GpTaskModel::fit(&points, &res, &tps, &lat, config)?
-        };
+        trace::count("repository.fit.dense", 1);
+        let model = GpTaskModel::fit(&points, &res, &tps, &lat, config)?;
         Ok(BaseLearner {
             task_id: self.task_id.clone(),
             workload: self.workload.clone(),
@@ -245,27 +197,12 @@ impl DataRepository {
     pub fn base_learners(
         &self,
         config: &GpConfig,
-        keep: impl FnMut(&TaskRecord) -> bool,
-    ) -> Vec<BaseLearner> {
-        self.base_learners_with_policy(
-            config,
-            &SurrogatePolicy { dense_obs_threshold: usize::MAX, ..Default::default() },
-            keep,
-        )
-    }
-
-    /// [`DataRepository::base_learners`] with a sparse-fit policy: large
-    /// histories become inducing-point sparse learners instead of dense ones.
-    pub fn base_learners_with_policy(
-        &self,
-        config: &GpConfig,
-        policy: &SurrogatePolicy,
         mut keep: impl FnMut(&TaskRecord) -> bool,
     ) -> Vec<BaseLearner> {
         self.tasks
             .iter()
             .filter(|t| keep(t))
-            .filter_map(|t| t.to_base_learner_with_policy(config, policy).ok())
+            .filter_map(|t| t.to_base_learner(config).ok())
             .collect()
     }
 

@@ -1,10 +1,12 @@
 //! The multi-output task surrogate (§5.1): three conditionally independent
 //! Gaussian processes over the normalized knob space, one each for the
 //! resource objective, throughput, and p99 latency — fitted on *standardized*
-//! observations (§6.1).
+//! observations (§6.1). Target tasks and historical base learners share the
+//! one exact backend, [`gp::GaussianProcess`]; only the target's model is
+//! grown by rank-1 appends.
 
 use crate::scale::TaskScalers;
-use gp::{GaussianProcess, GpConfig, GpError, Prediction, SparseGp, SparseGpConfig, SurrogateGp};
+use gp::{GaussianProcess, GpConfig, GpError, Prediction};
 
 /// Joint prediction of the three modeled outputs, in standardized units.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,19 +34,16 @@ impl SurrogatePrediction {
     }
 }
 
-/// A single task's surrogate: three GPs on standardized outputs.
-///
-/// Each metric model is a [`SurrogateGp`]: dense for target tasks (which stay
-/// small and need incremental extension + leave-one-out predictions), sparse
-/// for large base-task histories from the meta-repository.
+/// A single task's surrogate: three exact GPs on standardized outputs, for
+/// target tasks and historical base learners alike.
 #[derive(Debug, Clone)]
 pub struct GpTaskModel {
     /// GP over the standardized resource objective.
-    pub res: SurrogateGp,
+    pub res: GaussianProcess,
     /// GP over standardized throughput.
-    pub tps: SurrogateGp,
+    pub tps: GaussianProcess,
     /// GP over standardized latency.
-    pub lat: SurrogateGp,
+    pub lat: GaussianProcess,
     /// The scalers used (needed to map SLA bounds into model space).
     pub scalers: TaskScalers,
 }
@@ -70,7 +69,7 @@ impl GpTaskModel {
     /// here as its fit would.
     ///
     /// On inputs it passes, with points in the normalized knob space, a
-    /// dense fit does not fail: its last factorization is of a finite,
+    /// fit does not fail: its last factorization is of a finite,
     /// bounded Matérn Gram matrix plus noise, with the jitter ladder behind
     /// it. The proposer rests its fit skip on that (DESIGN.md §13), and a
     /// propcheck below holds it.
@@ -115,37 +114,14 @@ impl GpTaskModel {
             let span = trace::Span::new(name).with_field("n_obs", ys.len() as f64);
             let fitted = GaussianProcess::fit(points.to_vec(), ys, config);
             let _ = span.finish_s();
-            fitted.map(SurrogateGp::Dense)
+            fitted
         })
         .into_iter();
         let mut next = || fits.next().expect("one fit per metric");
         Ok(GpTaskModel { res: next()?, tps: next()?, lat: next()?, scalers })
     }
 
-    /// Fits the three metric models as inducing-point sparse GPs — the
-    /// large-history path for base learners whose observation count makes a
-    /// dense `O(n^3)` fit unaffordable. Hyperparameters come from a dense fit
-    /// on the inducing subset (see [`SparseGp::fit`]).
-    pub fn fit_sparse(
-        points: &[Vec<f64>],
-        res_raw: &[f64],
-        tps_raw: &[f64],
-        lat_raw: &[f64],
-        config: &SparseGpConfig,
-    ) -> Result<Self, GpError> {
-        let scalers = TaskScalers::fit(res_raw, tps_raw, lat_raw);
-        let fit_one = |ys: Vec<f64>| -> Result<SurrogateGp, GpError> {
-            Ok(SurrogateGp::Sparse(SparseGp::fit(points.to_vec(), ys, config)?))
-        };
-        Ok(GpTaskModel {
-            res: fit_one(scalers.res.transform_all(res_raw))?,
-            tps: fit_one(scalers.tps.transform_all(tps_raw))?,
-            lat: fit_one(scalers.lat.transform_all(lat_raw))?,
-            scalers,
-        })
-    }
-
-    /// Appends the latest observation *incrementally*: each dense metric GP
+    /// Appends the latest observation *incrementally*: each metric GP
     /// grows its Cholesky factor by one rank-1 row (`O(n^2)`) instead of
     /// refactoring from scratch (`O(n^3)`), keeping the kernel
     /// hyperparameters it already carries. Standardization is re-fit on the
@@ -155,9 +131,8 @@ impl GpTaskModel {
     ///
     /// `points`/`*_raw` are the FULL history including the new last entry;
     /// the model must currently hold exactly `points.len() - 1` observations,
-    /// with a training set bit-equal to `points[..n-1]`. Errors if any metric
-    /// model is sparse (target models never are) — the caller falls back to a
-    /// full fit.
+    /// with a training set bit-equal to `points[..n-1]`. On an error the
+    /// caller falls back to a full fit.
     pub fn extend_with_scalers(
         &mut self,
         points: &[Vec<f64>],
@@ -172,14 +147,10 @@ impl GpTaskModel {
             return Err(GpError::DataMismatch { n_x: n, n_y: self.n() + 1 });
         }
         let x_new = &points[n - 1];
-        let extend_one =
-            |gp: &mut SurrogateGp, std_col: Vec<f64>| -> Result<(), GpError> {
-                let dense = gp.as_dense_mut().ok_or_else(|| {
-                    GpError::Factorization("cannot extend a sparse surrogate".into())
-                })?;
-                dense.extend(x_new.clone(), std_col[n - 1], config)?;
-                dense.set_targets(std_col)
-            };
+        let extend_one = |gp: &mut GaussianProcess, std_col: Vec<f64>| -> Result<(), GpError> {
+            gp.extend(x_new.clone(), std_col[n - 1], config)?;
+            gp.set_targets(std_col)
+        };
         extend_one(&mut self.res, scalers.res.transform_all(res_raw))?;
         extend_one(&mut self.tps, scalers.tps.transform_all(tps_raw))?;
         extend_one(&mut self.lat, scalers.lat.transform_all(lat_raw))?;
@@ -190,8 +161,7 @@ impl GpTaskModel {
     /// Whether the model's training inputs are exactly `prefix` — the guard
     /// the proposer's incremental cache uses before extending.
     pub fn trained_on(&self, prefix: &[Vec<f64>]) -> bool {
-        let Some(dense) = self.res.as_dense() else { return false };
-        let train = dense.train_x();
+        let train = self.res.train_x();
         train.len() == prefix.len()
             && train
                 .iter()
@@ -211,7 +181,8 @@ impl GpTaskModel {
     ///
     /// If a point's length is not the model's knob-space dimensionality.
     pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<SurrogatePrediction> {
-        let column = |gp: &SurrogateGp| gp.predict_batch(points).expect("dimension checked at fit");
+        let column =
+            |gp: &GaussianProcess| gp.predict_batch(points).expect("dimension checked at fit");
         SurrogatePrediction::zip(column(&self.res), column(&self.tps), column(&self.lat))
     }
 }
@@ -259,9 +230,13 @@ mod tests {
         // The oracle the proposer's fit skip rests on: a step that skips its
         // fit assumes the fit would not have failed, which holds iff every
         // input that passes `check_inputs` fits. Points stay in the unit
-        // cube the proposer works in; raw columns range up to 1e150 and may
-        // be constant (a constant column standardizes to rounding residue
-        // over the 1e-9 floor, which can reach 1e143).
+        // cube, as every point a proposer fits on does: proposals and the
+        // default point lie in it, and `seed_history` rejects a point
+        // outside it, because a far coordinate (1e160) overflows the kernel
+        // into a NaN Gram matrix that this finiteness check cannot see. Raw
+        // columns range up to 1e150 and may be constant (a constant column
+        // standardizes to rounding residue over the 1e-9 floor, which can
+        // reach 1e143).
         let quick = GpConfig { restarts: 1, adam_iters: 10, ..Default::default() };
         check(
             "fits_succeed_whenever_the_input_check_passes",

@@ -24,7 +24,7 @@ use dbsim::{
 use gp::GpConfig;
 use std::sync::Arc;
 
-pub use crate::engine::{IterationRecord, IterationTiming, TuningOutcome};
+pub use crate::engine::{IterationRecord, IterationTiming, SeedError, TuningOutcome};
 
 /// The target DBMS copy plus the search space and objective.
 #[derive(Debug, Clone)]
@@ -224,10 +224,8 @@ pub struct RestuneConfig {
     pub retry_backoff_s: f64,
     /// Turn on the global trace collector (DESIGN.md §10) when the session
     /// is built. Off by default: the no-op sink costs one atomic load per
-    /// instrumentation site. `trace::init_from_env()` / `RESTUNE_TRACE=1`
-    /// offers the same switch without a config edit. Tracing reads clocks
-    /// only — never RNG streams or observations — so enabling it cannot
-    /// change tuning output.
+    /// instrumentation site. Tracing reads clocks only — never RNG streams
+    /// or observations — so enabling it cannot change tuning output.
     pub trace: bool,
     /// Emit a per-iteration `tuner.health` diagnostics event (DESIGN.md §15):
     /// GP calibration, ensemble weights + entropy, incumbent regret, the
@@ -368,12 +366,20 @@ impl TuningSession {
 
     /// Appends an externally collected observation tuple to the surrogate's
     /// training data without consuming a replay — warm-starting a session
-    /// from measurements gathered outside it. Values enter the model
-    /// verbatim; a degenerate tuple (NaN/inf) does not abort the session but
-    /// degrades the next recommendations to uniform exploration until enough
-    /// clean data accumulates (see DESIGN.md §9).
-    pub fn seed_history(&mut self, point: Vec<f64>, res: f64, tps: f64, lat: f64) {
-        self.driver.engine_mut().seed_history(point, res, tps, lat);
+    /// from measurements gathered outside it. A point outside the search
+    /// space `[0, 1]^search_dim` is rejected with the history unchanged; the
+    /// values enter the model verbatim, and a degenerate tuple (NaN/inf)
+    /// does not abort the session but degrades the next recommendations to
+    /// uniform exploration until enough clean data accumulates
+    /// ([`crate::engine::EvalEngine::seed_history`], DESIGN.md §9).
+    pub fn seed_history(
+        &mut self,
+        point: Vec<f64>,
+        res: f64,
+        tps: f64,
+        lat: f64,
+    ) -> Result<(), SeedError> {
+        self.driver.engine_mut().seed_history(point, res, tps, lat)
     }
 
     /// Installs a drift controller (DESIGN.md §16): after every committed
@@ -564,7 +570,7 @@ mod tests {
         // abort the whole session when the observation set was degenerate.
         // A seeded NaN tuple must instead degrade to uniform exploration.
         let mut session = TuningSession::new(twitter_env(6), quick_config(6));
-        session.seed_history(vec![0.5, 0.5, 0.5], f64::NAN, f64::NAN, f64::NAN);
+        session.seed_history(vec![0.5, 0.5, 0.5], f64::NAN, f64::NAN, f64::NAN).unwrap();
         let r0 = session.step();
         assert!(r0.weights.is_none());
         assert!(r0.point.iter().all(|v| (0.0..=1.0).contains(v)));
@@ -580,10 +586,44 @@ mod tests {
     }
 
     #[test]
+    fn seeded_points_outside_the_knob_cube_are_rejected() {
+        // A point off the unit cube would reach the kernel: a coordinate of
+        // 1e160 overflows the Matérn distance into a NaN Gram matrix, which
+        // the fit's finiteness check cannot see. Each such tuple is refused
+        // and leaves the session exactly as an unseeded one. One LHS step,
+        // then two acquisition steps whose fits read every stored point.
+        let session = || {
+            let config = RestuneConfig { init_iters: 1, ..quick_config(8) };
+            TuningSession::new(twitter_env(8), config)
+        };
+        let steps = |s: &mut TuningSession| -> Vec<(Vec<f64>, Observation)> {
+            (0..3).map(|_| s.step()).map(|r| (r.point, r.observation)).collect()
+        };
+        let unseeded = steps(&mut session());
+        let rejected = [
+            (vec![1e160, 0.5, 0.5], SeedError::OutOfCube { index: 0, value: 1e160 }),
+            (vec![0.5, 0.5], SeedError::DimensionMismatch { expected: 3, found: 2 }),
+        ];
+        for (point, want) in rejected {
+            let mut s = session();
+            assert_eq!(s.seed_history(point, 10.0, 1.0, 1.0), Err(want));
+            assert_eq!(steps(&mut s), unseeded);
+        }
+        let mut s = session();
+        let nan = s.seed_history(vec![f64::NAN, 0.5, 0.5], 10.0, 1.0, 1.0);
+        assert!(matches!(nan, Err(SeedError::OutOfCube { index: 0, value }) if value.is_nan()));
+        assert_eq!(steps(&mut s), unseeded);
+        // The cube's faces are inside it, and an accepted point is read.
+        let mut s = session();
+        assert_eq!(s.seed_history(vec![0.0, 1.0, 0.5], 10.0, 1.0, 1.0), Ok(()));
+        assert_ne!(steps(&mut s), unseeded);
+    }
+
+    #[test]
     fn degenerate_fallback_is_deterministic() {
         let run = || {
             let mut s = TuningSession::new(twitter_env(11), quick_config(11));
-            s.seed_history(vec![0.1, 0.2, 0.3], f64::INFINITY, 1.0, 1.0);
+            s.seed_history(vec![0.1, 0.2, 0.3], f64::INFINITY, 1.0, 1.0).unwrap();
             (s.step().point, s.step().point)
         };
         assert_eq!(run(), run());

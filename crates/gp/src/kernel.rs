@@ -10,14 +10,14 @@
 //! calls per covariance.
 //!
 //! [`Matern52::value`] and [`Matern52::value_and_grad`] are the per-pair
-//! forms. Covariance blocks `K(A, B)` (the cross-kernels of prediction,
-//! `K(P, P)` for joint sampling and the sparse backend's `K_mm` and `K_mn`)
-//! come from the crate-private `Matern52::cross`, and the exact GP's
-//! `K(X, X) + noise I`, with or without the packed kernel gradients a
-//! hyperparameter fit reads, from the crate-private `Matern52::gram`. Both
-//! build dimension-major so independent entries share SIMD lanes, while each
-//! entry runs the per-pair form's operations in its order. Unit tests hold
-//! them to `value` and `value_and_grad` by `to_bits()`.
+//! forms. Covariance blocks `K(A, B)` (the cross-kernels of prediction and
+//! `K(P, P)` for joint sampling) come from the crate-private
+//! `Matern52::cross`, and the GP's `K(X, X) + noise I`, with or without
+//! the packed kernel gradients a hyperparameter fit reads, from the
+//! crate-private `Matern52::gram`. Both build dimension-major so
+//! independent entries share SIMD lanes, while each entry runs the
+//! per-pair form's operations in its order. Unit tests hold them to
+//! `value` and `value_and_grad` by `to_bits()`.
 
 use linalg::Matrix;
 

@@ -1,5 +1,5 @@
 //! Exact Gaussian-process regression with marginal-likelihood hyperparameter
-//! fitting, and the posterior pieces both GP backends share.
+//! fitting: the one GP backend every surrogate in the workspace uses.
 //!
 //! Prediction has one implementation, [`GaussianProcess::predict_batch`]:
 //! the cross-kernel `K(X, P)` is one matrix, built dimension-major by the
@@ -91,17 +91,9 @@ pub fn check_inputs(x: &[Vec<f64>], y: &[f64], dim: usize) -> Result<(), GpError
     Ok(())
 }
 
-/// Rejects the first point whose length is not `dim`.
-pub(crate) fn check_dims(points: &[Vec<f64>], dim: usize) -> Result<(), GpError> {
-    match points.iter().find(|p| p.len() != dim) {
-        Some(p) => Err(GpError::DimensionMismatch { expected: dim, found: p.len() }),
-        None => Ok(()),
-    }
-}
-
 /// `offset + w^T K`: one entry per column of `k`, summed over `k`'s rows in
 /// ascending order (the order a per-point `dot(k_*, w)` sums in).
-pub(crate) fn weighted_columns(offset: f64, w: &[f64], k: &Matrix) -> Vec<f64> {
+fn weighted_columns(offset: f64, w: &[f64], k: &Matrix) -> Vec<f64> {
     let cross = Matrix::from_vec(1, w.len(), w.to_vec()).matmul(k).expect("one weight per row");
     cross.data().iter().map(|c| offset + c).collect()
 }
@@ -109,7 +101,7 @@ pub(crate) fn weighted_columns(offset: f64, w: &[f64], k: &Matrix) -> Vec<f64> {
 /// `‖v_c‖²` for each column of `v`, accumulated row by row so the inner
 /// loop streams a contiguous row; each column still sums its squares over
 /// the row index in ascending order. A `0 x m` `v` gives `m` zeros.
-pub(crate) fn column_sq_norms(v: &Matrix) -> Vec<f64> {
+fn column_sq_norms(v: &Matrix) -> Vec<f64> {
     let mut norms = vec![0.0; v.cols()];
     for i in 0..v.rows() {
         for (norm, x) in norms.iter_mut().zip(v.row(i)) {
@@ -117,40 +109,6 @@ pub(crate) fn column_sq_norms(v: &Matrix) -> Vec<f64> {
         }
     }
     norms
-}
-
-/// Draws `n_samples` vectors from `N(mean, cov)`, the sampling tail both GP
-/// backends share. The covariance is symmetrized and its diagonal lifted by
-/// `1e-9 + 1e-6 * prior_variance` first, because posterior covariances can
-/// be numerically indefinite. Each sample consumes `mean.len()` standard
-/// normals in order.
-pub(crate) fn sample_gaussian(
-    mean: &[f64],
-    mut cov: Matrix,
-    prior_variance: f64,
-    n_samples: usize,
-    rng: &mut impl Rng,
-) -> Result<Vec<Vec<f64>>, GpError> {
-    let m = mean.len();
-    cov.symmetrize();
-    cov.add_diagonal(1e-9 + 1e-6 * prior_variance);
-    let cov_chol = Cholesky::factor_with_jitter(&cov)?;
-    let l = cov_chol.l();
-    let mut samples = Vec::with_capacity(n_samples);
-    for _ in 0..n_samples {
-        let z = rand_util::standard_normal_vec(rng, m);
-        let mut s = mean.to_vec();
-        for i in 0..m {
-            let mut acc = 0.0;
-            let row = l.row(i);
-            for k in 0..=i {
-                acc += row[k] * z[k];
-            }
-            s[i] += acc;
-        }
-        samples.push(s);
-    }
-    Ok(samples)
 }
 
 /// Posterior prediction at a single point.
@@ -430,7 +388,9 @@ impl GaussianProcess {
     /// matrix. Column `c` depends on `points[c]` alone, so a point's
     /// prediction does not depend on the rest of its batch.
     fn mean_terms(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix), GpError> {
-        check_dims(points, self.dim)?;
+        if let Some(p) = points.iter().find(|p| p.len() != self.dim) {
+            return Err(GpError::DimensionMismatch { expected: self.dim, found: p.len() });
+        }
         let (n, m) = (self.x.len(), points.len());
         if n == 0 || m == 0 {
             return Ok((vec![self.mean_offset; m], Matrix::zeros(0, m)));
@@ -476,7 +436,11 @@ impl GaussianProcess {
     ///
     /// Returns `n_samples` vectors, each of length `points.len()`. Used by the
     /// RGPE-style dynamic weighting to estimate the probability that a
-    /// base-learner has the lowest ranking loss (§6.4.2).
+    /// base-learner has the lowest ranking loss (§6.4.2). The posterior
+    /// covariance is symmetrized and its diagonal lifted by
+    /// `1e-9 + 1e-6 * prior_variance` before it is factored, because it can
+    /// be numerically indefinite. Each sample consumes `points.len()`
+    /// standard normals in order.
     pub fn sample_joint(
         &self,
         points: &[Vec<f64>],
@@ -498,7 +462,25 @@ impl GaussianProcess {
                 cov[(j, i)] = cov[(i, j)];
             }
         }
-        sample_gaussian(&mean, cov, self.kernel.prior_variance(), n_samples, rng)
+        cov.symmetrize();
+        cov.add_diagonal(1e-9 + 1e-6 * self.kernel.prior_variance());
+        let cov_chol = Cholesky::factor_with_jitter(&cov)?;
+        let l = cov_chol.l();
+        let mut samples = Vec::with_capacity(n_samples);
+        for _ in 0..n_samples {
+            let z = rand_util::standard_normal_vec(rng, m);
+            let mut s = mean.clone();
+            for i in 0..m {
+                let mut acc = 0.0;
+                let row = l.row(i);
+                for k in 0..=i {
+                    acc += row[k] * z[k];
+                }
+                s[i] += acc;
+            }
+            samples.push(s);
+        }
+        Ok(samples)
     }
 
     /// Closed-form leave-one-out posterior predictions (Rasmussen & Williams
@@ -714,7 +696,7 @@ mod tests {
         /// The textbook per-point posterior over the private fields (`k_*`,
         /// `mean + k_*^T alpha`, `s^2 - ||L^{-1} k_*||^2` by one forward
         /// solve): the oracle the batched path is held to, bit for bit.
-        pub(crate) fn reference_predict(&self, point: &[f64]) -> Prediction {
+        fn reference_predict(&self, point: &[f64]) -> Prediction {
             let prior_var = self.kernel.prior_variance();
             if self.x.is_empty() {
                 return Prediction { mean: self.mean_offset, variance: prior_var };
@@ -863,30 +845,45 @@ mod tests {
 
     #[test]
     fn predict_batch_is_bitwise_identical_to_the_per_point_reference() {
+        // Empty, fitted and `extend`ed models, each held to the reference at
+        // every point: the batch, a batch of one, and the mean-only call.
         let (xs, ys) = toy_data();
-        let cfg = GpConfig { seed: 5, ..Default::default() };
-        let gp = GaussianProcess::fit(xs, ys, &cfg).unwrap();
+        let hyperopt = GpConfig { seed: 5, ..Default::default() };
+        let fitted = GaussianProcess::fit(xs.clone(), ys.clone(), &hyperopt).unwrap();
+        let cfg = GpConfig::fixed();
+        let empty = GaussianProcess::fit(Vec::new(), Vec::new(), &cfg).unwrap();
+        let mut extended =
+            GaussianProcess::fit(xs[..11].to_vec(), ys[..11].to_vec(), &cfg).unwrap();
+        extended.extend(xs[11].clone(), ys[11], &cfg).unwrap();
         let pts: Vec<Vec<f64>> = (0..37).map(|i| vec![i as f64 / 36.0 * 1.4 - 0.2]).collect();
-        let batch = gp.predict_batch(&pts).unwrap();
-        assert_eq!(batch.len(), pts.len());
-        for (p, b) in pts.iter().zip(&batch) {
-            let reference = gp.reference_predict(p);
-            assert_eq!(reference.mean.to_bits(), b.mean.to_bits(), "mean at {p:?}");
-            assert_eq!(reference.variance.to_bits(), b.variance.to_bits(), "variance at {p:?}");
-        }
         // The same holds after a rank-1 extension, on a 3-d model.
         let xs3: Vec<Vec<f64>> =
             (0..15).map(|i| vec![i as f64 / 14.0, (i as f64 * 0.37).fract(), 0.5]).collect();
         let ys3: Vec<f64> = xs3.iter().map(|x| x[0] - 2.0 * x[1]).collect();
-        let cfg = GpConfig::fixed();
         let mut gp3 = GaussianProcess::fit(xs3[..14].to_vec(), ys3[..14].to_vec(), &cfg).unwrap();
         gp3.extend(xs3[14].clone(), ys3[14], &cfg).unwrap();
         let pts3: Vec<Vec<f64>> =
             (0..9).map(|i| vec![i as f64 / 8.0, 1.0 - i as f64 / 8.0, 0.1 * i as f64]).collect();
-        for (p, b) in pts3.iter().zip(gp3.predict_batch(&pts3).unwrap()) {
-            let reference = gp3.reference_predict(p);
-            assert_eq!(reference.mean.to_bits(), b.mean.to_bits());
-            assert_eq!(reference.variance.to_bits(), b.variance.to_bits());
+        let cases = [(&empty, &pts), (&fitted, &pts), (&extended, &pts), (&gp3, &pts3)];
+        for (case, (gp, pts)) in cases.into_iter().enumerate() {
+            let batch = gp.predict_batch(pts).unwrap();
+            let means = gp.predict_mean_batch(pts).unwrap();
+            assert_eq!(batch.len(), pts.len());
+            assert_eq!(means.len(), pts.len());
+            for ((p, b), m) in pts.iter().zip(&batch).zip(&means) {
+                let reference = gp.reference_predict(p);
+                for got in [*b, gp.predict(p).unwrap()] {
+                    assert_eq!(reference.mean.to_bits(), got.mean.to_bits(), "case {case}: {p:?}");
+                    assert_eq!(reference.variance.to_bits(), got.variance.to_bits());
+                }
+                assert_eq!(m.to_bits(), b.mean.to_bits(), "case {case}: mean-only at {p:?}");
+            }
+            assert!(gp.predict_mean_batch(&[]).unwrap().is_empty());
+            let d = gp.dim();
+            let wrong = [vec![0.1; d + 1]];
+            let want = Err(GpError::DimensionMismatch { expected: d, found: d + 1 });
+            assert_eq!(gp.predict_batch(&wrong).map(|_| ()), want);
+            assert_eq!(gp.predict_mean_batch(&wrong).map(|_| ()), want);
         }
     }
 

@@ -1,10 +1,7 @@
 //! Property-based tests on Gaussian-process invariants, on the in-tree
 //! `propcheck` harness with fixed suite seeds.
 
-use gp::{
-    GaussianProcess, GpConfig, GpError, InducingSelector, Matern52, SparseGp, SparseGpConfig,
-    SurrogateGp,
-};
+use gp::{GaussianProcess, GpConfig, GpError, Matern52};
 use propcheck::{check, Config, Gen};
 
 /// Draws what the old proptest `dataset()` strategy produced: `n` points in
@@ -108,9 +105,8 @@ fn batch_predictions_do_not_depend_on_the_rest_of_the_batch() {
     // same bits. The acquisition optimizer relies on this when it scores
     // candidates in 256-point blocks split across lanes. The mean-only call
     // gives the same mean bits in each of those positions. Both hold for an
-    // empty, a fitted and an extended dense model and for sparse models
-    // under both selectors. The per-point formula itself is held by the
-    // reference tests in the unit modules.
+    // empty, a fitted and an extended model. The per-point formula itself
+    // is held by the reference test in `gp::process`.
     check(
         "batch_predictions_do_not_depend_on_the_rest_of_the_batch",
         Config::default().cases(48).seed(0x6B_0006),
@@ -131,17 +127,7 @@ fn batch_predictions_do_not_depend_on_the_rest_of_the_batch() {
             let mut grown =
                 GaussianProcess::fit(xs[..n - 1].to_vec(), ys[..n - 1].to_vec(), &cfg).unwrap();
             grown.extend(xs[n - 1].clone(), ys[n - 1], &cfg).unwrap();
-            let sparse = |selector| {
-                let cfg = SparseGpConfig { n_inducing: n.div_ceil(2), selector, gp: cfg.clone() };
-                SurrogateGp::from(SparseGp::fit(xs.clone(), ys.clone(), &cfg).unwrap())
-            };
-            let models = [
-                SurrogateGp::from(gp),
-                SurrogateGp::from(empty),
-                SurrogateGp::from(grown),
-                sparse(InducingSelector::Strided),
-                sparse(InducingSelector::GreedyFarthest),
-            ];
+            let models = [gp, empty, grown];
             let reversed: Vec<Vec<f64>> = pts.iter().rev().cloned().collect();
             for model in &models {
                 let batch = model.predict_batch(&pts).unwrap();

@@ -112,12 +112,6 @@ impl Cholesky {
         &self.l
     }
 
-    /// Consumes the factorization, yielding the factor without a copy (used
-    /// by the incremental GP refit to hand the grown factor back to storage).
-    pub fn into_factor(self) -> Matrix {
-        self.l
-    }
-
     /// Jitter added to succeed (0.0 if none).
     pub fn jitter(&self) -> f64 {
         self.jitter
@@ -311,80 +305,6 @@ impl Cholesky {
     /// `log |A| = 2 * sum_i log L_ii`.
     pub fn log_determinant(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
-    /// Quadratic form `b^T A^{-1} b` computed stably as `||L^{-1} b||^2`.
-    pub fn quadratic_form(&self, b: &[f64]) -> Result<f64> {
-        let y = self.solve_lower(b)?;
-        Ok(crate::vector::dot(&y, &y))
-    }
-
-    // ---- rank-1 updates --------------------------------------------------
-
-    /// Rank-1 *update*: replaces this factor of `A` with the factor of
-    /// `A + v vᵀ` in O(n²) via a sweep of Givens-style rotations
-    /// (Golub & Van Loan §6.5.4), instead of an O(n³) refactorization.
-    ///
-    /// Adding `v vᵀ` to an SPD matrix keeps it SPD, so this cannot fail for
-    /// finite `v` of the right length.
-    pub fn update(&mut self, v: &[f64]) -> Result<()> {
-        let n = self.dim();
-        if v.len() != n {
-            return Err(LinalgError::DimensionMismatch { expected: n, found: v.len() });
-        }
-        if v.iter().any(|x| !x.is_finite()) {
-            return Err(LinalgError::NonFinite);
-        }
-        trace::count("linalg.cholesky.update", 1);
-        let mut w = v.to_vec();
-        for k in 0..n {
-            let lkk = self.l[(k, k)];
-            let r = (lkk * lkk + w[k] * w[k]).sqrt();
-            let c = r / lkk;
-            let s = w[k] / lkk;
-            self.l[(k, k)] = r;
-            for i in (k + 1)..n {
-                self.l[(i, k)] = (self.l[(i, k)] + s * w[i]) / c;
-                w[i] = c * w[i] - s * self.l[(i, k)];
-            }
-        }
-        Ok(())
-    }
-
-    /// Rank-1 *downdate*: replaces this factor of `A` with the factor of
-    /// `A - v vᵀ` in O(n²). Fails with [`LinalgError::NotPositiveDefinite`]
-    /// when the downdated matrix is no longer SPD; the stored factor is left
-    /// untouched on any failure.
-    pub fn downdate(&mut self, v: &[f64]) -> Result<()> {
-        let n = self.dim();
-        if v.len() != n {
-            return Err(LinalgError::DimensionMismatch { expected: n, found: v.len() });
-        }
-        if v.iter().any(|x| !x.is_finite()) {
-            return Err(LinalgError::NonFinite);
-        }
-        trace::count("linalg.cholesky.update", 1);
-        // Work on a copy and commit only on success: a rejected downdate must
-        // not leave a half-rotated (invalid) factor behind.
-        let mut l = self.l.clone();
-        let mut w = v.to_vec();
-        for k in 0..n {
-            let lkk = l[(k, k)];
-            let r2 = lkk * lkk - w[k] * w[k];
-            if r2 <= 0.0 || !r2.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { pivot: k, value: r2 });
-            }
-            let r = r2.sqrt();
-            let c = r / lkk;
-            let s = w[k] / lkk;
-            l[(k, k)] = r;
-            for i in (k + 1)..n {
-                l[(i, k)] = (l[(i, k)] - s * w[i]) / c;
-                w[i] = c * w[i] - s * l[(i, k)];
-            }
-        }
-        self.l = l;
-        Ok(())
     }
 
     /// Grows the factor of an `n x n` matrix `A` to the factor of the
@@ -611,56 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn rank1_update_reconstructs_a_plus_vvt() {
-        let a = spd3();
-        let mut c = Cholesky::factor(&a).unwrap();
-        let v = vec![0.7, -1.2, 0.4];
-        c.update(&v).unwrap();
-        let recon = c.l().matmul(&c.l().transpose()).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                let want = a[(i, j)] + v[i] * v[j];
-                assert!((recon[(i, j)] - want).abs() < 1e-9, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn downdate_inverts_update() {
-        let a = spd3();
-        let base = Cholesky::factor(&a).unwrap();
-        let v = vec![0.3, 0.9, -0.5];
-        let mut c = base.clone();
-        c.update(&v).unwrap();
-        c.downdate(&v).unwrap();
-        for i in 0..3 {
-            for j in 0..=i {
-                assert!(
-                    (c.l()[(i, j)] - base.l()[(i, j)]).abs() < 1e-9,
-                    "({i},{j}): {} vs {}",
-                    c.l()[(i, j)],
-                    base.l()[(i, j)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn non_spd_downdate_is_rejected_and_leaves_factor_intact() {
-        let a = Matrix::from_vec(2, 2, vec![2.0, 0.0, 0.0, 2.0]);
-        let mut c = Cholesky::factor(&a).unwrap();
-        let before = c.l().clone();
-        // Subtracting 9·e₀e₀ᵀ makes the (0,0) entry negative: not SPD.
-        let err = c.downdate(&[3.0, 0.0]).unwrap_err();
-        assert!(matches!(err, LinalgError::NotPositiveDefinite { .. }));
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(c.l()[(i, j)].to_bits(), before[(i, j)].to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn append_row_matches_from_scratch_factorization_bitwise() {
         // A 4x4 SPD matrix; factor the leading 3x3 block, then append the
         // last row/column and compare against factoring the whole thing.
@@ -706,15 +576,5 @@ mod tests {
                 assert_eq!(c.l()[(i, j)].to_bits(), before[(i, j)].to_bits());
             }
         }
-    }
-
-    #[test]
-    fn quadratic_form_matches_direct_computation() {
-        let a = spd3();
-        let c = Cholesky::factor(&a).unwrap();
-        let b = vec![1.0, 2.0, 3.0];
-        let x = c.solve(&b).unwrap();
-        let direct = crate::vector::dot(&b, &x);
-        assert!((c.quadratic_form(&b).unwrap() - direct).abs() < 1e-9);
     }
 }

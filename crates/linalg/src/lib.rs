@@ -6,11 +6,13 @@
 //!
 //! * a column-owning dense [`Matrix`] with row-major storage,
 //! * [`Cholesky`] factorization of symmetric positive-definite matrices with
-//!   adaptive jitter,
+//!   adaptive jitter, and its one rank-1 operation, `Cholesky::append_row`,
+//!   which grows a factor by one row for the incremental GP refit,
 //! * forward/backward triangular solves (the forward one also for a whole
 //!   right-hand-side matrix), SPD solves, the SPD inverse and
 //!   log-determinants,
-//! * small vector helpers ([`vector`] module) used throughout the workspace.
+//! * four slice helpers in the [`vector`] module: `dot`,
+//!   `euclidean_distance`, `mean` and `std_dev`.
 //!
 //! Everything is `f64`; sizes in this project are small (a few hundred
 //! observations, a few dozen dimensions), so clarity and numerical robustness

@@ -138,22 +138,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Removes row `i` and column `i` (used by leave-one-out GP updates).
-    pub fn without_row_col(&self, idx: usize) -> Matrix {
-        assert!(self.is_square() && idx < self.rows);
-        let n = self.rows - 1;
-        Matrix::from_fn(n, n, |i, j| {
-            let si = if i < idx { i } else { i + 1 };
-            let sj = if j < idx { j } else { j + 1 };
-            self[(si, sj)]
-        })
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
@@ -238,17 +222,6 @@ mod tests {
     fn transpose_roundtrip() {
         let a = Matrix::from_fn(3, 5, |i, j| (i * 10 + j) as f64);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn without_row_col_removes_correct_entries() {
-        let a = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
-        let b = a.without_row_col(1);
-        assert_eq!(b.rows(), 2);
-        assert_eq!(b[(0, 0)], 0.0);
-        assert_eq!(b[(0, 1)], 2.0);
-        assert_eq!(b[(1, 0)], 6.0);
-        assert_eq!(b[(1, 1)], 8.0);
     }
 
     #[test]

@@ -11,12 +11,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Euclidean norm.
-#[inline]
-pub fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Euclidean distance between two equal-length slices.
 #[inline]
 pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
@@ -27,29 +21,6 @@ pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
         acc += d * d;
     }
     acc.sqrt()
-}
-
-/// `y <- y + alpha * x` (axpy).
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for i in 0..x.len() {
-        y[i] += alpha * x[i];
-    }
-}
-
-/// In-place scale `x <- alpha * x`.
-#[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    for v in x {
-        *v *= alpha;
-    }
-}
-
-/// Element-wise subtraction `a - b` into a new vector.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
 /// Arithmetic mean (0.0 for an empty slice).
@@ -70,72 +41,18 @@ pub fn std_dev(a: &[f64]) -> f64 {
     (a.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / a.len() as f64).sqrt()
 }
 
-/// Minimum of a slice, `None` if empty or any element is NaN.
-pub fn min(a: &[f64]) -> Option<f64> {
-    if a.is_empty() || a.iter().any(|v| v.is_nan()) {
-        return None;
-    }
-    Some(a.iter().copied().fold(f64::INFINITY, f64::min))
-}
-
-/// Maximum of a slice, `None` if empty or any element is NaN.
-pub fn max(a: &[f64]) -> Option<f64> {
-    if a.is_empty() || a.iter().any(|v| v.is_nan()) {
-        return None;
-    }
-    Some(a.iter().copied().fold(f64::NEG_INFINITY, f64::max))
-}
-
-/// Index of the minimum element (first occurrence). `None` if empty/NaN.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in a.iter().enumerate() {
-        if v.is_nan() {
-            return None;
-        }
-        match best {
-            Some((_, bv)) if v >= bv => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Index of the maximum element (first occurrence). `None` if empty/NaN.
-pub fn argmax(a: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in a.iter().enumerate() {
-        if v.is_nan() {
-            return None;
-        }
-        match best {
-            Some((_, bv)) if v <= bv => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn dot_and_norm() {
+    fn dot_of_known_vectors() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn euclidean_distance_matches_hand_computation() {
         assert!((euclidean_distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
     }
 
     #[test]
@@ -149,20 +66,5 @@ mod tests {
     fn empty_slices_are_handled() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(std_dev(&[]), 0.0);
-        assert_eq!(min(&[]), None);
-        assert_eq!(argmax(&[]), None);
-    }
-
-    #[test]
-    fn argmin_argmax_first_occurrence() {
-        let a = [3.0, 1.0, 1.0, 5.0, 5.0];
-        assert_eq!(argmin(&a), Some(1));
-        assert_eq!(argmax(&a), Some(3));
-    }
-
-    #[test]
-    fn nan_poisons_extrema() {
-        assert_eq!(min(&[1.0, f64::NAN]), None);
-        assert_eq!(argmax(&[1.0, f64::NAN]), None);
     }
 }

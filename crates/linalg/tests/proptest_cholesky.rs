@@ -54,17 +54,6 @@ fn solve_residual_is_small() {
 }
 
 #[test]
-fn quadratic_form_is_nonnegative() {
-    check("quadratic_form_is_nonnegative", Config::default().cases(64).seed(0xC0DE_0003), |g| {
-        let (n, a) = draw_spd(g);
-        let b = g.vec_f64(n, -5.0, 5.0);
-        let c = Cholesky::factor(&a).unwrap();
-        propcheck::prop_assert!(c.quadratic_form(&b).unwrap() >= -1e-12);
-        Ok(())
-    });
-}
-
-#[test]
 fn log_determinant_is_finite_for_spd() {
     check("log_determinant_is_finite_for_spd", Config::default().cases(64).seed(0xC0DE_0004), |g| {
         let (_, a) = draw_spd(g);

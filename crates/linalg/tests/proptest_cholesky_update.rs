@@ -1,10 +1,10 @@
-//! Property-based tests for the rank-1 Cholesky update/downdate/append
-//! operations the incremental GP-refit path builds on.
+//! Property-based tests for the rank-1 Cholesky append the incremental
+//! GP-refit path builds on.
 //!
 //! Runs on the in-tree `propcheck` harness with fixed suite seeds, so the
 //! exact case sequence is reproducible offline.
 
-use linalg::{Cholesky, LinalgError, Matrix};
+use linalg::{Cholesky, Matrix};
 use propcheck::{check, Config, Gen};
 
 /// Builds a random SPD matrix `A = B B^T + n*I` from a flat coefficient vector.
@@ -20,53 +20,6 @@ fn draw_spd(g: &mut Gen) -> (usize, Matrix) {
     let n = g.usize_in(2, 7);
     let coeffs = g.vec_f64(n * n, -3.0, 3.0);
     (n, spd_from_coeffs(n, &coeffs))
-}
-
-#[test]
-fn update_reconstructs_a_plus_vvt() {
-    check("update_reconstructs_a_plus_vvt", Config::default().cases(64).seed(0xC0DE_0011), |g| {
-        let (n, a) = draw_spd(g);
-        let v = g.vec_f64(n, -2.0, 2.0);
-        let mut c = Cholesky::factor(&a).unwrap();
-        c.update(&v).unwrap();
-        let recon = c.l().matmul(&c.l().transpose()).unwrap();
-        let scale = a.max_abs().max(1.0);
-        for i in 0..n {
-            for j in 0..n {
-                let want = a[(i, j)] + v[i] * v[j];
-                propcheck::prop_assert!((recon[(i, j)] - want).abs() <= 1e-8 * scale);
-            }
-        }
-        // The updated factor stays a valid lower-triangular Cholesky factor.
-        for i in 0..n {
-            propcheck::prop_assert!(c.l()[(i, i)] > 0.0);
-            for j in (i + 1)..n {
-                propcheck::prop_assert!(c.l()[(i, j)] == 0.0);
-            }
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn downdate_round_trips_update() {
-    check("downdate_round_trips_update", Config::default().cases(64).seed(0xC0DE_0012), |g| {
-        let (n, a) = draw_spd(g);
-        let v = g.vec_f64(n, -2.0, 2.0);
-        let base = Cholesky::factor(&a).unwrap();
-        let mut c = base.clone();
-        c.update(&v).unwrap();
-        c.downdate(&v).unwrap();
-        let scale = a.max_abs().max(1.0);
-        for i in 0..n {
-            for j in 0..=i {
-                propcheck::prop_assert!(
-                    (c.l()[(i, j)] - base.l()[(i, j)]).abs() <= 1e-7 * scale
-                );
-            }
-        }
-        Ok(())
-    });
 }
 
 #[test]
@@ -102,71 +55,30 @@ fn append_row_matches_from_scratch_factor_bitwise() {
 }
 
 #[test]
-fn non_spd_downdates_are_rejected_cleanly() {
-    check(
-        "non_spd_downdates_are_rejected_cleanly",
-        Config::default().cases(64).seed(0xC0DE_0014),
-        |g| {
-            let (n, a) = draw_spd(g);
-            let mut c = Cholesky::factor(&a).unwrap();
-            let before = c.l().clone();
-            // Scale a random direction until vᵀv far exceeds the largest
-            // diagonal entry: A - vvᵀ then has a negative eigenvalue.
-            let mut v = g.vec_f64(n, 0.5, 2.0);
-            let max_diag = (0..n).map(|i| a[(i, i)]).fold(0.0_f64, f64::max);
-            let norm2: f64 = v.iter().map(|x| x * x).sum();
-            let blow_up = (4.0 * n as f64 * max_diag / norm2).sqrt();
-            for x in &mut v {
-                *x *= blow_up;
+fn append_keeps_solves_consistent() {
+    check("append_keeps_solves_consistent", Config::default().cases(32).seed(0xC0DE_0015), |g| {
+        // Append a diagonally dominant row, then verify solves against the
+        // explicitly assembled matrix.
+        let (n, a) = draw_spd(g);
+        let mut c = Cholesky::factor(&a).unwrap();
+        let cross = g.vec_f64(n, -0.5, 0.5);
+        let diag = 2.0 * n as f64;
+        c.append_row(&cross, diag).unwrap();
+        let mut big = Matrix::zeros(n + 1, n + 1);
+        for i in 0..n {
+            for j in 0..n {
+                big[(i, j)] = a[(i, j)];
             }
-            let err = c.downdate(&v).unwrap_err();
-            propcheck::prop_assert!(matches!(err, LinalgError::NotPositiveDefinite { .. }));
-            // The factor is untouched bit-for-bit after the rejection.
-            for i in 0..n {
-                for j in 0..n {
-                    propcheck::prop_assert!(c.l()[(i, j)].to_bits() == before[(i, j)].to_bits());
-                }
-            }
-            // And it is still usable: a benign update succeeds afterwards.
-            let w = vec![0.1; n];
-            propcheck::prop_assert!(c.update(&w).is_ok());
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn update_then_append_keeps_solves_consistent() {
-    check(
-        "update_then_append_keeps_solves_consistent",
-        Config::default().cases(32).seed(0xC0DE_0015),
-        |g| {
-            // Mixed workload: update then append, verifying solves against
-            // the explicitly assembled matrix.
-            let (n, a) = draw_spd(g);
-            let v = g.vec_f64(n, -1.0, 1.0);
-            let mut c = Cholesky::factor(&a).unwrap();
-            c.update(&v).unwrap();
-            // Extend A + vvᵀ by a diagonally dominant row.
-            let cross = g.vec_f64(n, -0.5, 0.5);
-            let diag = 2.0 * n as f64;
-            c.append_row(&cross, diag).unwrap();
-            let mut big = Matrix::zeros(n + 1, n + 1);
-            for i in 0..n {
-                for j in 0..n {
-                    big[(i, j)] = a[(i, j)] + v[i] * v[j];
-                }
-                big[(i, n)] = cross[i];
-                big[(n, i)] = cross[i];
-            }
-            big[(n, n)] = diag;
-            let x = g.vec_f64(n + 1, -3.0, 3.0);
-            let b = big.matvec(&x).unwrap();
-            let solved = c.solve(&b).unwrap();
-            for i in 0..=n {
-                propcheck::prop_assert!((solved[i] - x[i]).abs() <= 1e-5 * (1.0 + x[i].abs()));
-            }
-            Ok(())
-        },
-    );
+            big[(i, n)] = cross[i];
+            big[(n, i)] = cross[i];
+        }
+        big[(n, n)] = diag;
+        let x = g.vec_f64(n + 1, -3.0, 3.0);
+        let b = big.matvec(&x).unwrap();
+        let solved = c.solve(&b).unwrap();
+        for i in 0..=n {
+            propcheck::prop_assert!((solved[i] - x[i]).abs() <= 1e-5 * (1.0 + x[i].abs()));
+        }
+        Ok(())
+    });
 }

@@ -70,15 +70,6 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Enables tracing when `RESTUNE_TRACE` is set to `1`, `true`, or `on`.
-pub fn init_from_env() {
-    if let Ok(v) = std::env::var("RESTUNE_TRACE") {
-        if matches!(v.as_str(), "1" | "true" | "on") {
-            enable();
-        }
-    }
-}
-
 /// Clears all buffered events, counters, and histograms.
 pub fn reset() {
     let mut c = collector();

@@ -53,7 +53,7 @@ pub use workload;
 /// Convenience re-exports covering the common tuning workflow.
 pub mod prelude {
     pub use crate::core::acquisition::{AcquisitionKind, ConstrainedExpectedImprovement};
-    pub use crate::core::meta::{MetaLearner, WeightStrategy};
+    pub use crate::core::meta::MetaLearner;
     pub use crate::core::problem::{ResourceKind, SlaConstraints, TuningProblem};
     pub use crate::core::repository::{DataRepository, TaskRecord};
     pub use crate::core::tuner::{RestuneConfig, TuningEnvironment, TuningOutcome, TuningSession};

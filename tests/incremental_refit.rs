@@ -1,14 +1,12 @@
 //! End-to-end checks of the incremental surrogate layer (DESIGN.md §13):
 //! the proposer's rank-1 target-GP extension past 40 observations, its
-//! determinism, the boundaries of its fit skip, and the repository's
-//! sparse-fit policy for large histories.
+//! determinism, the boundaries of its fit skip, and a meta-boosted session
+//! over a base learner fitted on a 300-observation history.
 
 use dbsim::{InstanceType, KnobSet, WorkloadSpec};
 use restune::core::acquisition::AcquisitionOptimizer;
 use restune::core::diag::{FitPath, Stage, TunerHealth, HEALTH_EVENT};
-use restune::core::repository::{
-    DataRepository, SurrogatePolicy, TaskObservation, TaskRecord,
-};
+use restune::core::repository::{DataRepository, TaskObservation, TaskRecord};
 use restune::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -72,7 +70,7 @@ fn skipped_fits_leave_every_boundary_session_unchanged() {
     // the LHS steps take the GP-failure fallback point.
     let seeded = |res: f64| {
         let mut s = TuningSession::new(env(6), quick_config(6));
-        s.seed_history(vec![0.5, 0.5, 0.5], res, 1.0, 1.0);
+        s.seed_history(vec![0.5, 0.5, 0.5], res, 1.0, 1.0).unwrap();
         for _ in 0..3 {
             s.step();
         }
@@ -165,8 +163,8 @@ fn incremental_sessions_are_deterministic() {
 }
 
 fn synthetic_record(n: usize, task_id: &str) -> TaskRecord {
-    // A smooth 3-knob response surface; no DBMS replay needed, so a
-    // 1,000-observation history is cheap to construct.
+    // A smooth 3-knob response surface; no DBMS replay needed, so a long
+    // history is cheap to construct.
     let observations: Vec<TaskObservation> = (0..n)
         .map(|i| {
             let t = i as f64 / (n - 1) as f64;
@@ -193,61 +191,24 @@ fn synthetic_record(n: usize, task_id: &str) -> TaskRecord {
 }
 
 #[test]
-fn sparse_policy_handles_a_thousand_observation_base_task() {
+fn a_300_observation_learner_participates_in_a_meta_boosted_session() {
     let _g = trace_lock();
+    // A base learner fitted on a history past the paper's ~188 observations
+    // per task must carry a session end to end: static weights, dynamic
+    // ranking-loss weights (it draws joint posterior samples), and
+    // recommendation. It is fitted like every other base learner, by one
+    // exact GP per metric.
+    let mut repo = DataRepository::new();
+    repo.add(synthetic_record(300, "big@A"));
     trace::enable();
     trace::reset();
-    let mut repo = DataRepository::new();
-    repo.add(synthetic_record(1000, "big@A"));
-    repo.add(synthetic_record(40, "small@A"));
-    let learners = repo.base_learners_with_policy(
-        &gp::GpConfig::fixed(),
-        &SurrogatePolicy::default(),
-        |_| true,
-    );
+    let learners = repo.base_learners(&gp::GpConfig::fixed(), |_| true);
     let snap = trace::snapshot();
     trace::reset();
     trace::disable();
-    assert_eq!(learners.len(), 2);
-    let big = learners.iter().find(|l| l.task_id == "big@A").unwrap();
-    let small = learners.iter().find(|l| l.task_id == "small@A").unwrap();
-    // The 1,000-observation task crossed the 256-observation threshold and
-    // fitted sparsely; the small one stayed dense.
-    assert!(big.model.res.is_sparse() && big.model.tps.is_sparse() && big.model.lat.is_sparse());
-    assert!(!small.model.res.is_sparse());
-    assert_eq!(big.model.n(), 1000);
-    assert_eq!(snap.counter("repository.fit.sparse"), 1);
     assert_eq!(snap.counter("repository.fit.dense"), 1);
-    // No dense O(n^3) factorization of the full history happened: every
-    // Cholesky factor the sparse path built is m x m (m = 64 inducing) or
-    // the small task's 40 x 40 — the 1000-point kernel matrix was never
-    // factored. Predictions from the sparse learner track the generating
-    // surface in standardized units.
-    let p = vec![0.5, (0.5 * 13.7_f64).fract(), (0.5 * 5.3_f64).fract()];
-    let pred = big.model.res.predict(&p).unwrap();
-    let expect_raw = 40.0 + 20.0 * p[0] + 5.0 * p[1];
-    let got_raw = big.model.scalers.res.inverse(pred.mean);
-    assert!(
-        (got_raw - expect_raw).abs() < 2.0,
-        "sparse prediction {got_raw} vs surface {expect_raw}"
-    );
-}
-
-#[test]
-fn sparse_learners_participate_in_a_meta_boosted_session() {
-    let _g = trace_lock();
-    // A session whose base-learner pool contains a sparse (big-history)
-    // learner must run end to end: static weights, dynamic ranking-loss
-    // weights (the sparse learner draws joint posterior samples), and
-    // recommendation.
-    let mut repo = DataRepository::new();
-    repo.add(synthetic_record(300, "big@A"));
-    let learners = repo.base_learners_with_policy(
-        &gp::GpConfig::fixed(),
-        &SurrogatePolicy::default(),
-        |_| true,
-    );
-    assert!(learners[0].model.res.is_sparse());
+    assert_eq!(learners.len(), 1);
+    assert_eq!(learners[0].model.n(), 300);
     let mut config = quick_config(7);
     config.init_iters = 2;
     let outcome = TuningSession::with_base_learners(
