@@ -83,7 +83,7 @@ fn main() {
     });
 
     b.bench("loo_predictions_n100", || {
-        black_box(model.loo_predictions().unwrap());
+        black_box(model.loo_predictions());
     });
 
     // One default acquisition (1,500 uniform + 200 local candidates) with

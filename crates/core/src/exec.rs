@@ -1,9 +1,10 @@
 //! The recommend path's one fan-out seam (DESIGN.md §8).
 //!
-//! The three per-step fan-outs — the metric GP fits, the lanes of
-//! per-learner posterior draws and the candidate-scoring lanes — all go
-//! through [`map`]. It picks inline or threaded execution from what it can
-//! observe, never from a flag: on a fleet [`crate::fleet::WorkerPool`]
+//! The three per-step fan-outs — the lanes of metric GP restart tasks, the
+//! lanes of per-learner posterior draws and the candidate-scoring lanes —
+//! all go through [`map`], one task per lane of contiguous work. It picks
+//! inline or threaded execution from what it can observe, never from a
+//! flag: on a fleet [`crate::fleet::WorkerPool`]
 //! worker the tenant is already the parallel unit, and a 1-CPU host has
 //! nothing to fan out onto, so both run inline. Every task is a pure
 //! function of its index, so the two modes are bit-identical.

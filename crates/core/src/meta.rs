@@ -21,7 +21,7 @@
 //!   ([`gp::GaussianProcess::predict_mean_batch`]), without a variance solve.
 
 use crate::surrogate::{GpTaskModel, SurrogatePrediction};
-use gp::{GaussianProcess, GpError, Prediction};
+use gp::{GaussianProcess, Prediction};
 use xrand::rngs::StdRng;
 use xrand::{Rng, SeedableRng, SplitMix64};
 
@@ -135,37 +135,35 @@ fn loo_draws(
     n_samples: usize,
     rng: &mut impl Rng,
 ) -> Vec<Vec<f64>> {
-    draws_from_loo(gp.loo_predictions(), gp, points, start, n_samples, rng)
+    draws_from_loo(&gp.loo_predictions(), gp, points, start, n_samples, rng)
 }
 
-/// Testable core of [`loo_draws`]. When the leave-one-out computation fails
-/// (or yields fewer entries than the ranking window), falls back to
-/// *length-preserving* draws — the in-sample posterior means at `points`,
-/// mirroring [`posterior_draws`]' degenerate-covariance fallback — rather
-/// than empty vectors. Zero-length target draws would score zero ranking
-/// loss on every sample, silently absorbing all ensemble weight and
-/// disabling transfer (and tripping the `ranking_loss` debug assertion in
-/// debug builds).
+/// Testable core of [`loo_draws`]. When the leave-one-out predictions
+/// cover fewer entries than the ranking window, which only a public
+/// [`dynamic_weights`] caller whose target was fitted on fewer points than
+/// the window can bring about, falls back to *length-preserving* draws —
+/// the in-sample posterior means at `points`, mirroring
+/// [`posterior_draws`]' degenerate-covariance fallback — rather than empty
+/// vectors. Zero-length target draws would score zero ranking loss on every
+/// sample, silently absorbing all ensemble weight and disabling transfer
+/// (and tripping the `ranking_loss` debug assertion in debug builds).
 fn draws_from_loo(
-    loo: Result<Vec<Prediction>, GpError>,
+    loo: &[Prediction],
     gp: &GaussianProcess,
     points: &[Vec<f64>],
     start: usize,
     n_samples: usize,
     rng: &mut impl Rng,
 ) -> Vec<Vec<f64>> {
-    match loo {
-        Ok(loo) if loo.len() >= start + points.len() => {
-            let tail = &loo[start..start + points.len()];
-            (0..n_samples)
-                .map(|_| {
-                    tail.iter()
-                        .map(|p| p.mean + p.std_dev() * gp::rand_util::standard_normal(rng))
-                        .collect()
-                })
-                .collect()
-        }
-        _ => mean_draws(gp, points, n_samples),
+    match loo.get(start..start + points.len()) {
+        Some(tail) => (0..n_samples)
+            .map(|_| {
+                tail.iter()
+                    .map(|p| p.mean + p.std_dev() * gp::rand_util::standard_normal(rng))
+                    .collect()
+            })
+            .collect(),
+        None => mean_draws(gp, points, n_samples),
     }
 }
 
@@ -556,21 +554,17 @@ mod tests {
 
     #[test]
     fn loo_failure_falls_back_to_length_preserving_draws() {
-        // Regression for the silent-transfer-kill bug: a failed
-        // `loo_predictions()` used to produce *empty* draw vectors, which
-        // score zero ranking loss against any actuals — the target learner
-        // then "wins" every sample and absorbs all ensemble weight.
+        // Regression for the silent-transfer-kill bug: LOO predictions that
+        // did not cover the ranking window used to produce *empty* draw
+        // vectors, which score zero ranking loss against any actuals — the
+        // target learner then "wins" every sample and absorbs all ensemble
+        // weight. A target fitted on 12 points, ranked over a 14-point
+        // window, is the case that still reaches the fallback.
         let target = model_from(|x| x);
-        let points: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64 / 5.0]).collect();
+        let points: Vec<Vec<f64>> = (0..14).map(|i| vec![i as f64 / 13.0]).collect();
+        assert!(target.res.loo_predictions().len() < points.len());
         let mut rng = StdRng::seed_from_u64(9);
-        let draws = super::draws_from_loo(
-            Err(GpError::Factorization("forced failure".into())),
-            &target.res,
-            &points,
-            0,
-            5,
-            &mut rng,
-        );
+        let draws = super::loo_draws(&target.res, &points, 0, 5, &mut rng);
         assert_eq!(draws.len(), 5);
         for d in &draws {
             assert_eq!(d.len(), points.len(), "draws must preserve window length");

@@ -539,7 +539,7 @@ impl Proposer for RestuneProposer {
                 .target_cache
                 .as_ref()
                 .filter(|_| self.last_fit != FitPath::Fallback)
-                .and_then(|m| m.res.loo_calibration().ok());
+                .map(|m| m.res.loo_calibration());
             let surrogate = if self.target_cache.is_some() { "dense" } else { "none" };
             TunerHealth::collect(
                 view,

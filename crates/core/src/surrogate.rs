@@ -6,7 +6,7 @@
 //! grown by rank-1 appends.
 
 use crate::scale::TaskScalers;
-use gp::{GaussianProcess, GpConfig, GpError, Prediction};
+use gp::{FitPlan, GaussianProcess, GpConfig, GpError, Matern52, Prediction};
 
 /// Joint prediction of the three modeled outputs, in standardized units.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,6 +32,20 @@ impl SurrogatePrediction {
             .map(|((res, tps), lat)| SurrogatePrediction { res, tps, lat })
             .collect()
     }
+}
+
+/// Runs `plan`'s restart tasks in `exec::lanes()` contiguous ranges, one
+/// [`FitPlan::run`] (so one workspace) per lane, as the dynamic-weight draws
+/// and candidate bounding split their work (DESIGN.md §8), then finishes
+/// it: the fitted GPs in target order. On a fleet worker all tasks run
+/// inline. Each task is a pure function of its index, so the split cannot
+/// move a bit.
+pub(crate) fn fit_plan(plan: FitPlan) -> impl Iterator<Item = Result<GaussianProcess, GpError>> {
+    let tasks = plan.tasks();
+    let per_lane = tasks.div_ceil(crate::exec::lanes()).max(1);
+    let lanes: Vec<_> = (0..tasks).step_by(per_lane).map(|t| t..tasks.min(t + per_lane)).collect();
+    let fits = crate::exec::map(lanes.len(), |l| plan.run(lanes[l].clone()));
+    plan.finish(fits.into_iter().flatten().collect())
 }
 
 /// A single task's surrogate: three exact GPs on standardized outputs, for
@@ -90,10 +104,12 @@ impl GpTaskModel {
 
     /// [`GpTaskModel::fit`] with externally fitted scalers, so callers that
     /// already standardized (e.g. for ranking-loss bookkeeping) don't pay for
-    /// a second pass. The three metric fits fan out through `core::exec`;
-    /// each is self-contained and seeded by `config`, so the models are
-    /// bit-identical however they are scheduled. Inputs that fail
-    /// [`GpTaskModel::check_inputs`] return its error before any fit runs.
+    /// a second pass. The three GPs share their inputs, so they fit as one
+    /// [`FitPlan`], run in lanes by `fit_plan`; every restart task is
+    /// seeded by `config`, so the models are bit-identical however the
+    /// tasks are scheduled. Inputs that fail [`GpTaskModel::check_inputs`]
+    /// return its error before any fit runs: `FitPlan::new` runs the same
+    /// checks on the same standardized columns, in the same order.
     pub fn fit_with_scalers(
         points: &[Vec<f64>],
         res_raw: &[f64],
@@ -102,23 +118,22 @@ impl GpTaskModel {
         scalers: TaskScalers,
         config: &GpConfig,
     ) -> Result<Self, GpError> {
-        Self::check_inputs(points, res_raw, tps_raw, lat_raw, scalers)?;
-        let metrics = [
-            ("fit_res", scalers.res, res_raw),
-            ("fit_tps", scalers.tps, tps_raw),
-            ("fit_lat", scalers.lat, lat_raw),
+        let targets = vec![
+            scalers.res.transform_all(res_raw),
+            scalers.tps.transform_all(tps_raw),
+            scalers.lat.transform_all(lat_raw),
         ];
-        let mut fits = crate::exec::map(metrics.len(), |i| {
-            let (name, scaler, raw) = metrics[i];
-            let ys = scaler.transform_all(raw);
-            let span = trace::Span::new(name).with_field("n_obs", ys.len() as f64);
-            let fitted = GaussianProcess::fit(points.to_vec(), ys, config);
-            let _ = span.finish_s();
-            fitted
-        })
-        .into_iter();
-        let mut next = || fits.next().expect("one fit per metric");
-        Ok(GpTaskModel { res: next()?, tps: next()?, lat: next()?, scalers })
+        let dim = points.first().map_or(1, Vec::len);
+        let plan = FitPlan::new(points.to_vec(), targets, Matern52::new(dim), config)?;
+        let mut fitted = fit_plan(plan);
+        // One span per metric, around its restart selection and final
+        // factorization.
+        let mut next = |name: &'static str| {
+            let _span = trace::Span::new(name).with_field("n_obs", points.len() as f64);
+            fitted.next().expect("one GP per metric")
+        };
+        let (res, tps, lat) = (next("fit_res")?, next("fit_tps")?, next("fit_lat")?);
+        Ok(GpTaskModel { res, tps, lat, scalers })
     }
 
     /// Appends the latest observation *incrementally*: each metric GP
@@ -292,6 +307,69 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// A fitted GP as bit patterns through its public surface: kernel
+    /// parameters, noise, log marginal likelihood and the posterior at its
+    /// training points; a failed fit as its error.
+    fn fit_bits(fit: &Result<GaussianProcess, GpError>) -> Result<Vec<u64>, String> {
+        let gp = fit.as_ref().map_err(|e| e.to_string())?;
+        let mut bits: Vec<f64> = gp.kernel().params();
+        bits.extend([gp.noise_std(), gp.log_marginal_likelihood()]);
+        for p in gp.predict_batch(gp.train_x()).unwrap() {
+            bits.extend([p.mean, p.variance]);
+        }
+        Ok(bits.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn lane_split_plans_match_sequential_per_gp_fits_bitwise() {
+        use propcheck::{check, prop_assert, Config};
+        // Inline on a pool worker (`lanes()` = 1) and on the test thread,
+        // where `lanes()` is the host's parallelism (2 on a 2-vCPU host, so
+        // the tasks fan out over two lanes), against each GP fitted alone by
+        // `GaussianProcess::fit_with_kernel`, which `gp`'s unit tests hold
+        // to the per-GP restart loop the plan replaced.
+        let cfg = Config::default().cases(24).seed(0x1A_4E5).max_size(16);
+        check("lane_split_plans_match_sequential_per_gp_fits_bitwise", cfg, |g| {
+            let n = g.size();
+            let d = g.usize_in(1, 4);
+            let mut x: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| g.unit()).collect()).collect();
+            if n >= 1 && g.usize_in(0, 5) == 0 {
+                x[0][0] = 1e160; // every Gram matrix NaN: every fit fails
+            }
+            let scale = if g.usize_in(0, 3) == 0 { 1e200 } else { 1.0 }; // every NLL overflows
+            let targets: Vec<Vec<f64>> =
+                (0..g.usize_in(1, 3)).map(|_| g.vec_f64(n, -scale, scale)).collect();
+            let config = GpConfig {
+                restarts: g.usize_in(1, 3),
+                adam_iters: g.usize_in(0, 8),
+                // An infinite initial noise fails restart 0's every evaluation.
+                initial_noise: if g.usize_in(0, 3) == 0 { f64::INFINITY } else { 0.1 },
+                seed: g.usize_in(0, 1 << 20) as u64,
+                ..GpConfig::default()
+            };
+            let kernel = Matern52::new(d);
+            let want: Vec<_> = targets
+                .iter()
+                .map(|y| {
+                    let (x, y, kernel) = (x.clone(), y.clone(), kernel.clone());
+                    fit_bits(&GaussianProcess::fit_with_kernel(x, y, kernel, &config))
+                })
+                .collect();
+            let run = {
+                let (x, targets, kernel, config) = (x, targets, kernel, config.clone());
+                move || {
+                    let plan = FitPlan::new(x, targets, kernel, &config).unwrap();
+                    fit_plan(plan).map(|fit| fit_bits(&fit)).collect::<Vec<_>>()
+                }
+            };
+            let fanned = run.clone()();
+            let inline = crate::exec::on_pool_worker(run);
+            prop_assert!(fanned == want, "n = {n}, d = {d}, {config:?}: fanned out");
+            prop_assert!(inline == want, "n = {n}, d = {d}, {config:?}: inline");
+            Ok(())
+        });
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! Everything here is deterministic: no RNG streams are read, so emitting
 //! calibration diagnostics cannot move a bit of a seeded tuning run.
 
-use crate::process::{GaussianProcess, GpError, Prediction};
+use crate::process::{GaussianProcess, Prediction};
 
 /// Floor on the LOO predictive standard deviation, guarding the division in
 /// the z-score and the log in the NLL against a numerically-zero variance.
@@ -95,9 +95,8 @@ impl Calibration {
 
 impl GaussianProcess {
     /// The LOO calibration summary of this fitted model (see [`Calibration`]).
-    pub fn loo_calibration(&self) -> Result<Calibration, GpError> {
-        let loo = self.loo_predictions()?;
-        Ok(Calibration::from_loo(self.train_y(), &loo))
+    pub fn loo_calibration(&self) -> Calibration {
+        Calibration::from_loo(self.train_y(), &self.loo_predictions())
     }
 }
 
@@ -130,7 +129,7 @@ mod tests {
         // in the health telemetry.
         let (xs, ys) = synthetic_task(17, 50);
         let gp = GaussianProcess::fit(xs, ys, &GpConfig::default()).unwrap();
-        let cal = gp.loo_calibration().unwrap();
+        let cal = gp.loo_calibration();
         assert_eq!(cal.n, 50);
         assert!(
             (0.55..=0.80).contains(&cal.coverage_1s),
@@ -152,7 +151,7 @@ mod tests {
         let (xs, ys) = synthetic_task(17, 50);
         let mut gp = GaussianProcess::fit(xs, ys.clone(), &GpConfig::default()).unwrap();
         gp.set_targets(ys.iter().map(|y| y * 100.0).collect()).unwrap();
-        let cal = gp.loo_calibration().unwrap();
+        let cal = gp.loo_calibration();
         assert!(
             !(0.55..=0.80).contains(&cal.coverage_1s),
             "mis-scaled 1σ coverage {} should fall outside [0.55, 0.80]",

@@ -12,12 +12,14 @@
 //! [`Matern52::value`] and [`Matern52::value_and_grad`] are the per-pair
 //! forms. Covariance blocks `K(A, B)` (the cross-kernels of prediction and
 //! `K(P, P)` for joint sampling) come from the crate-private
-//! `Matern52::cross`, and the GP's `K(X, X) + noise I`, with or without
-//! the packed kernel gradients a hyperparameter fit reads, from the
-//! crate-private `Matern52::gram`. Both build dimension-major so
-//! independent entries share SIMD lanes, while each entry runs the
-//! per-pair form's operations in its order. Unit tests hold them to
-//! `value` and `value_and_grad` by `to_bits()`.
+//! `Matern52::cross`, which builds dimension-major so independent entries
+//! share SIMD lanes. The GP's `K(X, X) + noise I`, with or without the
+//! packed kernel gradients a hyperparameter fit reads, comes from the
+//! crate-private `Matern52::gram`, which reads the inputs row-major, pair
+//! by pair, and writes each pair's scaled differences and gradients into
+//! the pair's own table slot. Each entry of either runs the per-pair
+//! form's operations in its order; unit tests hold them to `value` and
+//! `value_and_grad` by `to_bits()`.
 
 use linalg::Matrix;
 
@@ -36,7 +38,7 @@ fn log_signal_variance_bounds() -> (f64, f64) {
 
 /// `points` (each of length `d`) transposed dimension-major: coordinate `c`
 /// of point `j` at `c * points.len() + j`.
-pub(crate) fn transpose(points: &[Vec<f64>], d: usize) -> Vec<f64> {
+fn transpose(points: &[Vec<f64>], d: usize) -> Vec<f64> {
     let m = points.len();
     debug_assert!(points.iter().all(|p| p.len() == d));
     let mut t = vec![0.0; d * m];
@@ -156,74 +158,99 @@ impl Matern52 {
         out
     }
 
-    /// `K(X, X) + noise * I` into `k` (`n x n`; every entry is overwritten),
-    /// from the `n` training inputs transposed by [`transpose`]: entry
-    /// `(i, j)` is `value(&x[i], &x[j])` bit for bit, plus `noise` on the
-    /// diagonal. With `grads = Some((table, diffs))`, the kernel gradients
-    /// of each pair `(i, j <= i)` go into `table` packed,
-    /// `value_and_grad(&x[i], &x[j], ..)`'s bits at
-    /// `(i(i+1)/2 + j) * n_params()`; `diffs` (at least `d * n` long) is
-    /// scratch for one row's scaled differences.
+    /// `K(X, X) + noise * I` into `k` (`n x n`; every entry is overwritten)
+    /// from the `n` training inputs `x`: entry `(i, j)` is
+    /// `value(&x[i], &x[j])` bit for bit, plus `noise` on the diagonal. With
+    /// `table`, the kernel gradients of each pair `(i, j <= i)` go into it
+    /// packed, `value_and_grad(&x[i], &x[j], ..)`'s bits at
+    /// `(i(i+1)/2 + j) * n_params()`; the table may be longer than the
+    /// `n(n+1)/2 * n_params()` entries it gets.
     ///
-    /// The one `K(X, X)` builder, dimension-major like [`Matern52::cross`]:
-    /// row `i` of `k` first accumulates the scaled squared differences to
-    /// points `0..=i` one dimension at a time, so independent pairs share
-    /// SIMD lanes (with `grads`, each scaled difference is also kept in
-    /// `diffs`, dimension by dimension), then turns each into the covariance
-    /// and, with `grads`, the gradients `g * diff * diff`. Each entry runs
-    /// `value_and_grad`'s operations in its order.
+    /// The one `K(X, X)` builder. It reads the row-major inputs pair by pair,
+    /// with dimensions inner, row by row. With the table, each pair of row
+    /// `i` first writes its scaled differences into its own slot (row `i`'s
+    /// slots are contiguous, so this is one stream). Then, four pairs at a
+    /// time, it sums each pair's `r²` over its slot in ascending `c`, the
+    /// four chains interleaved, and each pair takes `sqrt`, `exp`, the
+    /// covariance and `g`, and overwrites its slot with the gradients
+    /// `g * diff * diff`. Without the table, four pairs at a time sum `r²`
+    /// over the dimensions, again as four interleaved chains. Each entry
+    /// runs `value_and_grad`'s operations in its order, and each row is
+    /// mirrored into its column once it is done.
     pub(crate) fn gram(
         &self,
-        xt: &[f64],
+        x: &[Vec<f64>],
         noise: f64,
         k: &mut Matrix,
-        mut grads: Option<(&mut [f64], &mut [f64])>,
+        mut table: Option<&mut [f64]>,
     ) {
         let (d, n, kp) = (self.dim(), k.rows(), self.n_params());
-        debug_assert!(k.cols() == n && xt.len() == d * n);
-        if let Some((table, diffs)) = &grads {
-            debug_assert!(table.len() == n * (n + 1) / 2 * kp && diffs.len() >= d * n);
+        debug_assert!(k.cols() == n && x.len() == n && x.iter().all(|p| p.len() == d));
+        if let Some(table) = &table {
+            debug_assert!(table.len() >= n * (n + 1) / 2 * kp);
         }
-        if n == 0 {
-            return;
-        }
-        let s2 = self.signal_variance;
-        for i in 0..n {
-            // Row `i` holds `r²` to each point `0..=i` until it holds `K`.
+        for (i, xi) in x.iter().enumerate() {
             let row = &mut k.row_mut(i)[..=i];
-            row.fill(0.0);
-            for (c, (xc, &lc)) in xt.chunks_exact(n).zip(&self.lengthscales).enumerate() {
-                let xic = xc[i];
-                match grads.as_mut() {
-                    Some((_, diffs)) => {
-                        let kept = &mut diffs[c * (i + 1)..(c + 1) * (i + 1)];
-                        for ((r2, &xjc), kept) in row.iter_mut().zip(xc).zip(kept) {
-                            let diff = (xic - xjc) / lc;
-                            *kept = diff;
-                            *r2 += diff * diff;
+            match table.as_mut() {
+                Some(table) => {
+                    let slots = &mut table[i * (i + 1) / 2 * kp..(i + 1) * (i + 2) / 2 * kp];
+                    for (slot, xj) in slots.chunks_exact_mut(kp).zip(x) {
+                        let dims = xi.iter().zip(xj).zip(&self.lengthscales);
+                        for (diff, ((&a, &b), &l)) in slot.iter_mut().zip(dims) {
+                            *diff = (a - b) / l;
                         }
                     }
-                    None => {
-                        for (r2, &xjc) in row.iter_mut().zip(xc) {
-                            let diff = (xic - xjc) / lc;
-                            *r2 += diff * diff;
+                    let mut quads = slots.chunks_exact_mut(4 * kp);
+                    let mut entries = row.chunks_exact_mut(4);
+                    for (quad, entries) in (&mut quads).zip(&mut entries) {
+                        let (q0, quad) = quad.split_at_mut(kp);
+                        let (q1, quad) = quad.split_at_mut(kp);
+                        let (q2, q3) = quad.split_at_mut(kp);
+                        let mut r2 = [0.0; 4];
+                        for c in 0..d {
+                            r2[0] += q0[c] * q0[c];
+                            r2[1] += q1[c] * q1[c];
+                            r2[2] += q2[c] * q2[c];
+                            r2[3] += q3[c] * q3[c];
                         }
+                        let slots = entries.iter_mut().zip([q0, q1, q2, q3]);
+                        for ((entry, slot), r2) in slots.zip(r2) {
+                            *entry = self.slot_gradients(r2, slot);
+                        }
+                    }
+                    let rest = quads.into_remainder().chunks_exact_mut(kp);
+                    for (entry, slot) in entries.into_remainder().iter_mut().zip(rest) {
+                        let mut r2 = 0.0;
+                        for diff in &slot[..d] {
+                            r2 += diff * diff;
+                        }
+                        *entry = self.slot_gradients(r2, slot);
                     }
                 }
-            }
-            for (j, entry) in row.iter_mut().enumerate() {
-                let r = entry.sqrt();
-                let e = (-SQRT5 * r).exp();
-                *entry = s2 * (1.0 + SQRT5 * r + 5.0 / 3.0 * r * r) * e;
-                if let Some((table, diffs)) = grads.as_mut() {
-                    let g = s2 * (5.0 / 3.0) * (1.0 + SQRT5 * r) * e;
-                    let pair = i * (i + 1) / 2 + j;
-                    let slot = &mut table[pair * kp..(pair + 1) * kp];
-                    for (grad, kept) in slot[..d].iter_mut().zip(diffs.chunks_exact(i + 1)) {
-                        let diff = kept[j];
-                        *grad = g * diff * diff;
+                None => {
+                    let mut quads = x[..=i].chunks_exact(4);
+                    let mut entries = row.chunks_exact_mut(4);
+                    for (xs, entries) in (&mut quads).zip(&mut entries) {
+                        let (x0, x1, x2, x3) = (&xs[0][..d], &xs[1][..d], &xs[2][..d], &xs[3][..d]);
+                        let mut r2 = [0.0; 4];
+                        for (c, (&a, &l)) in xi.iter().zip(&self.lengthscales).enumerate() {
+                            let diff = (a - x0[c]) / l;
+                            r2[0] += diff * diff;
+                            let diff = (a - x1[c]) / l;
+                            r2[1] += diff * diff;
+                            let diff = (a - x2[c]) / l;
+                            r2[2] += diff * diff;
+                            let diff = (a - x3[c]) / l;
+                            r2[3] += diff * diff;
+                        }
+                        for (entry, r2) in entries.iter_mut().zip(r2) {
+                            *entry = self.covariance_at(r2.sqrt());
+                        }
                     }
-                    slot[d] = *entry;
+                    let rest = entries.into_remainder().iter_mut().zip(quads.remainder());
+                    for (entry, xj) in rest {
+                        *entry = self.value(xi, xj);
+                    }
                 }
             }
             for j in 0..i {
@@ -231,6 +258,25 @@ impl Matern52 {
             }
             k[(i, i)] += noise;
         }
+    }
+
+    /// One pair of [`Matern52::gram`]'s table: from `r²` and the scaled
+    /// differences in `slot[..d]`, the covariance, returned and written to
+    /// `slot[d]`, and the gradients `g * diff * diff` over the differences,
+    /// by `value_and_grad`'s operations.
+    #[inline]
+    fn slot_gradients(&self, r2: f64, slot: &mut [f64]) -> f64 {
+        let s2 = self.signal_variance;
+        let r = r2.sqrt();
+        let e = (-SQRT5 * r).exp();
+        let value = s2 * (1.0 + SQRT5 * r + 5.0 / 3.0 * r * r) * e;
+        let g = s2 * (5.0 / 3.0) * (1.0 + SQRT5 * r) * e;
+        let (diffs, last) = slot.split_at_mut(self.dim());
+        for diff in diffs {
+            *diff = g * *diff * *diff;
+        }
+        last[0] = value;
+        value
     }
 
     /// Covariance and the gradient with respect to each log-hyperparameter.
@@ -526,12 +572,12 @@ mod tests {
                 let (from, to) = (g.usize_in(0, n - 1), g.usize_in(0, n - 1));
                 x[to] = x[from].clone();
             }
-            let xt = transpose(&x, d);
             // One set of buffers, junk to begin with, through two parameter
-            // draws, with or without the table each time.
+            // draws, with or without the table each time; the table may run
+            // past its last slot.
             let mut k = Matrix::from_fn(n, n, |_, _| g.f64_in(-9.0, 9.0));
-            let mut table = g.vec_f64(n * (n + 1) / 2 * kp, -9.0, 9.0);
-            let mut diffs = g.vec_f64(d * n, -9.0, 9.0);
+            let spare = g.usize_in(0, 2 * kp);
+            let mut table = g.vec_f64(n * (n + 1) / 2 * kp + spare, -9.0, 9.0);
             let mut kernel = Matern52::new(d);
             let mut want_grad = vec![0.0; kp];
             for draw in 0..2 {
@@ -541,8 +587,7 @@ mod tests {
                 kernel.set_params(&g.vec_f64(kp, lo, hi));
                 let noise = g.f64_in(0.0, 1.0);
                 let with_grads = g.flag();
-                let grads = with_grads.then_some((table.as_mut_slice(), diffs.as_mut_slice()));
-                kernel.gram(&xt, noise, &mut k, grads);
+                kernel.gram(&x, noise, &mut k, with_grads.then_some(table.as_mut_slice()));
                 let label = format!("n = {n}, d = {d}, draw {draw}, wide = {wide}");
                 for i in 0..n {
                     for j in 0..n {

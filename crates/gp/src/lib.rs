@@ -33,7 +33,9 @@ pub mod rand_util;
 
 pub use calibration::Calibration;
 pub use kernel::Matern52;
-pub use process::{check_inputs, GaussianProcess, GpConfig, GpError, Prediction};
+pub use process::{
+    check_inputs, FitPlan, GaussianProcess, GpConfig, GpError, Prediction, RestartFit,
+};
 
 /// Standard normal cumulative distribution function.
 ///

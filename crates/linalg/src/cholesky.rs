@@ -243,7 +243,9 @@ impl Cholesky {
     ///
     /// One blocked forward pass over rows forms `L^{-1}` and one blocked
     /// backward pass over rows in reverse turns it into `L^{-T} L^{-1}` in
-    /// place, each streaming contiguous rows into a per-column accumulator.
+    /// place, each streaming contiguous rows into a per-column accumulator,
+    /// four rows per sweep, so an accumulator is loaded and stored once per
+    /// four terms.
     ///
     /// Bit-compatibility contract: column `j` is exactly what
     /// `solve_upper(&solve_lower(&e_j))` returns, because every entry sums the
@@ -267,13 +269,34 @@ impl Cholesky {
         acc.resize(n, 0.0);
         let x = x.data_mut();
         // Forward: row `i` of `L^{-1}`. Row `k < i` is zero past column `k`,
-        // so it contributes to columns `0..=k` only.
+        // so it contributes to columns `0..=k` only. Each sweep adds four
+        // rows `k..k + 4`: into columns `0..=k` all four, one after another,
+        // and into columns `k + 1..k + 4` the rows that reach them, in the
+        // same ascending `k`.
         for i in 0..n {
             let (done, rest) = x.split_at_mut(i * n);
             let acc = &mut acc[..=i];
             acc.fill(0.0);
             let lrow = self.l.row(i);
-            for (k, row) in done.chunks_exact(n).enumerate() {
+            let quads = done.chunks_exact(4 * n);
+            let tail = quads.remainder();
+            for (q, quad) in quads.enumerate() {
+                let k = 4 * q;
+                let (l0, l1, l2, l3) = (lrow[k], lrow[k + 1], lrow[k + 2], lrow[k + 3]);
+                let (y0, quad) = quad.split_at(n);
+                let (y1, quad) = quad.split_at(n);
+                let (y2, y3) = quad.split_at(n);
+                let (full, ragged) = acc.split_at_mut(k + 1);
+                let rows = y0.iter().zip(y1).zip(y2).zip(y3);
+                for (a, (((y0, y1), y2), y3)) in full.iter_mut().zip(rows) {
+                    *a = *a + l0 * y0 + l1 * y1 + l2 * y2 + l3 * y3;
+                }
+                ragged[0] = ragged[0] + l1 * y1[k + 1] + l2 * y2[k + 1] + l3 * y3[k + 1];
+                ragged[1] = ragged[1] + l2 * y2[k + 2] + l3 * y3[k + 2];
+                ragged[2] += l3 * y3[k + 3];
+            }
+            let first = i - tail.len() / n;
+            for (k, row) in (first..).zip(tail.chunks_exact(n)) {
                 let lik = lrow[k];
                 for (a, y) in acc.iter_mut().zip(&row[..=k]) {
                     *a += lik * y;
@@ -285,12 +308,29 @@ impl Cholesky {
             }
         }
         // Backward: row `i` of the inverse from the finished rows below it,
-        // reading `L` down column `i`.
+        // reading `L` down column `i`. Each sweep adds four rows into every
+        // column's accumulator, one after another in ascending `k`, so the
+        // accumulator is loaded and stored once per four terms.
         for i in (0..n).rev() {
             let (head, below) = x.split_at_mut((i + 1) * n);
             acc.fill(0.0);
-            for (k, row) in below.chunks_exact(n).enumerate() {
-                let lki = self.l[(i + 1 + k, i)];
+            let quads = below.chunks_exact(4 * n);
+            let rest = quads.remainder();
+            for (q, quad) in quads.enumerate() {
+                let k = i + 1 + 4 * q;
+                let (l0, l1, l2, l3) =
+                    (self.l[(k, i)], self.l[(k + 1, i)], self.l[(k + 2, i)], self.l[(k + 3, i)]);
+                let (v0, quad) = quad.split_at(n);
+                let (v1, quad) = quad.split_at(n);
+                let (v2, v3) = quad.split_at(n);
+                let rows = v0.iter().zip(v1).zip(v2).zip(v3);
+                for (a, (((v0, v1), v2), v3)) in acc.iter_mut().zip(rows) {
+                    *a = *a + l0 * v0 + l1 * v1 + l2 * v2 + l3 * v3;
+                }
+            }
+            let first = n - rest.len() / n;
+            for (k, row) in (first..).zip(rest.chunks_exact(n)) {
+                let lki = self.l[(k, i)];
                 for (a, v) in acc.iter_mut().zip(row) {
                     *a += lki * v;
                 }
@@ -366,10 +406,22 @@ impl Cholesky {
     }
 }
 
+/// Rows per block of [`factor_into`].
+const FACTOR_BLOCK: usize = 4;
+
 /// The factorization of `a + jitter * I` into `l`, replaced by fresh zeros
-/// when its shape differs. Row by row, the strict upper part is zeroed and
-/// the lower part written in `(i, j)` order from entries this call already
-/// wrote, so `l`'s earlier contents never reach the result.
+/// when its shape differs. Every row's strict upper part is zeroed and its
+/// lower part written from entries this call already wrote, so `l`'s earlier
+/// contents never reach the result.
+///
+/// Left-looking, [`FACTOR_BLOCK`] rows at a time: for each earlier column
+/// `j`, the block's rows run their dots against row `j` as interleaved,
+/// independent chains, then the block's own triangle goes row by row
+/// ([`factor_row`]), and the last `n % FACTOR_BLOCK` rows go row by row
+/// whole. Each entry is still one dot in ascending `k`, one subtraction and
+/// one division (or square root), as in the row-by-row order, so every bit
+/// is that order's; pivots are checked in row order, so the first failing
+/// pivot and its value are too.
 fn factor_into(l: &mut Matrix, a: &Matrix, jitter: f64) -> Result<()> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
@@ -381,35 +433,71 @@ fn factor_into(l: &mut Matrix, a: &Matrix, jitter: f64) -> Result<()> {
     if (l.rows(), l.cols()) != (n, n) {
         *l = Matrix::zeros(n, n);
     }
-    // Rows `0..i` are finished; row `i` is written left to right.
     let l = l.data_mut();
-    for i in 0..n {
-        let (done, rest) = l.split_at_mut(i * n);
-        let li = &mut rest[..n];
-        li[i + 1..].fill(0.0);
-        for j in 0..=i {
-            let mut sum = a[(i, j)];
-            if i == j {
-                sum += jitter;
+    let blocked = n - n % FACTOR_BLOCK;
+    for i0 in (0..blocked).step_by(FACTOR_BLOCK) {
+        // Rows `0..i0` are finished; the block's columns `0..i0` come first.
+        let (done, rest) = l.split_at_mut(i0 * n);
+        let (r0, rest) = rest.split_at_mut(n);
+        let (r1, rest) = rest.split_at_mut(n);
+        let (r2, rest) = rest.split_at_mut(n);
+        let r3 = &mut rest[..n];
+        for j in 0..i0 {
+            let lj = &done[j * n..j * n + j];
+            let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
+            for (k, y) in lj.iter().enumerate() {
+                s0 += r0[k] * y;
+                s1 += r1[k] * y;
+                s2 += r2[k] * y;
+                s3 += r3[k] * y;
             }
-            // Row prefixes are contiguous: the dot is sequential.
-            let lj = if j < i { &done[j * n..j * n + j] } else { &li[..j] };
-            let mut acc = 0.0;
-            for (x, y) in li[..j].iter().zip(lj) {
-                acc += x * y;
-            }
-            sum -= acc;
-            if i == j {
-                if sum <= 0.0 || !sum.is_finite() {
-                    return Err(LinalgError::NotPositiveDefinite { pivot: i, value: sum });
-                }
-                li[i] = sum.sqrt();
-            } else {
-                li[j] = sum / done[j * n + j];
-            }
+            let djj = done[j * n + j];
+            r0[j] = (a[(i0, j)] - s0) / djj;
+            r1[j] = (a[(i0 + 1, j)] - s1) / djj;
+            r2[j] = (a[(i0 + 2, j)] - s2) / djj;
+            r3[j] = (a[(i0 + 3, j)] - s3) / djj;
+        }
+        for i in i0..i0 + FACTOR_BLOCK {
+            factor_row(l, a, i, i0, jitter)?;
         }
     }
+    for i in blocked..n {
+        factor_row(l, a, i, 0, jitter)?;
+    }
     trace::count("linalg.cholesky.factor", 1);
+    Ok(())
+}
+
+/// Row `i` of [`factor_into`] from column `from` on, left to right, after
+/// zeroing its strict upper part: rows `0..i` are finished, and row `i`'s
+/// columns `0..from` are written.
+#[inline]
+fn factor_row(l: &mut [f64], a: &Matrix, i: usize, from: usize, jitter: f64) -> Result<()> {
+    let n = a.rows();
+    let (done, rest) = l.split_at_mut(i * n);
+    let li = &mut rest[..n];
+    li[i + 1..].fill(0.0);
+    for j in from..=i {
+        let mut sum = a[(i, j)];
+        if i == j {
+            sum += jitter;
+        }
+        // Row prefixes are contiguous: the dot is sequential.
+        let lj = if j < i { &done[j * n..j * n + j] } else { &li[..j] };
+        let mut acc = 0.0;
+        for (x, y) in li[..j].iter().zip(lj) {
+            acc += x * y;
+        }
+        sum -= acc;
+        if i == j {
+            if sum <= 0.0 || !sum.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite { pivot: i, value: sum });
+            }
+            li[i] = sum.sqrt();
+        } else {
+            li[j] = sum / done[j * n + j];
+        }
+    }
     Ok(())
 }
 
@@ -576,5 +664,140 @@ mod tests {
                 assert_eq!(c.l()[(i, j)].to_bits(), before[(i, j)].to_bits());
             }
         }
+    }
+
+    /// The row-by-row factorization `factor_into` replaced: row `i`'s strict
+    /// upper part zeroed, then its entries `j = 0..=i` in turn, each one
+    /// sequential dot, one subtraction and one division or square root. The
+    /// oracle the blocked factorization is held to, bit for bit.
+    fn reference_factor_into(l: &mut Matrix, a: &Matrix, jitter: f64) -> Result<()> {
+        if !a.is_square() {
+            return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
+        }
+        if !a.all_finite() {
+            return Err(LinalgError::NonFinite);
+        }
+        let n = a.rows();
+        *l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                if i == j {
+                    sum += jitter;
+                }
+                let mut acc = 0.0;
+                for k in 0..j {
+                    acc += l[(i, k)] * l[(j, k)];
+                }
+                sum -= acc;
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite { pivot: i, value: sum });
+                    }
+                    l[(i, i)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn blocked_factor_matches_the_row_by_row_reference_bitwise() {
+        use propcheck::{check, Config};
+        // Outcomes over the whole run: strict, jittered, failed.
+        let seen = std::cell::Cell::new([0usize; 3]);
+        // The size ramp runs n from 0 (case 0) to 44: every remainder of the
+        // block width, at every block count up to 11.
+        let cfg = Config::default().cases(96).seed(0xB10C_F4C7).max_size(45);
+        check("blocked_factor_matches_the_row_by_row_reference_bitwise", cfg, |g| {
+            let n = g.size().saturating_sub(1);
+            // SPD; rank deficient and shifted just below semidefinite, so
+            // only the jitter ladder factors it; or SPD but for one negative
+            // diagonal entry (the last, or any), so every attempt fails there.
+            let kind = if n >= 2 { g.usize_in(0, 2) } else { 0 };
+            let mut a = if kind == 1 {
+                let r = g.usize_in(1, n - 1);
+                let b = Matrix::from_fn(n, r, |_, _| g.f64_in(-3.0, 3.0));
+                let mut a = b.matmul(&b.transpose()).unwrap();
+                let mean_diag = (0..n).map(|i| a[(i, i)]).sum::<f64>() / n as f64;
+                a.add_diagonal(-1e-9 * mean_diag);
+                a
+            } else {
+                let b = Matrix::from_fn(n, n, |_, _| g.f64_in(-3.0, 3.0));
+                let mut a = b.matmul(&b.transpose()).unwrap();
+                a.add_diagonal(n as f64);
+                a
+            };
+            if kind == 2 {
+                let p = if g.flag() { n - 1 } else { g.usize_in(0, n - 1) };
+                a[(p, p)] = -1.0;
+            }
+            // Every rung of the jitter ladder, from junk-filled storage.
+            let mean_diag =
+                (0..n).map(|i| a[(i, i)].abs()).sum::<f64>().max(f64::MIN_POSITIVE) / n as f64;
+            let mut rungs = vec![0.0, 1e-10 * mean_diag];
+            while rungs[rungs.len() - 1] < 1e-2 * mean_diag {
+                let next = rungs[rungs.len() - 1] * 10.0;
+                rungs.push(next);
+            }
+            let mut first_ok = None;
+            for &jitter in &rungs {
+                let mut got = Matrix::from_fn(n, n, |_, _| g.f64_in(-9.0, 9.0));
+                let mut want = Matrix::zeros(0, 0);
+                let (got_res, want_res) = (
+                    factor_into(&mut got, &a, jitter),
+                    reference_factor_into(&mut want, &a, jitter),
+                );
+                let label = format!("n = {n}, kind {kind}, jitter {jitter:e}");
+                match (&got_res, &want_res) {
+                    (Ok(()), Ok(())) => {
+                        for i in 0..n {
+                            for j in 0..n {
+                                let (x, y) = (got[(i, j)], want[(i, j)]);
+                                propcheck::prop_assert!(
+                                    x.to_bits() == y.to_bits(),
+                                    "{label}: entry ({i}, {j}) is {x} vs reference {y}"
+                                );
+                            }
+                        }
+                        first_ok.get_or_insert((jitter, want));
+                    }
+                    (
+                        Err(LinalgError::NotPositiveDefinite { pivot: p, value: v }),
+                        Err(LinalgError::NotPositiveDefinite { pivot: q, value: w }),
+                    ) => propcheck::prop_assert!(
+                        p == q && v.to_bits() == w.to_bits(),
+                        "{label}: pivot {p} value {v} vs reference pivot {q} value {w}"
+                    ),
+                    _ => propcheck::prop_assert!(
+                        false,
+                        "{label}: {got_res:?} vs reference {want_res:?}"
+                    ),
+                }
+            }
+            // The ladder itself: the first rung the reference factors, or
+            // failure when none does.
+            let ladder = Cholesky::factor_with_jitter(&a);
+            match (&ladder, first_ok) {
+                (Ok(c), Some((jitter, want))) => {
+                    propcheck::prop_assert_eq!(c.jitter().to_bits(), jitter.to_bits());
+                    propcheck::prop_assert!(c.l().data() == want.data());
+                    let mut s = seen.get();
+                    s[usize::from(jitter > 0.0)] += 1;
+                    seen.set(s);
+                }
+                (Err(_), None) => {
+                    let mut s = seen.get();
+                    s[2] += 1;
+                    seen.set(s);
+                }
+                _ => propcheck::prop_assert!(false, "n = {n}, kind {kind}: ladder {ladder:?}"),
+            }
+            Ok(())
+        });
+        let [strict, jittered, failed] = seen.get();
+        assert!(strict > 0 && jittered > 0 && failed > 0, "{strict} / {jittered} / {failed}");
     }
 }

@@ -36,15 +36,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -138,11 +129,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
     /// Checks whether all entries are finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
@@ -190,13 +176,6 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identity_matvec_is_noop() {
-        let m = Matrix::identity(4);
-        let x = vec![1.0, -2.0, 3.0, 0.5];
-        assert_eq!(m.matvec(&x).unwrap(), x);
-    }
 
     #[test]
     fn matmul_known_product() {

@@ -138,6 +138,13 @@ fn parallel_path_nests_scoped_thread_spans_under_their_phases() {
         let path = format!("iteration/model_update/gp_fit/{metric}");
         assert_eq!(agg[&path].count, 6, "missing per-metric fit spans at {path}");
     }
+    // One `fit_restart` span per (metric, restart) task, in whichever lane
+    // ran it. The six fits see n = 1..6 observations, and the first two
+    // are too small to search hyperparameters: 4 fits x 3 metrics x 1
+    // restart. The inline run opens the same spans.
+    let restarts = "iteration/model_update/gp_fit/fit_restart";
+    assert_eq!(agg[restarts].count, 4 * 3);
+    assert_eq!(inline.span_agg()[&format!("fleet/tenant/{restarts}")].count, 4 * 3);
     // Per-learner posterior draws (4 dynamic iterations x 3 learners: 2 base
     // + target) under the weight_update path.
     let draws = &agg["iteration/model_update/weight_update/learner_draws"];
