@@ -17,13 +17,14 @@
 //! penalties, and incumbent/convergence bookkeeping are identical to every
 //! other method's.
 
+use linalg::{Matrix, MatrixView};
 use restune_core::acquisition::ConstrainedExpectedImprovement;
 use restune_core::driver::{Proposal, ProposalTiming, Proposer, TuningDriver};
 use restune_core::engine::{EngineSettings, EvalEngine, HistoryView};
 use restune_core::lhs::latin_hypercube;
-use restune_core::repository::DataRepository;
+use restune_core::repository::{DataRepository, TaskObservation};
 use restune_core::resilience::ReplayPolicy;
-use restune_core::surrogate::GpTaskModel;
+use restune_core::surrogate::{GpTaskModel, SurrogatePrediction};
 use restune_core::tuner::{RestuneConfig, TuningEnvironment, TuningOutcome};
 
 /// The OtterTune strategy: LHS bootstrap, then one merged GP over target +
@@ -31,7 +32,8 @@ use restune_core::tuner::{RestuneConfig, TuningEnvironment, TuningOutcome};
 pub struct OtterTuneProposer {
     config: RestuneConfig,
     repository: DataRepository,
-    lhs_plan: Vec<Vec<f64>>,
+    /// The LHS bootstrap's points, one per row.
+    lhs_plan: Matrix,
     /// The task_id matched at the latest iteration (for analysis output).
     pub last_match: Option<String>,
 }
@@ -68,18 +70,16 @@ impl OtterTuneProposer {
         }
         let target = self.target_signature(view);
         let dim = target.len();
-        // Repository-wide per-dimension std for scaling.
-        let mut all: Vec<Vec<f64>> = Vec::new();
-        for t in self.repository.tasks() {
-            all.push(t.mean_metrics());
-        }
+        // Repository-wide per-dimension std for scaling, over one signature
+        // per row; signatures of another width cannot be matched.
+        let all = Matrix::from_rows(dim, self.repository.tasks().iter().map(|t| t.mean_metrics()))
+            .ok()?;
         let mut stds = vec![1e-9_f64; dim];
         for (d, std) in stds.iter_mut().enumerate() {
-            let col: Vec<f64> = all.iter().map(|m| m[d]).collect();
-            *std = linalg::vector::std_dev(&col).max(1e-9);
+            *std = linalg::vector::std_dev(&all.col(d)).max(1e-9);
         }
         let mut best: Option<(usize, f64)> = None;
-        for (i, sig) in all.iter().enumerate() {
+        for (i, sig) in all.iter_rows().enumerate() {
             let mut d2 = 0.0;
             for d in 0..dim {
                 let diff = (sig[d] - target[d]) / stds[d];
@@ -96,37 +96,38 @@ impl OtterTuneProposer {
 impl Proposer for OtterTuneProposer {
     fn propose(&mut self, view: &HistoryView<'_>, iter: usize, _seed: u64) -> Proposal {
         if iter < self.config.init_iters {
-            return Proposal::point(self.lhs_plan[iter].clone());
+            return Proposal::point(self.lhs_plan.row(iter).to_vec());
         }
 
         let model_span = trace::span!("model_update");
-        // Merge matched workload data (same knob space) with target data.
-        let mut points = view.points.to_vec();
-        points.push(view.default_point.to_vec());
-        let mut res = view.res.to_vec();
-        res.push(view.default_objective);
-        let mut tps = view.tps.to_vec();
-        tps.push(view.default_observation.tps);
-        let mut lat = view.lat.to_vec();
-        lat.push(view.default_observation.p99_ms);
-        if let Some(idx) = self.match_task(view) {
-            let task = &self.repository.tasks()[idx];
+        // Merge matched workload data (same knob space) with target data,
+        // one point per row.
+        let matched = self.match_task(view).map(|idx| &self.repository.tasks()[idx]);
+        if let Some(task) = matched {
             self.last_match = Some(task.task_id.clone());
-            if task.knob_names == view.problem.knob_set.names()
-                && task.space_id == view.problem.space.id
-            {
-                for o in &task.observations {
-                    points.push(o.point.clone());
-                    res.push(o.res);
-                    tps.push(o.tps);
-                    lat.push(o.lat);
-                }
-            }
         }
+        let history = matched
+            .filter(|task| {
+                task.knob_names == view.problem.knob_set.names()
+                    && task.space_id == view.problem.space.id
+            })
+            .map_or(&[][..], |task| &task.observations);
+        let rows = view.points.iter().map(Vec::as_slice).chain([view.default_point]);
+        let rows = rows.chain(history.iter().map(|o| o.point.as_slice()));
+        let dim = view.problem.dim();
+        let points = Matrix::from_rows(dim, rows).map_err(gp::GpError::from);
+        let column = |target: &[f64], default: f64, stored: fn(&TaskObservation) -> f64| {
+            let stored = history.iter().map(stored);
+            target.iter().copied().chain([default]).chain(stored).collect::<Vec<f64>>()
+        };
+        let res = column(view.res, view.default_objective, |o| o.res);
+        let tps = column(view.tps, view.default_observation.tps, |o| o.tps);
+        let lat = column(view.lat, view.default_observation.p99_ms, |o| o.lat);
         let mut gp_config = self.config.gp.clone();
         gp_config.optimize_hypers = self.config.gp.optimize_hypers
-            && (points.len() <= 40 || iter.is_multiple_of(self.config.refit_hypers_every));
-        let model = GpTaskModel::fit(&points, &res, &tps, &lat, &gp_config)
+            && (res.len() <= 40 || iter.is_multiple_of(self.config.refit_hypers_every));
+        let model = points
+            .and_then(|points| GpTaskModel::fit(points, &res, &tps, &lat, &gp_config))
             .expect("merged surrogate fit");
         let model_update_s = model_span.finish_s();
 
@@ -145,28 +146,40 @@ impl Proposer for OtterTuneProposer {
         }
         // CEI with thresholds at the merged model's default-point prediction
         // and the incumbent's predicted objective (the default's when no
-        // observation is feasible), both from one batch.
-        let mut probes = vec![view.default_point.to_vec()];
-        probes.extend(best_feasible.map(|(p, _)| p));
+        // observation is feasible), both from one batch; the last probe
+        // anchors the search.
+        let mut probes = Matrix::from_vec(1, dim, view.default_point.to_vec());
+        if let Some((p, _)) = &best_feasible {
+            probes.push_row(p).expect("a target point spans the search space");
+        }
         let probed = model.predict_batch(&probes);
         let default_pred = probed[0];
         let tps_floor =
             default_pred.tps.mean - sla.tolerance * sla.min_tps / model.scalers.tps.std;
         let lat_ceiling =
             default_pred.lat.mean + sla.tolerance * sla.max_p99_ms / model.scalers.lat.std;
-        let incumbent = Some(probed[probes.len() - 1].res.mean);
-        let anchors = vec![probes[probes.len() - 1].clone()];
+        let last = probes.rows() - 1;
+        let incumbent = Some(probed[last].res.mean);
+        let anchors = Matrix::from_vec(1, dim, probes.row(last).to_vec());
         let cei =
             ConstrainedExpectedImprovement { best_feasible: incumbent, tps_floor, lat_ceiling };
         // OtterTune keeps its own published seeding schedule (it predates the
         // driver's per-iteration seed).
         let seed = self.config.seed.wrapping_add(iter as u64).wrapping_mul(0x51);
+        // Valued candidates reuse their objective prediction and predict
+        // only the constraints.
+        let value = |pts: &MatrixView<'_>, res: &[gp::Prediction]| -> Vec<f64> {
+            let [tps, lat] =
+                [&model.tps, &model.lat].map(|gp| gp.predict_batch(pts).expect("dim"));
+            let joint = |((&res, tps), lat)| SurrogatePrediction { res, tps, lat };
+            res.iter().zip(tps).zip(lat).map(|p| cei.value(&joint(p))).collect()
+        };
         let point = self.config.optimizer.optimize(
-            view.problem.dim(),
             &anchors,
             seed,
-            |pts| model.res.predict_batch(pts).expect("dim").iter().map(|p| cei.bound(p)).collect(),
-            |pts| model.predict_batch(pts).iter().map(|p| cei.value(p)).collect(),
+            |pts| model.res.predict_batch(pts).expect("dim"),
+            Some(|p: &gp::Prediction| cei.bound(p)),
+            value,
         );
         let recommendation_s = recommendation_span.finish_s();
         Proposal {

@@ -21,20 +21,21 @@
 //! count.
 
 use gp::{GaussianProcess, GpConfig};
+use linalg::Matrix;
 use restune_bench::gate::{Check, Gate, Rule};
 use restune_bench::microbench::{black_box, suite, Bencher};
+use std::sync::Arc;
 
 /// Deterministic synthetic training set: a smooth 3-dim response surface
-/// (no RNG, so every run and both arms see identical data).
-fn training_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let xs: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            let t = i as f64 / n as f64;
-            vec![t, (t * 13.7).fract(), (t * 5.3).fract()]
-        })
-        .collect();
+/// (no RNG, so every run and both arms see identical data), one point per
+/// row.
+fn training_data(n: usize) -> (Matrix, Vec<f64>) {
+    let xs = Matrix::from_fn(n, 3, |i, c| {
+        let t = i as f64 / n as f64;
+        [t, (t * 13.7).fract(), (t * 5.3).fract()][c]
+    });
     let ys = xs
-        .iter()
+        .iter_rows()
         .map(|x| (3.0 * x[0]).sin() + 0.5 * x[1] * x[1] - 0.3 * x[2])
         .collect();
     (xs, ys)
@@ -52,14 +53,15 @@ struct IncArm {
 fn incremental_arm(b: &Bencher, n: usize) -> IncArm {
     let cfg = GpConfig::fixed();
     let (xs, ys) = training_data(n);
-    let base = GaussianProcess::fit(xs[..n - 1].to_vec(), ys[..n - 1].to_vec(), &cfg)
-        .expect("base fit");
-    let (x_new, y_new) = (xs[n - 1].clone(), ys[n - 1]);
+    let prefix = Matrix::from_rows(3, xs.view(0..n - 1).iter_rows()).expect("3-dim rows");
+    let base = GaussianProcess::fit(prefix, ys[..n - 1].to_vec(), &cfg).expect("base fit");
+    // The grown training block the extension takes, and the new target.
+    let (grown, y_new) = (Arc::new(xs.clone()), ys[n - 1]);
 
     // Sanity: the rank-1 path must predict exactly like the full refit
     // before its timing means anything.
     let mut extended = base.clone();
-    extended.extend(x_new.clone(), y_new, &cfg).expect("extend");
+    extended.extend(Arc::clone(&grown), y_new, &cfg).expect("extend");
     let full = GaussianProcess::fit(xs.clone(), ys.clone(), &cfg).expect("full fit");
     let probe = vec![0.37, 0.71, 0.13];
     let (pe, pf) = (extended.predict(&probe).unwrap(), full.predict(&probe).unwrap());
@@ -77,7 +79,7 @@ fn incremental_arm(b: &Bencher, n: usize) -> IncArm {
         &format!("gp_fit/incremental/n={n}"),
         || base.clone(),
         |mut g| {
-            g.extend(x_new.clone(), y_new, &cfg).expect("extend");
+            g.extend(Arc::clone(&grown), y_new, &cfg).expect("extend");
             g
         },
     );

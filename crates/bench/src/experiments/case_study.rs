@@ -118,16 +118,16 @@ pub fn run(ctx: &ExperimentContext, iterations: usize) -> CaseStudyResult {
     let mut probe_dbms = SimulatedDbms::new(InstanceType::A, target.clone(), ctx.seed + 5);
     let base_config = Configuration::dba_default();
     let mut actual_cpu = Vec::new();
-    for p in &probe_points {
+    for p in probe_points.iter_rows() {
         let obs = probe_dbms.evaluate(&knob_set.to_configuration(p, &base_config));
         actual_cpu.push(obs.resources.cpu_pct);
     }
-    let total_pairs = (probe_points.len() * (probe_points.len() - 1)) as f64;
+    let total_pairs = (probe_points.rows() * (probe_points.rows() - 1)) as f64;
     let mut table5 = Vec::new();
     for (i, learner) in learners.iter().enumerate() {
         let pred: Vec<f64> = match learner.model.res.predict_batch(&probe_points) {
             Ok(preds) => preds.iter().map(|q| q.mean).collect(),
-            Err(_) => vec![0.0; probe_points.len()],
+            Err(_) => vec![0.0; probe_points.rows()],
         };
         let loss = ranking_loss(&pred, &actual_cpu) as f64 / total_pairs;
         let spec = &variations[i];

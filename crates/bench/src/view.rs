@@ -344,7 +344,7 @@ pub fn render_session(records: &[TunerHealth]) -> String {
             r.since_improvement,
             r.stage.as_str(),
             r.fit_path.as_str(),
-            r.surrogate,
+            r.surrogate(),
             opt(r.calibration.map(|c| c.coverage_1s)),
             opt(r.calibration.map(|c| c.mean_abs_z)),
             opt(r.calibration.map(|c| c.loo_nll)),
@@ -534,7 +534,6 @@ mod tests {
             since_improvement: iter,
             stage: if iter == 0 { Stage::Lhs } else { Stage::Acquire },
             fit_path: if iter == 0 { FitPath::Skipped } else { FitPath::Full },
-            surrogate: "dense".into(),
             fallbacks: 0,
             failures: FailureCounts::default(),
             weights: Some(vec![0.5, 0.5]),

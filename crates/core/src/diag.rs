@@ -178,10 +178,6 @@ pub struct TunerHealth {
     pub stage: Stage,
     /// How the target surrogate was fitted.
     pub fit_path: FitPath,
-    /// `"dense"` when the iteration holds a fitted objective surrogate,
-    /// `"none"` when it holds none: before the first fit, and after a
-    /// skipped or failed one.
-    pub surrogate: String,
     /// GP-failure exploration fallbacks taken so far in this session.
     pub fallbacks: u64,
     /// The engine's running failure/retry tallies, including this iteration.
@@ -208,7 +204,6 @@ impl TunerHealth {
         record: &IterationRecord,
         stage: Stage,
         fit_path: FitPath,
-        surrogate: &str,
         fallbacks: u64,
         calibration: Option<gp::Calibration>,
         drift: Option<DriftDiag>,
@@ -244,13 +239,22 @@ impl TunerHealth {
             since_improvement,
             stage,
             fit_path,
-            surrogate: surrogate.to_string(),
             fallbacks,
             failures,
             weights: record.weights.clone(),
             weight_entropy,
             calibration,
             drift,
+        }
+    }
+
+    /// `"dense"` when the iteration holds a fitted objective surrogate (its
+    /// fit path is `Full` or `Incremental`), `"none"` when it holds none:
+    /// before the first fit, and after a skipped or failed one.
+    pub fn surrogate(&self) -> &'static str {
+        match self.fit_path {
+            FitPath::Full | FitPath::Incremental => "dense",
+            FitPath::Skipped | FitPath::Fallback => "none",
         }
     }
 
@@ -268,7 +272,7 @@ impl TunerHealth {
             ("since_improvement", self.since_improvement.into()),
             ("stage", self.stage.as_str().into()),
             ("fit_path", self.fit_path.as_str().into()),
-            ("surrogate", self.surrogate.as_str().into()),
+            ("surrogate", self.surrogate().into()),
             ("fallbacks", self.fallbacks.into()),
             ("crashes", self.failures.crashes.into()),
             ("timeouts", self.failures.timeouts.into()),
@@ -341,7 +345,6 @@ impl TunerHealth {
                 .str("fit_path")
                 .and_then(FitPath::parse)
                 .unwrap_or(FitPath::Full),
-            surrogate: ev.str("surrogate").unwrap_or("none").to_string(),
             fallbacks: ev.int("fallbacks").unwrap_or(0) as u64,
             failures: FailureCounts {
                 crashes: ev.int("crashes").unwrap_or(0) as usize,

@@ -311,7 +311,6 @@ mod tests {
             since_improvement: iter,
             stage: Stage::Acquire,
             fit_path: FitPath::Full,
-            surrogate: "dense".to_string(),
             fallbacks: 0,
             failures: FailureCounts::default(),
             weights: None,

@@ -21,6 +21,7 @@
 //! `2⁻⁵²` (already at `n = 2`), and the division then yields exactly `1.0`.
 //! The sampler therefore clamps each coordinate to the predecessor of `1.0`.
 
+use linalg::Matrix;
 use xrand::rngs::StdRng;
 use xrand::{RngExt, SeedableRng};
 
@@ -29,14 +30,14 @@ use xrand::{RngExt, SeedableRng};
 const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
 
 /// Draws `n` Latin-hypercube samples in `[0,1)^d` (half-open; see the module
-/// docs for the interval contract).
+/// docs for the interval contract), one per row.
 ///
 /// Each dimension's range is split into `n` equal strata; each stratum is hit
 /// exactly once per dimension, with independent random permutations across
 /// dimensions.
-pub fn latin_hypercube(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
+pub fn latin_hypercube(n: usize, d: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut samples = vec![vec![0.0; d]; n];
+    let mut samples = Matrix::zeros(n, d);
     let mut perm: Vec<usize> = (0..n).collect();
     for dim in 0..d {
         // Fisher–Yates shuffle of the strata.
@@ -44,12 +45,12 @@ pub fn latin_hypercube(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
             let j = rng.random_range(0..=i);
             perm.swap(i, j);
         }
-        for (row, &stratum) in samples.iter_mut().zip(perm.iter()) {
+        for (row, &stratum) in perm.iter().enumerate() {
             let jitter: f64 = rng.random();
             // The clamp only fires when rounding pushed the quotient to 1.0
             // (top stratum, near-maximal jitter); every other value passes
             // through bit-unchanged, so existing traces are unaffected.
-            row[dim] = ((stratum as f64 + jitter) / n as f64).min(BELOW_ONE);
+            samples[(row, dim)] = ((stratum as f64 + jitter) / n as f64).min(BELOW_ONE);
         }
     }
     samples
@@ -61,12 +62,9 @@ mod tests {
 
     #[test]
     fn samples_are_in_unit_cube() {
-        for s in latin_hypercube(32, 5, 1) {
-            assert_eq!(s.len(), 5);
-            for v in s {
-                assert!((0.0..1.0).contains(&v));
-            }
-        }
+        let samples = latin_hypercube(32, 5, 1);
+        assert_eq!((samples.rows(), samples.cols()), (32, 5));
+        assert!(samples.data().iter().all(|v| (0.0..1.0).contains(v)));
     }
 
     #[test]
@@ -75,7 +73,7 @@ mod tests {
         let samples = latin_hypercube(n, 3, 7);
         for dim in 0..3 {
             let mut strata: Vec<usize> =
-                samples.iter().map(|s| (s[dim] * n as f64).floor() as usize).collect();
+                samples.iter_rows().map(|s| (s[dim] * n as f64).floor() as usize).collect();
             strata.sort_unstable();
             assert_eq!(strata, (0..n).collect::<Vec<_>>(), "dim {dim}");
         }
@@ -102,9 +100,9 @@ mod tests {
 
     #[test]
     fn degenerate_sizes() {
-        assert_eq!(latin_hypercube(0, 3, 0).len(), 0);
+        assert_eq!(latin_hypercube(0, 3, 0).rows(), 0);
         let one = latin_hypercube(1, 2, 0);
-        assert_eq!(one.len(), 1);
-        assert!(one[0].iter().all(|v| (0.0..1.0).contains(v)));
+        assert_eq!(one.rows(), 1);
+        assert!(one.row(0).iter().all(|v| (0.0..1.0).contains(v)));
     }
 }

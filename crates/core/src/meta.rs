@@ -19,9 +19,17 @@
 //!   alone, because only target observations should shrink uncertainty. So
 //!   historical learners are predicted by their means alone
 //!   ([`gp::GaussianProcess::predict_mean_batch`]), without a variance solve.
+//!
+//! A [`MetaLearner`] shares its learners rather than owning copies: the
+//! historical learners as one `Arc<[BaseLearner]>` and the target model as
+//! an `Arc`, so building the ensemble for a step copies no GP. Points and
+//! posterior draws travel as blocks, one point or one draw per row of a
+//! [`linalg::Matrix`].
 
 use crate::surrogate::{GpTaskModel, SurrogatePrediction};
 use gp::{GaussianProcess, Prediction};
+use linalg::{Matrix, MatrixView};
+use std::sync::Arc;
 use xrand::rngs::StdRng;
 use xrand::{Rng, SeedableRng, SplitMix64};
 
@@ -78,8 +86,8 @@ pub fn static_weights(
 /// needs them.
 #[derive(Debug, Clone)]
 pub struct TargetObservations<'a> {
-    /// Normalized knob points.
-    pub points: &'a [Vec<f64>],
+    /// Normalized knob points, one per row.
+    pub points: &'a Matrix,
     /// Standardized resource objective values.
     pub res: &'a [f64],
     /// Standardized throughput values.
@@ -106,20 +114,20 @@ pub fn ranking_loss(pred: &[f64], actual: &[f64]) -> usize {
     loss
 }
 
-/// The degenerate-draw fallback: `n_samples` copies of the posterior means
-/// at `points` (zeros if the GP cannot predict there).
-fn mean_draws(gp: &GaussianProcess, points: &[Vec<f64>], n_samples: usize) -> Vec<Vec<f64>> {
-    let means = gp.predict_mean_batch(points).unwrap_or_else(|_| vec![0.0; points.len()]);
-    vec![means; n_samples]
+/// The degenerate-draw fallback: `n_samples` copies (rows) of the posterior
+/// means at `points` (zeros if the GP cannot predict there).
+fn mean_draws(gp: &GaussianProcess, points: &MatrixView<'_>, n_samples: usize) -> Matrix {
+    let means = gp.predict_mean_batch(points).unwrap_or_else(|_| vec![0.0; points.rows()]);
+    Matrix::from_fn(n_samples, means.len(), |_, j| means[j])
 }
 
-/// Posterior draws of a GP at `points`: one `Vec<f64>` per sample.
+/// Posterior draws of a GP at `points`: one row per sample.
 fn posterior_draws(
     gp: &GaussianProcess,
-    points: &[Vec<f64>],
+    points: &MatrixView<'_>,
     n_samples: usize,
     rng: &mut impl Rng,
-) -> Vec<Vec<f64>> {
+) -> Matrix {
     // Degenerate covariance: fall back to the posterior means.
     gp.sample_joint(points, n_samples, rng).unwrap_or_else(|_| mean_draws(gp, points, n_samples))
 }
@@ -130,11 +138,11 @@ fn posterior_draws(
 /// window at `points`.
 fn loo_draws(
     gp: &GaussianProcess,
-    points: &[Vec<f64>],
+    points: &MatrixView<'_>,
     start: usize,
     n_samples: usize,
     rng: &mut impl Rng,
-) -> Vec<Vec<f64>> {
+) -> Matrix {
     draws_from_loo(&gp.loo_predictions(), gp, points, start, n_samples, rng)
 }
 
@@ -144,25 +152,21 @@ fn loo_draws(
 /// the window can bring about, falls back to *length-preserving* draws —
 /// the in-sample posterior means at `points`, mirroring
 /// [`posterior_draws`]' degenerate-covariance fallback — rather than empty
-/// vectors. Zero-length target draws would score zero ranking loss on every
+/// rows. Zero-length target draws would score zero ranking loss on every
 /// sample, silently absorbing all ensemble weight and disabling transfer
 /// (and tripping the `ranking_loss` debug assertion in debug builds).
 fn draws_from_loo(
     loo: &[Prediction],
     gp: &GaussianProcess,
-    points: &[Vec<f64>],
+    points: &MatrixView<'_>,
     start: usize,
     n_samples: usize,
     rng: &mut impl Rng,
-) -> Vec<Vec<f64>> {
-    match loo.get(start..start + points.len()) {
-        Some(tail) => (0..n_samples)
-            .map(|_| {
-                tail.iter()
-                    .map(|p| p.mean + p.std_dev() * gp::rand_util::standard_normal(rng))
-                    .collect()
-            })
-            .collect(),
+) -> Matrix {
+    match loo.get(start..start + points.rows()) {
+        Some(tail) => Matrix::from_fn(n_samples, tail.len(), |_, j| {
+            tail[j].mean + tail[j].std_dev() * gp::rand_util::standard_normal(rng)
+        }),
         None => mean_draws(gp, points, n_samples),
     }
 }
@@ -184,10 +188,10 @@ pub fn dynamic_weights(
     dilution_guard: bool,
     seed: u64,
 ) -> Vec<f64> {
-    let n_all = obs.points.len();
+    let n_all = obs.points.rows();
     let take = n_all.min(max_points);
     let start = n_all - take;
-    let points = &obs.points[start..];
+    let points = &obs.points.view(start..n_all);
     let actual: [&[f64]; 3] =
         [&obs.res[start..], &obs.tps[start..], &obs.lat[start..]];
 
@@ -204,13 +208,13 @@ pub fn dynamic_weights(
     trace::count("meta.weight_updates", 1);
 
     // Pre-draw posterior samples per learner per metric.
-    // draws[learner][metric][sample] -> predictions at `points`.
+    // draws[learner][metric] has one row of predictions at `points` per sample.
     let mut seeder = SplitMix64::new(seed);
     let stream_seeds: Vec<u64> = (0..(t + 1) * 3).map(|_| seeder.next_u64()).collect();
-    let draw_learner = |li: usize| -> [Vec<Vec<f64>>; 3] {
+    let draw_learner = |li: usize| -> [Matrix; 3] {
         let span = trace::span!("learner_draws", learner = li);
         let model = if li == t { target } else { &base[li].model };
-        let metric = |m: usize, gp: &GaussianProcess| -> Vec<Vec<f64>> {
+        let metric = |m: usize, gp: &GaussianProcess| -> Matrix {
             let mut rng = StdRng::seed_from_u64(stream_seeds[li * 3 + m]);
             if li == t {
                 loo_draws(gp, points, start, samples, &mut rng)
@@ -228,7 +232,7 @@ pub fn dynamic_weights(
     let learners: Vec<usize> = (0..=t).collect();
     let lanes: Vec<&[usize]> =
         learners.chunks(learners.len().div_ceil(crate::exec::lanes())).collect();
-    let draws: Vec<[Vec<Vec<f64>>; 3]> = crate::exec::map(lanes.len(), |l| {
+    let draws: Vec<[Matrix; 3]> = crate::exec::map(lanes.len(), |l| {
         lanes[l].iter().map(|&li| draw_learner(li)).collect::<Vec<_>>()
     })
     .concat();
@@ -239,7 +243,7 @@ pub fn dynamic_weights(
         for s in 0..samples {
             let mut loss = 0;
             for (m, actual_m) in actual.iter().enumerate() {
-                loss += ranking_loss(&learner_draws[m][s], actual_m);
+                loss += ranking_loss(learner_draws[m].row(s), actual_m);
             }
             losses[li][s] = loss;
         }
@@ -299,18 +303,20 @@ pub fn dynamic_weights(
 /// Selects one metric GP of a task model.
 pub(crate) type Metric = fn(&GpTaskModel) -> &GaussianProcess;
 
-/// The ensemble surrogate L_M (§6.3).
+/// The ensemble surrogate L_M (§6.3), over shared learners.
 #[derive(Debug, Clone)]
 pub struct MetaLearner {
-    base: Vec<BaseLearner>,
-    target: GpTaskModel,
+    base: Arc<[BaseLearner]>,
+    target: Arc<GpTaskModel>,
     /// Weights over `[base..., target]`; need not be normalized.
     weights: Vec<f64>,
 }
 
 impl MetaLearner {
     /// Builds the ensemble with explicit weights (`weights.len() ==
-    /// base.len() + 1`, target last).
+    /// base.len() + 1`, target last). The learners are shared, not copied:
+    /// pass an `Arc` to build ensembles over the same learners step after
+    /// step.
     ///
     /// # Panics
     ///
@@ -318,10 +324,15 @@ impl MetaLearner {
     /// dimensionality differs from the target's: a mismatched learner would
     /// only surface as a prediction-time error deep inside the GP, so it is
     /// rejected here, at construction, with the offending task named.
-    pub fn new(base: Vec<BaseLearner>, target: GpTaskModel, weights: Vec<f64>) -> Self {
+    pub fn new(
+        base: impl Into<Arc<[BaseLearner]>>,
+        target: impl Into<Arc<GpTaskModel>>,
+        weights: Vec<f64>,
+    ) -> Self {
+        let (base, target) = (base.into(), target.into());
         assert_eq!(weights.len(), base.len() + 1, "one weight per learner plus target");
         let dim = target.res.dim();
-        for b in &base {
+        for b in base.iter() {
             assert_eq!(
                 b.model.res.dim(),
                 dim,
@@ -336,8 +347,8 @@ impl MetaLearner {
 
     /// A meta-learner with no history: pure target model (ResTune-w/o-ML
     /// reduces to this).
-    pub fn target_only(target: GpTaskModel) -> Self {
-        MetaLearner { base: Vec::new(), target, weights: vec![1.0] }
+    pub fn target_only(target: impl Into<Arc<GpTaskModel>>) -> Self {
+        MetaLearner { base: Arc::default(), target: target.into(), weights: vec![1.0] }
     }
 
     /// The current weights (historical learners first, target last).
@@ -365,14 +376,18 @@ impl MetaLearner {
     ///
     /// # Panics
     ///
-    /// If a point's length is not the knob-space dimensionality.
-    pub(crate) fn ensemble_batch(&self, metric: Metric, points: &[Vec<f64>]) -> Vec<Prediction> {
+    /// If the block's width is not the knob-space dimensionality.
+    pub(crate) fn ensemble_batch<S: AsRef<[f64]>>(
+        &self,
+        metric: Metric,
+        points: &Matrix<S>,
+    ) -> Vec<Prediction> {
         let wsum: f64 = self.weights.iter().sum();
         let target_preds = metric(&self.target).predict_batch(points).expect("dim");
         if wsum <= 1e-12 {
             return target_preds;
         }
-        let mut means = vec![0.0; points.len()];
+        let mut means = vec![0.0; points.rows()];
         for (b, w) in self.base.iter().zip(&self.weights) {
             if *w > 0.0 {
                 let learner = metric(&b.model).predict_mean_batch(points).expect("dim");
@@ -398,9 +413,9 @@ impl MetaLearner {
     ///
     /// # Panics
     ///
-    /// If a point's length is not the knob-space dimensionality (checked
+    /// If the block's width is not the knob-space dimensionality (checked
     /// against every learner at construction).
-    pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<SurrogatePrediction> {
+    pub fn predict_batch<S: AsRef<[f64]>>(&self, points: &Matrix<S>) -> Vec<SurrogatePrediction> {
         let column = |metric: Metric| self.ensemble_batch(metric, points);
         SurrogatePrediction::zip(column(|m| &m.res), column(|m| &m.tps), column(|m| &m.lat))
     }
@@ -411,12 +426,22 @@ mod tests {
     use super::*;
     use gp::GpConfig;
 
+    /// `n` points spread evenly over `[0, 1]`, one per row.
+    fn grid(n: usize) -> Matrix {
+        Matrix::from_fn(n, 1, |i, _| i as f64 / (n - 1) as f64)
+    }
+
+    /// One 1-d point as a block.
+    fn at(x: f64) -> Matrix {
+        Matrix::from_vec(1, 1, vec![x])
+    }
+
     fn model_from(f: impl Fn(f64) -> f64) -> GpTaskModel {
-        let points: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 / 11.0]).collect();
-        let res: Vec<f64> = points.iter().map(|p| f(p[0])).collect();
-        let tps: Vec<f64> = points.iter().map(|p| 100.0 - 10.0 * p[0]).collect();
-        let lat: Vec<f64> = points.iter().map(|p| 5.0 + p[0]).collect();
-        GpTaskModel::fit(&points, &res, &tps, &lat, &GpConfig::fixed()).unwrap()
+        let points = grid(12);
+        let res: Vec<f64> = points.iter_rows().map(|p| f(p[0])).collect();
+        let tps: Vec<f64> = points.iter_rows().map(|p| 100.0 - 10.0 * p[0]).collect();
+        let lat: Vec<f64> = points.iter_rows().map(|p| 5.0 + p[0]).collect();
+        GpTaskModel::fit(points, &res, &tps, &lat, &GpConfig::fixed()).unwrap()
     }
 
     fn learner(id: &str, mf: Vec<f64>, f: impl Fn(f64) -> f64) -> BaseLearner {
@@ -482,12 +507,13 @@ mod tests {
             learner("match", vec![0.5], |x| x),
             learner("anti", vec![0.5], |x| 1.0 - x),
         ];
-        let points: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();
-        let res_raw: Vec<f64> = points.iter().map(|p| 40.0 + 30.0 * p[0]).collect();
-        let tps_raw: Vec<f64> = points.iter().map(|p| 200.0 - 20.0 * p[0]).collect();
-        let lat_raw: Vec<f64> = points.iter().map(|p| 10.0 + 2.0 * p[0]).collect();
+        let points = grid(10);
+        let res_raw: Vec<f64> = points.iter_rows().map(|p| 40.0 + 30.0 * p[0]).collect();
+        let tps_raw: Vec<f64> = points.iter_rows().map(|p| 200.0 - 20.0 * p[0]).collect();
+        let lat_raw: Vec<f64> = points.iter_rows().map(|p| 10.0 + 2.0 * p[0]).collect();
         let target =
-            GpTaskModel::fit(&points, &res_raw, &tps_raw, &lat_raw, &GpConfig::fixed()).unwrap();
+            GpTaskModel::fit(points.clone(), &res_raw, &tps_raw, &lat_raw, &GpConfig::fixed())
+                .unwrap();
         let res_std = target.scalers.res.transform_all(&res_raw);
         let tps_std = target.scalers.tps.transform_all(&tps_raw);
         let lat_std = target.scalers.lat.transform_all(&lat_raw);
@@ -506,10 +532,10 @@ mod tests {
     #[test]
     fn dynamic_weights_fall_back_to_target_with_few_points() {
         let base = vec![learner("a", vec![0.5], |x| x)];
-        let points = vec![vec![0.1], vec![0.9]];
+        let points = Matrix::from_vec(2, 1, vec![0.1, 0.9]);
         let vals = vec![0.0, 1.0];
         let target = GpTaskModel::fit(
-            &points,
+            points.clone(),
             &vals,
             &vals,
             &vals,
@@ -527,7 +553,7 @@ mod tests {
         let target = model_from(|x| 0.5 * x);
         let target_pred = target.res.predict(&[0.3]).unwrap();
         let meta = MetaLearner::new(base, target, vec![1.0, 1.0, 2.0]);
-        let pred = meta.predict_batch(&[vec![0.3]])[0];
+        let pred = meta.predict_batch(&at(0.3))[0];
         assert_eq!(pred.res.variance, target_pred.variance);
         // Mean is pulled between the learners; with symmetric base learners
         // (x and 1-x standardized are mirror images) it stays near target's.
@@ -540,7 +566,7 @@ mod tests {
         let target = model_from(|x| x * x);
         let expected = target.res.predict(&[0.4]).unwrap();
         let meta = MetaLearner::new(base, target, vec![0.0, 0.0]);
-        let pred = meta.predict_batch(&[vec![0.4]])[0];
+        let pred = meta.predict_batch(&at(0.4))[0];
         assert_eq!(pred.res, expected);
     }
 
@@ -549,7 +575,7 @@ mod tests {
         let target = model_from(|x| x);
         let direct = target.res.predict(&[0.6]).unwrap();
         let meta = MetaLearner::target_only(target);
-        assert_eq!(meta.predict_batch(&[vec![0.6]])[0].res, direct);
+        assert_eq!(meta.predict_batch(&at(0.6))[0].res, direct);
     }
 
     #[test]
@@ -561,29 +587,27 @@ mod tests {
         // weight. A target fitted on 12 points, ranked over a 14-point
         // window, is the case that still reaches the fallback.
         let target = model_from(|x| x);
-        let points: Vec<Vec<f64>> = (0..14).map(|i| vec![i as f64 / 13.0]).collect();
-        assert!(target.res.loo_predictions().len() < points.len());
+        let points = grid(14);
+        assert!(target.res.loo_predictions().len() < points.rows());
         let mut rng = StdRng::seed_from_u64(9);
-        let draws = super::loo_draws(&target.res, &points, 0, 5, &mut rng);
-        assert_eq!(draws.len(), 5);
-        for d in &draws {
-            assert_eq!(d.len(), points.len(), "draws must preserve window length");
-            assert!(d.iter().all(|v| v.is_finite()));
-        }
+        let draws = super::loo_draws(&target.res, &points.view(0..14), 0, 5, &mut rng);
+        assert_eq!(draws.rows(), 5);
+        assert_eq!(draws.cols(), points.rows(), "draws must preserve window length");
+        assert!(draws.all_finite());
         // The fallback draws follow the fitted (increasing) signal, so they
         // incur real ranking loss against anti-correlated actuals — the
         // target can no longer score a free zero.
-        let anti: Vec<f64> = points.iter().map(|p| 1.0 - p[0]).collect();
-        assert!(ranking_loss(&draws[0], &anti) > 0, "fallback draws must not be free wins");
+        let anti: Vec<f64> = points.iter_rows().map(|p| 1.0 - p[0]).collect();
+        assert!(ranking_loss(draws.row(0), &anti) > 0, "fallback draws must not be free wins");
     }
 
     #[test]
     fn zero_samples_yield_target_only_weights_not_nan() {
         let base = vec![learner("a", vec![0.5], |x| x)];
-        let points: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
-        let vals: Vec<f64> = points.iter().map(|p| p[0]).collect();
+        let points = grid(8);
+        let vals: Vec<f64> = points.iter_rows().map(|p| p[0]).collect();
         let target =
-            GpTaskModel::fit(&points, &vals, &vals, &vals, &GpConfig::fixed()).unwrap();
+            GpTaskModel::fit(points.clone(), &vals, &vals, &vals, &GpConfig::fixed()).unwrap();
         let obs = TargetObservations { points: &points, res: &vals, tps: &vals, lat: &vals };
         let w = dynamic_weights(&base, &target, &obs, 0, 50, true, 3);
         assert_eq!(w, vec![0.0, 1.0]);
@@ -612,12 +636,17 @@ mod tests {
 
     #[test]
     fn meta_predict_batch_matches_the_per_point_reference_bitwise() {
-        let pts: Vec<Vec<f64>> = (0..17).map(|i| vec![i as f64 / 16.0]).collect();
+        let pts = grid(17);
+        let base: Arc<[BaseLearner]> =
+            vec![learner("a", vec![0.5], |x| x), learner("b", vec![0.5], |x| 1.0 - x)].into();
+        let target = Arc::new(model_from(|x| 0.5 * x));
         for weights in [vec![0.6, 0.0, 1.4], vec![0.3, 0.9, 0.2], vec![0.0, 0.0, 0.0]] {
-            let base = vec![learner("a", vec![0.5], |x| x), learner("b", vec![0.5], |x| 1.0 - x)];
-            let meta = MetaLearner::new(base, model_from(|x| 0.5 * x), weights);
+            // Ensembles over the same shared learners, one per weighting.
+            let meta = MetaLearner::new(Arc::clone(&base), Arc::clone(&target), weights);
+            assert!(std::ptr::eq(meta.base_learners(), &*base));
+            assert!(std::ptr::eq(meta.target(), &*target));
             let batch = meta.predict_batch(&pts);
-            for (p, b) in pts.iter().zip(&batch) {
+            for (p, b) in pts.iter_rows().zip(&batch) {
                 let metrics: [(Metric, Prediction); 3] =
                     [(|m| &m.res, b.res), (|m| &m.tps, b.tps), (|m| &m.lat, b.lat)];
                 for (metric, got) in metrics {

@@ -13,6 +13,11 @@
 //! the next step read them (DESIGN.md §13); otherwise it skips the fit,
 //! which moves no proposal, weight or record, because a full fit is a pure
 //! function of the view and the config.
+//!
+//! The view's points enter the surrogate as one block, converted once per
+//! step where the model update starts. The fitted target model and the
+//! historical learners are shared with the step's ensemble through `Arc`s,
+//! not copied into it, and the next step grows the cached target in place.
 
 use crate::acquisition::{
     expected_improvement, AcquisitionKind, ConstrainedExpectedImprovement,
@@ -24,22 +29,30 @@ use crate::engine::{HistoryView, IterationRecord};
 use crate::meta::{static_weights, BaseLearner, MetaLearner, TargetObservations};
 use crate::surrogate::{GpTaskModel, SurrogatePrediction};
 use crate::tuner::{InitStrategy, RestuneConfig};
+use gp::{GpError, Prediction};
+use linalg::{Matrix, MatrixView};
+use std::sync::Arc;
 use xrand::{RngExt, SeedableRng};
 
 /// The ResTune strategy (and, with the acquisition swapped, the iTuned and
 /// penalty-EI ablations): meta-boosted constrained Bayesian optimization.
 pub struct RestuneProposer {
     config: RestuneConfig,
-    base_learners: Vec<BaseLearner>,
+    /// The historical learners, shared with every step's ensemble.
+    base_learners: Arc<[BaseLearner]>,
     target_meta_feature: Vec<f64>,
     use_meta: bool,
     dim: usize,
-    lhs_plan: Vec<Vec<f64>>,
+    /// The LHS bootstrap's points, one per row.
+    lhs_plan: Matrix,
     /// The previous iteration's fitted target model, kept so no-hyperopt
     /// iterations can grow it by a rank-1 Cholesky append instead of paying
-    /// a from-scratch `O(n^3)` refit. `None` until the first successful fit,
-    /// and after a step that skipped or failed its fit.
-    target_cache: Option<GpTaskModel>,
+    /// a from-scratch `O(n^3)` refit. Shared with the step's ensemble, which
+    /// is gone by the next step, so that step extends it in place. `None`
+    /// until the first successful fit, and after a step that skipped or
+    /// failed its fit: it holds a model exactly when the last step's
+    /// [`FitPath`] is `Full` or `Incremental`.
+    target_cache: Option<Arc<GpTaskModel>>,
     /// How the most recent step produced its model — the per-iteration fact
     /// behind the `gp.fit.*` counters, reported by the health event
     /// (`core::diag`).
@@ -69,7 +82,7 @@ impl RestuneProposer {
         let lhs_plan = crate::lhs::latin_hypercube(config.init_iters, dim, config.seed ^ 0x5A);
         RestuneProposer {
             config,
-            base_learners,
+            base_learners: base_learners.into(),
             target_meta_feature,
             use_meta,
             dim,
@@ -159,12 +172,14 @@ impl RestuneProposer {
 
     /// Whether the step must fit the target GPs: when its stage or its
     /// weights read the model, when the next step may extend it by a rank-1
-    /// append, or when the inputs fail the fit's own check — that fit fails,
-    /// and the step takes the GP-failure fallback as it always has. Any
-    /// other fit would build a model nothing reads.
+    /// append, or when the inputs (`points`, `None` when the view's points
+    /// form no block) fail the fit's own check — that fit fails, and the
+    /// step takes the GP-failure fallback as it always has. Any other fit
+    /// would build a model nothing reads.
     fn fits_target(
         &self,
         view: &HistoryView<'_>,
+        points: Option<&Matrix>,
         stage: Stage,
         rel_iter: usize,
         res: &[f64],
@@ -174,24 +189,28 @@ impl RestuneProposer {
         stage == Stage::Acquire
             || self.learns_dynamic_weights(rel_iter)
             || !self.refits_hypers(n + 1, rel_iter + 1)
-            || GpTaskModel::check_inputs(view.points, res, view.tps, view.lat, scalers).is_err()
+            || points.is_none_or(|points| {
+                GpTaskModel::check_inputs(points, res, view.tps, view.lat, scalers).is_err()
+            })
     }
 
-    /// Stage 2a — target surrogate fit, with hyperparameter refits gated by
-    /// [`RestuneProposer::refits_hypers`]. On no-refit iterations, the
-    /// previous iteration's cached model is grown *incrementally* by a
-    /// rank-1 Cholesky append (`O(n^2)`) when exactly one observation
-    /// arrived since; any mismatch (restarted history, failed extension)
-    /// falls back to the full fit. The successful model is always re-cached
-    /// for the next iteration.
+    /// Stage 2a — target surrogate fit on the step's `points`, with
+    /// hyperparameter refits gated by [`RestuneProposer::refits_hypers`]. On
+    /// no-refit iterations, the previous iteration's cached model is grown
+    /// *incrementally*, in place, by a rank-1 Cholesky append (`O(n^2)`)
+    /// when exactly one observation arrived since; any mismatch (restarted
+    /// history, failed extension) falls back to the full fit. The successful
+    /// model is re-cached for the next iteration, and a failed fit leaves the
+    /// cache empty.
     fn fit_target(
         &mut self,
         view: &HistoryView<'_>,
+        points: Arc<Matrix>,
         rel_iter: usize,
         res: &[f64],
         scalers: crate::scale::TaskScalers,
-    ) -> Result<GpTaskModel, gp::GpError> {
-        let n = view.points.len();
+    ) -> Result<Arc<GpTaskModel>, GpError> {
+        let n = points.rows();
         let mut gp_config = self.config.gp.clone();
         gp_config.optimize_hypers = self.refits_hypers(n, rel_iter);
         gp_config.seed = self.config.seed;
@@ -203,39 +222,30 @@ impl RestuneProposer {
         } else {
             trace::count("gp.hypers.reuse", 1);
         }
-        if !gp_config.optimize_hypers {
-            if let Some(mut cached) = self.target_cache.take() {
-                if cached.n() + 1 == n
-                    && cached.trained_on(&view.points[..n - 1])
-                    && cached
-                        .extend_with_scalers(
-                            view.points,
-                            res,
-                            view.tps,
-                            view.lat,
-                            scalers,
-                            &gp_config,
-                        )
-                        .is_ok()
-                {
-                    trace::count("gp.fit.incremental", 1);
-                    self.last_fit = FitPath::Incremental;
-                    self.target_cache = Some(cached.clone());
-                    return Ok(cached);
-                }
+        let cached = self.target_cache.take();
+        if let Some(mut cached) = cached.filter(|_| !gp_config.optimize_hypers) {
+            // The last step's ensemble is gone, so this extends in place.
+            let model = Arc::make_mut(&mut cached);
+            let (tps, lat) = (view.tps, view.lat);
+            if model.extend_with_scalers(&points, res, tps, lat, scalers, &gp_config).is_ok() {
+                trace::count("gp.fit.incremental", 1);
+                self.last_fit = FitPath::Incremental;
+                self.target_cache = Some(Arc::clone(&cached));
+                return Ok(cached);
             }
         }
         trace::count("gp.fit.full", 1);
         self.last_fit = FitPath::Full;
         let fitted = GpTaskModel::fit_with_scalers(
-            view.points,
+            points,
             res,
             view.tps,
             view.lat,
             scalers,
             &gp_config,
         )?;
-        self.target_cache = Some(fitted.clone());
+        let fitted = Arc::new(fitted);
+        self.target_cache = Some(Arc::clone(&fitted));
         Ok(fitted)
     }
 
@@ -248,7 +258,7 @@ impl RestuneProposer {
         view: &HistoryView<'_>,
         rel_iter: usize,
         seed: u64,
-        target: Option<GpTaskModel>,
+        target: Option<Arc<GpTaskModel>>,
     ) -> (Option<MetaLearner>, Option<Vec<f64>>) {
         if !self.use_meta || self.base_learners.is_empty() {
             return (target.map(MetaLearner::target_only), None);
@@ -266,7 +276,8 @@ impl RestuneProposer {
                 let tps_std = target.scalers.tps.transform_all(view.tps);
                 let lat_std = target.scalers.lat.transform_all(view.lat);
                 let obs = TargetObservations {
-                    points: view.points,
+                    // The target was fitted on the view's points.
+                    points: target.res.train_x(),
                     res: &res_std,
                     tps: &tps_std,
                     lat: &lat_std,
@@ -283,7 +294,7 @@ impl RestuneProposer {
             })
         };
         let learner = target.zip(weights.clone()).map(|(target, w)| {
-            MetaLearner::new(self.base_learners.clone(), target, w)
+            MetaLearner::new(Arc::clone(&self.base_learners), target, w)
         });
         (learner, weights)
     }
@@ -305,7 +316,7 @@ impl RestuneProposer {
             (0..view.problem.dim()).map(|_| rng.random::<f64>()).collect()
         };
         match (stage, surrogate) {
-            (Stage::Lhs, _) => self.lhs_plan[rel_iter].clone(),
+            (Stage::Lhs, _) => self.lhs_plan.row(rel_iter).to_vec(),
             (Stage::Explore, _) => uniform(0xE5C4),
             (Stage::Acquire, Some(surrogate)) => {
                 // During the static bootstrap the ensemble mixes
@@ -334,18 +345,18 @@ impl RestuneProposer {
         constraints_from_target: bool,
         seed: u64,
     ) -> Vec<f64> {
-        // Joint batched prediction, with constraints optionally sourced from
-        // the target learner alone: then only the objective goes through the
-        // ensemble, and throughput and latency are the target's predictions.
-        let predict = |pts: &[Vec<f64>]| -> Vec<SurrogatePrediction> {
+        // The constraint predictions, optionally sourced from the target
+        // learner alone; the objective always goes through the ensemble.
+        let constraints = |pts: &MatrixView<'_>| -> [Vec<Prediction>; 2] {
             if !constraints_from_target {
-                return surrogate.predict_batch(pts);
+                let ensemble = |metric| surrogate.ensemble_batch(metric, pts);
+                return [ensemble(|m| &m.tps), ensemble(|m| &m.lat)];
             }
             let t = surrogate.target();
-            let column = |gp: &gp::GaussianProcess| gp.predict_batch(pts).expect("dim");
-            let res = surrogate.ensemble_batch(|m| &m.res, pts);
-            SurrogatePrediction::zip(res, column(&t.tps), column(&t.lat))
+            [&t.tps, &t.lat].map(|gp| gp.predict_batch(pts).expect("dim"))
         };
+        let objective = |pts: &MatrixView<'_>| surrogate.ensemble_batch(|m| &m.res, pts);
+        let dim = view.problem.dim();
         // One batch predicts every point the scorer's thresholds read: the
         // default (§6.1's re-scaled bounds), the incumbent, and, for
         // unconstrained EI, the overall best observation. Filter non-finite
@@ -362,12 +373,19 @@ impl RestuneProposer {
             _ => None,
         };
         let incumbent = view.best.map(|(_, _, point)| point);
-        let mut probes = vec![view.default_point.to_vec()];
-        probes.extend(incumbent.into_iter().chain(best_overall).cloned());
-        let probed = predict(&probes);
+        let probe_rows = [view.default_point].into_iter().chain(
+            incumbent.into_iter().chain(best_overall).map(Vec::as_slice),
+        );
+        let probes =
+            Matrix::from_rows(dim, probe_rows).expect("engine points span the search space");
+        let probed = {
+            let all = probes.view(0..probes.rows());
+            let [tps, lat] = constraints(&all);
+            SurrogatePrediction::zip(objective(&all), tps, lat)
+        };
         let default_pred = probed[0];
         let incumbent_pred = incumbent.map(|_| probed[1]);
-        let best_overall_pred = best_overall.map(|_| probed[probes.len() - 1]);
+        let best_overall_pred = best_overall.map(|_| probed[probes.rows() - 1]);
 
         // Re-scaled constraint bounds λ' = L_M(θ_d) (§6.1), widened by the
         // 5 % tolerance expressed in target-σ units.
@@ -378,7 +396,12 @@ impl RestuneProposer {
         let lat_ceiling = default_pred.lat.mean + tol * sla.max_p99_ms / scalers.lat.std;
 
         let best_feasible = incumbent_pred.map(|p| p.res.mean);
-        let mut anchors: Vec<Vec<f64>> = incumbent.into_iter().cloned().collect();
+        // Anchors, one per row. A point of another width cannot anchor this
+        // search and is left out.
+        let mut anchors = Matrix::zeros(0, dim);
+        if let Some(point) = incumbent {
+            let _ = anchors.push_row(point);
+        }
         // Seed local refinement with the best observed points of the
         // highest-weight base-learners: "suggest knobs that are promising
         // according to similar historical tasks" (§6.4.3).
@@ -405,14 +428,14 @@ impl RestuneProposer {
             // Anchor on the learner's best point that met its own task's SLA
             // — the raw resource minimum is usually a throttled violator.
             if let Some(p) = &surrogate.base_learners()[i].promising_point {
-                anchors.push(p.clone());
+                let _ = anchors.push_row(p);
             }
         }
 
-        // Per-prediction acquisition value, and its bound from the objective
-        // alone. Resolving the incumbent up front keeps both scorers pure (no
-        // RNG, no per-call setup), which is what allows batched, fanned-out
-        // bounding and the bounded search below.
+        // The acquisition's bound from the objective's prediction, and its
+        // value given that prediction. Resolving the incumbent up front
+        // keeps every piece pure (no RNG, no per-call setup), which is what
+        // allows batched, fanned-out bounding and the bounded search below.
         enum Scorer {
             Cei(ConstrainedExpectedImprovement),
             Ei { incumbent: f64 },
@@ -432,28 +455,26 @@ impl RestuneProposer {
                 Scorer::Ei { incumbent: best_overall_pred.map_or(0.0, |p| p.res.mean) }
             }
         };
-        let objective = |pts: &[Vec<f64>]| surrogate.ensemble_batch(|m| &m.res, pts);
-        let bound_batch = |pts: &[Vec<f64>]| -> Vec<f64> {
-            match &scorer {
-                // Without a feasible incumbent every bound is +∞: nothing to
-                // predict.
-                Scorer::Cei(cei) if cei.best_feasible.is_none() => vec![f64::INFINITY; pts.len()],
-                Scorer::Cei(cei) => objective(pts).iter().map(|p| cei.bound(p)).collect(),
-                Scorer::Ei { incumbent } => objective(pts)
-                    .iter()
-                    .map(|p| expected_improvement(p.mean, p.std_dev(), *incumbent))
-                    .collect(),
-            }
+        let bound = |p: &Prediction| match &scorer {
+            Scorer::Cei(cei) => cei.bound(p),
+            Scorer::Ei { incumbent } => expected_improvement(p.mean, p.std_dev(), *incumbent),
         };
-        let value_batch = |pts: &[Vec<f64>]| -> Vec<f64> {
+        // Without a feasible incumbent every CEI bound is +∞: nothing to
+        // predict for the bounds.
+        let bounded = !matches!(&scorer, Scorer::Cei(cei) if cei.best_feasible.is_none());
+        let value = |pts: &MatrixView<'_>, res: &[Prediction]| -> Vec<f64> {
             match &scorer {
-                Scorer::Cei(cei) => predict(pts).iter().map(|p| cei.value(p)).collect(),
+                Scorer::Cei(cei) => {
+                    let [tps, lat] = constraints(pts);
+                    let preds = res.iter().zip(tps).zip(lat);
+                    let joint = |((&res, tps), lat)| SurrogatePrediction { res, tps, lat };
+                    preds.map(|p| cei.value(&joint(p))).collect()
+                }
                 // EI reads the objective alone: its value is its own bound.
-                Scorer::Ei { .. } => bound_batch(pts),
+                Scorer::Ei { .. } => res.iter().map(bound).collect(),
             }
         };
-        let dim = view.problem.dim();
-        self.config.optimizer.optimize(dim, &anchors, seed, bound_batch, value_batch)
+        self.config.optimizer.optimize(&anchors, seed, objective, bounded.then_some(&bound), value)
     }
 }
 
@@ -475,9 +496,17 @@ impl Proposer for RestuneProposer {
         // reads the model.
         let mut stage = self.stage(view, rel_iter);
         let model_span = trace::span!("model_update");
-        let (fit, gp_fit_s) = if self.fits_target(view, stage, rel_iter, &res_col, scalers) {
+        // The view's points as the one block the target GPs share.
+        let points = Matrix::from_rows(view.problem.dim(), view.points)
+            .map(Arc::new)
+            .map_err(GpError::from);
+        let block = points.as_deref().ok();
+        let fits = self.fits_target(view, block, stage, rel_iter, &res_col, scalers);
+        let (fit, gp_fit_s) = if fits {
             let fit_span = trace::span!("gp_fit", n_obs = view.points.len());
-            let fit = self.fit_target(view, rel_iter, &res_col, scalers).map(Some);
+            let fit = points
+                .and_then(|points| self.fit_target(view, points, rel_iter, &res_col, scalers))
+                .map(Some);
             (fit, fit_span.finish_s())
         } else {
             trace::count("gp.fit.skipped", 1);
@@ -506,6 +535,7 @@ impl Proposer for RestuneProposer {
                 // surrogate fresh, usable data.
                 stage = Stage::Fallback;
                 self.last_fit = FitPath::Fallback;
+                self.target_cache = None;
                 self.gp_fallbacks += 1;
                 let point = self.recommend(view, stage, rel_iter, seed, None);
                 let model_update_s = model_span.finish_s();
@@ -535,18 +565,12 @@ impl Proposer for RestuneProposer {
     fn observe(&mut self, view: &HistoryView<'_>, record: &IterationRecord) -> f64 {
         if self.config.diag && trace::enabled() {
             let _sp = trace::span!("diag");
-            let calibration = self
-                .target_cache
-                .as_ref()
-                .filter(|_| self.last_fit != FitPath::Fallback)
-                .map(|m| m.res.loo_calibration());
-            let surrogate = if self.target_cache.is_some() { "dense" } else { "none" };
+            let calibration = self.target_cache.as_ref().map(|m| m.res.loo_calibration());
             TunerHealth::collect(
                 view,
                 record,
                 self.last_stage,
                 self.last_fit,
-                surrogate,
                 self.gp_fallbacks,
                 calibration,
                 self.drift,
@@ -562,7 +586,7 @@ impl Proposer for RestuneProposer {
     /// meta-feature, and the bootstrap/cache state resets so the next
     /// `propose` re-enters initialization against the new epoch.
     fn on_drift(&mut self, event: &DriftEvent) {
-        self.base_learners = event.learners.clone();
+        self.base_learners = event.learners.clone().into();
         self.target_meta_feature = event.meta_feature.clone();
         // A session that started without transfer sources gains them the
         // moment its own past is sealed; a cold restart (no learners) keeps

@@ -71,7 +71,8 @@ impl TaskRecord {
         // Always include the default point (it anchors the SLA semantics)
         // plus the full `n` LHS samples: `n + 1` observations total.
         let mut points = vec![knob_set.default_point()];
-        points.extend(crate::lhs::latin_hypercube(n, knob_set.dim(), seed));
+        let lhs = crate::lhs::latin_hypercube(n, knob_set.dim(), seed);
+        points.extend(lhs.iter_rows().map(<[f64]>::to_vec));
         for point in points {
             let config = knob_set.to_configuration(&point, &base);
             let obs = dbms.evaluate(&config);
@@ -99,12 +100,15 @@ impl TaskRecord {
     /// the whole history (a few hundred observations per task in the
     /// paper's repository), counted by `repository.fit.dense`.
     pub fn to_base_learner(&self, config: &GpConfig) -> Result<BaseLearner, gp::GpError> {
-        let points: Vec<Vec<f64>> = self.observations.iter().map(|o| o.point.clone()).collect();
+        // The points live in the task's search space, whose width the first
+        // point gives; a point of another width fails the fit.
+        let dim = self.observations.first().map_or(1, |o| o.point.len());
+        let points = linalg::Matrix::from_rows(dim, self.observations.iter().map(|o| &o.point))?;
         let res: Vec<f64> = self.observations.iter().map(|o| o.res).collect();
         let tps: Vec<f64> = self.observations.iter().map(|o| o.tps).collect();
         let lat: Vec<f64> = self.observations.iter().map(|o| o.lat).collect();
         trace::count("repository.fit.dense", 1);
-        let model = GpTaskModel::fit(&points, &res, &tps, &lat, config)?;
+        let model = GpTaskModel::fit(points, &res, &tps, &lat, config)?;
         Ok(BaseLearner {
             task_id: self.task_id.clone(),
             workload: self.workload.clone(),

@@ -3,10 +3,14 @@
 //! resource objective, throughput, and p99 latency — fitted on *standardized*
 //! observations (§6.1). Target tasks and historical base learners share the
 //! one exact backend, [`gp::GaussianProcess`]; only the target's model is
-//! grown by rank-1 appends.
+//! grown by rank-1 appends. The three GPs share one block of training
+//! points (one point per row of a [`linalg::Matrix`], behind one `Arc`),
+//! and an append grows it once for all three.
 
 use crate::scale::TaskScalers;
 use gp::{FitPlan, GaussianProcess, GpConfig, GpError, Matern52, Prediction};
+use linalg::Matrix;
+use std::sync::Arc;
 
 /// Joint prediction of the three modeled outputs, in standardized units.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,10 +67,11 @@ pub struct GpTaskModel {
 }
 
 impl GpTaskModel {
-    /// Fits the three GPs on raw observation columns; standardization happens
-    /// internally so base-learners from different tasks share one scale.
+    /// Fits the three GPs on raw observation columns, one observation per
+    /// row of `points`; standardization happens internally so base-learners
+    /// from different tasks share one scale.
     pub fn fit(
-        points: &[Vec<f64>],
+        points: impl Into<Arc<Matrix>>,
         res_raw: &[f64],
         tps_raw: &[f64],
         lat_raw: &[f64],
@@ -88,48 +93,49 @@ impl GpTaskModel {
     /// it. The proposer rests its fit skip on that (DESIGN.md §13), and a
     /// propcheck below holds it.
     pub fn check_inputs(
-        points: &[Vec<f64>],
+        points: &Matrix,
         res_raw: &[f64],
         tps_raw: &[f64],
         lat_raw: &[f64],
         scalers: TaskScalers,
     ) -> Result<(), GpError> {
-        let dim = points.first().map_or(1, Vec::len);
         let columns = [(scalers.res, res_raw), (scalers.tps, tps_raw), (scalers.lat, lat_raw)];
         for (scaler, raw) in columns {
-            gp::check_inputs(points, &scaler.transform_all(raw), dim)?;
+            gp::check_inputs(points, &scaler.transform_all(raw), points.cols())?;
         }
         Ok(())
     }
 
     /// [`GpTaskModel::fit`] with externally fitted scalers, so callers that
     /// already standardized (e.g. for ranking-loss bookkeeping) don't pay for
-    /// a second pass. The three GPs share their inputs, so they fit as one
-    /// [`FitPlan`], run in lanes by `fit_plan`; every restart task is
+    /// a second pass. The three GPs share their inputs, one `Arc` of
+    /// `points`, so they fit as one [`FitPlan`], run in lanes by
+    /// `fit_plan`; every restart task is
     /// seeded by `config`, so the models are bit-identical however the
     /// tasks are scheduled. Inputs that fail [`GpTaskModel::check_inputs`]
     /// return its error before any fit runs: `FitPlan::new` runs the same
     /// checks on the same standardized columns, in the same order.
     pub fn fit_with_scalers(
-        points: &[Vec<f64>],
+        points: impl Into<Arc<Matrix>>,
         res_raw: &[f64],
         tps_raw: &[f64],
         lat_raw: &[f64],
         scalers: TaskScalers,
         config: &GpConfig,
     ) -> Result<Self, GpError> {
-        let targets = vec![
+        let points = points.into();
+        let (n, dim) = (points.rows(), points.cols());
+        let targets = [
             scalers.res.transform_all(res_raw),
             scalers.tps.transform_all(tps_raw),
             scalers.lat.transform_all(lat_raw),
         ];
-        let dim = points.first().map_or(1, Vec::len);
-        let plan = FitPlan::new(points.to_vec(), targets, Matern52::new(dim), config)?;
+        let plan = FitPlan::new(points, targets, Matern52::new(dim), config)?;
         let mut fitted = fit_plan(plan);
         // One span per metric, around its restart selection and final
         // factorization.
         let mut next = |name: &'static str| {
-            let _span = trace::Span::new(name).with_field("n_obs", points.len() as f64);
+            let _span = trace::Span::new(name).with_field("n_obs", n as f64);
             fitted.next().expect("one GP per metric")
         };
         let (res, tps, lat) = (next("fit_res")?, next("fit_tps")?, next("fit_lat")?);
@@ -145,25 +151,26 @@ impl GpTaskModel {
     /// factor).
     ///
     /// `points`/`*_raw` are the FULL history including the new last entry;
-    /// the model must currently hold exactly `points.len() - 1` observations,
-    /// with a training set bit-equal to `points[..n-1]`. On an error the
-    /// caller falls back to a full fit.
+    /// the model must currently hold exactly `points.rows() - 1`
+    /// observations, with training points bit-equal to the first rows of
+    /// `points` ([`GaussianProcess::extend`] checks both). The three GPs
+    /// take `points` as their one shared block. On an error the caller
+    /// falls back to a full fit.
     pub fn extend_with_scalers(
         &mut self,
-        points: &[Vec<f64>],
+        points: &Arc<Matrix>,
         res_raw: &[f64],
         tps_raw: &[f64],
         lat_raw: &[f64],
         scalers: TaskScalers,
         config: &GpConfig,
     ) -> Result<(), GpError> {
-        let n = points.len();
+        let n = points.rows();
         if n == 0 || self.n() + 1 != n {
             return Err(GpError::DataMismatch { n_x: n, n_y: self.n() + 1 });
         }
-        let x_new = &points[n - 1];
         let extend_one = |gp: &mut GaussianProcess, std_col: Vec<f64>| -> Result<(), GpError> {
-            gp.extend(x_new.clone(), std_col[n - 1], config)?;
+            gp.extend(Arc::clone(points), std_col[n - 1], config)?;
             gp.set_targets(std_col)
         };
         extend_one(&mut self.res, scalers.res.transform_all(res_raw))?;
@@ -173,29 +180,19 @@ impl GpTaskModel {
         Ok(())
     }
 
-    /// Whether the model's training inputs are exactly `prefix` — the guard
-    /// the proposer's incremental cache uses before extending.
-    pub fn trained_on(&self, prefix: &[Vec<f64>]) -> bool {
-        let train = self.res.train_x();
-        train.len() == prefix.len()
-            && train
-                .iter()
-                .zip(prefix)
-                .all(|(a, b)| a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y))
-    }
-
     /// Number of observations the model was fitted on.
     pub fn n(&self) -> usize {
         self.res.n()
     }
 
-    /// Predicts the three outputs (standardized scale) at every point: one
-    /// batched prediction, so one blocked solve, per metric GP.
+    /// Predicts the three outputs (standardized scale) at every point (row)
+    /// of `points`: one batched prediction, so one blocked solve, per metric
+    /// GP.
     ///
     /// # Panics
     ///
-    /// If a point's length is not the model's knob-space dimensionality.
-    pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<SurrogatePrediction> {
+    /// If the block's width is not the model's knob-space dimensionality.
+    pub fn predict_batch<S: AsRef<[f64]>>(&self, points: &Matrix<S>) -> Vec<SurrogatePrediction> {
         let column =
             |gp: &GaussianProcess| gp.predict_batch(points).expect("dimension checked at fit");
         SurrogatePrediction::zip(column(&self.res), column(&self.tps), column(&self.lat))
@@ -208,17 +205,17 @@ mod tests {
 
     fn toy_model() -> GpTaskModel {
         // res = x, tps = 100 - 50x, lat = 10 + 5x over a 1-D grid.
-        let points: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();
-        let res: Vec<f64> = points.iter().map(|p| 80.0 * p[0] + 10.0).collect();
-        let tps: Vec<f64> = points.iter().map(|p| 100.0 - 50.0 * p[0]).collect();
-        let lat: Vec<f64> = points.iter().map(|p| 10.0 + 5.0 * p[0]).collect();
-        GpTaskModel::fit(&points, &res, &tps, &lat, &GpConfig::fixed()).unwrap()
+        let points = Matrix::from_fn(10, 1, |i, _| i as f64 / 9.0);
+        let res: Vec<f64> = points.iter_rows().map(|p| 80.0 * p[0] + 10.0).collect();
+        let tps: Vec<f64> = points.iter_rows().map(|p| 100.0 - 50.0 * p[0]).collect();
+        let lat: Vec<f64> = points.iter_rows().map(|p| 10.0 + 5.0 * p[0]).collect();
+        GpTaskModel::fit(points, &res, &tps, &lat, &GpConfig::fixed()).unwrap()
     }
 
     #[test]
     fn predictions_track_the_training_signal() {
         let m = toy_model();
-        let preds = m.predict_batch(&[vec![0.05], vec![0.95]]);
+        let preds = m.predict_batch(&Matrix::from_vec(2, 1, vec![0.05, 0.95]));
         let (lo, hi) = (preds[0], preds[1]);
         // Standardized res increases with x, tps decreases, lat increases.
         assert!(lo.res.mean < hi.res.mean);
@@ -229,7 +226,7 @@ mod tests {
     #[test]
     fn scalers_invert_to_raw_units() {
         let m = toy_model();
-        let p = m.predict_batch(&[vec![0.5]])[0];
+        let p = m.predict_batch(&Matrix::from_vec(1, 1, vec![0.5]))[0];
         let raw_res = m.scalers.res.inverse(p.res.mean);
         assert!((raw_res - 50.0).abs() < 8.0, "raw res {raw_res}");
     }
@@ -259,14 +256,14 @@ mod tests {
             |g| {
                 let n = g.dim(40);
                 let d = g.usize_in(1, 14);
-                let mut points: Vec<Vec<f64>> = Vec::with_capacity(n);
+                let mut points = Matrix::zeros(0, d);
                 for i in 0..n {
-                    let point = if i > 0 && g.usize_in(0, 3) == 0 {
-                        points[g.usize_in(0, i - 1)].clone()
+                    let point: Vec<f64> = if i > 0 && g.usize_in(0, 3) == 0 {
+                        points.row(g.usize_in(0, i - 1)).to_vec()
                     } else {
                         (0..d).map(|_| g.unit()).collect()
                     };
-                    points.push(point);
+                    points.push_row(&point).unwrap();
                 }
                 let column = |g: &mut Gen| -> Vec<f64> {
                     let scale = 10f64.powi(g.i64_in(-3, 150) as i32);
@@ -283,11 +280,17 @@ mod tests {
                 } else {
                     quick.clone()
                 };
-                let outcome = |points: &[Vec<f64>], [res, tps, lat]: &[Vec<f64>; 3]| {
+                let outcome = |points: &Matrix, [res, tps, lat]: &[Vec<f64>; 3]| {
                     let scalers = TaskScalers::fit(res, tps, lat);
                     let checked = GpTaskModel::check_inputs(points, res, tps, lat, scalers);
-                    let fitted =
-                        GpTaskModel::fit_with_scalers(points, res, tps, lat, scalers, &config);
+                    let fitted = GpTaskModel::fit_with_scalers(
+                        points.clone(),
+                        res,
+                        tps,
+                        lat,
+                        scalers,
+                        &config,
+                    );
                     (checked, fitted.map(|_| ()))
                 };
                 let (checked, fitted) = outcome(&points, &cols);
@@ -298,7 +301,7 @@ mod tests {
                 let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][g.usize_in(0, 2)];
                 let i = g.usize_in(0, n - 1);
                 match g.usize_in(0, 3) {
-                    3 => points[i][g.usize_in(0, d - 1)] = bad,
+                    3 => points.row_mut(i)[g.usize_in(0, d - 1)] = bad,
                     c => cols[c][i] = bad,
                 }
                 let (checked, fitted) = outcome(&points, &cols);
@@ -334,9 +337,9 @@ mod tests {
         check("lane_split_plans_match_sequential_per_gp_fits_bitwise", cfg, |g| {
             let n = g.size();
             let d = g.usize_in(1, 4);
-            let mut x: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| g.unit()).collect()).collect();
+            let mut x = Matrix::from_fn(n, d, |_, _| g.unit());
             if n >= 1 && g.usize_in(0, 5) == 0 {
-                x[0][0] = 1e160; // every Gram matrix NaN: every fit fails
+                x[(0, 0)] = 1e160; // every Gram matrix NaN: every fit fails
             }
             let scale = if g.usize_in(0, 3) == 0 { 1e200 } else { 1.0 }; // every NLL overflows
             let targets: Vec<Vec<f64>> =
@@ -373,15 +376,44 @@ mod tests {
     }
 
     #[test]
+    fn the_three_gps_share_one_block_and_an_extension_grows_it_once() {
+        let m = toy_model();
+        let shares = |m: &GpTaskModel| {
+            let x = m.res.train_x();
+            std::ptr::eq(x, m.tps.train_x()) && std::ptr::eq(x, m.lat.train_x())
+        };
+        assert!(shares(&m));
+        // One more observation: the three GPs take the grown block as one.
+        let mut grown = m.clone();
+        let mut points = m.res.train_x().clone();
+        points.push_row(&[0.5]).unwrap();
+        let res: Vec<f64> = points.iter_rows().map(|p| 80.0 * p[0] + 10.0).collect();
+        let tps: Vec<f64> = points.iter_rows().map(|p| 100.0 - 50.0 * p[0]).collect();
+        let lat: Vec<f64> = points.iter_rows().map(|p| 10.0 + 5.0 * p[0]).collect();
+        let scalers = TaskScalers::fit(&res, &tps, &lat);
+        let points = Arc::new(points);
+        let config = GpConfig::fixed();
+        grown.extend_with_scalers(&points, &res, &tps, &lat, scalers, &config).unwrap();
+        assert!(shares(&grown) && std::ptr::eq(grown.res.train_x(), &*points));
+        // A history whose earlier points moved is not an extension.
+        let mut moved = m.clone();
+        let mut other = Matrix::from_fn(10, 1, |i, _| i as f64 / 10.0);
+        other.push_row(&[0.5]).unwrap();
+        let other = Arc::new(other);
+        let moved_fit = moved.extend_with_scalers(&other, &res, &tps, &lat, scalers, &config);
+        assert_eq!(moved_fit, Err(GpError::NotAnExtension));
+    }
+
+    #[test]
     fn batched_prediction_routes_each_metric_gp_to_its_field() {
         // Each field holds its own metric GP's prediction at that point,
         // bit for bit; the GP's numbers are held to a per-point reference
         // in `gp`'s unit tests.
         let m = toy_model();
-        let pts: Vec<Vec<f64>> = (0..23).map(|i| vec![i as f64 / 22.0 * 1.4 - 0.2]).collect();
+        let pts = Matrix::from_fn(23, 1, |i, _| i as f64 / 22.0 * 1.4 - 0.2);
         let batch = m.predict_batch(&pts);
-        assert_eq!(batch.len(), pts.len());
-        for (p, b) in pts.iter().zip(&batch) {
+        assert_eq!(batch.len(), pts.rows());
+        for (p, b) in pts.iter_rows().zip(&batch) {
             for (gp, got) in [(&m.res, b.res), (&m.tps, b.tps), (&m.lat, b.lat)] {
                 let want = gp.predict(p).unwrap();
                 assert_eq!(want.mean.to_bits(), got.mean.to_bits(), "mean at {p:?}");

@@ -192,14 +192,14 @@ fn lhs_stratification_holds() {
         let d = g.usize_in(1, 7);
         let seed = g.i64_in(0, 49) as u64;
         let samples = latin_hypercube(n, d, seed);
-        propcheck::prop_assert_eq!(samples.len(), n);
+        propcheck::prop_assert_eq!(samples.rows(), n);
         for dim in 0..d {
             // `.min(n - 1)` is deliberate closed-downstream tolerance: even
             // with coordinates strictly below 1, `v * n` can round up to `n`
             // (e.g. (1 - 2⁻⁵³)·2 rounds to 2.0), so index consumers must
             // clamp — exactly as the quantization adapter does.
             let mut strata: Vec<usize> = samples
-                .iter()
+                .iter_rows()
                 .map(|s| ((s[dim] * n as f64).floor() as usize).min(n - 1))
                 .collect();
             strata.sort_unstable();
@@ -221,8 +221,8 @@ fn lhs_samples_stay_strictly_inside_the_half_open_cube() {
             let n = g.usize_in(1, 64);
             let d = g.usize_in(1, 12);
             let seed = g.i64_in(0, 9999) as u64;
-            for s in latin_hypercube(n, d, seed) {
-                for &v in &s {
+            for s in latin_hypercube(n, d, seed).iter_rows() {
+                for &v in s {
                     propcheck::prop_assert!(v >= 0.0, "coordinate {v} below 0");
                     propcheck::prop_assert!(v < 1.0, "coordinate {v} reached the closed bound");
                 }

@@ -110,12 +110,12 @@ mod tests {
 
     /// 50 noisy observations of a smooth 1-D function — a task the default
     /// hyperparameter search is well-specified for.
-    fn synthetic_task(seed: u64, n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    fn synthetic_task(seed: u64, n: usize) -> (linalg::Matrix, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let noise = 0.1;
-        let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
+        let xs = linalg::Matrix::from_fn(n, 1, |i, _| i as f64 / (n - 1) as f64);
         let ys: Vec<f64> = xs
-            .iter()
+            .iter_rows()
             .map(|x| (x[0] * std::f64::consts::TAU).sin() + noise * rand_util::standard_normal(&mut rng))
             .collect();
         (xs, ys)

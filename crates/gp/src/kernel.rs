@@ -10,16 +10,17 @@
 //! calls per covariance.
 //!
 //! [`Matern52::value`] and [`Matern52::value_and_grad`] are the per-pair
-//! forms. Covariance blocks `K(A, B)` (the cross-kernels of prediction and
-//! `K(P, P)` for joint sampling) come from the crate-private
-//! `Matern52::cross`, which builds dimension-major so independent entries
-//! share SIMD lanes. The GP's `K(X, X) + noise I`, with or without the
-//! packed kernel gradients a hyperparameter fit reads, comes from the
-//! crate-private `Matern52::gram`, which reads the inputs row-major, pair
-//! by pair, and writes each pair's scaled differences and gradients into
-//! the pair's own table slot. Each entry of either runs the per-pair
-//! form's operations in its order; unit tests hold them to `value` and
-//! `value_and_grad` by `to_bits()`.
+//! forms. Points come in blocks, one point per row of a [`linalg::Matrix`]
+//! (owned or a [`linalg::MatrixView`] of some rows). Covariance blocks
+//! `K(A, B)` (the cross-kernels of prediction and `K(P, P)` for joint
+//! sampling) come from the crate-private `Matern52::cross`, which builds
+//! dimension-major so independent entries share SIMD lanes. The GP's
+//! `K(X, X) + noise I`, with or without the packed kernel gradients a
+//! hyperparameter fit reads, comes from the crate-private `Matern52::gram`,
+//! which reads the input rows pair by pair, and writes each pair's scaled
+//! differences and gradients into the pair's own table slot. Each entry of
+//! either runs the per-pair form's operations in its order; unit tests hold
+//! them to `value` and `value_and_grad` by `to_bits()`.
 
 use linalg::Matrix;
 
@@ -34,20 +35,6 @@ fn log_lengthscale_bounds() -> (f64, f64) {
 /// outputs.
 fn log_signal_variance_bounds() -> (f64, f64) {
     ((1e-4_f64).ln(), (1e3_f64).ln())
-}
-
-/// `points` (each of length `d`) transposed dimension-major: coordinate `c`
-/// of point `j` at `c * points.len() + j`.
-fn transpose(points: &[Vec<f64>], d: usize) -> Vec<f64> {
-    let m = points.len();
-    debug_assert!(points.iter().all(|p| p.len() == d));
-    let mut t = vec![0.0; d * m];
-    for (j, p) in points.iter().enumerate() {
-        for (c, v) in p.iter().enumerate() {
-            t[c * m + j] = *v;
-        }
-    }
-    t
 }
 
 /// Matérn-5/2 kernel with automatic relevance determination (per-dimension
@@ -128,8 +115,9 @@ impl Matern52 {
         s2 * (1.0 + SQRT5 * r + 5.0 / 3.0 * r * r) * (-SQRT5 * r).exp()
     }
 
-    /// The cross-covariance `K(A, B)`, `|a| x |b|`, entry `(i, c)` equal to
-    /// `value(&a[i], &b[c])` bit for bit.
+    /// The cross-covariance `K(A, B)`, `|a| x |b|` for blocks of points
+    /// (rows), entry `(i, c)` equal to `value(a.row(i), b.row(c))` bit for
+    /// bit.
     ///
     /// Built dimension-major: `b` is transposed once, then each row
     /// accumulates its scaled squared differences one dimension at a time
@@ -137,15 +125,17 @@ impl Matern52 {
     /// `value`'s order (`r² = 0`, then `+= ((a_k - b_k) / l_k)²` for `k`
     /// ascending, `sqrt`, the Matérn expression), but independent entries
     /// now share SIMD lanes instead of one serial chain per entry.
-    pub(crate) fn cross(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> Matrix {
-        let (d, m) = (self.dim(), b.len());
-        debug_assert!(a.iter().all(|p| p.len() == d));
-        let bt = transpose(b, d);
-        let mut out = Matrix::zeros(a.len(), m);
-        for (i, p) in a.iter().enumerate() {
+    pub(crate) fn cross<A, B>(&self, a: &Matrix<A>, b: &Matrix<B>) -> Matrix
+    where
+        A: AsRef<[f64]>,
+        B: AsRef<[f64]>,
+    {
+        debug_assert!(a.cols() == self.dim() && b.cols() == self.dim());
+        let bt = b.transpose();
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        for (i, p) in a.iter_rows().enumerate() {
             let r2 = out.row_mut(i);
-            let dims = p.iter().zip(&self.lengthscales).zip(bt.chunks_exact(m.max(1)));
-            for ((&ak, &lk), bk) in dims {
+            for ((&ak, &lk), bk) in p.iter().zip(&self.lengthscales).zip(bt.iter_rows()) {
                 for (acc, &bkc) in r2.iter_mut().zip(bk) {
                     let diff = (ak - bkc) / lk;
                     *acc += diff * diff;
@@ -159,10 +149,10 @@ impl Matern52 {
     }
 
     /// `K(X, X) + noise * I` into `k` (`n x n`; every entry is overwritten)
-    /// from the `n` training inputs `x`: entry `(i, j)` is
-    /// `value(&x[i], &x[j])` bit for bit, plus `noise` on the diagonal. With
-    /// `table`, the kernel gradients of each pair `(i, j <= i)` go into it
-    /// packed, `value_and_grad(&x[i], &x[j], ..)`'s bits at
+    /// from the `n` training inputs, the rows of `x`: entry `(i, j)` is
+    /// `value(x.row(i), x.row(j))` bit for bit, plus `noise` on the
+    /// diagonal. With `table`, the kernel gradients of each pair
+    /// `(i, j <= i)` go into it packed, `value_and_grad`'s bits at
     /// `(i(i+1)/2 + j) * n_params()`; the table may be longer than the
     /// `n(n+1)/2 * n_params()` entries it gets.
     ///
@@ -179,22 +169,22 @@ impl Matern52 {
     /// mirrored into its column once it is done.
     pub(crate) fn gram(
         &self,
-        x: &[Vec<f64>],
+        x: &Matrix,
         noise: f64,
         k: &mut Matrix,
         mut table: Option<&mut [f64]>,
     ) {
         let (d, n, kp) = (self.dim(), k.rows(), self.n_params());
-        debug_assert!(k.cols() == n && x.len() == n && x.iter().all(|p| p.len() == d));
+        debug_assert!(k.cols() == n && x.rows() == n && x.cols() == d);
         if let Some(table) = &table {
             debug_assert!(table.len() >= n * (n + 1) / 2 * kp);
         }
-        for (i, xi) in x.iter().enumerate() {
+        for (i, xi) in x.iter_rows().enumerate() {
             let row = &mut k.row_mut(i)[..=i];
             match table.as_mut() {
                 Some(table) => {
                     let slots = &mut table[i * (i + 1) / 2 * kp..(i + 1) * (i + 2) / 2 * kp];
-                    for (slot, xj) in slots.chunks_exact_mut(kp).zip(x) {
+                    for (slot, xj) in slots.chunks_exact_mut(kp).zip(x.iter_rows()) {
                         let dims = xi.iter().zip(xj).zip(&self.lengthscales);
                         for (diff, ((&a, &b), &l)) in slot.iter_mut().zip(dims) {
                             *diff = (a - b) / l;
@@ -228,10 +218,11 @@ impl Matern52 {
                     }
                 }
                 None => {
-                    let mut quads = x[..=i].chunks_exact(4);
                     let mut entries = row.chunks_exact_mut(4);
-                    for (xs, entries) in (&mut quads).zip(&mut entries) {
-                        let (x0, x1, x2, x3) = (&xs[0][..d], &xs[1][..d], &xs[2][..d], &xs[3][..d]);
+                    for (q, entries) in (&mut entries).enumerate() {
+                        let j = 4 * q;
+                        let row = |j: usize| &x.row(j)[..d];
+                        let (x0, x1, x2, x3) = (row(j), row(j + 1), row(j + 2), row(j + 3));
                         let mut r2 = [0.0; 4];
                         for (c, (&a, &l)) in xi.iter().zip(&self.lengthscales).enumerate() {
                             let diff = (a - x0[c]) / l;
@@ -247,9 +238,10 @@ impl Matern52 {
                             *entry = self.covariance_at(r2.sqrt());
                         }
                     }
-                    let rest = entries.into_remainder().iter_mut().zip(quads.remainder());
-                    for (entry, xj) in rest {
-                        *entry = self.value(xi, xj);
+                    let rest = entries.into_remainder();
+                    let first = i + 1 - rest.len();
+                    for (entry, j) in rest.iter_mut().zip(first..) {
+                        *entry = self.value(xi, x.row(j));
                     }
                 }
             }
@@ -512,7 +504,8 @@ mod tests {
         use propcheck::{check, Config};
         let cfg = Config::default().cases(96).seed(0xC2_055).max_size(40);
         check("cross_matches_value_bitwise", cfg, |g| {
-            let d = g.usize_in(1, 14);
+            // Zero-width points too: every covariance is then `s²`.
+            let d = g.usize_in(0, 14);
             let mut kernel = Matern52::new(d);
             // Log parameters in bounds, or drawn wide so most are clamped.
             let wide = g.flag();
@@ -540,8 +533,22 @@ mod tests {
                 let c = g.usize_in(0, b.len() - 1);
                 b[c] = a[g.usize_in(0, a.len() - 1)].clone();
             }
-            for (lhs, rhs) in [(&a, &b), (&b, &a), (&b, &b)] {
-                let k = kernel.cross(lhs, rhs);
+            // `b` also as the middle rows of a larger block, read as a view.
+            let pad = g.usize_in(0, 2);
+            let filler = (0..pad).map(|_| g.vec_f64(d, 0.0, 1.0));
+            let mut padded = Matrix::from_rows(d, filler.collect::<Vec<_>>()).unwrap();
+            for p in &b {
+                padded.push_row(p).unwrap();
+            }
+            padded.push_row(&g.vec_f64(d, 0.0, 1.0)).unwrap();
+            let (am, bm) = (Matrix::from_rows(d, &a).unwrap(), Matrix::from_rows(d, &b).unwrap());
+            let bv = padded.view(pad..pad + b.len());
+            let blocks = [
+                (&a, &b, kernel.cross(&am, &bv)),
+                (&b, &a, kernel.cross(&bv, &am)),
+                (&b, &b, kernel.cross(&bm, &bm)),
+            ];
+            for (lhs, rhs, k) in blocks {
                 propcheck::prop_assert!(k.rows() == lhs.len() && k.cols() == rhs.len());
                 for (i, p) in lhs.iter().enumerate() {
                     for (c, q) in rhs.iter().enumerate() {
@@ -564,14 +571,16 @@ mod tests {
         let cfg = Config::default().cases(96).seed(0x6_7A11).max_size(49);
         check("gram_matches_value_and_grad_bitwise", cfg, |g| {
             let n = g.size().saturating_sub(1);
-            let d = g.usize_in(1, 14);
+            // Zero-width points too: every covariance is then `s²`.
+            let d = g.usize_in(0, 14);
             let kp = d + 1;
-            let mut x: Vec<Vec<f64>> = (0..n).map(|_| g.vec_f64(d, -0.2, 1.2)).collect();
+            let mut rows: Vec<Vec<f64>> = (0..n).map(|_| g.vec_f64(d, -0.2, 1.2)).collect();
             // Duplicated points (r = 0 off the diagonal).
             if n >= 2 && g.flag() {
                 let (from, to) = (g.usize_in(0, n - 1), g.usize_in(0, n - 1));
-                x[to] = x[from].clone();
+                rows[to] = rows[from].clone();
             }
+            let x = Matrix::from_rows(d, &rows).unwrap();
             // One set of buffers, junk to begin with, through two parameter
             // draws, with or without the table each time; the table may run
             // past its last slot.
@@ -591,7 +600,7 @@ mod tests {
                 let label = format!("n = {n}, d = {d}, draw {draw}, wide = {wide}");
                 for i in 0..n {
                     for j in 0..n {
-                        let mut want = kernel.value(&x[i], &x[j]);
+                        let mut want = kernel.value(&rows[i], &rows[j]);
                         if i == j {
                             want += noise;
                         }
@@ -605,7 +614,7 @@ mod tests {
                         continue;
                     }
                     for j in 0..=i {
-                        kernel.value_and_grad(&x[i], &x[j], &mut want_grad);
+                        kernel.value_and_grad(&rows[i], &rows[j], &mut want_grad);
                         let slot = &table[(i * (i + 1) / 2 + j) * kp..][..kp];
                         for (p, (got, want)) in slot.iter().zip(&want_grad).enumerate() {
                             propcheck::prop_assert!(

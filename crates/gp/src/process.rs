@@ -1,6 +1,12 @@
 //! Exact Gaussian-process regression with marginal-likelihood hyperparameter
 //! fitting: the one GP backend every surrogate in the workspace uses.
 //!
+//! Every input is a block of points, one per row of a [`linalg::Matrix`]:
+//! the training inputs, which a GP holds as an `Arc` so that GPs fitted on
+//! the same points (a task model's three metric GPs) share one buffer, and
+//! the query points of a prediction, which may be a [`linalg::MatrixView`]
+//! of some rows of a larger block.
+//!
 //! Prediction has one implementation, [`GaussianProcess::predict_batch`]:
 //! the cross-kernel `K(X, P)` is one matrix, built dimension-major by the
 //! kernel, the means one `alpha^T K(X, P)` product, and the variance
@@ -11,8 +17,10 @@
 //! covariance from the same terms. [`GaussianProcess::predict_mean_batch`]
 //! stops after the means, skipping the solve, for callers that discard the
 //! variance: an ensemble's base learners, whose variance Eq. 7 never reads.
-//! The kernel reads cached natural-scale hyperparameters derived from its
-//! log values, so every covariance is the same bits as an `exp` per call.
+//! A point's prediction depends on that point alone, not on the rest of
+//! its block. The kernel reads cached natural-scale hyperparameters
+//! derived from its log values, so every covariance is the same bits as an
+//! `exp` per call.
 //!
 //! Hyperparameters are fitted by Adam on the negative log marginal
 //! likelihood, from several restarts. A [`FitPlan`] fits one or more GPs
@@ -40,6 +48,7 @@
 use crate::kernel::Matern52;
 use crate::rand_util;
 use linalg::{Cholesky, LinalgError, Matrix};
+use std::sync::Arc;
 use xrand::rngs::StdRng;
 use xrand::{Rng, SeedableRng};
 
@@ -54,6 +63,8 @@ pub enum GpError {
     NonFinite,
     /// The kernel matrix could not be factored even with jitter.
     Factorization(String),
+    /// An extension's inputs do not start with the model's training inputs.
+    NotAnExtension,
 }
 
 impl std::fmt::Display for GpError {
@@ -67,6 +78,9 @@ impl std::fmt::Display for GpError {
             }
             GpError::NonFinite => write!(f, "training data contains non-finite values"),
             GpError::Factorization(e) => write!(f, "kernel factorization failed: {e}"),
+            GpError::NotAnExtension => {
+                write!(f, "the extended inputs do not start with the training inputs")
+            }
         }
     }
 }
@@ -75,25 +89,29 @@ impl std::error::Error for GpError {}
 
 impl From<LinalgError> for GpError {
     fn from(e: LinalgError) -> Self {
-        GpError::Factorization(e.to_string())
+        match e {
+            // A block of points built with a row of the wrong length.
+            LinalgError::DimensionMismatch { expected, found } => {
+                GpError::DimensionMismatch { expected, found }
+            }
+            e => GpError::Factorization(e.to_string()),
+        }
     }
 }
 
 /// The input check every fit runs before it builds anything: one target per
-/// point, every point `dim`-dimensional, every coordinate and target
-/// finite. Points are checked in order, each for its length and then its
-/// values, and the targets last, so the first failure names the error.
-pub fn check_inputs(x: &[Vec<f64>], y: &[f64], dim: usize) -> Result<(), GpError> {
-    if x.len() != y.len() {
-        return Err(GpError::DataMismatch { n_x: x.len(), n_y: y.len() });
+/// point, points `dim`-dimensional (the block's width), every coordinate
+/// and target finite. Points are checked in row order and the targets
+/// last, so the first failure names the error.
+pub fn check_inputs<S: AsRef<[f64]>>(x: &Matrix<S>, y: &[f64], dim: usize) -> Result<(), GpError> {
+    if x.rows() != y.len() {
+        return Err(GpError::DataMismatch { n_x: x.rows(), n_y: y.len() });
     }
-    for p in x {
-        if p.len() != dim {
-            return Err(GpError::DimensionMismatch { expected: dim, found: p.len() });
-        }
-        if p.iter().any(|v| !v.is_finite()) {
-            return Err(GpError::NonFinite);
-        }
+    if x.cols() != dim {
+        return Err(GpError::DimensionMismatch { expected: dim, found: x.cols() });
+    }
+    if x.data().iter().any(|v| !v.is_finite()) {
+        return Err(GpError::NonFinite);
     }
     if y.iter().any(|v| !v.is_finite()) {
         return Err(GpError::NonFinite);
@@ -188,9 +206,10 @@ impl GpConfig {
 ///
 /// ```
 /// use gp::{GaussianProcess, GpConfig};
+/// use linalg::Matrix;
 ///
-/// let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
-/// let ys: Vec<f64> = xs.iter().map(|x| (x[0] * 3.0).sin()).collect();
+/// let xs = Matrix::from_fn(8, 1, |i, _| i as f64 / 7.0);
+/// let ys: Vec<f64> = xs.iter_rows().map(|x| (x[0] * 3.0).sin()).collect();
 /// let gp = GaussianProcess::fit(xs, ys, &GpConfig::fixed()).unwrap();
 /// let pred = gp.predict(&[0.5]).unwrap();
 /// assert!(pred.variance >= 0.0);
@@ -198,7 +217,9 @@ impl GpConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GaussianProcess {
-    x: Vec<Vec<f64>>,
+    /// The training inputs, one point per row; shared with the other GPs
+    /// fitted on the same points.
+    x: Arc<Matrix>,
     y: Vec<f64>,
     y_centered: Vec<f64>,
     mean_offset: f64,
@@ -216,31 +237,35 @@ pub struct GaussianProcess {
 }
 
 impl GaussianProcess {
-    /// Fits a GP to `(x, y)`.
-    ///
-    /// `x` rows must share a common dimensionality `d > 0`; an empty training
-    /// set is allowed (the GP then returns its prior).
-    pub fn fit(x: Vec<Vec<f64>>, y: Vec<f64>, config: &GpConfig) -> Result<Self, GpError> {
-        let dim = x.first().map(|p| p.len()).unwrap_or(1);
+    /// Fits a GP to `(x, y)`, one target per row of `x`, over points of
+    /// `x`'s width. An empty training set is allowed (the GP then returns
+    /// its prior).
+    pub fn fit(
+        x: impl Into<Arc<Matrix>>,
+        y: Vec<f64>,
+        config: &GpConfig,
+    ) -> Result<Self, GpError> {
+        let x = x.into();
+        let dim = x.cols();
         Self::fit_with_kernel(x, y, Matern52::new(dim), config)
     }
 
     /// Fits a GP starting from an explicit kernel (used for warm starts):
     /// a [`FitPlan`] with one GP, run inline.
     pub fn fit_with_kernel(
-        x: Vec<Vec<f64>>,
+        x: impl Into<Arc<Matrix>>,
         y: Vec<f64>,
         kernel: Matern52,
         config: &GpConfig,
     ) -> Result<Self, GpError> {
-        let plan = FitPlan::new(x, vec![y], kernel, config)?;
+        let plan = FitPlan::new(x, [y], kernel, config)?;
         let fits = plan.run(0..plan.tasks());
         plan.finish(fits).next().expect("a plan with one target fits one GP")
     }
 
     /// A GP over `(x, y)` with its targets centered and the start point of
     /// a fit: `kernel` and the configured initial noise, nothing factored.
-    fn unfitted(x: Vec<Vec<f64>>, y: Vec<f64>, kernel: Matern52, config: &GpConfig) -> Self {
+    fn unfitted(x: Arc<Matrix>, y: Vec<f64>, kernel: Matern52, config: &GpConfig) -> Self {
         let mean_offset = linalg::vector::mean(&y);
         let y_centered: Vec<f64> = y.iter().map(|v| v - mean_offset).collect();
         GaussianProcess {
@@ -258,7 +283,7 @@ impl GaussianProcess {
 
     /// Number of training observations.
     pub fn n(&self) -> usize {
-        self.x.len()
+        self.x.rows()
     }
 
     /// Input dimensionality.
@@ -266,8 +291,8 @@ impl GaussianProcess {
         self.dim
     }
 
-    /// Training inputs.
-    pub fn train_x(&self) -> &[Vec<f64>] {
+    /// Training inputs, one point per row.
+    pub fn train_x(&self) -> &Matrix {
         &self.x
     }
 
@@ -287,7 +312,7 @@ impl GaussianProcess {
     }
 
     fn refactor(&mut self, min_noise: f64) -> Result<(), GpError> {
-        let n = self.x.len();
+        let n = self.x.rows();
         if n == 0 {
             self.alpha.clear();
             self.chol = Cholesky::from_factor(Matrix::zeros(0, 0));
@@ -312,13 +337,13 @@ impl GaussianProcess {
     /// full non-hyperopt fit of the same `(x, y)` with the same kernel, noise,
     /// and factor.
     pub fn set_targets(&mut self, y: Vec<f64>) -> Result<(), GpError> {
-        if y.len() != self.x.len() {
-            return Err(GpError::DataMismatch { n_x: self.x.len(), n_y: y.len() });
+        if y.len() != self.n() {
+            return Err(GpError::DataMismatch { n_x: self.n(), n_y: y.len() });
         }
         if y.iter().any(|v| !v.is_finite()) {
             return Err(GpError::NonFinite);
         }
-        if self.x.is_empty() {
+        if self.n() == 0 {
             self.y = y;
             self.y_centered.clear();
             self.mean_offset = 0.0;
@@ -338,6 +363,13 @@ impl GaussianProcess {
     /// noise hyperparameters. `alpha` and the empirical mean are refreshed
     /// against the grown factor.
     ///
+    /// `x` is the grown training block: the model's `n` training points,
+    /// then the new point as row `n`. The model keeps that block, so GPs
+    /// fitted on the same points can be extended by one shared block.
+    /// A block of another size or width, or whose first `n` rows are not the
+    /// training inputs, is an error, and so is a non-finite new point or
+    /// target; an error leaves the model unchanged.
+    ///
     /// Falls back to a full refactorization when there is no factor to grow
     /// (empty GP), the stored factor needed jitter, or the appended row makes
     /// the extension numerically non-SPD — so the call succeeds whenever a
@@ -351,10 +383,24 @@ impl GaussianProcess {
     /// same kernel and noise (pinned by tests) — `append_row` reproduces the
     /// full factorization bit-for-bit, and every downstream quantity is
     /// recomputed the same way.
-    pub fn extend(&mut self, x_new: Vec<f64>, y_new: f64, config: &GpConfig) -> Result<(), GpError> {
-        check_inputs(std::slice::from_ref(&x_new), &[y_new], self.dim)?;
-        let n = self.x.len();
-        self.x.push(x_new);
+    pub fn extend(
+        &mut self,
+        x: Arc<Matrix>,
+        y_new: f64,
+        config: &GpConfig,
+    ) -> Result<(), GpError> {
+        let n = self.n();
+        if x.cols() != self.dim {
+            return Err(GpError::DimensionMismatch { expected: self.dim, found: x.cols() });
+        }
+        if x.rows() != n + 1 {
+            return Err(GpError::DataMismatch { n_x: x.rows(), n_y: n + 1 });
+        }
+        if x.view(0..n).data() != self.x.data() {
+            return Err(GpError::NotAnExtension);
+        }
+        check_inputs(&x.view(n..n + 1), &[y_new], self.dim)?;
+        self.x = x;
         self.y.push(y_new);
         self.mean_offset = linalg::vector::mean(&self.y);
         self.y_centered = self.y.iter().map(|v| v - self.mean_offset).collect();
@@ -362,9 +408,9 @@ impl GaussianProcess {
             return self.refactor(config.min_noise);
         }
         let noise_var = self.log_noise_variance.exp().max(config.min_noise * config.min_noise);
-        let x_last = self.x.last().expect("just pushed");
+        let x_last = self.x.row(n);
         let cross: Vec<f64> =
-            self.x[..n].iter().map(|xi| self.kernel.value(x_last, xi)).collect();
+            self.x.view(0..n).iter_rows().map(|xi| self.kernel.value(x_last, xi)).collect();
         let diag = self.kernel.value(x_last, x_last) + noise_var;
         if self.chol.append_row(&cross, diag).is_err() {
             // Numerically non-SPD extension (the factor is left untouched):
@@ -377,7 +423,7 @@ impl GaussianProcess {
 
     /// Log marginal likelihood of the current hyperparameters.
     pub fn log_marginal_likelihood(&self) -> f64 {
-        let n = self.x.len();
+        let n = self.n();
         if n == 0 {
             return 0.0;
         }
@@ -388,30 +434,36 @@ impl GaussianProcess {
 
     /// Posterior prediction at one point: a batch of one.
     pub fn predict(&self, point: &[f64]) -> Result<Prediction, GpError> {
-        Ok(self.predict_batch(&[point.to_vec()])?[0])
+        Ok(self.predict_batch(&Matrix::from_vec(1, point.len(), point.to_vec()))?[0])
     }
 
-    /// The means `mean + alpha^T K(X, P)` at `points` and the cross-kernel
-    /// `K(X, P)` (`n x m`) they came from: the one place this backend
-    /// computes posterior means. An empty model or batch gives a `0 x m`
-    /// matrix. Column `c` depends on `points[c]` alone, so a point's
+    /// The means `mean + alpha^T K(X, P)` at the points (rows) of `points`
+    /// and the cross-kernel `K(X, P)` (`n x m`) they came from: the one place
+    /// this backend computes posterior means. An empty model or batch gives
+    /// a `0 x m` matrix. Column `c` depends on point `c` alone, so a point's
     /// prediction does not depend on the rest of its batch.
-    fn mean_terms(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix), GpError> {
-        if let Some(p) = points.iter().find(|p| p.len() != self.dim) {
-            return Err(GpError::DimensionMismatch { expected: self.dim, found: p.len() });
+    fn mean_terms<S: AsRef<[f64]>>(
+        &self,
+        points: &Matrix<S>,
+    ) -> Result<(Vec<f64>, Matrix), GpError> {
+        if points.cols() != self.dim {
+            return Err(GpError::DimensionMismatch { expected: self.dim, found: points.cols() });
         }
-        let (n, m) = (self.x.len(), points.len());
+        let (n, m) = (self.n(), points.rows());
         if n == 0 || m == 0 {
             return Ok((vec![self.mean_offset; m], Matrix::zeros(0, m)));
         }
-        let kstar = self.kernel.cross(&self.x, points);
+        let kstar = self.kernel.cross(&*self.x, points);
         Ok((weighted_columns(self.mean_offset, &self.alpha, &kstar), kstar))
     }
 
     /// The posterior terms prediction and joint sampling share at `points`:
     /// the means and `V = L^{-1} K(X, P)`, by one blocked forward solve
     /// ([`linalg::Cholesky::solve_lower_matrix`]) on top of `mean_terms`.
-    fn posterior_terms(&self, points: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix), GpError> {
+    fn posterior_terms<S: AsRef<[f64]>>(
+        &self,
+        points: &Matrix<S>,
+    ) -> Result<(Vec<f64>, Matrix), GpError> {
         let (means, kstar) = self.mean_terms(points)?;
         if kstar.rows() == 0 {
             return Ok((means, kstar));
@@ -419,18 +471,27 @@ impl GaussianProcess {
         Ok((means, self.chol.solve_lower_matrix(&kstar)?))
     }
 
-    /// Posterior means alone at many points: [`GaussianProcess::predict_batch`]'s
-    /// means bit for bit, without the variance's forward solve. For callers
-    /// that discard the variance, such as an ensemble's base learners
-    /// (Eq. 7 takes the variance from the target alone).
-    pub fn predict_mean_batch(&self, points: &[Vec<f64>]) -> Result<Vec<f64>, GpError> {
+    /// Posterior means alone at the points (rows) of `points`:
+    /// [`GaussianProcess::predict_batch`]'s means bit for bit, without the
+    /// variance's forward solve. For callers that discard the variance, such
+    /// as an ensemble's base learners (Eq. 7 takes the variance from the
+    /// target alone).
+    pub fn predict_mean_batch<S: AsRef<[f64]>>(
+        &self,
+        points: &Matrix<S>,
+    ) -> Result<Vec<f64>, GpError> {
         Ok(self.mean_terms(points)?.0)
     }
 
-    /// Posterior predictions at many points: mean `mean + alpha^T k_*` and
-    /// variance `k_** - ||L^{-1} k_*||^2` per point, every reduction summed
-    /// over the training index in ascending order.
-    pub fn predict_batch(&self, points: &[Vec<f64>]) -> Result<Vec<Prediction>, GpError> {
+    /// Posterior predictions at the points (rows) of `points`: mean
+    /// `mean + alpha^T k_*` and variance `k_** - ||L^{-1} k_*||^2` per
+    /// point, every reduction summed over the training index in ascending
+    /// order. A block of another width is a
+    /// [`GpError::DimensionMismatch`], even when it has no rows.
+    pub fn predict_batch<S: AsRef<[f64]>>(
+        &self,
+        points: &Matrix<S>,
+    ) -> Result<Vec<Prediction>, GpError> {
         let (means, v) = self.posterior_terms(points)?;
         let prior_var = self.kernel.prior_variance();
         let reduce = column_sq_norms(&v);
@@ -441,24 +502,24 @@ impl GaussianProcess {
             .collect())
     }
 
-    /// Joint posterior samples of the latent function at `points`.
+    /// Joint posterior samples of the latent function at the points (rows)
+    /// of `points`, one sample per row of the result (`n_samples x m`).
     ///
-    /// Returns `n_samples` vectors, each of length `points.len()`. Used by the
-    /// RGPE-style dynamic weighting to estimate the probability that a
-    /// base-learner has the lowest ranking loss (§6.4.2). The posterior
-    /// covariance is symmetrized and its diagonal lifted by
+    /// Used by the RGPE-style dynamic weighting to estimate the probability
+    /// that a base-learner has the lowest ranking loss (§6.4.2). The
+    /// posterior covariance is symmetrized and its diagonal lifted by
     /// `1e-9 + 1e-6 * prior_variance` before it is factored, because it can
-    /// be numerically indefinite. Each sample consumes `points.len()`
+    /// be numerically indefinite. Each sample consumes `points.rows()`
     /// standard normals in order.
-    pub fn sample_joint(
+    pub fn sample_joint<S: AsRef<[f64]>>(
         &self,
-        points: &[Vec<f64>],
+        points: &Matrix<S>,
         n_samples: usize,
         rng: &mut impl Rng,
-    ) -> Result<Vec<Vec<f64>>, GpError> {
-        let m = points.len();
+    ) -> Result<Matrix, GpError> {
+        let m = points.rows();
         if m == 0 {
-            return Ok(vec![Vec::new(); n_samples]);
+            return Ok(Matrix::zeros(n_samples, 0));
         }
         // Posterior covariance K(P, P) - V^T V at the query points; the rows
         // of V^T are V's columns, so each entry is one contiguous dot.
@@ -475,19 +536,19 @@ impl GaussianProcess {
         cov.add_diagonal(1e-9 + 1e-6 * self.kernel.prior_variance());
         let cov_chol = Cholesky::factor_with_jitter(&cov)?;
         let l = cov_chol.l();
-        let mut samples = Vec::with_capacity(n_samples);
-        for _ in 0..n_samples {
+        let mut samples = Matrix::zeros(n_samples, m);
+        for s in 0..n_samples {
             let z = rand_util::standard_normal_vec(rng, m);
-            let mut s = mean.clone();
+            let sample = samples.row_mut(s);
+            sample.copy_from_slice(&mean);
             for i in 0..m {
                 let mut acc = 0.0;
                 let row = l.row(i);
                 for k in 0..=i {
                     acc += row[k] * z[k];
                 }
-                s[i] += acc;
+                sample[i] += acc;
             }
-            samples.push(s);
         }
         Ok(samples)
     }
@@ -519,6 +580,7 @@ pub struct RestartFit {
 
 /// The hyperparameter fit of one or more GPs that share their inputs (a
 /// task model's three metric GPs, paper §5.1), as a list of restart tasks.
+/// The GPs hold one `Arc` of the input block between them.
 ///
 /// Task `t` is restart `t % r` of GP `t / r`, for `r` restarts per GP (none
 /// when the configuration keeps the start point or there are fewer than
@@ -533,52 +595,41 @@ pub struct RestartFit {
 #[derive(Debug)]
 pub struct FitPlan {
     gps: Vec<GaussianProcess>,
-    /// Start points of restarts `1..restarts`.
-    starts: Vec<Vec<f64>>,
+    /// Start points of restarts `1..restarts`, one per row.
+    starts: Matrix,
     restarts: usize,
     kernel_bounds: Vec<(f64, f64)>,
     config: GpConfig,
 }
 
 impl FitPlan {
-    /// The plan for one GP per target column over the shared inputs `x`,
-    /// each starting from `kernel`. Runs [`check_inputs`] on each column in
-    /// order, and fails with the first error.
+    /// The plan for one GP per target column over the shared inputs `x`
+    /// (one point per row), each starting from `kernel`. Runs
+    /// [`check_inputs`] on each column in order, and fails with the first
+    /// error.
     pub fn new(
-        mut x: Vec<Vec<f64>>,
-        targets: Vec<Vec<f64>>,
+        x: impl Into<Arc<Matrix>>,
+        targets: impl IntoIterator<Item = Vec<f64>>,
         kernel: Matern52,
         config: &GpConfig,
     ) -> Result<Self, GpError> {
-        let (n, kp) = (x.len(), kernel.n_params());
-        for y in &targets {
-            check_inputs(&x, y, kernel.dim())?;
-        }
-        let restarts = if config.optimize_hypers && n >= 3 { config.restarts.max(1) } else { 0 };
-        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(n as u64));
-        let starts = (1..restarts)
-            .map(|_| {
-                // Perturbed restart around sensible defaults.
-                let mut p = vec![0.0; kp + 1];
-                for v in p.iter_mut().take(kp) {
-                    *v = rand_util::normal(&mut rng, 0.0, 1.0);
-                }
-                p[kp] = rand_util::normal(&mut rng, (0.01_f64).ln(), 1.0);
-                p
-            })
-            .collect();
-        let kernel_bounds = kernel.bounds();
-        // Each GP owns the inputs: copies for all but the last, which
-        // takes them.
-        let count = targets.len();
+        let x = x.into();
+        let (n, kp) = (x.rows(), kernel.n_params());
         let gps = targets
             .into_iter()
-            .enumerate()
-            .map(|(g, y)| {
-                let x = if g + 1 < count { x.clone() } else { std::mem::take(&mut x) };
-                GaussianProcess::unfitted(x, y, kernel.clone(), config)
+            .map(|y| {
+                check_inputs(&*x, &y, kernel.dim())?;
+                Ok(GaussianProcess::unfitted(Arc::clone(&x), y, kernel.clone(), config))
             })
-            .collect();
+            .collect::<Result<_, GpError>>()?;
+        let restarts = if config.optimize_hypers && n >= 3 { config.restarts.max(1) } else { 0 };
+        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(n as u64));
+        // Perturbed restarts around sensible defaults.
+        let starts = Matrix::from_fn(restarts.saturating_sub(1), kp + 1, |_, j| match j {
+            j if j < kp => rand_util::normal(&mut rng, 0.0, 1.0),
+            _ => rand_util::normal(&mut rng, (0.01_f64).ln(), 1.0),
+        });
+        let kernel_bounds = kernel.bounds();
         Ok(FitPlan { gps, starts, restarts, kernel_bounds, config: config.clone() })
     }
 
@@ -607,7 +658,7 @@ impl FitPlan {
                         p.push(gp.log_noise_variance);
                         p
                     }
-                    _ => self.starts[r - 1].clone(),
+                    _ => self.starts.row(r - 1).to_vec(),
                 };
                 ws.descend(&gp.y_centered, start, &self.kernel_bounds, &self.config)
             })
@@ -657,7 +708,7 @@ const TRACE_WIDTH: usize = 16;
 /// contents nor the GP an earlier task fitted reaches a result.
 struct FitWorkspace<'a> {
     /// The inputs every GP of the plan shares.
-    x: &'a [Vec<f64>],
+    x: &'a Matrix,
     kernel: Matern52,
     /// `K_y`, `n x n`.
     k: Matrix,
@@ -678,8 +729,8 @@ struct FitWorkspace<'a> {
 }
 
 impl<'a> FitWorkspace<'a> {
-    fn new(x: &'a [Vec<f64>], dim: usize) -> Self {
-        let (n, kp) = (x.len(), dim + 1);
+    fn new(x: &'a Matrix, dim: usize) -> Self {
+        let (n, kp) = (x.rows(), dim + 1);
         FitWorkspace {
             x,
             kernel: Matern52::new(dim),
@@ -833,16 +884,22 @@ mod tests {
     use xrand::rngs::StdRng;
     use xrand::SeedableRng;
 
+    /// `rows` as a block of points of the first row's width.
+    fn block(rows: &[Vec<f64>]) -> Matrix {
+        Matrix::from_rows(rows.first().map_or(1, Vec::len), rows).unwrap()
+    }
+
     impl GaussianProcess {
         /// The textbook per-point posterior over the private fields (`k_*`,
         /// `mean + k_*^T alpha`, `s^2 - ||L^{-1} k_*||^2` by one forward
         /// solve): the oracle the batched path is held to, bit for bit.
         fn reference_predict(&self, point: &[f64]) -> Prediction {
             let prior_var = self.kernel.prior_variance();
-            if self.x.is_empty() {
+            if self.n() == 0 {
                 return Prediction { mean: self.mean_offset, variance: prior_var };
             }
-            let kstar: Vec<f64> = self.x.iter().map(|xi| self.kernel.value(xi, point)).collect();
+            let kstar: Vec<f64> =
+                self.x.iter_rows().map(|xi| self.kernel.value(xi, point)).collect();
             let mean = self.mean_offset + linalg::vector::dot(&kstar, &self.alpha);
             let v = self.chol.solve_lower(&kstar).unwrap();
             Prediction { mean, variance: (prior_var - linalg::vector::dot(&v, &v)).max(0.0) }
@@ -858,7 +915,7 @@ mod tests {
             params: &[f64],
             min_noise: f64,
         ) -> Option<(f64, Vec<f64>)> {
-            let n = self.x.len();
+            let n = self.n();
             let kp = self.kernel.n_params();
             let mut kernel = self.kernel.clone();
             kernel.set_params(&params[..kp]);
@@ -870,7 +927,7 @@ mod tests {
             let mut gbuf = vec![0.0; kp];
             for i in 0..n {
                 for j in 0..=i {
-                    let v = kernel.value_and_grad(&self.x[i], &self.x[j], &mut gbuf);
+                    let v = kernel.value_and_grad(self.x.row(i), self.x.row(j), &mut gbuf);
                     k[(i, j)] = v;
                     k[(j, i)] = v;
                     for (p, g) in gbuf.iter().enumerate() {
@@ -921,16 +978,16 @@ mod tests {
         /// restart kept by a strict `<`. The oracle a plan is held to, GP by
         /// GP, bit for bit.
         fn reference_fit(
-            x: Vec<Vec<f64>>,
+            x: Matrix,
             y: Vec<f64>,
             kernel: Matern52,
             config: &GpConfig,
         ) -> Result<Self, GpError> {
             check_inputs(&x, &y, kernel.dim())?;
-            let mut gp = GaussianProcess::unfitted(x, y, kernel, config);
-            if config.optimize_hypers && gp.x.len() >= 3 {
+            let mut gp = GaussianProcess::unfitted(Arc::new(x), y, kernel, config);
+            if config.optimize_hypers && gp.n() >= 3 {
                 let kp = gp.kernel.n_params();
-                let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(gp.x.len() as u64));
+                let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(gp.n() as u64));
                 let noise_bounds = ((config.min_noise * config.min_noise).ln(), (1.0_f64).ln());
                 let kernel_bounds = gp.kernel.bounds();
                 let mut start = gp.kernel.params();
@@ -1020,7 +1077,7 @@ mod tests {
     fn interpolates_training_data_with_low_noise() {
         let (xs, ys) = toy_data();
         let cfg = GpConfig { seed: 3, ..Default::default() };
-        let gp = GaussianProcess::fit(xs.clone(), ys.clone(), &cfg).unwrap();
+        let gp = GaussianProcess::fit(block(&xs), ys.clone(), &cfg).unwrap();
         for (x, y) in xs.iter().zip(&ys) {
             let p = gp.predict(x).unwrap();
             assert!((p.mean - y).abs() < 0.15, "pred {} vs {}", p.mean, y);
@@ -1029,7 +1086,7 @@ mod tests {
 
     #[test]
     fn prior_prediction_without_data() {
-        let gp = GaussianProcess::fit(Vec::new(), Vec::new(), &GpConfig::fixed()).unwrap();
+        let gp = GaussianProcess::fit(Matrix::zeros(0, 1), Vec::new(), &GpConfig::fixed()).unwrap();
         let p = gp.predict(&[0.5]).unwrap();
         assert_eq!(p.mean, 0.0);
         assert!(p.variance > 0.0);
@@ -1038,7 +1095,7 @@ mod tests {
     #[test]
     fn variance_shrinks_near_observations() {
         let (xs, ys) = toy_data();
-        let gp = GaussianProcess::fit(xs, ys, &GpConfig::fixed()).unwrap();
+        let gp = GaussianProcess::fit(block(&xs), ys, &GpConfig::fixed()).unwrap();
         let near = gp.predict(&[0.0]).unwrap();
         let far = gp.predict(&[3.0]).unwrap();
         assert!(near.variance < far.variance);
@@ -1047,9 +1104,9 @@ mod tests {
     #[test]
     fn hyperopt_improves_marginal_likelihood() {
         let (xs, ys) = toy_data();
-        let fixed = GaussianProcess::fit(xs.clone(), ys.clone(), &GpConfig::fixed()).unwrap();
+        let fixed = GaussianProcess::fit(block(&xs), ys.clone(), &GpConfig::fixed()).unwrap();
         let cfg = GpConfig { adam_iters: 60, ..Default::default() };
-        let fitted = GaussianProcess::fit(xs, ys, &cfg).unwrap();
+        let fitted = GaussianProcess::fit(block(&xs), ys, &cfg).unwrap();
         assert!(
             fitted.log_marginal_likelihood() >= fixed.log_marginal_likelihood() - 1e-6,
             "fitted {} < fixed {}",
@@ -1060,19 +1117,27 @@ mod tests {
 
     #[test]
     fn mismatched_data_is_rejected() {
-        let err = GaussianProcess::fit(vec![vec![0.0]], vec![1.0, 2.0], &GpConfig::fixed());
+        let err = GaussianProcess::fit(block(&[vec![0.0]]), vec![1.0, 2.0], &GpConfig::fixed());
         assert!(matches!(err, Err(GpError::DataMismatch { .. })));
-        let err =
-            GaussianProcess::fit(vec![vec![0.0], vec![0.0, 1.0]], vec![1.0, 2.0], &GpConfig::fixed());
-        assert!(matches!(err, Err(GpError::DimensionMismatch { .. })));
+        let kernel = Matern52::new(2);
+        let err = GaussianProcess::fit_with_kernel(
+            block(&[vec![0.0], vec![1.0]]),
+            vec![1.0, 2.0],
+            kernel,
+            &GpConfig::fixed(),
+        );
+        assert_eq!(err.map(|_| ()), Err(GpError::DimensionMismatch { expected: 2, found: 1 }));
+        // A ragged block never forms: its error converts to the same kind.
+        let ragged = Matrix::from_rows(1, [vec![0.0], vec![0.0, 1.0]]).map_err(GpError::from);
+        assert_eq!(ragged, Err(GpError::DimensionMismatch { expected: 1, found: 2 }));
     }
 
     #[test]
     fn non_finite_data_is_rejected() {
-        let err =
-            GaussianProcess::fit(vec![vec![f64::NAN]], vec![1.0], &GpConfig::fixed());
+        let err = GaussianProcess::fit(block(&[vec![f64::NAN]]), vec![1.0], &GpConfig::fixed());
         assert!(matches!(err, Err(GpError::NonFinite)));
-        let err = GaussianProcess::fit(vec![vec![0.0]], vec![f64::INFINITY], &GpConfig::fixed());
+        let err =
+            GaussianProcess::fit(block(&[vec![0.0]]), vec![f64::INFINITY], &GpConfig::fixed());
         assert!(matches!(err, Err(GpError::NonFinite)));
     }
 
@@ -1082,28 +1147,29 @@ mod tests {
         // every point: the batch, a batch of one, and the mean-only call.
         let (xs, ys) = toy_data();
         let hyperopt = GpConfig { seed: 5, ..Default::default() };
-        let fitted = GaussianProcess::fit(xs.clone(), ys.clone(), &hyperopt).unwrap();
+        let fitted = GaussianProcess::fit(block(&xs), ys.clone(), &hyperopt).unwrap();
         let cfg = GpConfig::fixed();
-        let empty = GaussianProcess::fit(Vec::new(), Vec::new(), &cfg).unwrap();
+        let empty = GaussianProcess::fit(Matrix::zeros(0, 1), Vec::new(), &cfg).unwrap();
         let mut extended =
-            GaussianProcess::fit(xs[..11].to_vec(), ys[..11].to_vec(), &cfg).unwrap();
-        extended.extend(xs[11].clone(), ys[11], &cfg).unwrap();
-        let pts: Vec<Vec<f64>> = (0..37).map(|i| vec![i as f64 / 36.0 * 1.4 - 0.2]).collect();
+            GaussianProcess::fit(block(&xs[..11]), ys[..11].to_vec(), &cfg).unwrap();
+        extended.extend(Arc::new(block(&xs)), ys[11], &cfg).unwrap();
+        let pts = Matrix::from_fn(37, 1, |i, _| i as f64 / 36.0 * 1.4 - 0.2);
         // The same holds after a rank-1 extension, on a 3-d model.
         let xs3: Vec<Vec<f64>> =
             (0..15).map(|i| vec![i as f64 / 14.0, (i as f64 * 0.37).fract(), 0.5]).collect();
         let ys3: Vec<f64> = xs3.iter().map(|x| x[0] - 2.0 * x[1]).collect();
-        let mut gp3 = GaussianProcess::fit(xs3[..14].to_vec(), ys3[..14].to_vec(), &cfg).unwrap();
-        gp3.extend(xs3[14].clone(), ys3[14], &cfg).unwrap();
-        let pts3: Vec<Vec<f64>> =
-            (0..9).map(|i| vec![i as f64 / 8.0, 1.0 - i as f64 / 8.0, 0.1 * i as f64]).collect();
+        let mut gp3 = GaussianProcess::fit(block(&xs3[..14]), ys3[..14].to_vec(), &cfg).unwrap();
+        gp3.extend(Arc::new(block(&xs3)), ys3[14], &cfg).unwrap();
+        let pts3 = Matrix::from_fn(9, 3, |i, c| {
+            [i as f64 / 8.0, 1.0 - i as f64 / 8.0, 0.1 * i as f64][c]
+        });
         let cases = [(&empty, &pts), (&fitted, &pts), (&extended, &pts), (&gp3, &pts3)];
         for (case, (gp, pts)) in cases.into_iter().enumerate() {
             let batch = gp.predict_batch(pts).unwrap();
             let means = gp.predict_mean_batch(pts).unwrap();
-            assert_eq!(batch.len(), pts.len());
-            assert_eq!(means.len(), pts.len());
-            for ((p, b), m) in pts.iter().zip(&batch).zip(&means) {
+            assert_eq!(batch.len(), pts.rows());
+            assert_eq!(means.len(), pts.rows());
+            for ((p, b), m) in pts.iter_rows().zip(&batch).zip(&means) {
                 let reference = gp.reference_predict(p);
                 for got in [*b, gp.predict(p).unwrap()] {
                     assert_eq!(reference.mean.to_bits(), got.mean.to_bits(), "case {case}: {p:?}");
@@ -1111,9 +1177,13 @@ mod tests {
                 }
                 assert_eq!(m.to_bits(), b.mean.to_bits(), "case {case}: mean-only at {p:?}");
             }
-            assert!(gp.predict_mean_batch(&[]).unwrap().is_empty());
+            // Rows of a larger block, read as a view, predict the same bits.
+            let tail = pts.view(2..pts.rows());
+            let from_view = gp.predict_batch(&tail).unwrap();
+            assert!(from_view.iter().zip(&batch[2..]).all(|(v, b)| v == b), "case {case}: view");
             let d = gp.dim();
-            let wrong = [vec![0.1; d + 1]];
+            assert!(gp.predict_mean_batch(&Matrix::zeros(0, d)).unwrap().is_empty());
+            let wrong = Matrix::from_vec(1, d + 1, vec![0.1; d + 1]);
             let want = Err(GpError::DimensionMismatch { expected: d, found: d + 1 });
             assert_eq!(gp.predict_batch(&wrong).map(|_| ()), want);
             assert_eq!(gp.predict_mean_batch(&wrong).map(|_| ()), want);
@@ -1122,30 +1192,61 @@ mod tests {
 
     #[test]
     fn predict_batch_handles_empty_batches_and_empty_gps() {
-        let gp = GaussianProcess::fit(Vec::new(), Vec::new(), &GpConfig::fixed()).unwrap();
-        let preds = gp.predict_batch(&[vec![0.2], vec![0.9]]).unwrap();
+        let cfg = GpConfig::fixed();
+        let gp = GaussianProcess::fit(Matrix::zeros(0, 1), Vec::new(), &cfg).unwrap();
+        let preds = gp.predict_batch(&block(&[vec![0.2], vec![0.9]])).unwrap();
         for (pred, point) in preds.iter().zip([[0.2], [0.9]]) {
             assert_eq!(*pred, gp.reference_predict(&point));
         }
         let (xs, ys) = toy_data();
-        let fitted = GaussianProcess::fit(xs, ys, &GpConfig::fixed()).unwrap();
-        assert!(fitted.predict_batch(&[]).unwrap().is_empty());
+        let fitted = GaussianProcess::fit(block(&xs), ys, &GpConfig::fixed()).unwrap();
+        assert!(fitted.predict_batch(&Matrix::zeros(0, 1)).unwrap().is_empty());
         assert!(matches!(
-            fitted.predict_batch(&[vec![0.1, 0.2]]),
+            fitted.predict_batch(&block(&[vec![0.1, 0.2]])),
+            Err(GpError::DimensionMismatch { .. })
+        ));
+        // A block without rows but of another width is still the wrong width.
+        assert!(matches!(
+            fitted.predict_batch(&Matrix::zeros(0, 2)),
             Err(GpError::DimensionMismatch { .. })
         ));
     }
 
     #[test]
+    fn zero_width_points_fit_predict_and_sample_without_panicking() {
+        // Points with no coordinates: every covariance is the signal
+        // variance, so the model is a constant-mean GP.
+        let cfg = GpConfig { seed: 4, ..Default::default() };
+        let ys = vec![1.0, 2.0, 4.0, 3.0];
+        let gp = GaussianProcess::fit(Matrix::zeros(4, 0), ys, &cfg).unwrap();
+        assert_eq!(gp.dim(), 0);
+        let preds = gp.predict_batch(&Matrix::zeros(3, 0)).unwrap();
+        assert_eq!(preds.len(), 3);
+        assert!(preds.iter().all(|p| p.mean.is_finite() && p.variance >= 0.0));
+        assert!(preds.iter().all(|p| p == &preds[0]), "every point is the same point");
+        assert_eq!(gp.predict_mean_batch(&Matrix::zeros(2, 0)).unwrap().len(), 2);
+        let mut rng = StdRng::seed_from_u64(1);
+        let samples = gp.sample_joint(&Matrix::zeros(2, 0), 5, &mut rng).unwrap();
+        assert_eq!((samples.rows(), samples.cols()), (5, 2));
+        let mut grown = gp.clone();
+        grown.extend(Arc::new(Matrix::zeros(5, 0)), 2.5, &GpConfig::fixed()).unwrap();
+        assert_eq!(grown.n(), 5);
+        assert_eq!(
+            gp.predict_batch(&Matrix::zeros(1, 2)).map(|_| ()),
+            Err(GpError::DimensionMismatch { expected: 0, found: 2 })
+        );
+    }
+
+    #[test]
     fn sample_joint_matches_posterior_moments() {
         let (xs, ys) = toy_data();
-        let gp = GaussianProcess::fit(xs, ys, &GpConfig::fixed()).unwrap();
-        let pts = vec![vec![0.25], vec![0.8]];
+        let gp = GaussianProcess::fit(block(&xs), ys, &GpConfig::fixed()).unwrap();
+        let pts = block(&[vec![0.25], vec![0.8]]);
         let mut rng = StdRng::seed_from_u64(42);
         let samples = gp.sample_joint(&pts, 4000, &mut rng).unwrap();
-        for (j, pt) in pts.iter().enumerate() {
+        for (j, pt) in pts.iter_rows().enumerate() {
             let pred = gp.predict(pt).unwrap();
-            let vals: Vec<f64> = samples.iter().map(|s| s[j]).collect();
+            let vals = samples.col(j);
             let mean = linalg::vector::mean(&vals);
             assert!(
                 (mean - pred.mean).abs() < 0.08,
@@ -1159,7 +1260,7 @@ mod tests {
     fn loo_predictions_match_explicit_refit() {
         let (xs, ys) = toy_data();
         let gp = GaussianProcess::fit_with_kernel(
-            xs.clone(),
+            block(&xs),
             ys.clone(),
             Matern52::with_hyperparameters(&[0.3], 1.0),
             &GpConfig::fixed(),
@@ -1173,7 +1274,7 @@ mod tests {
         xs2.remove(hold);
         ys2.remove(hold);
         let gp2 = GaussianProcess::fit_with_kernel(
-            xs2,
+            block(&xs2),
             ys2,
             Matern52::with_hyperparameters(&[0.3], 1.0),
             &GpConfig::fixed(),
@@ -1194,10 +1295,10 @@ mod tests {
     fn extend_is_bit_identical_to_full_refit_with_same_hypers() {
         let (xs, ys) = toy_data();
         let cfg = GpConfig::fixed();
-        let mut gp = GaussianProcess::fit(xs[..10].to_vec(), ys[..10].to_vec(), &cfg).unwrap();
-        gp.extend(xs[10].clone(), ys[10], &cfg).unwrap();
-        gp.extend(xs[11].clone(), ys[11], &cfg).unwrap();
-        let full = GaussianProcess::fit(xs.clone(), ys.clone(), &cfg).unwrap();
+        let mut gp = GaussianProcess::fit(block(&xs[..10]), ys[..10].to_vec(), &cfg).unwrap();
+        gp.extend(Arc::new(block(&xs[..11])), ys[10], &cfg).unwrap();
+        gp.extend(Arc::new(block(&xs)), ys[11], &cfg).unwrap();
+        let full = GaussianProcess::fit(block(&xs), ys.clone(), &cfg).unwrap();
         assert_eq!(gp.n(), full.n());
         for p in [vec![0.13], vec![0.5], vec![0.97]] {
             let a = gp.predict(&p).unwrap();
@@ -1211,30 +1312,38 @@ mod tests {
     #[test]
     fn extend_from_empty_and_bad_input_are_handled() {
         let cfg = GpConfig::fixed();
-        let mut gp = GaussianProcess::fit(Vec::new(), Vec::new(), &cfg).unwrap();
-        // Empty GPs default to dim 1; extending from empty takes the full
-        // refit path.
-        gp.extend(vec![0.4], 1.0, &cfg).unwrap();
+        let mut gp = GaussianProcess::fit(Matrix::zeros(0, 1), Vec::new(), &cfg).unwrap();
+        // Extending from empty takes the full refit path.
+        gp.extend(Arc::new(block(&[vec![0.4]])), 1.0, &cfg).unwrap();
         assert_eq!(gp.n(), 1);
         assert!(gp.predict(&[0.4]).unwrap().variance.is_finite());
-        assert!(matches!(
-            gp.extend(vec![0.1, 0.2], 0.0, &cfg),
-            Err(GpError::DimensionMismatch { .. })
-        ));
-        assert!(matches!(gp.extend(vec![f64::NAN], 0.0, &cfg), Err(GpError::NonFinite)));
-        assert!(matches!(gp.extend(vec![0.5], f64::INFINITY, &cfg), Err(GpError::NonFinite)));
+        let grown = |last: Vec<f64>| Arc::new(block(&[vec![0.4], last]));
+        assert_eq!(
+            gp.extend(Arc::new(block(&[vec![0.4, 0.0], vec![0.1, 0.2]])), 0.0, &cfg),
+            Err(GpError::DimensionMismatch { expected: 1, found: 2 })
+        );
+        assert!(matches!(gp.extend(grown(vec![f64::NAN]), 0.0, &cfg), Err(GpError::NonFinite)));
+        let infinite_target = gp.extend(grown(vec![0.5]), f64::INFINITY, &cfg);
+        assert!(matches!(infinite_target, Err(GpError::NonFinite)));
+        // A block that does not grow the training set by exactly one row, or
+        // does not start with it.
+        let two_more = Arc::new(block(&[vec![0.4], vec![0.5], vec![0.6]]));
+        assert!(matches!(gp.extend(two_more, 0.0, &cfg), Err(GpError::DataMismatch { .. })));
+        let moved = Arc::new(block(&[vec![0.3], vec![0.5]]));
+        assert_eq!(gp.extend(moved, 0.0, &cfg), Err(GpError::NotAnExtension));
         assert_eq!(gp.n(), 1, "rejected extensions must not grow the training set");
+        assert_eq!(gp.train_x().data(), &[0.4]);
     }
 
     #[test]
     fn set_targets_matches_fresh_fit_bitwise() {
         let (xs, ys) = toy_data();
         let cfg = GpConfig::fixed();
-        let mut gp = GaussianProcess::fit(xs.clone(), ys.clone(), &cfg).unwrap();
+        let mut gp = GaussianProcess::fit(block(&xs), ys.clone(), &cfg).unwrap();
         // Re-standardized targets: every value changes, inputs don't.
         let ys2: Vec<f64> = ys.iter().map(|v| 2.5 * v - 0.3).collect();
         gp.set_targets(ys2.clone()).unwrap();
-        let full = GaussianProcess::fit(xs, ys2, &cfg).unwrap();
+        let full = GaussianProcess::fit(block(&xs), ys2, &cfg).unwrap();
         for p in [vec![0.21], vec![0.76]] {
             let a = gp.predict(&p).unwrap();
             let b = full.predict(&p).unwrap();
@@ -1258,7 +1367,7 @@ mod tests {
         // code kept the diverged final step.
         let (xs, ys) = toy_data();
         let tuned = GaussianProcess::fit(
-            xs.clone(),
+            block(&xs),
             ys.clone(),
             &GpConfig { adam_iters: 60, seed: 2, ..Default::default() },
         )
@@ -1271,7 +1380,7 @@ mod tests {
             ..Default::default()
         };
         let refit =
-            GaussianProcess::fit_with_kernel(xs, ys, tuned.kernel().clone(), &cfg).unwrap();
+            GaussianProcess::fit_with_kernel(block(&xs), ys, tuned.kernel().clone(), &cfg).unwrap();
         assert!(
             refit.log_marginal_likelihood() >= tuned.log_marginal_likelihood() - 1e-6,
             "best-iterate hyperopt must not end below its warm start: refit {} < warm {}",
@@ -1306,6 +1415,7 @@ mod tests {
                 xs[to] = xs[from].clone();
             }
             let ys = g.vec_f64(n, -2.0, 2.0);
+            let xs = Matrix::from_rows(d, &xs).unwrap();
             let gp = GaussianProcess::fit(xs, ys, &GpConfig::fixed()).unwrap();
             // The default floor, or one far below rounding error, where a
             // duplicated point leaves `K_y` singular to working precision
@@ -1408,6 +1518,7 @@ mod tests {
                 seed: g.usize_in(0, 1 << 20) as u64,
             };
             let kernel = Matern52::new(d);
+            let x = Matrix::from_rows(d, &x).unwrap();
             let want: Vec<_> = targets
                 .iter()
                 .map(|y| {
@@ -1467,8 +1578,8 @@ mod tests {
     fn predictions_are_deterministic() {
         let (xs, ys) = toy_data();
         let cfg = GpConfig { seed: 9, ..Default::default() };
-        let a = GaussianProcess::fit(xs.clone(), ys.clone(), &cfg).unwrap();
-        let b = GaussianProcess::fit(xs, ys, &cfg).unwrap();
+        let a = GaussianProcess::fit(block(&xs), ys.clone(), &cfg).unwrap();
+        let b = GaussianProcess::fit(block(&xs), ys, &cfg).unwrap();
         let pa = a.predict(&[0.37]).unwrap();
         let pb = b.predict(&[0.37]).unwrap();
         assert_eq!(pa, pb);

@@ -4,7 +4,9 @@
 //! no BoTorch equivalent available offline), so this crate provides exactly the
 //! primitives the Gaussian-process stack needs:
 //!
-//! * a column-owning dense [`Matrix`] with row-major storage,
+//! * a dense [`Matrix`] with row-major storage, owned or borrowed as a
+//!   [`MatrixView`] of contiguous rows: also the block of points (one per
+//!   row) every Gaussian-process input is,
 //! * [`Cholesky`] factorization of symmetric positive-definite matrices with
 //!   adaptive jitter, and its one rank-1 operation, `Cholesky::append_row`,
 //!   which grows a factor by one row for the incremental GP refit,
@@ -35,7 +37,7 @@ pub mod matrix;
 pub mod vector;
 
 pub use cholesky::Cholesky;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, MatrixView};
 
 /// Errors produced by factorizations and solves.
 #[derive(Debug, Clone, PartialEq)]

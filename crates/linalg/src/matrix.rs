@@ -1,17 +1,26 @@
-//! Dense row-major matrix type.
+//! Dense row-major matrix type, owned or borrowed.
 
 use crate::{LinalgError, Result};
+use std::ops::Range;
 
 /// A dense `f64` matrix with row-major storage.
 ///
 /// Rows are contiguous, which keeps the Cholesky inner loops (dot products of
-/// row prefixes) sequential in memory.
+/// row prefixes) sequential in memory, and makes a matrix the block of points
+/// a Gaussian process reads: `n x d`, one point per row. The storage `S` is
+/// an owned `Vec<f64>` (the default) or a borrowed `&[f64]`, a
+/// [`MatrixView`] of some of another matrix's rows, which
+/// [`Matrix::view`] hands out without copying them. The row count is
+/// explicit, so a block of zero-width points still has its rows.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub struct Matrix<S = Vec<f64>> {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: S,
 }
+
+/// Contiguous rows of a [`Matrix`], borrowed.
+pub type MatrixView<'a> = Matrix<&'a [f64]>;
 
 impl Matrix {
     /// Creates a `rows x cols` matrix filled with zeros.
@@ -36,6 +45,69 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
+    /// A `cols`-wide matrix with one row per item of `rows`, copied in order.
+    /// Fails with [`LinalgError::DimensionMismatch`] at the first row whose
+    /// length is not `cols`.
+    pub fn from_rows<R: AsRef<[f64]>>(
+        cols: usize,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<Self> {
+        let rows = rows.into_iter();
+        let mut m = Matrix { rows: 0, cols, data: Vec::with_capacity(rows.size_hint().0 * cols) };
+        for row in rows {
+            m.push_row(row.as_ref())?;
+        }
+        Ok(m)
+    }
+
+    /// Appends `row` as the last row. Fails with
+    /// [`LinalgError::DimensionMismatch`], leaving the matrix unchanged, when
+    /// its length is not the column count.
+    pub fn push_row(&mut self, row: &[f64]) -> Result<()> {
+        if row.len() != self.cols {
+            return Err(LinalgError::DimensionMismatch { expected: self.cols, found: row.len() });
+        }
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// Mutably borrow row `i` as a slice.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        debug_assert!(i < self.rows);
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Raw mutable row-major data.
+    #[inline]
+    pub fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// Symmetrizes in place: `A <- (A + A^T) / 2`. Useful before factorizing
+    /// kernels assembled with floating-point asymmetry.
+    pub fn symmetrize(&mut self) {
+        assert!(self.is_square());
+        for i in 0..self.rows {
+            for j in (i + 1)..self.cols {
+                let avg = 0.5 * (self[(i, j)] + self[(j, i)]);
+                self[(i, j)] = avg;
+                self[(j, i)] = avg;
+            }
+        }
+    }
+
+    /// Adds `value` to every diagonal entry.
+    pub fn add_diagonal(&mut self, value: f64) {
+        let n = self.rows.min(self.cols);
+        for i in 0..n {
+            self[(i, i)] += value;
+        }
+    }
+}
+
+impl<S: AsRef<[f64]>> Matrix<S> {
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -58,14 +130,20 @@ impl Matrix {
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         debug_assert!(i < self.rows);
-        &self.data[i * self.cols..(i + 1) * self.cols]
+        &self.data.as_ref()[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutably borrow row `i` as a slice.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        debug_assert!(i < self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
+    /// The rows in order, each as a slice (zero-width rows included).
+    pub fn iter_rows(&self) -> impl DoubleEndedIterator<Item = &[f64]> + ExactSizeIterator + '_ {
+        (0..self.rows).map(|i| self.row(i))
+    }
+
+    /// Rows `rows` as a borrowed block, without copying them. Panics if the
+    /// range is out of bounds, as slicing does.
+    pub fn view(&self, rows: Range<usize>) -> MatrixView<'_> {
+        assert!(rows.start <= rows.end && rows.end <= self.rows, "rows {rows:?} of {}", self.rows);
+        let data = &self.data.as_ref()[rows.start * self.cols..rows.end * self.cols];
+        Matrix { rows: rows.len(), cols: self.cols, data }
     }
 
     /// Copies column `j` into a new vector.
@@ -77,13 +155,7 @@ impl Matrix {
     /// Raw row-major data.
     #[inline]
     pub fn data(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Raw mutable row-major data.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+        self.data.as_ref()
     }
 
     /// Returns the transpose.
@@ -131,37 +203,16 @@ impl Matrix {
 
     /// Checks whether all entries are finite.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
-    }
-
-    /// Symmetrizes in place: `A <- (A + A^T) / 2`. Useful before factorizing
-    /// kernels assembled with floating-point asymmetry.
-    pub fn symmetrize(&mut self) {
-        assert!(self.is_square());
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                let avg = 0.5 * (self[(i, j)] + self[(j, i)]);
-                self[(i, j)] = avg;
-                self[(j, i)] = avg;
-            }
-        }
-    }
-
-    /// Adds `value` to every diagonal entry.
-    pub fn add_diagonal(&mut self, value: f64) {
-        let n = self.rows.min(self.cols);
-        for i in 0..n {
-            self[(i, i)] += value;
-        }
+        self.data().iter().all(|v| v.is_finite())
     }
 }
 
-impl std::ops::Index<(usize, usize)> for Matrix {
+impl<S: AsRef<[f64]>> std::ops::Index<(usize, usize)> for Matrix<S> {
     type Output = f64;
     #[inline]
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
         debug_assert!(i < self.rows && j < self.cols);
-        &self.data[i * self.cols + j]
+        &self.data.as_ref()[i * self.cols + j]
     }
 }
 
@@ -212,6 +263,38 @@ mod tests {
                 assert_eq!(a[(i, j)], a[(j, i)]);
             }
         }
+    }
+
+    #[test]
+    fn rows_push_view_and_reject_a_wrong_width() {
+        let mut m = Matrix::from_rows(2, [vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        m.push_row(&[5.0, 6.0]).unwrap();
+        assert_eq!(m, Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
+        let want = Err(LinalgError::DimensionMismatch { expected: 2, found: 3 });
+        assert_eq!(m.push_row(&[7.0, 8.0, 9.0]), want);
+        assert_eq!(m.rows(), 3, "a rejected row leaves the matrix unchanged");
+        assert_eq!(Matrix::from_rows(2, [vec![1.0, 2.0], vec![3.0]]).map(|_| ()), Err(
+            LinalgError::DimensionMismatch { expected: 2, found: 1 }
+        ));
+        let v = m.view(1..3);
+        assert_eq!((v.rows(), v.cols()), (2, 2));
+        assert_eq!(v.iter_rows().collect::<Vec<_>>(), [&[3.0, 4.0][..], &[5.0, 6.0]]);
+        assert_eq!(v[(1, 0)], 5.0);
+        assert_eq!(v.view(1..2).row(0), &[5.0, 6.0]);
+        assert_eq!(m.view(3..3).rows(), 0);
+    }
+
+    #[test]
+    fn zero_width_blocks_keep_their_rows() {
+        let mut m = Matrix::from_rows(0, [Vec::new(), Vec::new()]).unwrap();
+        m.push_row(&[]).unwrap();
+        assert_eq!((m.rows(), m.cols()), (3, 0));
+        assert_eq!(m.iter_rows().len(), 3);
+        assert!(m.iter_rows().all(|r| r.is_empty()));
+        let v = m.view(1..3);
+        assert_eq!((v.rows(), v.cols(), v.row(1).len()), (2, 0, 0));
+        assert_eq!(m.transpose().rows(), 0);
+        assert!(m.push_row(&[1.0]).is_err());
     }
 
     #[test]

@@ -24,9 +24,9 @@ fn characterization_orders_similar_workloads_first() {
 fn static_weights_pipeline_end_to_end() {
     let c = WorkloadCharacterizer::train_default(78);
     // Two base learners on trivially fitted models.
-    let points: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64 / 5.0]).collect();
-    let vals: Vec<f64> = points.iter().map(|p| p[0]).collect();
-    let model = GpTaskModel::fit(&points, &vals, &vals, &vals, &gp::GpConfig::fixed()).unwrap();
+    let points = linalg::Matrix::from_fn(6, 1, |i, _| i as f64 / 5.0);
+    let vals: Vec<f64> = points.iter_rows().map(|p| p[0]).collect();
+    let model = GpTaskModel::fit(points, &vals, &vals, &vals, &gp::GpConfig::fixed()).unwrap();
     let mk = |name: &str, spec: &WorkloadSpec| BaseLearner {
         task_id: name.into(),
         workload: name.into(),

@@ -100,7 +100,7 @@ fn skipped_fits_leave_every_boundary_session_unchanged() {
     assert_eq!(health.len(), 49);
     // A skipped step holds no model: no surrogate and no calibration.
     for h in health.iter().filter(|h| h.fit_path == FitPath::Skipped) {
-        assert!(h.surrogate == "none" && h.calibration.is_none(), "iteration {}", h.iteration);
+        assert!(h.surrogate() == "none" && h.calibration.is_none(), "iteration {}", h.iteration);
     }
     let explored: Vec<(usize, FitPath)> = health
         .iter()
@@ -118,6 +118,43 @@ fn skipped_fits_leave_every_boundary_session_unchanged() {
     // The 10 LHS steps at n <= 40 skip too, and nothing else does.
     let skipped_explore = explored.iter().filter(|(_, path)| *path == FitPath::Skipped).count();
     assert_eq!(snap.counter("gp.fit.skipped"), 10 + skipped_explore as u64);
+}
+
+#[test]
+fn a_step_whose_fit_fails_holds_no_surrogate() {
+    // The session fits at steps 10 and 11 (after the LHS bootstrap), then a
+    // NaN observation is seeded, so the refits of steps 12 to 14 fail and
+    // fall back. A failed fit must drop the model the previous step cached:
+    // its health record reports no surrogate and no calibration.
+    let _g = trace_lock();
+    trace::enable();
+    trace::reset();
+    let mut config = quick_config(3);
+    config.trace = true;
+    config.diag = true;
+    let mut session = TuningSession::new(env(3), config);
+    for _ in 0..12 {
+        session.step();
+    }
+    session.seed_history(vec![0.5; 3], f64::NAN, 100.0, 10.0).unwrap();
+    for _ in 0..3 {
+        session.step();
+    }
+    let snap = trace::snapshot();
+    trace::reset();
+    trace::disable();
+    let events = snap.events_named(HEALTH_EVENT);
+    let health: Vec<TunerHealth> =
+        events.iter().copied().filter_map(TunerHealth::from_event).collect();
+    let paths: Vec<FitPath> = health.iter().map(|h| h.fit_path).collect();
+    let (full, fallback) = (FitPath::Full, FitPath::Fallback);
+    assert_eq!(paths[10..], [full, full, fallback, fallback, fallback]);
+    for (h, ev) in health.iter().zip(&events) {
+        let holds_model = matches!(h.fit_path, FitPath::Full | FitPath::Incremental);
+        assert_eq!(h.surrogate(), if holds_model { "dense" } else { "none" }, "{}", h.iteration);
+        assert_eq!(ev.str("surrogate"), Some(h.surrogate()), "the emitted key, {}", h.iteration);
+        assert_eq!(h.calibration.is_some(), holds_model, "calibration at {}", h.iteration);
+    }
 }
 
 #[test]

@@ -21,7 +21,7 @@ fn quick_config(seed: u64) -> RestuneConfig {
 #[test]
 fn gp_survives_duplicate_points() {
     // A kernel matrix with repeated rows is singular without jitter.
-    let xs = vec![vec![0.5, 0.5]; 8];
+    let xs = linalg::Matrix::from_vec(8, 2, vec![0.5; 16]);
     let ys = vec![1.0; 8];
     let gp = GaussianProcess::fit(xs, ys, &GpConfig::fixed()).unwrap();
     let p = gp.predict(&[0.5, 0.5]).unwrap();
@@ -31,7 +31,7 @@ fn gp_survives_duplicate_points() {
 
 #[test]
 fn gp_survives_constant_targets() {
-    let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();
+    let xs = linalg::Matrix::from_fn(10, 1, |i, _| i as f64 / 9.0);
     let ys = vec![42.0; 10];
     let gp = GaussianProcess::fit(xs, ys, &GpConfig::default()).unwrap();
     let p = gp.predict(&[0.3]).unwrap();
