@@ -20,9 +20,8 @@
 
 use nn::{Ddpg, DdpgConfig, Transition};
 use restune_core::driver::{Proposal, ProposalTiming, Proposer, TuningDriver};
-use restune_core::engine::{EngineSettings, EvalEngine, HistoryView, IterationRecord};
-use restune_core::resilience::ReplayPolicy;
-use restune_core::tuner::{RestuneConfig, TuningEnvironment, TuningOutcome};
+use restune_core::engine::{EvalEngine, HistoryView, IterationRecord};
+use restune_core::tuner::{RestuneConfig, TuningEnvironment};
 
 /// The CDBTune strategy: a DDPG actor-critic proposing knob vectors, trained
 /// on the SLA-gated resource reward after each replay.
@@ -40,6 +39,48 @@ pub struct CdbTuneProposer {
 }
 
 impl CdbTuneProposer {
+    /// A CDBTune-w-Con run on `env`. `config` contributes the seed; the
+    /// agent hyperparameters follow CDBTune's published defaults scaled down
+    /// to the tuning budget.
+    pub fn driver(env: TuningEnvironment, config: RestuneConfig) -> TuningDriver<CdbTuneProposer> {
+        let action_dim = env.search_dim();
+        // The RL agent has no surrogate to seed; its state stream starts
+        // from the default observation instead.
+        let engine = EvalEngine::new(env, false);
+        let state_dim = dbsim::InternalMetrics::DIM;
+        let agent = Ddpg::new(
+            state_dim,
+            action_dim,
+            DdpgConfig {
+                hidden: 48,
+                batch: 16,
+                noise: 0.5,
+                noise_decay: 0.99,
+                seed: config.seed,
+                ..Default::default()
+            },
+        );
+        // Normalize states by the default observation's metric magnitudes.
+        let default_metrics = engine.default_observation().internal.to_vec();
+        let state_scale: Vec<f64> =
+            default_metrics.iter().map(|v| v.abs().max(1.0)).collect();
+        let default_state: Vec<f64> = default_metrics
+            .iter()
+            .zip(&state_scale)
+            .map(|(v, s)| (v / s).clamp(-5.0, 5.0))
+            .collect();
+        let proposer = CdbTuneProposer {
+            agent,
+            state_scale,
+            default_state,
+            default_objective: engine.default_objective(),
+            prev: None,
+            pending: None,
+            train_steps: 4,
+        };
+        TuningDriver::new(engine, proposer, config.seed)
+    }
+
     fn normalize_state(&self, metrics: &[f64]) -> Vec<f64> {
         metrics.iter().zip(&self.state_scale).map(|(v, s)| (v / s).clamp(-5.0, 5.0)).collect()
     }
@@ -108,91 +149,6 @@ impl Proposer for CdbTuneProposer {
     }
 }
 
-/// The CDBTune-with-constraints baseline.
-pub struct CdbTuneWithConstraints {
-    driver: TuningDriver<CdbTuneProposer>,
-}
-
-impl CdbTuneWithConstraints {
-    /// Creates a run on `env`. `config` contributes the seed, retry policy,
-    /// and convergence window; the agent hyperparameters follow CDBTune's
-    /// published defaults scaled down to the tuning budget.
-    pub fn new(env: TuningEnvironment, config: RestuneConfig) -> Self {
-        if config.trace {
-            trace::enable();
-        }
-        let action_dim = env.search_dim();
-        let engine = EvalEngine::new(
-            env,
-            EngineSettings {
-                policy: ReplayPolicy {
-                    max_retries: config.max_retries,
-                    backoff_s: config.retry_backoff_s,
-                },
-                convergence_window: config.convergence_window,
-                convergence_epsilon: config.convergence_epsilon,
-                // The RL agent has no surrogate to seed; its state stream
-                // starts from the default observation instead.
-                seed_default_observation: false,
-            },
-        );
-        let state_dim = dbsim::InternalMetrics::DIM;
-        let agent = Ddpg::new(
-            state_dim,
-            action_dim,
-            DdpgConfig {
-                hidden: 48,
-                batch: 16,
-                noise: 0.5,
-                noise_decay: 0.99,
-                seed: config.seed,
-                ..Default::default()
-            },
-        );
-        // Normalize states by the default observation's metric magnitudes.
-        let default_metrics = engine.default_observation().internal.to_vec();
-        let state_scale: Vec<f64> =
-            default_metrics.iter().map(|v| v.abs().max(1.0)).collect();
-        let default_state: Vec<f64> = default_metrics
-            .iter()
-            .zip(&state_scale)
-            .map(|(v, s)| (v / s).clamp(-5.0, 5.0))
-            .collect();
-        let proposer = CdbTuneProposer {
-            agent,
-            state_scale,
-            default_state,
-            default_objective: engine.default_objective(),
-            prev: None,
-            pending: None,
-            train_steps: 4,
-        };
-        CdbTuneWithConstraints { driver: TuningDriver::new(engine, proposer, config.seed) }
-    }
-
-    /// One tuning iteration: act → apply → observe → reward → train.
-    pub fn step(&mut self) {
-        self.driver.step();
-    }
-
-    /// Runs `iterations` steps and summarizes.
-    pub fn run(&mut self, iterations: usize) -> TuningOutcome {
-        self.driver.run(iterations)
-    }
-
-    /// Runs `iterations` steps and consumes the run into its outcome without
-    /// cloning the history.
-    pub fn run_into_outcome(self, iterations: usize) -> TuningOutcome {
-        self.driver.run_into_outcome(iterations)
-    }
-
-    /// Decomposes into the underlying driver (fleet tenants step it
-    /// themselves).
-    pub fn into_driver(self) -> TuningDriver<CdbTuneProposer> {
-        self.driver
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,17 +167,17 @@ mod tests {
 
     #[test]
     fn runs_and_records_history() {
-        let mut agent = CdbTuneWithConstraints::new(env(1), RestuneConfig::default());
-        let outcome = agent.run(12);
+        let mut driver = CdbTuneProposer::driver(env(1), RestuneConfig::default());
+        let outcome = driver.run(12);
         assert_eq!(outcome.history.len(), 12);
         assert!(outcome.best_objective.is_some());
     }
 
     #[test]
     fn reward_gating_matches_the_paper() {
-        let agent = CdbTuneWithConstraints::new(env(2), RestuneConfig::default());
-        let proposer = agent.driver.proposer();
-        let initial = agent.driver.engine().default_objective();
+        let driver = CdbTuneProposer::driver(env(2), RestuneConfig::default());
+        let proposer = driver.proposer();
+        let initial = driver.engine().default_objective();
         // Resource decreased but SLA violated -> zero.
         assert_eq!(proposer.reward(initial * 0.5, initial, false), 0.0);
         // Resource increased but SLA fine -> zero.

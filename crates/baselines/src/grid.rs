@@ -1,69 +1,10 @@
 //! Exhaustive grid search — the §7.3 case study's "known ground-truth"
-//! (an 8×8×8 sweep over the three CPU knobs).
-//!
-//! Two forms: [`grid_search`] is the raw noiseless sweep the case study
-//! tables use (no tuning loop, no retries — exact ground truth), and
-//! [`GridProposer`]/[`grid_tuning`] runs the same cell enumeration through
-//! the shared [`TuningDriver`]/[`EvalEngine`] loop so a grid baseline gets
-//! the identical replay/failure/convergence bookkeeping as every other
-//! method.
+//! (an 8×8×8 sweep over the three CPU knobs): [`grid_search`] is the raw
+//! noiseless sweep the case study tables use, with no tuning loop and no
+//! retries, so its best cell is exact ground truth.
 
-use dbsim::{Configuration, SimulatedDbms};
-use restune_core::driver::{Proposal, Proposer, TuningDriver};
-use restune_core::engine::{EngineSettings, EvalEngine, HistoryView};
+use dbsim::{Configuration, KnobSet, SimulatedDbms};
 use restune_core::problem::{ResourceKind, SlaConstraints};
-use restune_core::resilience::ReplayPolicy;
-use restune_core::tuner::{TuningEnvironment, TuningOutcome};
-use dbsim::KnobSet;
-
-/// A strategy that enumerates the cells of a `levels^dim` grid in order
-/// (wrapping around if the budget exceeds the grid).
-pub struct GridProposer {
-    levels: usize,
-}
-
-impl GridProposer {
-    /// A sweep with `levels` levels per knob dimension.
-    pub fn new(levels: usize) -> Self {
-        assert!(levels >= 2);
-        GridProposer { levels }
-    }
-
-    /// Cells in a `dim`-dimensional sweep.
-    pub fn cells(&self, dim: usize) -> usize {
-        self.levels.pow(dim as u32)
-    }
-}
-
-impl Proposer for GridProposer {
-    fn propose(&mut self, view: &HistoryView<'_>, iter: usize, _seed: u64) -> Proposal {
-        let dim = view.problem.dim();
-        let mut idx = iter % self.cells(dim);
-        let point: Vec<f64> = (0..dim)
-            .map(|_| {
-                let level = idx % self.levels;
-                idx /= self.levels;
-                level as f64 / (self.levels - 1) as f64
-            })
-            .collect();
-        Proposal::point(point)
-    }
-}
-
-/// Runs a `levels`-per-dimension grid sweep for `iterations` replays through
-/// the shared driver/engine loop and returns the standard outcome shape.
-pub fn grid_tuning(env: TuningEnvironment, levels: usize, iterations: usize) -> TuningOutcome {
-    let engine = EvalEngine::new(
-        env,
-        EngineSettings {
-            policy: ReplayPolicy::default(),
-            convergence_window: 10,
-            convergence_epsilon: 0.005,
-            seed_default_observation: false,
-        },
-    );
-    TuningDriver::new(engine, GridProposer::new(levels), 0).run_into_outcome(iterations)
-}
 
 /// Result of a grid sweep.
 #[derive(Debug, Clone)]
@@ -149,33 +90,6 @@ mod tests {
         );
         // The winning config throttles concurrency well below 512 threads.
         assert!(result.best_config.get("innodb_thread_concurrency") < 100.0);
-    }
-
-    #[test]
-    fn grid_tuning_enumerates_cells_through_the_shared_driver() {
-        use restune_core::problem::ResourceKind;
-        let env = TuningEnvironment::builder()
-            .instance(InstanceType::A)
-            .workload(WorkloadSpec::twitter())
-            .resource(ResourceKind::Cpu)
-            .knob_set(KnobSet::case_study())
-            .seed(0)
-            .noise(0.0)
-            .build();
-        let outcome = grid_tuning(env, 2, 8);
-        assert_eq!(outcome.history.len(), 8);
-        // Cells are visited in row-major order over {0, 1}^3.
-        for (cell, r) in outcome.history.iter().enumerate() {
-            let expect: Vec<f64> =
-                (0..3).map(|d| ((cell >> d) & 1) as f64).collect();
-            assert_eq!(r.point, expect, "cell {cell}");
-        }
-        // The engine's bookkeeping holds: the incumbent is feasible and no
-        // worse than the default, and the curve is monotone.
-        assert!(outcome.best_objective.unwrap() <= outcome.default_obj_value);
-        for pair in outcome.best_curve().windows(2) {
-            assert!(pair[1] <= pair[0] + 1e-9);
-        }
     }
 
     #[test]

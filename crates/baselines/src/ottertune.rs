@@ -20,12 +20,11 @@
 use linalg::{Matrix, MatrixView};
 use restune_core::acquisition::ConstrainedExpectedImprovement;
 use restune_core::driver::{Proposal, ProposalTiming, Proposer, TuningDriver};
-use restune_core::engine::{EngineSettings, EvalEngine, HistoryView};
+use restune_core::engine::{EvalEngine, HistoryView};
 use restune_core::lhs::latin_hypercube;
 use restune_core::repository::{DataRepository, TaskObservation};
-use restune_core::resilience::ReplayPolicy;
-use restune_core::surrogate::{GpTaskModel, SurrogatePrediction};
-use restune_core::tuner::{RestuneConfig, TuningEnvironment, TuningOutcome};
+use restune_core::surrogate::{refits_hypers, GpTaskModel, SurrogatePrediction};
+use restune_core::tuner::{RestuneConfig, TuningEnvironment};
 
 /// The OtterTune strategy: LHS bootstrap, then one merged GP over target +
 /// matched-workload data, optimized with CEI.
@@ -39,6 +38,21 @@ pub struct OtterTuneProposer {
 }
 
 impl OtterTuneProposer {
+    /// An OtterTune-w-Con run on `env`, transferring from `repository`.
+    pub fn driver(
+        env: TuningEnvironment,
+        config: RestuneConfig,
+        repository: DataRepository,
+    ) -> TuningDriver<OtterTuneProposer> {
+        let lhs_plan = latin_hypercube(config.init_iters, env.search_dim(), config.seed ^ 0x07);
+        // OtterTune keeps the default out of its observed columns and merges
+        // it into the GP explicitly, as published.
+        let engine = EvalEngine::new(env, false);
+        let seed = config.seed;
+        let proposer = OtterTuneProposer { config, repository, lhs_plan, last_match: None };
+        TuningDriver::new(engine, proposer, seed)
+    }
+
     /// Mean of the target's observed internal metric vectors.
     fn target_signature(&self, view: &HistoryView<'_>) -> Vec<f64> {
         let observed: Vec<&Vec<f64>> =
@@ -124,8 +138,7 @@ impl Proposer for OtterTuneProposer {
         let tps = column(view.tps, view.default_observation.tps, |o| o.tps);
         let lat = column(view.lat, view.default_observation.p99_ms, |o| o.lat);
         let mut gp_config = self.config.gp.clone();
-        gp_config.optimize_hypers = self.config.gp.optimize_hypers
-            && (res.len() <= 40 || iter.is_multiple_of(self.config.refit_hypers_every));
+        gp_config.optimize_hypers = refits_hypers(&self.config.gp, res.len(), iter);
         let model = points
             .and_then(|points| GpTaskModel::fit(points, &res, &tps, &lat, &gp_config))
             .expect("merged surrogate fit");
@@ -190,65 +203,6 @@ impl Proposer for OtterTuneProposer {
     }
 }
 
-/// The OtterTune-with-constraints baseline.
-pub struct OtterTuneWithConstraints {
-    driver: TuningDriver<OtterTuneProposer>,
-}
-
-impl OtterTuneWithConstraints {
-    /// Creates a run on `env` transferring from `repository`.
-    pub fn new(env: TuningEnvironment, config: RestuneConfig, repository: DataRepository) -> Self {
-        if config.trace {
-            trace::enable();
-        }
-        let lhs_plan = latin_hypercube(config.init_iters, env.search_dim(), config.seed ^ 0x07);
-        let engine = EvalEngine::new(
-            env,
-            EngineSettings {
-                policy: ReplayPolicy {
-                    max_retries: config.max_retries,
-                    backoff_s: config.retry_backoff_s,
-                },
-                convergence_window: config.convergence_window,
-                convergence_epsilon: config.convergence_epsilon,
-                // OtterTune keeps the default out of its observed columns and
-                // merges it into the GP explicitly, as published.
-                seed_default_observation: false,
-            },
-        );
-        let seed = config.seed;
-        let proposer = OtterTuneProposer { config, repository, lhs_plan, last_match: None };
-        OtterTuneWithConstraints { driver: TuningDriver::new(engine, proposer, seed) }
-    }
-
-    /// One tuning iteration.
-    pub fn step(&mut self) {
-        self.driver.step();
-    }
-
-    /// Runs `iterations` steps and summarizes.
-    pub fn run(&mut self, iterations: usize) -> TuningOutcome {
-        self.driver.run(iterations)
-    }
-
-    /// Runs `iterations` steps and consumes the run into its outcome without
-    /// cloning the history.
-    pub fn run_into_outcome(self, iterations: usize) -> TuningOutcome {
-        self.driver.run_into_outcome(iterations)
-    }
-
-    /// The task_id matched at the latest iteration (for analysis output).
-    pub fn last_match(&self) -> Option<&str> {
-        self.driver.proposer().last_match.as_deref()
-    }
-
-    /// Decomposes into the underlying driver (fleet tenants step it
-    /// themselves).
-    pub fn into_driver(self) -> TuningDriver<OtterTuneProposer> {
-        self.driver
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,11 +248,11 @@ mod tests {
             .knob_set(KnobSet::case_study())
             .seed(4)
             .build();
-        let mut ot = OtterTuneWithConstraints::new(env, quick_config(4), small_repo());
+        let mut ot = OtterTuneProposer::driver(env, quick_config(4), small_repo());
         let outcome = ot.run(20);
         assert!(outcome.best_objective.unwrap() < outcome.default_obj_value);
         // It matched some workload after the bootstrap phase.
-        assert!(ot.last_match().is_some());
+        assert!(ot.proposer().last_match.is_some());
     }
 
     #[test]
@@ -310,10 +264,9 @@ mod tests {
             .knob_set(KnobSet::case_study())
             .seed(5)
             .build();
-        let mut ot =
-            OtterTuneWithConstraints::new(env, quick_config(5), DataRepository::new());
+        let mut ot = OtterTuneProposer::driver(env, quick_config(5), DataRepository::new());
         let outcome = ot.run(13);
         assert_eq!(outcome.history.len(), 13);
-        assert!(ot.last_match().is_none());
+        assert!(ot.proposer().last_match.is_none());
     }
 }

@@ -72,7 +72,6 @@ fn bo_config() -> RestuneConfig {
         // meta-feature space; a wide Epanechnikov bandwidth keeps the sealed
         // task's static weight nonzero so the transfer actually engages.
         static_bandwidth: 2.0,
-        trace: true,
         seed: SEED,
         ..Default::default()
     }

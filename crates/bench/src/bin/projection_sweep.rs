@@ -110,9 +110,7 @@ fn bo_arm(set: KnobSet, project: Option<usize>, iters: usize) -> (f64, Vec<f64>,
     let env = builder.build();
     trace::enable();
     let before = trace::snapshot().counter("space.project");
-    let mut config = bo_config(SEED);
-    config.trace = true;
-    let outcome = TuningSession::new(env, config).run(iters);
+    let outcome = TuningSession::new(env, bo_config(SEED)).run(iters);
     let projects = trace::snapshot().counter("space.project") - before;
     (outcome.default_obj_value, outcome.best_curve(), projects as usize)
 }

@@ -203,7 +203,6 @@ fn traced_session(iters: usize) -> ([f64; 5], TraceSnapshot) {
         dynamic_samples: 12,
         init_iters: 3,
         seed: 7,
-        trace: true,
         diag: true,
         ..Default::default()
     };
@@ -299,11 +298,11 @@ fn session(opts: &Opts) {
 /// must show it with the baseline's own stages nested inside.
 fn baseline(opts: &Opts) {
     let iters = opts.iters(6);
-    let config = RestuneConfig { seed: 11, trace: true, ..Default::default() };
+    let config = RestuneConfig { seed: 11, ..Default::default() };
     let ((), snap) = traced(|| {
-        let mut agent = baselines::CdbTuneWithConstraints::new(twitter_env(11).build(), config);
+        let mut driver = baselines::CdbTuneProposer::driver(twitter_env(11).build(), config);
         for _ in 0..iters {
-            agent.step();
+            driver.step();
         }
     });
     let out = opts.write_trace(&snap, "baseline.trace.jsonl");
@@ -341,7 +340,6 @@ fn tenant(id: u64, iters: usize, transient_rate: f64) -> Tenant {
         dynamic_samples: 4,
         init_iters: FLEET_INIT_ITERS,
         seed,
-        trace: true,
         diag: true,
         ..Default::default()
     };
@@ -499,7 +497,6 @@ fn methods_table(iters: usize) {
             dynamic_samples: 8,
             init_iters: 4,
             seed: 17,
-            trace: true,
             diag: true,
             ..Default::default()
         },

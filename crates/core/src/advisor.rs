@@ -2,6 +2,7 @@
 //! SLA audit says — the explanation a DBA reads before applying a
 //! recommendation (the textual counterpart of the paper's Figure 7 story).
 
+use crate::engine::{CONVERGENCE_EPSILON, CONVERGENCE_WINDOW};
 use crate::problem::ResourceKind;
 use crate::tuner::TuningOutcome;
 use dbsim::{Configuration, KnobRegistry, KnobSet};
@@ -84,7 +85,12 @@ pub fn report(outcome: &TuningOutcome, knob_set: &KnobSet, resource: ResourceKin
         violations
     );
     if let Some(at) = outcome.converged_at {
-        let _ = writeln!(out, "Converged (<=0.5% movement over 10 iterations) at iteration {at}.");
+        let _ = writeln!(
+            out,
+            "Converged (<={}% movement over {} iterations) at iteration {at}.",
+            CONVERGENCE_EPSILON * 100.0,
+            CONVERGENCE_WINDOW
+        );
     }
 
     let changes = changed_knobs(&outcome.best_config, knob_set);

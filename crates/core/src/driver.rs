@@ -190,24 +190,10 @@ impl<P: Proposer> TuningDriver<P> {
         &self.proposer
     }
 
-    /// Mutable access to the strategy.
-    pub fn proposer_mut(&mut self) -> &mut P {
-        &mut self.proposer
-    }
-
     /// Consumes the driver into the final outcome without cloning the
     /// history.
     pub fn into_outcome(self) -> TuningOutcome {
         self.engine.into_outcome()
-    }
-
-    /// Decomposes the driver into its engine, strategy, and seed — the exact
-    /// state [`TuningDriver::new`] reassembles, so callers can re-wrap the
-    /// strategy (e.g. box it for a heterogeneous fleet) without perturbing
-    /// the seed schedule. Any installed drift controller is dropped; use
-    /// [`TuningDriver::boxed`] to type-erase without losing it.
-    pub fn into_parts(self) -> (EvalEngine, P, u64) {
-        (self.engine, self.proposer, self.seed)
     }
 }
 

@@ -15,7 +15,6 @@ use crate::problem::{SlaConstraints, SpaceInfo, TuningProblem};
 use crate::repository::{TaskObservation, TaskRecord};
 use crate::resilience::{
     evaluate_with_retry, failure_penalty, penalty_observation, FailureCounts, FailureKind,
-    ReplayPolicy,
 };
 use crate::tuner::TuningEnvironment;
 use dbsim::{Configuration, EvalOutcome, Observation};
@@ -120,22 +119,12 @@ impl TuningOutcome {
     }
 }
 
-/// Engine construction knobs (everything downstream of a proposed point).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineSettings {
-    /// Retry policy for transient replay failures (DESIGN.md §9).
-    pub policy: ReplayPolicy,
-    /// Convergence window: no metric moves more than `convergence_epsilon`
-    /// for this many consecutive iterations (§4: 0.5 % over 10 iterations).
-    pub convergence_window: usize,
-    /// Relative convergence threshold.
-    pub convergence_epsilon: f64,
-    /// Whether the default observation seeds the surrogate training columns
-    /// and the incumbent. ResTune trains on the default as its first data
-    /// point; the GP/DDPG baselines keep it out of their columns and merge
-    /// it explicitly where their published algorithms do.
-    pub seed_default_observation: bool,
-}
+/// The §4 convergence window: a run has converged once no metric moved
+/// more than [`CONVERGENCE_EPSILON`] over this many consecutive iterations.
+pub const CONVERGENCE_WINDOW: usize = 10;
+
+/// The §4 convergence threshold: 0.5 % relative movement.
+pub const CONVERGENCE_EPSILON: f64 = 0.005;
 
 /// Why [`EvalEngine::seed_history`] rejected a point. A rejected tuple
 /// leaves the history unchanged.
@@ -189,7 +178,7 @@ pub struct HistoryView<'a> {
     /// Committed iteration records.
     pub history: &'a [IterationRecord],
     /// Best feasible incumbent: (iteration, objective, point). Seeded with
-    /// the default when `seed_default_observation` is on.
+    /// the default when the engine seeds the default observation.
     pub best: Option<&'a (usize, f64, Vec<f64>)>,
     /// Iteration of the most recent incumbent improvement.
     pub last_improvement: usize,
@@ -231,9 +220,6 @@ pub struct EvalEngine {
     /// values never compound on each other.
     obs_worst: f64,
     obs_best: f64,
-    policy: ReplayPolicy,
-    convergence_window: usize,
-    convergence_epsilon: f64,
     seed_default: bool,
     /// First iteration of the current epoch (0 until a warm restart).
     epoch_start: usize,
@@ -241,8 +227,11 @@ pub struct EvalEngine {
 
 impl EvalEngine {
     /// Evaluates the default configuration, fixes the SLA, and prepares the
-    /// bookkeeping.
-    pub fn new(mut env: TuningEnvironment, settings: EngineSettings) -> Self {
+    /// bookkeeping. `seed_default_observation` makes the default observation
+    /// the first training point and the starting incumbent: ResTune trains on
+    /// it, while the GP/DDPG baselines keep it out of their columns and
+    /// merge it explicitly where their published algorithms do.
+    pub fn new(mut env: TuningEnvironment, seed_default_observation: bool) -> Self {
         let default_observation = env.dbms.evaluate(&Configuration::dba_default());
         let sla = SlaConstraints::from_default_observation(&default_observation);
         // With a transform installed, everything proposer-facing — the
@@ -282,13 +271,10 @@ impl EvalEngine {
             failures: FailureCounts::default(),
             obs_worst: default_objective,
             obs_best: default_objective,
-            policy: settings.policy,
-            convergence_window: settings.convergence_window,
-            convergence_epsilon: settings.convergence_epsilon,
-            seed_default: settings.seed_default_observation,
+            seed_default: seed_default_observation,
             epoch_start: 0,
         };
-        if settings.seed_default_observation {
+        if seed_default_observation {
             // The default observation seeds the model and the incumbent.
             let point = engine.default_point.clone();
             let obs = engine.default_observation.clone();
@@ -374,7 +360,7 @@ impl EvalEngine {
             .problem
             .knob_set
             .to_configuration(&self.lift(&point), &Configuration::dba_default());
-        let replay = evaluate_with_retry(&mut self.env.dbms, &config, &self.policy);
+        let replay = evaluate_with_retry(&mut self.env.dbms, &config);
         let replay_s = replay.replay_s;
         let retries = replay.retries;
         let failure = FailureKind::from_outcome(&replay.outcome);
@@ -446,7 +432,7 @@ impl EvalEngine {
         if self.converged_at.is_some() {
             return;
         }
-        let w = self.convergence_window;
+        let w = CONVERGENCE_WINDOW;
         // Convergence is a property of the current epoch: a warm restart
         // resets the criterion, and pre-restart records never stabilize a
         // post-restart tail.
@@ -454,7 +440,7 @@ impl EvalEngine {
         if epoch.len() < w + 1 {
             return;
         }
-        let eps = self.convergence_epsilon;
+        let eps = CONVERGENCE_EPSILON;
         let tail = &epoch[epoch.len() - w - 1..];
         let within = |get: fn(&IterationRecord) -> f64| {
             let base = get(&tail[0]).abs().max(1e-12);
@@ -685,15 +671,6 @@ mod tests {
             .build()
     }
 
-    fn baseline_settings() -> EngineSettings {
-        EngineSettings {
-            policy: ReplayPolicy::default(),
-            convergence_window: 10,
-            convergence_epsilon: 0.005,
-            seed_default_observation: false,
-        }
-    }
-
     fn eval(engine: &mut EvalEngine, point: Vec<f64>) {
         let record = engine.evaluate(Proposal::point(point));
         engine.commit(record);
@@ -701,7 +678,7 @@ mod tests {
 
     #[test]
     fn tracks_best_feasible_only() {
-        let mut engine = EvalEngine::new(env(), baseline_settings());
+        let mut engine = EvalEngine::new(env(), false);
         // A throttled point: low CPU but infeasible.
         let throttled = vec![1.0 / 128.0, 0.0, 0.0];
         eval(&mut engine, throttled);
@@ -712,7 +689,7 @@ mod tests {
 
     #[test]
     fn good_point_becomes_incumbent() {
-        let mut engine = EvalEngine::new(env(), baseline_settings());
+        let mut engine = EvalEngine::new(env(), false);
         let good = vec![13.0 / 128.0, 0.0, 0.3];
         eval(&mut engine, good);
         let o = engine.into_outcome();
@@ -722,7 +699,7 @@ mod tests {
 
     #[test]
     fn outcome_history_matches_iterations() {
-        let mut engine = EvalEngine::new(env(), baseline_settings());
+        let mut engine = EvalEngine::new(env(), false);
         eval(&mut engine, vec![0.5, 0.5, 0.5]);
         eval(&mut engine, vec![0.2, 0.2, 0.2]);
         assert_eq!(engine.iterations(), 2);
@@ -744,18 +721,16 @@ mod tests {
             .resource(ResourceKind::Cpu)
             .knob_set(KnobSet::case_study())
             .seed(2)
-            .fault_plan(FaultPlan::none().with_transient_rate(0.6).with_seed(9))
+            // A rate high enough that some replays exhaust their retries.
+            .fault_plan(FaultPlan::none().with_transient_rate(0.8).with_seed(9))
             .build();
-        let mut settings = baseline_settings();
-        // Surface failures instead of absorbing them.
-        settings.policy.max_retries = 0;
-        let mut engine = EvalEngine::new(env, settings);
+        let mut engine = EvalEngine::new(env, false);
         let good = vec![13.0 / 128.0, 0.0, 0.3];
         for _ in 0..12 {
             eval(&mut engine, good.clone());
         }
         let o = engine.into_outcome();
-        assert!(o.failures.failed_iterations() > 0, "60% fault rate must fail some");
+        assert!(o.failures.failed_iterations() > 0, "80% fault rate must fail some");
         for r in &o.history {
             if matches!(r.failure, Some(FailureKind::Crash) | Some(FailureKind::Timeout)) {
                 assert!(!r.feasible);
@@ -779,21 +754,19 @@ mod tests {
             .seed(3)
             .noise(0.0)
             .build();
-        let mut settings = baseline_settings();
-        settings.convergence_window = 5;
-        let mut engine = EvalEngine::new(env, settings);
-        for _ in 0..7 {
+        let mut engine = EvalEngine::new(env, false);
+        for _ in 0..CONVERGENCE_WINDOW + 2 {
             eval(&mut engine, vec![0.4, 0.4, 0.4]);
         }
         let o = engine.into_outcome();
-        // Six identical noiseless observations satisfy a 5-iteration window.
-        assert_eq!(o.converged_at, Some(5));
+        // Eleven identical noiseless observations satisfy the 10-iteration
+        // window.
+        assert_eq!(o.converged_at, Some(10));
     }
 
     #[test]
     fn seeded_default_engine_starts_from_the_default_incumbent() {
-        let settings = EngineSettings { seed_default_observation: true, ..baseline_settings() };
-        let engine = EvalEngine::new(env(), settings);
+        let engine = EvalEngine::new(env(), true);
         // The default observation is the first training point and the
         // starting incumbent.
         let view = engine.view();

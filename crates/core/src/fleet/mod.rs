@@ -465,8 +465,7 @@ mod tests {
 
     #[test]
     fn a_panicking_tenant_is_poisoned_but_completes_the_fleet() {
-        use crate::engine::{EngineSettings, EvalEngine};
-        use crate::resilience::ReplayPolicy;
+        use crate::engine::EvalEngine;
         let env = TuningEnvironment::builder()
             .instance(InstanceType::A)
             .workload(WorkloadSpec::twitter())
@@ -474,15 +473,7 @@ mod tests {
             .knob_set(KnobSet::case_study())
             .seed(3)
             .build();
-        let engine = EvalEngine::new(
-            env,
-            EngineSettings {
-                policy: ReplayPolicy::default(),
-                convergence_window: 10,
-                convergence_epsilon: 0.005,
-                seed_default_observation: false,
-            },
-        );
+        let engine = EvalEngine::new(env, false);
         let bad = Tenant::new(
             9,
             "poisoned",

@@ -126,11 +126,6 @@ impl WorkerPool {
         &self.handle
     }
 
-    /// Worker thread count.
-    pub fn n_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Stops accepting work, lets queued jobs drain, and joins every worker.
     pub fn join(self) {
         self.handle.inner.close();

@@ -53,7 +53,7 @@ pub use drift::{
     SealSink,
 };
 pub use driver::{BoxProposer, Proposal, ProposalTiming, Proposer, TuningDriver};
-pub use engine::{EngineSettings, EvalEngine, HistoryView};
+pub use engine::{EvalEngine, HistoryView};
 pub use fleet::{
     mix_seed, FleetConfig, FleetOutcome, FleetService, ShardedStore, StoreSnapshot, Tenant,
     TenantResult,
@@ -62,7 +62,7 @@ pub use meta::{BaseLearner, MetaLearner};
 pub use problem::{ResourceKind, SlaConstraints, SpaceInfo, TuningProblem};
 pub use proposer::RestuneProposer;
 pub use repository::{DataRepository, TaskObservation, TaskRecord};
-pub use resilience::{FailureCounts, FailureKind, ReplayPolicy};
+pub use resilience::{FailureCounts, FailureKind};
 pub use scale::Standardizer;
 pub use space::{IdentityTransform, Projection, RandomProjection, SpacePipeline, SpaceTransform};
 pub use surrogate::SurrogatePrediction;

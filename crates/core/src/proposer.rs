@@ -27,7 +27,7 @@ use crate::drift::DriftEvent;
 use crate::driver::{Proposal, ProposalTiming, Proposer};
 use crate::engine::{HistoryView, IterationRecord};
 use crate::meta::{static_weights, BaseLearner, MetaLearner, TargetObservations};
-use crate::surrogate::{GpTaskModel, SurrogatePrediction};
+use crate::surrogate::{refits_hypers, GpTaskModel, SurrogatePrediction};
 use crate::tuner::{InitStrategy, RestuneConfig};
 use gp::{GpError, Prediction};
 use linalg::{Matrix, MatrixView};
@@ -160,16 +160,6 @@ impl RestuneProposer {
         self.use_meta && !self.base_learners.is_empty() && rel_iter >= self.config.init_iters
     }
 
-    /// Whether a step with `n` observations at `rel_iter` refits the
-    /// hyperparameters: with `GpConfig::optimize_hypers` on, every step up
-    /// to 40 observations, then every `refit_hypers_every` iterations. A
-    /// step that does not keeps the last refit's hyperparameters by
-    /// extending the cached model.
-    fn refits_hypers(&self, n: usize, rel_iter: usize) -> bool {
-        self.config.gp.optimize_hypers
-            && (n <= 40 || rel_iter.is_multiple_of(self.config.refit_hypers_every))
-    }
-
     /// Whether the step must fit the target GPs: when its stage or its
     /// weights read the model, when the next step may extend it by a rank-1
     /// append, or when the inputs (`points`, `None` when the view's points
@@ -188,14 +178,14 @@ impl RestuneProposer {
         let n = view.points.len();
         stage == Stage::Acquire
             || self.learns_dynamic_weights(rel_iter)
-            || !self.refits_hypers(n + 1, rel_iter + 1)
+            || !refits_hypers(&self.config.gp, n + 1, rel_iter + 1)
             || points.is_none_or(|points| {
                 GpTaskModel::check_inputs(points, res, view.tps, view.lat, scalers).is_err()
             })
     }
 
     /// Stage 2a — target surrogate fit on the step's `points`, with
-    /// hyperparameter refits gated by [`RestuneProposer::refits_hypers`]. On
+    /// hyperparameter refits gated by [`refits_hypers`] on the epoch clock. On
     /// no-refit iterations, the previous iteration's cached model is grown
     /// *incrementally*, in place, by a rank-1 Cholesky append (`O(n^2)`)
     /// when exactly one observation arrived since; any mismatch (restarted
@@ -212,7 +202,7 @@ impl RestuneProposer {
     ) -> Result<Arc<GpTaskModel>, GpError> {
         let n = points.rows();
         let mut gp_config = self.config.gp.clone();
-        gp_config.optimize_hypers = self.refits_hypers(n, rel_iter);
+        gp_config.optimize_hypers = refits_hypers(&self.config.gp, n, rel_iter);
         gp_config.seed = self.config.seed;
         // Cache-style tally of the hyperparameter-refit schedule: a "miss"
         // pays the full marginal-likelihood optimization, a "hit" reuses the

@@ -27,6 +27,33 @@ pub struct TaskObservation {
     pub metrics: Vec<f64>,
 }
 
+/// Why a stored task yields no base learner.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BaseLearnerError {
+    /// The task stores no observations: nothing to fit, and no point to
+    /// give the width of its search space.
+    NoObservations,
+    /// The GP fit rejected the task's history.
+    Fit(gp::GpError),
+}
+
+impl std::fmt::Display for BaseLearnerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BaseLearnerError::NoObservations => write!(f, "the task stores no observations"),
+            BaseLearnerError::Fit(e) => write!(f, "base-learner fit failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for BaseLearnerError {}
+
+impl From<gp::GpError> for BaseLearnerError {
+    fn from(e: gp::GpError) -> Self {
+        BaseLearnerError::Fit(e)
+    }
+}
+
 /// A complete historical tuning task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskRecord {
@@ -99,11 +126,15 @@ impl TaskRecord {
     /// Fits this task's frozen base-learner: one exact GP per metric over
     /// the whole history (a few hundred observations per task in the
     /// paper's repository), counted by `repository.fit.dense`.
-    pub fn to_base_learner(&self, config: &GpConfig) -> Result<BaseLearner, gp::GpError> {
+    pub fn to_base_learner(&self, config: &GpConfig) -> Result<BaseLearner, BaseLearnerError> {
         // The points live in the task's search space, whose width the first
         // point gives; a point of another width fails the fit.
-        let dim = self.observations.first().map_or(1, |o| o.point.len());
-        let points = linalg::Matrix::from_rows(dim, self.observations.iter().map(|o| &o.point))?;
+        let first = self.observations.first().ok_or(BaseLearnerError::NoObservations)?;
+        let points = linalg::Matrix::from_rows(
+            first.point.len(),
+            self.observations.iter().map(|o| &o.point),
+        )
+        .map_err(gp::GpError::from)?;
         let res: Vec<f64> = self.observations.iter().map(|o| o.res).collect();
         let tps: Vec<f64> = self.observations.iter().map(|o| o.tps).collect();
         let lat: Vec<f64> = self.observations.iter().map(|o| o.lat).collect();
@@ -197,7 +228,8 @@ impl DataRepository {
     ///
     /// The evaluation's three settings map to filters: *original* keeps all,
     /// *varying workloads* drops the target workload's tasks, *varying
-    /// hardware* drops tasks from the target's instance.
+    /// hardware* drops tasks from the target's instance. A task that yields
+    /// no learner ([`TaskRecord::to_base_learner`]'s error) is dropped too.
     pub fn base_learners(
         &self,
         config: &GpConfig,
@@ -290,6 +322,10 @@ mod tests {
         let learner = rec.to_base_learner(&GpConfig::fixed()).unwrap();
         assert_eq!(learner.task_id, "Twitter@B");
         assert_eq!(learner.model.n(), 13);
+        // A task with no observations has nothing to fit.
+        let empty = TaskRecord { observations: Vec::new(), ..rec };
+        let err = empty.to_base_learner(&GpConfig::fixed()).err();
+        assert_eq!(err, Some(BaseLearnerError::NoObservations));
     }
 
     #[test]

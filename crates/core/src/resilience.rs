@@ -97,22 +97,13 @@ impl FailureCounts {
     }
 }
 
-/// Bounded retry-with-backoff for transient replay failures.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplayPolicy {
-    /// Maximum retry attempts after the first failure (paper-scale replays
-    /// run minutes, so the budget stays small).
-    pub max_retries: usize,
-    /// Initial backoff before the first retry, seconds (doubles per retry);
-    /// charged to the simulated replay clock.
-    pub backoff_s: f64,
-}
+/// Retry attempts a transient replay failure gets after the first one
+/// (paper-scale replays run minutes, so the budget stays small).
+pub const MAX_RETRIES: usize = 2;
 
-impl Default for ReplayPolicy {
-    fn default() -> Self {
-        ReplayPolicy { max_retries: 2, backoff_s: 5.0 }
-    }
-}
+/// Backoff before the first retry, in simulated seconds; it doubles per
+/// retry and is charged to the replay clock.
+pub const RETRY_BACKOFF_S: f64 = 5.0;
 
 /// A resolved (post-retry) evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,29 +116,26 @@ pub struct ReplayResult {
     pub replay_s: f64,
 }
 
-/// Evaluates `config`, retrying transient failures under `policy`.
+/// Evaluates `config`, retrying transient failures up to [`MAX_RETRIES`]
+/// times with a backoff that starts at [`RETRY_BACKOFF_S`].
 ///
 /// Structural faults (OOM, throughput-collapse timeout) are deterministic in
 /// the configuration, so they return immediately without burning the retry
 /// budget. Each attempt consumes one evaluation index on the DBMS, which
 /// keeps the fault schedule (and thus the whole run) a pure function of the
 /// seeds regardless of how many retries occur.
-pub fn evaluate_with_retry(
-    dbms: &mut SimulatedDbms,
-    config: &Configuration,
-    policy: &ReplayPolicy,
-) -> ReplayResult {
+pub fn evaluate_with_retry(dbms: &mut SimulatedDbms, config: &Configuration) -> ReplayResult {
     // The span measures harness wall-clock; the *simulated* replay seconds
     // (the paper's cost metric, and part of the determinism fingerprint)
     // are recorded separately as the `replay.sim_s` histogram.
     let span = trace::span!("replay");
     let mut retries = 0;
     let mut replay_s = 0.0;
-    let mut backoff = policy.backoff_s.max(0.0);
+    let mut backoff = RETRY_BACKOFF_S;
     let result = loop {
         let outcome = dbms.evaluate_outcome(config);
         replay_s += outcome.replay_seconds();
-        if outcome.is_ok() || !outcome.is_transient() || retries >= policy.max_retries {
+        if outcome.is_ok() || !outcome.is_transient() || retries >= MAX_RETRIES {
             break ReplayResult { outcome, retries, replay_s };
         }
         retries += 1;
@@ -215,7 +203,7 @@ mod tests {
             .with("innodb_buffer_pool_frac", 0.85)
             .with("sort_buffer_size_kb", 65536.0)
             .with("join_buffer_size_kb", 65536.0);
-        let r = evaluate_with_retry(&mut dbms, &hog, &ReplayPolicy::default());
+        let r = evaluate_with_retry(&mut dbms, &hog);
         assert_eq!(r.retries, 0, "an OOM is deterministic; retrying is pointless");
         assert_eq!(FailureKind::from_outcome(&r.outcome), Some(FailureKind::Crash));
         assert_eq!(dbms.evaluations(), 1);
@@ -225,11 +213,10 @@ mod tests {
     fn transient_failures_retry_and_usually_recover() {
         let mut dbms = SimulatedDbms::new(InstanceType::A, WorkloadSpec::twitter(), 1)
             .with_fault_plan(FaultPlan::none().with_transient_rate(0.2).with_seed(7));
-        let policy = ReplayPolicy::default();
         let mut resolved_ok = 0;
         let mut total_retries = 0;
         for _ in 0..60 {
-            let r = evaluate_with_retry(&mut dbms, &Configuration::dba_default(), &policy);
+            let r = evaluate_with_retry(&mut dbms, &Configuration::dba_default());
             total_retries += r.retries;
             if r.outcome.is_ok() {
                 resolved_ok += 1;
@@ -246,12 +233,11 @@ mod tests {
         // Force every attempt to fail so the retry budget is exhausted.
         let mut dbms = SimulatedDbms::new(InstanceType::A, WorkloadSpec::twitter(), 1)
             .with_fault_plan(FaultPlan::none().with_transient_rate(1.0).with_seed(1));
-        let policy = ReplayPolicy { max_retries: 2, backoff_s: 5.0 };
-        let r = evaluate_with_retry(&mut dbms, &Configuration::dba_default(), &policy);
+        let r = evaluate_with_retry(&mut dbms, &Configuration::dba_default());
         assert!(!r.outcome.is_ok());
         // Partials resolve on acceptance; crashes/timeouts exhaust retries.
         if !matches!(r.outcome, EvalOutcome::Partial { .. }) {
-            assert_eq!(r.retries, 2);
+            assert_eq!(r.retries, MAX_RETRIES);
             assert!(r.replay_s > 5.0 + 10.0, "backoff must be charged: {}", r.replay_s);
             assert_eq!(dbms.evaluations(), 3, "each attempt consumes an eval index");
         }

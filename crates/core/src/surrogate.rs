@@ -52,6 +52,18 @@ pub(crate) fn fit_plan(plan: FitPlan) -> impl Iterator<Item = Result<GaussianPro
     plan.finish(fits.into_iter().flatten().collect())
 }
 
+/// Iterations between hyperparameter refits past 40 observations.
+const REFIT_HYPERS_EVERY: usize = 5;
+
+/// Whether a fit over `n` observations at iteration `iter` refits the
+/// hyperparameters: with `GpConfig::optimize_hypers` on, every fit up to 40
+/// observations, then every fifth iteration. A fit that does not keeps the
+/// last refit's hyperparameters; ResTune's proposer then grows its cached
+/// target model by a rank-1 append instead (DESIGN.md §13).
+pub fn refits_hypers(config: &GpConfig, n: usize, iter: usize) -> bool {
+    config.optimize_hypers && (n <= 40 || iter.is_multiple_of(REFIT_HYPERS_EVERY))
+}
+
 /// A single task's surrogate: three exact GPs on standardized outputs, for
 /// target tasks and historical base learners alike.
 #[derive(Debug, Clone)]

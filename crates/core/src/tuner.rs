@@ -12,11 +12,11 @@
 
 use crate::acquisition::{AcquisitionKind, AcquisitionOptimizer};
 use crate::driver::TuningDriver;
-use crate::engine::{EngineSettings, EvalEngine};
+use crate::engine::EvalEngine;
 use crate::meta::BaseLearner;
 use crate::problem::{ResourceKind, SlaConstraints};
 use crate::proposer::RestuneProposer;
-use crate::resilience::{FailureCounts, ReplayPolicy};
+use crate::resilience::FailureCounts;
 use crate::space::SpaceTransform;
 use dbsim::{
     FaultPlan, InstanceType, KnobSet, Observation, SimulatedDbms, WorkloadSchedule, WorkloadSpec,
@@ -189,13 +189,11 @@ pub struct RestuneConfig {
     pub init_iters: usize,
     /// Initialization point source when meta-learning is active.
     pub init_strategy: InitStrategy,
-    /// GP fitting configuration.
+    /// GP fitting configuration. With `optimize_hypers` on, the target GPs
+    /// refit their hyperparameters on the schedule of
+    /// [`crate::surrogate::refits_hypers`] and grow by rank-1 appends in
+    /// between (DESIGN.md §13).
     pub gp: GpConfig,
-    /// Refit GP hyperparameters every `k` iterations once > 40 observations.
-    /// The iterations between grow the cached target GPs by a rank-1
-    /// Cholesky append (`O(n^2)`), keeping the last refit's hyperparameters
-    /// (DESIGN.md §13).
-    pub refit_hypers_every: usize,
     /// Acquisition function (CEI for ResTune; EI reproduces iTuned).
     pub acquisition: AcquisitionKind,
     /// Acquisition optimizer budget.
@@ -206,11 +204,6 @@ pub struct RestuneConfig {
     pub dynamic_samples: usize,
     /// Cap on target observations entering the O(n²) ranking loss.
     pub max_rank_points: usize,
-    /// Convergence window: no metric moves more than `convergence_epsilon`
-    /// for this many consecutive iterations (§4: 0.5 % over 10 iterations).
-    pub convergence_window: usize,
-    /// Relative convergence threshold.
-    pub convergence_epsilon: f64,
     /// RGPE weight-dilution guard (drop base-learners whose median ranking
     /// loss exceeds the target's 95th percentile). On by default; the
     /// ablation harness turns it off.
@@ -218,22 +211,13 @@ pub struct RestuneConfig {
     /// During the static-weight bootstrap, source constraint predictions
     /// from the target learner only (see DESIGN.md §5b). On by default.
     pub static_constraints_from_target: bool,
-    /// Retry budget for transient replay failures (DESIGN.md §9).
-    pub max_retries: usize,
-    /// Initial retry backoff in simulated seconds (doubles per retry).
-    pub retry_backoff_s: f64,
-    /// Turn on the global trace collector (DESIGN.md §10) when the session
-    /// is built. Off by default: the no-op sink costs one atomic load per
-    /// instrumentation site. Tracing reads clocks only — never RNG streams
-    /// or observations — so enabling it cannot change tuning output.
-    pub trace: bool,
     /// Emit a per-iteration `tuner.health` diagnostics event (DESIGN.md §15):
     /// GP calibration, ensemble weights + entropy, incumbent regret, the
     /// surrogate fit path, and failure tallies. Off by default; events only
-    /// reach the collector while tracing is enabled. Like tracing itself the
-    /// diagnostics are read-only over closed-form quantities — no RNG streams
-    /// — so flipping this cannot change tuning output
-    /// (`tests/determinism.rs` pins it).
+    /// reach the collector while tracing is enabled (`trace::enable()`,
+    /// DESIGN.md §10). Like tracing itself the diagnostics are read-only
+    /// over closed-form quantities — no RNG streams — so flipping this
+    /// cannot change tuning output (`tests/determinism.rs` pins it).
     pub diag: bool,
     /// Algorithm seed (acquisition optimizer, weight sampling).
     pub seed: u64,
@@ -245,19 +229,13 @@ impl Default for RestuneConfig {
             init_iters: 10,
             init_strategy: InitStrategy::StaticWeights,
             gp: GpConfig::default(),
-            refit_hypers_every: 5,
             acquisition: AcquisitionKind::ConstrainedExpectedImprovement,
             optimizer: AcquisitionOptimizer::default(),
             static_bandwidth: 0.2,
             dynamic_samples: 30,
             max_rank_points: 50,
-            convergence_window: 10,
-            convergence_epsilon: 0.005,
             dilution_guard: true,
             static_constraints_from_target: true,
-            max_retries: 2,
-            retry_backoff_s: 5.0,
-            trace: false,
             diag: false,
             seed: 0,
         }
@@ -341,23 +319,9 @@ impl TuningSession {
         target_meta_feature: Vec<f64>,
         use_meta: bool,
     ) -> Self {
-        if config.trace {
-            trace::enable();
-        }
         let dim = env.search_dim();
-        let engine = EvalEngine::new(
-            env,
-            EngineSettings {
-                policy: ReplayPolicy {
-                    max_retries: config.max_retries,
-                    backoff_s: config.retry_backoff_s,
-                },
-                convergence_window: config.convergence_window,
-                convergence_epsilon: config.convergence_epsilon,
-                // The default observation seeds the model and the incumbent.
-                seed_default_observation: true,
-            },
-        );
+        // The default observation seeds the model and the incumbent.
+        let engine = EvalEngine::new(env, true);
         let seed = config.seed;
         let proposer =
             RestuneProposer::new(config, base_learners, target_meta_feature, use_meta, dim);
@@ -632,22 +596,21 @@ mod tests {
     #[test]
     fn crash_iterations_record_penalized_infeasible_observations() {
         use dbsim::FaultPlan;
-        // Transients at a heavy rate with no retries: failures must surface
-        // as records, never as panics, and never move the incumbent.
+        // Transients at a rate heavy enough to exhaust the retry budget:
+        // failures must surface as records, never as panics, and never move
+        // the incumbent.
         let env = TuningEnvironment::builder()
             .instance(InstanceType::A)
             .workload(WorkloadSpec::twitter())
             .resource(ResourceKind::Cpu)
             .knob_set(KnobSet::case_study())
             .seed(13)
-            .fault_plan(FaultPlan::none().with_transient_rate(0.5).with_seed(3))
+            .fault_plan(FaultPlan::none().with_transient_rate(0.8).with_seed(3))
             .build();
-        let mut config = quick_config(13);
-        config.max_retries = 0;
-        let mut session = TuningSession::new(env, config);
+        let mut session = TuningSession::new(env, quick_config(13));
         let outcome = session.run(12);
         let failures = outcome.failures;
-        assert!(failures.failed_iterations() > 0, "a 50% rate over 12 iters must fail some");
+        assert!(failures.failed_iterations() > 0, "an 80% rate over 12 iters must fail some");
         for r in &outcome.history {
             match r.failure {
                 Some(FailureKind::Crash) | Some(FailureKind::Timeout) => {

@@ -9,9 +9,8 @@
 
 use dbsim::{Configuration, InstanceType, KnobSet, SimulatedDbms, WorkloadSpec};
 use restune_core::driver::{Proposal, ProposalTiming, Proposer, TuningDriver};
-use restune_core::engine::{EngineSettings, EvalEngine, HistoryView};
+use restune_core::engine::{EvalEngine, HistoryView};
 use restune_core::problem::{ResourceKind, SlaConstraints};
-use restune_core::resilience::ReplayPolicy;
 use restune_core::tuner::TuningEnvironment;
 
 /// Replays a fixed script of points, logging what the driver hands it.
@@ -75,15 +74,7 @@ fn noiseless_env(seed: u64) -> TuningEnvironment {
 #[test]
 fn scripted_sequence_matches_hand_computed_records() {
     let script = scripted_points();
-    let engine = EvalEngine::new(
-        noiseless_env(9),
-        EngineSettings {
-            policy: ReplayPolicy::default(),
-            convergence_window: 10,
-            convergence_epsilon: 0.005,
-            seed_default_observation: false,
-        },
-    );
+    let engine = EvalEngine::new(noiseless_env(9), false);
     let proposer = ScriptedProposer {
         script: script.clone(),
         propose_log: Vec::new(),
@@ -156,15 +147,7 @@ fn scripted_sequence_matches_hand_computed_records() {
 fn driver_hands_proposers_the_documented_seeds_and_views() {
     let script = scripted_points();
     let n = script.len();
-    let engine = EvalEngine::new(
-        noiseless_env(3),
-        EngineSettings {
-            policy: ReplayPolicy::default(),
-            convergence_window: 10,
-            convergence_epsilon: 0.005,
-            seed_default_observation: true,
-        },
-    );
+    let engine = EvalEngine::new(noiseless_env(3), true);
     let proposer = ScriptedProposer {
         script,
         propose_log: Vec::new(),

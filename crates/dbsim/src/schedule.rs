@@ -96,11 +96,6 @@ impl WorkloadSchedule {
         self.phases.is_empty()
     }
 
-    /// Eval index of the first transition, if any.
-    pub fn first_transition(&self) -> Option<u64> {
-        self.phases.first().map(|p| p.start)
-    }
-
     /// The scheduled transitions, in order.
     pub fn phases(&self) -> &[DriftPhase] {
         &self.phases

@@ -459,7 +459,8 @@ impl GaussianProcess {
 
     /// The posterior terms prediction and joint sampling share at `points`:
     /// the means and `V = L^{-1} K(X, P)`, by one blocked forward solve
-    /// ([`linalg::Cholesky::solve_lower_matrix`]) on top of `mean_terms`.
+    /// ([`linalg::Cholesky::solve_lower_matrix`]) that overwrites the
+    /// cross-kernel block `mean_terms` returns.
     fn posterior_terms<S: AsRef<[f64]>>(
         &self,
         points: &Matrix<S>,
@@ -468,7 +469,7 @@ impl GaussianProcess {
         if kstar.rows() == 0 {
             return Ok((means, kstar));
         }
-        Ok((means, self.chol.solve_lower_matrix(&kstar)?))
+        Ok((means, self.chol.solve_lower_matrix(kstar)?))
     }
 
     /// Posterior means alone at the points (rows) of `points`:

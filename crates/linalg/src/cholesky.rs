@@ -190,16 +190,16 @@ impl Cholesky {
     }
 
     /// Solves `L Y = B` for a whole right-hand-side matrix in one blocked
-    /// forward substitution: row by row, and within a row
-    /// `SOLVE_WIDTH` columns at a time, whose sums stay in registers across
-    /// every term `k` of the row.
+    /// forward substitution, in place in `b`'s storage: row by row, and
+    /// within a row `SOLVE_WIDTH` columns at a time, whose sums stay in
+    /// registers across every term `k` of the row.
     ///
     /// Bit-compatibility contract: every column of the result is exactly
     /// what [`Cholesky::solve_lower`] returns for that column — each entry
     /// sums its terms in ascending `k` from `+0.0`, subtracts once and
     /// divides once — so batched GP prediction can replace per-point solves
     /// without changing a single bit of output.
-    pub fn solve_lower_matrix(&self, b: &Matrix) -> Result<Matrix> {
+    pub fn solve_lower_matrix(&self, mut b: Matrix) -> Result<Matrix> {
         let n = self.dim();
         if b.rows() != n {
             return Err(LinalgError::DimensionMismatch { expected: n, found: b.rows() });
@@ -208,8 +208,7 @@ impl Cholesky {
         // count it as such so batched and per-point paths tally comparably.
         trace::count("linalg.cholesky.solve", b.cols() as u64);
         let m = b.cols();
-        let mut out = b.clone();
-        let y = out.data_mut();
+        let y = b.data_mut();
         let full = m - m % SOLVE_WIDTH;
         for i in 0..n {
             let (lrow, diag) = (&self.l.row(i)[..i], self.l[(i, i)]);
@@ -222,7 +221,7 @@ impl Cholesky {
                 forward_chunk(lrow, diag, done, m, full, &mut [0.0; SOLVE_WIDTH][..m - full], yi);
             }
         }
-        Ok(out)
+        Ok(b)
     }
 
     /// The inverse `A^{-1}` (O(n^3)): read by the GP's log-marginal-likelihood
@@ -614,7 +613,7 @@ mod tests {
                 _ => g.f64_in(-5.0, 5.0),
             });
             let c = Cholesky::from_factor(l);
-            let y = c.solve_lower_matrix(&b).unwrap();
+            let y = c.solve_lower_matrix(b.clone()).unwrap();
             propcheck::prop_assert!(y.rows() == n && y.cols() == m);
             for j in 0..m {
                 let col = c.solve_lower(&b.col(j)).unwrap();
@@ -633,7 +632,7 @@ mod tests {
     #[test]
     fn solve_lower_matrix_rejects_wrong_height() {
         let c = Cholesky::factor(&spd3()).unwrap();
-        assert!(c.solve_lower_matrix(&Matrix::zeros(2, 5)).is_err());
+        assert!(c.solve_lower_matrix(Matrix::zeros(2, 5)).is_err());
     }
 
     #[test]

@@ -137,11 +137,6 @@ impl Ddpg {
         self.replay.push(t);
     }
 
-    /// Number of stored transitions.
-    pub fn replay_len(&self) -> usize {
-        self.replay.len()
-    }
-
     /// One gradient step on critic and actor from a replay minibatch.
     /// Returns the critic's TD loss, or `None` when the buffer is too small.
     pub fn train_step(&mut self) -> Option<f64> {

@@ -19,7 +19,9 @@
 //! * [`nn`] — MLP/DDPG substrate for the CDBTune baseline
 //! * [`core`] — the ResTune tuner: constrained Bayesian optimization,
 //!   meta-learner, data repository, SHAP, TCO
-//! * [`baselines`] — iTuned, OtterTune-w-Con, CDBTune-w-Con, grid/LHS search
+//! * [`baselines`] — iTuned, OtterTune-w-Con and CDBTune-w-Con, each run
+//!   built by [`baselines::method_driver`] on the same loop as ResTune, and
+//!   the grid-search ground truth
 //!
 //! ## Quickstart
 //!

@@ -7,9 +7,10 @@ use std::process::Command;
 
 #[test]
 fn tune_skips_repository_tasks_whose_points_have_the_wrong_length() {
-    // The task names the CPU knob space and the native search space, so the
-    // name filter keeps it, but its points are one coordinate short: fitting
-    // it used to hand the session a learner it rejects with a panic.
+    // Both tasks name the CPU knob space and the native search space, so the
+    // name filter keeps them, but one task's points are one coordinate short
+    // and the other stores no points at all: fitting either used to hand the
+    // session a learner it rejects with a panic.
     let knobs = ResourceKind::Cpu.default_knob_set();
     let dim = knobs.dim() - 1;
     let observations = (0..8)
@@ -24,8 +25,7 @@ fn tune_skips_repository_tasks_whose_points_have_the_wrong_length() {
             }
         })
         .collect();
-    let mut repo = DataRepository::new();
-    repo.add(TaskRecord {
+    let short = TaskRecord {
         task_id: "Twitter@A".into(),
         workload: "Twitter".into(),
         instance: InstanceType::A,
@@ -34,7 +34,16 @@ fn tune_skips_repository_tasks_whose_points_have_the_wrong_length() {
         space_id: "native".into(),
         meta_feature: vec![0.25; 4],
         observations,
-    });
+    };
+    let empty = TaskRecord {
+        task_id: "Twitter@B".into(),
+        instance: InstanceType::B,
+        observations: Vec::new(),
+        ..short.clone()
+    };
+    let mut repo = DataRepository::new();
+    repo.add(short);
+    repo.add(empty);
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_short_points.json");
     repo.save(&path).unwrap();
 

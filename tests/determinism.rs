@@ -73,8 +73,8 @@ fn tracing_on_and_off_runs_are_bit_identical() {
     // the global toggle for the same reason.
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let off = run_once(7, 10);
-    let mut config = quick_config(7);
-    config.trace = true;
+    let config = quick_config(7);
+    trace::enable();
     let env = TuningEnvironment::builder()
         .instance(InstanceType::A)
         .workload(WorkloadSpec::twitter())
@@ -108,8 +108,8 @@ fn diagnostics_on_and_off_runs_are_bit_identical() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let off = run_once(7, 10);
     let mut config = quick_config(7);
-    config.trace = true;
     config.diag = true;
+    trace::enable();
     let env = TuningEnvironment::builder()
         .instance(InstanceType::A)
         .workload(WorkloadSpec::twitter())
@@ -138,8 +138,8 @@ fn same_seed_diagnostic_event_streams_are_byte_identical() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let run = || {
         let mut config = quick_config(7);
-        config.trace = true;
         config.diag = true;
+        trace::enable();
         let env = TuningEnvironment::builder()
             .instance(InstanceType::A)
             .workload(WorkloadSpec::twitter())

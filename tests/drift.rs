@@ -29,7 +29,6 @@ fn drift_bo_config() -> RestuneConfig {
         // meta-feature space; the wide bandwidth keeps its static
         // Epanechnikov weight nonzero so the transfer visibly engages.
         static_bandwidth: 2.0,
-        trace: true,
         diag: true,
         seed: SEED,
         ..Default::default()
@@ -192,7 +191,6 @@ fn cold_restart_seals_the_epoch_but_transfers_nothing() {
         gp::GpConfig { restarts: 1, adam_iters: 12, ..Default::default() },
     ));
     let mut config = drift_bo_config();
-    config.trace = false;
     config.diag = false;
     let controller = DriftController::for_workload(
         DriftConfig { policy: RestartPolicy::Cold, ..drift_config() },

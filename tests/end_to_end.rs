@@ -114,13 +114,12 @@ fn meta_learning_accelerates_early_iterations() {
 
 #[test]
 fn convergence_criterion_fires_on_long_stable_runs() {
-    let mut config = quick_config(4);
-    config.convergence_window = 6;
-    let mut session = TuningSession::new(case_env(4), config);
+    let mut session = TuningSession::new(case_env(4), quick_config(4));
     let outcome = session.run(35);
-    // With a flat optimum this run stabilizes; the detector should notice.
+    // With a flat optimum this run stabilizes; the detector should notice,
+    // no earlier than one full §4 window in.
     if let Some(at) = outcome.converged_at {
-        assert!(at >= 6);
+        assert!(at >= restune::core::engine::CONVERGENCE_WINDOW);
         assert!(at < outcome.history.len());
     }
 }

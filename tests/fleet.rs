@@ -123,8 +123,7 @@ impl restune::core::Proposer for Exploding {
 
 #[test]
 fn a_panicking_strategy_is_contained_to_its_tenant() {
-    use restune::core::engine::{EngineSettings, EvalEngine};
-    use restune::core::resilience::ReplayPolicy;
+    use restune::core::engine::EvalEngine;
     use restune::core::TuningDriver;
 
     let exploding_env = TuningEnvironment::builder()
@@ -134,15 +133,7 @@ fn a_panicking_strategy_is_contained_to_its_tenant() {
         .knob_set(KnobSet::cpu())
         .seed(3)
         .build();
-    let engine = EvalEngine::new(
-        exploding_env,
-        EngineSettings {
-            policy: ReplayPolicy::default(),
-            convergence_window: 10,
-            convergence_epsilon: 0.005,
-            seed_default_observation: false,
-        },
-    );
+    let engine = EvalEngine::new(exploding_env, false);
     let exploding = Tenant::new(
         99,
         "exploding",

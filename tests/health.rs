@@ -23,7 +23,6 @@ fn quick_config(seed: u64) -> RestuneConfig {
         dynamic_samples: 8,
         init_iters: 3,
         seed,
-        trace: true,
         diag: true,
         ..Default::default()
     }

@@ -82,7 +82,6 @@ fn skipped_fits_leave_every_boundary_session_unchanged() {
     trace::enable();
     trace::reset();
     let mut explore = quick_config(2);
-    explore.trace = true;
     explore.diag = true;
     let c = TuningSession::new(env(2), explore).run(49);
     let snap = trace::snapshot();
@@ -130,7 +129,6 @@ fn a_step_whose_fit_fails_holds_no_surrogate() {
     trace::enable();
     trace::reset();
     let mut config = quick_config(3);
-    config.trace = true;
     config.diag = true;
     let mut session = TuningSession::new(env(3), config);
     for _ in 0..12 {
@@ -163,8 +161,8 @@ fn incremental_refit_kicks_in_past_forty_observations() {
     trace::enable();
     trace::reset();
     // 46 iterations: hyperopt runs on every iteration up to n = 40, then only
-    // every `refit_hypers_every` (5) iterations. The off-schedule iterations
-    // past 40 must extend the cached model instead of refitting.
+    // every fifth iteration (`surrogate::refits_hypers`). The off-schedule
+    // iterations past 40 must extend the cached model instead of refitting.
     let outcome = TuningSession::new(env(21), quick_config(21)).run(46);
     let snap = trace::snapshot();
     trace::reset();

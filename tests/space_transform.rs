@@ -92,9 +92,7 @@ fn projected_sessions_are_reproducible_and_seed_sensitive() {
 fn projected_sessions_count_every_lift_in_the_trace() {
     trace::reset();
     trace::enable();
-    let mut config = quick_config(21);
-    config.trace = true;
-    let outcome = TuningSession::new(projected_env(21), config).run(5);
+    let outcome = TuningSession::new(projected_env(21), quick_config(21)).run(5);
     let snapshot = trace::snapshot();
     trace::disable();
     trace::reset();
