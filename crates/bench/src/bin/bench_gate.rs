@@ -4,13 +4,13 @@
 //! (`restune_bench::gate`). Exits nonzero on any regression.
 //!
 //! Usage:
-//!   bench_gate [--baseline-dir DIR] [--current-dir DIR] [--prefix P] [--floor-drop F]
+//!   bench_gate [--baseline-dir DIR] [--current-dir DIR] [--floor-drop F]
 //!   bench_gate --self-test [--baseline-dir DIR] [--floor-drop F]
 //!
 //! Defaults: baseline-dir `.` (the committed baselines), current-dir =
-//! baseline-dir (a self-diff, which must pass on an unmodified tree).
-//! `--prefix` is prepended to the *current* file names, matching CI's
-//! `results/ci.BENCH_*.json` outputs. `--floor-drop` replaces the drop of
+//! baseline-dir (a self-diff, which must pass on an unmodified tree); CI
+//! passes `--current-dir results`, where `paper all` saves its
+//! `BENCH_*.json`. `--floor-drop` replaces the drop of
 //! every declared `floor` check. `--self-test` proves the regression
 //! machinery trips: it pushes each checked value just past its bound and
 //! exits 0 only if every one regresses.
@@ -22,7 +22,7 @@ use std::path::PathBuf;
 
 use restune_bench::gate;
 
-const VALUE_FLAGS: [&str; 4] = ["--baseline-dir", "--current-dir", "--prefix", "--floor-drop"];
+const VALUE_FLAGS: [&str; 3] = ["--baseline-dir", "--current-dir", "--floor-drop"];
 
 fn usage(msg: &str) -> ! {
     eprintln!("bench_gate: {msg}");
@@ -60,7 +60,7 @@ fn main() {
     let result = if self_test {
         gate::self_test_dir(&baseline_dir, floor_drop)
     } else {
-        gate::gate_dirs(&baseline_dir, &current_dir, get("--prefix").unwrap_or(""), floor_drop)
+        gate::gate_dirs(&baseline_dir, &current_dir, floor_drop)
     };
     let report = result.unwrap_or_else(|e| usage(&e));
     print!("{}", report.render());

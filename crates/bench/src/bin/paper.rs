@@ -1,15 +1,16 @@
-//! Regenerates the paper's evaluation (§7) over the artifact registry in
-//! `restune_bench::paper`.
+//! Regenerates the paper's evaluation (§7) and our own measurements over the
+//! artifact registry in `restune_bench::paper`.
 //!
 //! ```text
 //! paper <id> [--full]   run one artifact: print it, save its JSON
 //! paper all [--full]    run every artifact, in EXPERIMENTS.md order
-//! paper md              print EXPERIMENTS.md's generated sections from the JSON
+//! paper md              print EXPERIMENTS.md from the JSON
 //! ```
 //!
-//! `--full` runs paper-scale budgets. JSON goes to `$RESTUNE_RESULTS_DIR`, by
-//! default `results/`. Exit codes: 0 ok, 1 a result could not be saved, 2
-//! usage error.
+//! `--full` runs paper-scale budgets (and the committed baselines' sizes).
+//! JSON goes to `$RESTUNE_RESULTS_DIR`, by default `results/`. Exit codes: 0
+//! ok, 1 an in-run check failed or a result could not be saved, 2 usage
+//! error.
 
 use restune_bench::paper::{self, Runner, ARTIFACTS};
 use restune_bench::report::results_dir;

@@ -9,7 +9,6 @@
 //! report session [ITERS] [--out F]
 //! report baseline [ITERS] [--out F]
 //! report fleet [--smoke] [--tenants N] [--iters K] [--workers W] [--out F]
-//! report methods [ITERS]
 //! ```
 //!
 //! - `FILE` renders every section the trace holds (`restune_bench::view`):
@@ -33,11 +32,6 @@
 //!   LHS bootstrap steps skip), the storm tenant is flagged, the aggregate
 //!   survives the JSONL round trip, and per-tenant records are
 //!   byte-identical at a second worker count.
-//! - `methods` (12 by default) prints the six-method health table behind
-//!   EXPERIMENTS.md (golden-methods setup: seeded transient faults, shared
-//!   repository). Progress/failure columns come from each method's
-//!   iteration history; calibration, weight entropy and fallback counts
-//!   from telemetry, which only the ResTune variants emit.
 //!
 //! Scenario traces go to `--out`, by default `results/{session,baseline,
 //! fleet}.trace.jsonl`.
@@ -47,13 +41,11 @@
 
 use std::path::PathBuf;
 
-use baselines::method::Setting;
-use baselines::{run_method, Method, MethodContext};
 use dbsim::{FaultPlan, InstanceType, KnobSet, SimulatedDbms, WorkloadSpec};
-use restune_bench::report::results_dir;
+use restune_bench::report::{results_dir, traced};
 use restune_bench::view;
 use restune_core::acquisition::AcquisitionOptimizer;
-use restune_core::fleet::health::{FleetHealth, StragglerPolicy, TenantHealth};
+use restune_core::fleet::health::FleetHealth;
 use restune_core::fleet::{mix_seed, FleetConfig, FleetOutcome, FleetService, Tenant};
 use restune_core::problem::ResourceKind;
 use restune_core::repository::{DataRepository, TaskRecord};
@@ -65,8 +57,7 @@ use workload::WorkloadCharacterizer;
 
 const USAGE: &str = "usage: report FILE | report session [ITERS] [--out F] | \
     report baseline [ITERS] [--out F] | \
-    report fleet [--smoke] [--tenants N] [--iters K] [--workers W] [--out F] | \
-    report methods [ITERS]";
+    report fleet [--smoke] [--tenants N] [--iters K] [--workers W] [--out F]";
 
 /// Prints `report: {msg}` and exits 2.
 fn fail(msg: &str) -> ! {
@@ -152,17 +143,6 @@ fn finish(violations: &[String], ok: &str) {
         eprintln!("report: SELF-CHECK FAILED: {v}");
     }
     std::process::exit(1);
-}
-
-/// Runs `f` with a fresh, enabled collector and returns its snapshot.
-fn traced<T>(f: impl FnOnce() -> T) -> (T, TraceSnapshot) {
-    trace::enable();
-    trace::reset();
-    let out = f();
-    let snap = trace::snapshot();
-    trace::disable();
-    trace::reset();
-    (out, snap)
 }
 
 /// The twitter workload on instance A, tuning CPU over the case-study knobs.
@@ -347,7 +327,7 @@ fn tenant(id: u64, iters: usize, transient_rate: f64) -> Tenant {
 }
 
 /// Every tenant tolerates a steady 0.2 transient-fault rate; the last one
-/// is a planted failure storm (0.9) the straggler policy must flag.
+/// is a planted failure storm (0.9) the straggler thresholds must flag.
 fn run_fleet(tenants: usize, iters: usize, workers: usize) -> (FleetOutcome, TraceSnapshot) {
     traced(|| {
         let service = FleetService::new(FleetConfig { workers, slice: 2, shards: 16 });
@@ -405,7 +385,7 @@ fn fleet(opts: &Opts) {
             violations.push(format!("tenant {} trace has {n} iteration spans, want {iters}", t.id));
         }
     }
-    let health = FleetHealth::from_snapshot(&snap, &StragglerPolicy::default());
+    let health = FleetHealth::from_snapshot(&snap);
     if health.tenants.len() != tenants {
         violations.push(format!(
             "expected health streams for {tenants} tenants, got {}",
@@ -435,9 +415,7 @@ fn fleet(opts: &Opts) {
         violations.push(format!("planted failure-storm tenant {storm} was not flagged"));
     }
     match snap.to_jsonl().and_then(|text| TraceSnapshot::from_jsonl(&text)) {
-        Ok(reparsed)
-            if FleetHealth::from_snapshot(&reparsed, &StragglerPolicy::default()) != health =>
-        {
+        Ok(reparsed) if FleetHealth::from_snapshot(&reparsed) != health => {
             violations.push("fleet aggregate changed across the JSONL round trip".to_string())
         }
         Ok(_) => {}
@@ -467,89 +445,6 @@ fn fleet(opts: &Opts) {
     );
 }
 
-/// Runs the six methods under the golden-methods setup (seed 17, 0.2
-/// transient fault rate, two-task repository) with diagnostics on and prints
-/// a markdown health-summary table. History-derived columns cover every
-/// method; telemetry columns show `-` for methods that emit none.
-fn methods_table(iters: usize) {
-    let characterizer = WorkloadCharacterizer::train_default(0);
-    let mut repo = DataRepository::new();
-    for (i, w) in [WorkloadSpec::twitter(), WorkloadSpec::sysbench()].into_iter().enumerate() {
-        let mut dbms = SimulatedDbms::new(InstanceType::A, w, 100 + i as u64);
-        repo.add(TaskRecord::collect(
-            &mut dbms,
-            &KnobSet::case_study(),
-            ResourceKind::Cpu,
-            &characterizer,
-            12,
-            200 + i as u64,
-        ));
-    }
-    let env = || {
-        twitter_env(17)
-            .fault_plan(FaultPlan::none().with_transient_rate(0.2).with_seed(0xFA))
-            .build()
-    };
-    let ctx = MethodContext {
-        config: RestuneConfig {
-            optimizer: AcquisitionOptimizer { n_candidates: 250, n_local: 50, local_sigma: 0.1 },
-            gp: gp::GpConfig { restarts: 1, adam_iters: 12, ..Default::default() },
-            dynamic_samples: 8,
-            init_iters: 4,
-            seed: 17,
-            diag: true,
-            ..Default::default()
-        },
-        repository: Some(&repo),
-        prepared_learners: None,
-        setting: Setting::Original,
-        target_meta_feature: vec![0.2; 5],
-    };
-    let methods = [
-        ("ResTune", Method::Restune),
-        ("ResTune-w/o-ML", Method::RestuneWithoutML),
-        ("ResTune-w/o-WC", Method::RestuneWithoutWorkload),
-        ("iTuned", Method::ITuned),
-        ("OtterTune-w-Con", Method::OtterTuneWithConstraints),
-        ("CDBTune-w-Con", Method::CdbTuneWithConstraints),
-    ];
-    let fmt_opt = |v: Option<f64>| v.map(|x| format!("{x:.3}")).unwrap_or_else(|| "-".into());
-    println!(
-        "| method | final CPU% | mean regret | failed iters | retries | mean 1σ cov | mean \\|z\\| | final w-entropy | GP fallbacks |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|");
-    for (label, method) in methods {
-        let (outcome, snap) = traced(|| run_method(method, env(), iters, &ctx));
-        // Progress/failure stats from the shared driver's history, so the
-        // columns are method-agnostic.
-        let mean_regret = outcome
-            .history
-            .iter()
-            .map(|r| r.objective - r.best_feasible_objective)
-            .sum::<f64>()
-            / outcome.history.len().max(1) as f64;
-        let failed = outcome.failures.failed_iterations();
-        // Telemetry-only columns, folded with the same per-tenant reducer the
-        // fleet aggregator uses.
-        let telemetry = TenantHealth::from_records(0, &view::session_records(&snap));
-        println!(
-            "| {label} | {} | {mean_regret:.3} | {failed} | {} | {} | {} | {} | {} |",
-            outcome
-                .best_objective
-                .map(|b| format!("{b:.2}"))
-                .unwrap_or_else(|| "-".into()),
-            outcome.failures.retries,
-            fmt_opt(telemetry.as_ref().and_then(|t| t.mean_cov_1s)),
-            fmt_opt(telemetry.as_ref().and_then(|t| t.mean_abs_z)),
-            fmt_opt(telemetry.as_ref().and_then(|t| t.final_weight_entropy)),
-            telemetry
-                .as_ref()
-                .map(|t| t.fallbacks.to_string())
-                .unwrap_or_else(|| "-".into()),
-        );
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else { fail(USAGE) };
@@ -557,7 +452,6 @@ fn main() {
         "session" => session(&Opts::parse(rest, &["--out"], false)),
         "baseline" => baseline(&Opts::parse(rest, &["--out"], false)),
         "fleet" => fleet(&Opts::parse(rest, &["--tenants", "--iters", "--workers", "--out"], true)),
-        "methods" => methods_table(Opts::parse(rest, &[], false).iters(12)),
         file if !file.starts_with("--") && rest.is_empty() => {
             let snap = view::load(file.as_ref()).unwrap_or_else(|e| fail(&e));
             print!("{}", view::render(&snap));

@@ -8,7 +8,6 @@
 //!    the bootstrap (DESIGN.md §5b) vs the literal ensemble constraints.
 
 use crate::context::{build_repository_from, fit_learners, ExperimentContext};
-use crate::report;
 use baselines::method::Setting;
 use baselines::{run_method, Method, MethodContext};
 use dbsim::{InstanceType, WorkloadSpec};
@@ -140,24 +139,6 @@ pub fn run(ctx: &ExperimentContext, iterations: usize) -> AblationResult {
     ];
 
     AblationResult { default_cpu, acquisition, dilution, static_constraints }
-}
-
-/// Prints all arms.
-pub fn render(r: &AblationResult) {
-    let show = |title: &str, arms: &[Arm]| {
-        report::header(title);
-        for arm in arms {
-            report::series(&arm.label, &arm.curve, 10);
-        }
-        println!("{:<32} {:>10} {:>12}", "arm", "final CPU%", "violations");
-        for arm in arms {
-            println!("{:<32} {:>10.1} {:>12}", arm.label, arm.final_best, arm.violations);
-        }
-    };
-    println!("default CPU: {:.1}%", r.default_cpu);
-    show("Ablation 1 — acquisition function (no meta-learning)", &r.acquisition);
-    show("Ablation 2 — RGPE weight-dilution guard", &r.dilution);
-    show("Ablation 3 — static-phase constraint sourcing (DESIGN.md §5b)", &r.static_constraints);
 }
 
 minjson::json_struct!(Arm { label, curve, final_best, violations });

@@ -11,7 +11,6 @@
 //! * Figure 7 — the SHAP path of ResTune's recommendation.
 
 use crate::context::{build_repository_from, fit_learners, ExperimentContext};
-use crate::report;
 use baselines::method::Setting;
 use baselines::{grid_search, run_method, Method, MethodContext};
 use dbsim::{Configuration, InstanceType, KnobSet, SimulatedDbms, WorkloadSpec};
@@ -288,99 +287,6 @@ fn best_config_row(method: &str, config: &Configuration, target: &WorkloadSpec) 
         lru_scan_depth: config.get("innodb_lru_scan_depth"),
         cpu: obs.resources.cpu_pct,
         feasible: sla.is_feasible(&obs),
-    }
-}
-
-/// Prints every artifact of the case study.
-pub fn render(r: &CaseStudyResult) {
-    report::header("Figure 6(a) — case-study tuning curves (default CPU shown first)");
-    println!("Default                {:.1}% (flat)", r.default_cpu);
-    for c in &r.fig6a {
-        report::series(&c.label, &c.values, 12);
-    }
-
-    report::header("Figure 6(b) — workload characterization ablation");
-    for c in &r.fig6b {
-        report::series(&c.label, &c.values, 12);
-    }
-
-    report::header("Figure 6(c) — ResTune weight assignment (% of total)");
-    for c in &r.fig6c {
-        report::series(&c.label, &c.values, 10);
-    }
-
-    report::header("Table 5 — workload variations");
-    let widths = [8usize, 9, 11, 13, 13];
-    report::row(
-        &["Name".into(), "R/W".into(), "Distance".into(), "StaticWeight".into(), "RankLoss".into()],
-        &widths,
-    );
-    for row in &r.table5 {
-        report::row(
-            &[
-                row.name.clone(),
-                row.rw_ratio.clone(),
-                format!("{:.3}", row.distance),
-                format!("{:.2}%", row.static_weight * 100.0),
-                format!("{:.2}%", row.ranking_loss_pct * 100.0),
-            ],
-            &widths,
-        );
-    }
-
-    report::header("Figure 6(d) — WT TPS surface / Figure 6(e) — W1 TPS surface");
-    println!("(rows: spin_wait_delay 0..64, cols: thread_concurrency 1..128)");
-    for (label, s) in [("WT", &r.surface_target), ("W1", &r.surface_w1)] {
-        println!("{label}:");
-        for row in s {
-            println!(
-                "  {}",
-                row.iter().map(|v| format!("{:>7.0}", v)).collect::<Vec<_>>().join("")
-            );
-        }
-    }
-
-    report::header("Table 6 — best configurations found");
-    let widths = [22usize, 12, 10, 10, 8, 9];
-    report::row(
-        &[
-            "Method".into(),
-            "thread_conc".into(),
-            "spin_wait".into(),
-            "lru_depth".into(),
-            "CPU%".into(),
-            "feasible".into(),
-        ],
-        &widths,
-    );
-    for row in &r.table6 {
-        report::row(
-            &[
-                row.method.clone(),
-                format!("{:.0}", row.thread_concurrency),
-                format!("{:.0}", row.spin_wait_delay),
-                format!("{:.0}", row.lru_scan_depth),
-                format!("{:.2}", row.cpu),
-                format!("{}", row.feasible),
-            ],
-            &widths,
-        );
-    }
-
-    report::header("Figure 7 — SHAP path (contributions default -> recommended)");
-    println!(
-        "default:     CPU {:.1}%  TPS {:.0}  p99 {:.1} ms",
-        r.fig7.default_metrics.0, r.fig7.default_metrics.1, r.fig7.default_metrics.2
-    );
-    println!(
-        "recommended: CPU {:.1}%  TPS {:.0}  p99 {:.1} ms",
-        r.fig7.current_metrics.0, r.fig7.current_metrics.1, r.fig7.current_metrics.2
-    );
-    for a in &r.fig7.attributions {
-        println!(
-            "  {:<28} {:>7.0} -> {:>6.0}   ΔCPU {:>7.2}pp  ΔTPS {:>9.0}  Δp99 {:>7.2}ms",
-            a.knob, a.default_value, a.current_value, a.cpu, a.tps, a.p99_ms
-        );
     }
 }
 

@@ -8,7 +8,6 @@
 //!   out.
 
 use crate::context::ExperimentContext;
-use crate::report;
 use baselines::method::Setting;
 use baselines::Method;
 use dbsim::{InstanceType, WorkloadSpec};
@@ -124,48 +123,6 @@ pub fn run(
         setting: format!("{setting:?}"),
         instance: format!("{instance:?}"),
         panels,
-    }
-}
-
-/// Prints every panel's curves plus the ResTune-vs-baseline speedups.
-pub fn render(r: &EfficiencyResult) {
-    report::header(&format!(
-        "{} — best feasible CPU vs iteration ({} setting, instance {})",
-        r.figure, r.setting, r.instance
-    ));
-    for panel in &r.panels {
-        println!("\n--- {} (default CPU {:.1}%) ---", panel.workload, panel.default_cpu);
-        for curve in &panel.curves {
-            report::series(&curve.method, &curve.best_cpu, 12);
-        }
-        println!("{:<22} {:>10} {:>12}", "method", "final CPU%", "iters-to-best");
-        for curve in &panel.curves {
-            println!(
-                "{:<22} {:>10.1} {:>12.0}",
-                curve.method, curve.final_best, curve.iterations_to_best
-            );
-        }
-        if let Some(restune) = panel.curves.iter().find(|c| c.method == "ResTune") {
-            for other in &panel.curves {
-                if other.method != "ResTune" && other.iterations_to_best > 0.0 {
-                    // Speedup: how much earlier ResTune reaches the *other*
-                    // method's final value.
-                    let reach = restune
-                        .best_cpu
-                        .iter()
-                        .position(|v| *v <= other.final_best * 1.01)
-                        .map(|i| i + 1)
-                        .unwrap_or(restune.best_cpu.len());
-                    println!(
-                        "  speedup vs {:<22} {:.1}x (reaches their final in {} iters vs {})",
-                        other.method,
-                        other.iterations_to_best / reach as f64,
-                        reach,
-                        other.iterations_to_best
-                    );
-                }
-            }
-        }
     }
 }
 

@@ -12,6 +12,8 @@ use restune_core::repository::{DataRepository, TaskRecord};
 use restune_core::tuner::{RestuneConfig, TuningEnvironment, TuningSession};
 use workload::WorkloadCharacterizer;
 
+use crate::report::traced;
+
 /// Iterations per run.
 pub const ITERS: usize = 25;
 /// The seed matrix each rate is averaged over.
@@ -87,8 +89,6 @@ fn six_learners() -> (Vec<BaseLearner>, Vec<f64>) {
 /// the fault table and Table 3 render from one instrumentation layer.
 pub fn run() -> FaultSweepResult {
     let (learners, mf) = six_learners();
-    let was_enabled = trace::enabled();
-    trace::enable();
     let mut rows = Vec::new();
     for rate in RATES {
         eprintln!("[fault_sweep] rate = {rate:.2} ...");
@@ -103,32 +103,31 @@ pub fn run() -> FaultSweepResult {
             replay_min: 0.0,
         };
         for &seed in &SEEDS {
-            trace::reset();
-            let env = TuningEnvironment::builder()
-                .instance(InstanceType::A)
-                .workload(WorkloadSpec::twitter())
-                .resource(ResourceKind::Cpu)
-                .knob_set(KnobSet::case_study())
-                .seed(seed)
-                .fault_plan(plan)
-                .build();
-            let config = RestuneConfig {
-                optimizer: AcquisitionOptimizer {
-                    n_candidates: 300,
-                    n_local: 60,
-                    local_sigma: 0.08,
-                },
-                gp: gp::GpConfig { restarts: 1, adam_iters: 15, ..Default::default() },
-                dynamic_samples: 12,
-                init_iters: 3,
-                seed,
-                ..Default::default()
-            };
-            let outcome =
+            let (outcome, snap) = traced(|| {
+                let env = TuningEnvironment::builder()
+                    .instance(InstanceType::A)
+                    .workload(WorkloadSpec::twitter())
+                    .resource(ResourceKind::Cpu)
+                    .knob_set(KnobSet::case_study())
+                    .seed(seed)
+                    .fault_plan(plan)
+                    .build();
+                let config = RestuneConfig {
+                    optimizer: AcquisitionOptimizer {
+                        n_candidates: 300,
+                        n_local: 60,
+                        local_sigma: 0.08,
+                    },
+                    gp: gp::GpConfig { restarts: 1, adam_iters: 15, ..Default::default() },
+                    dynamic_samples: 12,
+                    init_iters: 3,
+                    seed,
+                    ..Default::default()
+                };
                 TuningSession::with_base_learners(env, config, learners.clone(), mf.clone())
-                    .run(ITERS);
+                    .run(ITERS)
+            });
             row.improvement += outcome.improvement();
-            let snap = trace::snapshot();
             debug_assert_eq!(snap.counter("replay.retries") as usize, outcome.failures.retries);
             row.crashes += snap.counter("replay.crash") as usize;
             row.timeouts += snap.counter("replay.timeout") as usize;
@@ -140,34 +139,5 @@ pub fn run() -> FaultSweepResult {
         row.replay_min /= SEEDS.len() as f64;
         rows.push(row);
     }
-    trace::reset();
-    if !was_enabled {
-        trace::disable();
-    }
     FaultSweepResult { iters: ITERS, seeds: SEEDS.to_vec(), rows }
-}
-
-/// Prints the sweep as an aligned console table.
-pub fn render(r: &FaultSweepResult) {
-    let baseline = r.rows.first().map(|b| b.improvement).unwrap_or(0.0);
-    println!(
-        "{:<6} {:>12} {:>10} {:>8} {:>9} {:>9} {:>9} {:>12}",
-        "rate", "improve(%)", "vs 0.0(%)", "crashes", "timeouts", "partials", "retries",
-        "replay(min)"
-    );
-    for row in &r.rows {
-        let retained =
-            if baseline > 0.0 { 100.0 * row.improvement / baseline } else { 0.0 };
-        println!(
-            "{:<6.2} {:>12.2} {:>10.1} {:>8} {:>9} {:>9} {:>9} {:>12.1}",
-            row.rate,
-            100.0 * row.improvement,
-            retained,
-            row.crashes,
-            row.timeouts,
-            row.partials,
-            row.retries,
-            row.replay_min,
-        );
-    }
 }

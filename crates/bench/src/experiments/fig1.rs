@@ -5,7 +5,6 @@
 //! the same (request-rate-bounded) throughput while their CPU usage varies
 //! drastically — the headroom resource-oriented tuning exploits.
 
-use crate::report;
 use dbsim::{Configuration, InstanceType, KnobSet, SimulatedDbms, WorkloadSpec};
 
 /// Grid sweep result.
@@ -51,50 +50,6 @@ pub fn run(levels: usize) -> Fig1Result {
         }
     }
     Fig1Result { levels, spin_values, toc_values, tps, cpu }
-}
-
-/// Prints the two heatmaps plus the headline statistic (CPU spread on the
-/// constant-TPS plateau).
-pub fn render(r: &Fig1Result) {
-    report::header("Figure 1 — TPS over (sync_spin_loops x table_open_cache)");
-    print_grid(&r.spin_values, &r.toc_values, &r.tps);
-    report::header("Figure 1 — CPU% over (sync_spin_loops x table_open_cache)");
-    print_grid(&r.spin_values, &r.toc_values, &r.cpu);
-
-    // Plateau analysis: cells within 2 % of the max TPS.
-    let max_tps = r.tps.iter().flatten().cloned().fold(0.0, f64::max);
-    let mut plateau_cpu: Vec<f64> = Vec::new();
-    for i in 0..r.levels {
-        for j in 0..r.levels {
-            if r.tps[i][j] >= 0.98 * max_tps {
-                plateau_cpu.push(r.cpu[i][j]);
-            }
-        }
-    }
-    let lo = plateau_cpu.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = plateau_cpu.iter().cloned().fold(0.0, f64::max);
-    println!(
-        "\n{} of {} cells share the max throughput (±2%), with CPU ranging {:.1}%..{:.1}%",
-        plateau_cpu.len(),
-        r.levels * r.levels,
-        lo,
-        hi
-    );
-}
-
-fn print_grid(spin: &[f64], toc: &[f64], grid: &[Vec<f64>]) {
-    print!("{:>10}", "spin\\toc");
-    for t in toc {
-        print!("{:>8.0}", t);
-    }
-    println!();
-    for (i, s) in spin.iter().enumerate() {
-        print!("{:>10.0}", s);
-        for v in &grid[i] {
-            print!("{:>8.0}", v);
-        }
-        println!();
-    }
 }
 
 #[cfg(test)]

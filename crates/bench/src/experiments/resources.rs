@@ -8,7 +8,6 @@
 //! (SYSBENCH→TPC-C and TPC-C→SYSBENCH — the varying-workloads flavor).
 
 use crate::context::{build_repository_from, fit_learners, ExperimentContext};
-use crate::report;
 use baselines::method::Setting;
 use baselines::{run_method, Method, MethodContext};
 use dbsim::{InstanceType, WorkloadSpec};
@@ -106,29 +105,6 @@ pub fn run(ctx: &ExperimentContext, iterations: usize) -> Fig9Result {
         handles.into_iter().map(|h| h.join().expect("fig9 panel panicked")).collect()
     });
     Fig9Result { panels }
-}
-
-/// Prints every panel.
-pub fn render(r: &Fig9Result) {
-    for panel in &r.panels {
-        report::header(&format!(
-            "Figure 9 — {} tuning on {} (default {:.1} {})",
-            panel.resource, panel.workload, panel.default_value, panel.unit
-        ));
-        for (label, curve) in &panel.curves {
-            report::series(label, curve, 10);
-        }
-        if let Some((_, restune)) = panel.curves.iter().find(|(l, _)| l == "ResTune") {
-            let best = restune.last().copied().unwrap_or(panel.default_value);
-            println!(
-                "ResTune reduction: {:.1} -> {:.1} {} ({:.0}%)",
-                panel.default_value,
-                best,
-                panel.unit,
-                100.0 * (panel.default_value - best) / panel.default_value.max(1e-9)
-            );
-        }
-    }
 }
 
 minjson::json_struct!(ResourcePanel { workload, resource, unit, default_value, curves });

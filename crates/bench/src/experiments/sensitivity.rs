@@ -2,7 +2,6 @@
 //! (varying data size).
 
 use crate::context::ExperimentContext;
-use crate::report;
 use baselines::method::Setting;
 use baselines::Method;
 use dbsim::{Configuration, InstanceType, SimulatedDbms, WorkloadSpec};
@@ -101,40 +100,6 @@ pub fn run_fig8(ctx: &ExperimentContext, iterations: usize) -> Fig8Result {
     }
 }
 
-/// Prints Figure 8.
-pub fn render_fig8(r: &Fig8Result) {
-    for panel in [&r.tpcc, &r.sysbench] {
-        report::header(&format!(
-            "Figure 8 — request-rate sensitivity, {} (knobs transferred from {} txn/s)",
-            panel.workload, panel.reference_rate
-        ));
-        let widths = [10usize, 12, 11, 14, 12];
-        report::row(
-            &[
-                "rate".into(),
-                "default CPU".into(),
-                "tuned CPU".into(),
-                "transfer CPU".into(),
-                "trans-SLA".into(),
-            ],
-            &widths,
-        );
-        for p in &panel.points {
-            report::row(
-                &[
-                    format!("{:.0}", p.rate),
-                    format!("{:.1}%", p.default_cpu),
-                    format!("{:.1}%", p.tuned_cpu),
-                    format!("{:.1}%", p.transferred_cpu),
-                    format!("{}", p.transferred_feasible),
-                ],
-                &widths,
-            );
-        }
-    }
-    println!("\nPaper shape: similar improvement at every rate; knobs transfer across rates.");
-}
-
 /// One Table 7 row.
 #[derive(Debug, Clone)]
 pub struct Table7Row {
@@ -192,37 +157,6 @@ pub fn run_table7(ctx: &ExperimentContext, iterations: usize) -> Table7Result {
         });
     }
     Table7Result { instance: instance.name().to_string(), rows }
-}
-
-/// Prints Table 7.
-pub fn render_table7(r: &Table7Result) {
-    report::header(&format!("Table 7 — data-size sensitivity (TPC-C on instance {})", r.instance));
-    let widths = [12usize, 10, 10, 12, 10, 12];
-    report::row(
-        &[
-            "#Warehouses".into(),
-            "Size(GB)".into(),
-            "HitRatio".into(),
-            "DefaultCPU".into(),
-            "BestCPU".into(),
-            "Improvement".into(),
-        ],
-        &widths,
-    );
-    for row in &r.rows {
-        report::row(
-            &[
-                format!("{}", row.warehouses),
-                format!("{:.2}", row.size_gb),
-                format!("{:.3}", row.hit_ratio),
-                format!("{:.2}", row.default_cpu),
-                format!("{:.2}", row.best_cpu),
-                format!("{:.2}%", row.improvement * 100.0),
-            ],
-            &widths,
-        );
-    }
-    println!("\nPaper shape: hit ratio falls with data size; CPU drops sharply after tuning.");
 }
 
 minjson::json_struct!(RatePoint { rate, default_cpu, tuned_cpu, transferred_cpu, transferred_feasible });

@@ -57,65 +57,26 @@ pub fn run(ctx: &ExperimentContext, iterations: usize) -> Table3Result {
         Method::CdbTuneWithConstraints,
         Method::OtterTuneWithConstraints,
     ];
-    let was_enabled = trace::enabled();
-    trace::enable();
-    let mut rows = Vec::new();
-    for method in methods {
-        trace::reset();
-        let _outcome =
-            ctx.run(method, InstanceType::A, &workload, Setting::Original, iterations, ctx.seed);
-        let p = PhaseMeans::from_snapshot(&trace::snapshot());
-        rows.push(MethodBreakdown {
-            method: method.name().to_string(),
-            meta_data_processing_s: p.meta_data_processing_s,
-            model_update_s: p.model_update_s,
-            gp_fit_s: p.gp_fit_s,
-            weight_update_s: p.weight_update_s,
-            recommendation_s: p.recommendation_s,
-            replay_s: p.replay_s,
-            replay_share: p.replay_share(),
-        });
-    }
-    trace::reset();
-    if !was_enabled {
-        trace::disable();
-    }
+    let rows = methods
+        .into_iter()
+        .map(|method| {
+            let (_, snap) = report::traced(|| {
+                ctx.run(method, InstanceType::A, &workload, Setting::Original, iterations, ctx.seed)
+            });
+            let p = PhaseMeans::from_snapshot(&snap);
+            MethodBreakdown {
+                method: method.name().to_string(),
+                meta_data_processing_s: p.meta_data_processing_s,
+                model_update_s: p.model_update_s,
+                gp_fit_s: p.gp_fit_s,
+                weight_update_s: p.weight_update_s,
+                recommendation_s: p.recommendation_s,
+                replay_s: p.replay_s,
+                replay_share: p.replay_share(),
+            }
+        })
+        .collect();
     Table3Result { rows }
-}
-
-/// Prints the table in the paper's row order.
-pub fn render(r: &Table3Result) {
-    report::header("Table 3 — Execution time breakdown per iteration (SYSBENCH)");
-    let widths = [24usize, 12, 12, 10, 10, 12, 12, 9];
-    report::row(
-        &[
-            "Method".into(),
-            "MetaData(s)".into(),
-            "Model(s)".into(),
-            "GpFit(s)".into(),
-            "Weights(s)".into(),
-            "Recommend(s)".into(),
-            "Replay(s)".into(),
-            "Replay%".into(),
-        ],
-        &widths,
-    );
-    for row in &r.rows {
-        report::row(
-            &[
-                row.method.clone(),
-                format!("{:.3}", row.meta_data_processing_s),
-                format!("{:.3}", row.model_update_s),
-                format!("{:.3}", row.gp_fit_s),
-                format!("{:.3}", row.weight_update_s),
-                format!("{:.3}", row.recommendation_s),
-                format!("{:.1}", row.replay_s),
-                format!("{:.1}%", row.replay_share * 100.0),
-            ],
-            &widths,
-        );
-    }
-    println!("\nPaper shape: replay dominates every method (92–99.7% of each iteration).");
 }
 
 minjson::json_struct!(MethodBreakdown {

@@ -5,7 +5,6 @@
 
 use crate::context::ExperimentContext;
 use crate::experiments::efficiency::iterations_to_best;
-use crate::report;
 use baselines::method::Setting;
 use baselines::Method;
 use dbsim::{InstanceType, WorkloadSpec};
@@ -89,39 +88,6 @@ pub fn run(ctx: &ExperimentContext, iterations: usize) -> Table4Result {
         }
     }
     Table4Result { cells }
-}
-
-/// Prints the table in the paper's layout.
-pub fn render(r: &Table4Result) {
-    report::header("Table 4 — Workload adaptation on instances C–F (varying hardware)");
-    let widths = [10usize, 9, 14, 14, 10, 10, 9];
-    report::row(
-        &[
-            "Workload".into(),
-            "Instance".into(),
-            "ResTune impr".into(),
-            "w/o-ML impr".into(),
-            "RT iters".into(),
-            "w/o iters".into(),
-            "SpeedUp".into(),
-        ],
-        &widths,
-    );
-    for c in &r.cells {
-        report::row(
-            &[
-                c.workload.clone(),
-                c.instance.clone(),
-                format!("{:.2}%", c.restune_improvement * 100.0),
-                format!("{:.2}%", c.no_ml_improvement * 100.0),
-                format!("{:.0}", c.restune_iterations),
-                format!("{:.0}", c.no_ml_iterations),
-                format!("{:.0}%", c.speed_up * 100.0),
-            ],
-            &widths,
-        );
-    }
-    println!("\nPaper shape: ResTune matches or beats w/o-ML improvement and finds it faster.");
 }
 
 minjson::json_struct!(Table4Cell {

@@ -1,12 +1,11 @@
 //! Tables 8 and 9 (§7.6): 1-year TCO reduction from the resource savings.
 
 use crate::context::ExperimentContext;
-use crate::report;
 use baselines::method::Setting;
 use baselines::{run_method, Method, MethodContext};
 use dbsim::{InstanceType, WorkloadSpec};
 use restune_core::problem::ResourceKind;
-use restune_core::tco::{cpu_tco_reduction, memory_tco_reduction, providers, used_cores};
+use restune_core::tco::{cpu_tco_reduction, memory_tco_reduction, used_cores};
 use restune_core::tuner::TuningEnvironment;
 
 /// One Table 8 cell (workload × instance).
@@ -118,65 +117,6 @@ pub fn run_table9(ctx: &ExperimentContext, iterations: usize) -> Table9Result {
         });
     }
     Table9Result { rows }
-}
-
-/// Prints Table 8.
-pub fn render_table8(r: &Table8Result) {
-    report::header("Table 8 — 1-year TCO reduction optimizing CPU");
-    let widths = [10usize, 9, 14, 15, 12];
-    report::row(
-        &[
-            "Workload".into(),
-            "Instance".into(),
-            "OriginalCores".into(),
-            "OptimizedCores".into(),
-            "AvgTCO↓($)".into(),
-        ],
-        &widths,
-    );
-    for c in &r.cells {
-        report::row(
-            &[
-                c.workload.clone(),
-                c.instance.clone(),
-                format!("{:.0}", c.original_cores),
-                format!("{:.0}", c.optimized_cores),
-                format!("{:.0}", c.avg_tco_reduction),
-            ],
-            &widths,
-        );
-    }
-}
-
-/// Prints Table 9.
-pub fn render_table9(r: &Table9Result) {
-    report::header("Table 9 — 1-year TCO reduction optimizing memory on instance E");
-    let names: Vec<String> = providers().iter().map(|p| format!("TCO↓({})", p.name)).collect();
-    let widths = [14usize, 13, 14, 12, 12, 12];
-    report::row(
-        &[
-            "Workload".into(),
-            "Original(GB)".into(),
-            "Optimized(GB)".into(),
-            names[0].clone(),
-            names[1].clone(),
-            names[2].clone(),
-        ],
-        &widths,
-    );
-    for row in &r.rows {
-        report::row(
-            &[
-                row.workload.clone(),
-                format!("{:.1}", row.original_gb),
-                format!("{:.1}", row.optimized_gb),
-                format!("${:.0}", row.per_provider[0]),
-                format!("${:.0}", row.per_provider[1]),
-                format!("${:.0}", row.per_provider[2]),
-            ],
-            &widths,
-        );
-    }
 }
 
 minjson::json_struct!(Table8Cell { workload, instance, original_cores, optimized_cores, avg_tco_reduction });

@@ -3,8 +3,8 @@
 //! regress loudly PR-over-PR instead of silently.
 //!
 //! The gate knows no bench's schema. Each baseline declares its own checks
-//! in a top-level `"gate"` block, written by the bin that produces the file,
-//! and one walker applies them:
+//! in a top-level `"gate"` block, saved with the file by the `paper` artifact
+//! that produces it, and one walker applies them:
 //!
 //! ```json
 //! "gate": {
@@ -38,7 +38,7 @@
 
 use std::path::{Path, PathBuf};
 
-use minjson::Json;
+use minjson::{Json, ToJson};
 
 /// How a check compares a current value with its baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -193,14 +193,18 @@ impl Rule {
         }
     }
 
-    fn render(&self) -> String {
-        match self {
-            Rule::Floor { drop } => format!("\"rule\": \"floor\", \"drop\": {drop}"),
-            Rule::Ceiling { add } => format!("\"rule\": \"ceiling\", \"add\": {add}"),
-            Rule::Equal => "\"rule\": \"equal\"".to_string(),
-            Rule::Nonzero => "\"rule\": \"nonzero\"".to_string(),
-            Rule::Max { bound } => format!("\"rule\": \"max\", \"bound\": {bound}"),
-        }
+    /// The rule's members of a check object: its name, then its parameter.
+    fn members(&self) -> Vec<(String, Json)> {
+        let (name, param) = match *self {
+            Rule::Floor { drop } => ("floor", Some(("drop", drop))),
+            Rule::Ceiling { add } => ("ceiling", Some(("add", add))),
+            Rule::Equal => ("equal", None),
+            Rule::Nonzero => ("nonzero", None),
+            Rule::Max { bound } => ("max", Some(("bound", bound))),
+        };
+        let mut members = vec![("rule".to_string(), Json::Str(name.to_string()))];
+        members.extend(param.map(|(key, v)| (key.to_string(), Json::Num(v))));
+        members
     }
 
     /// The verdict on a non-null baseline and a non-null current value.
@@ -250,7 +254,11 @@ impl Rule {
 impl Gate {
     /// Reads the `"gate"` block of a baseline document.
     pub fn from_doc(doc: &Json) -> Result<Gate, String> {
-        let block = doc.get("gate").ok_or("no \"gate\" block")?;
+        Gate::from_block(doc.get("gate").ok_or("no \"gate\" block")?)
+    }
+
+    /// Parses a `"gate"` block, validating every path and rule.
+    fn from_block(block: &Json) -> Result<Gate, String> {
         let same = match block.get("same") {
             None => Vec::new(),
             Some(list) => list
@@ -273,22 +281,6 @@ impl Gate {
             })
             .collect::<Result<_, String>>()?;
         Ok(Gate { same, checks })
-    }
-
-    /// The block as a producer writes it: a `"gate"` member indented for a
-    /// top-level position, without a trailing comma or newline.
-    pub fn render(&self) -> String {
-        let same: Vec<String> = self.same.iter().map(|f| format!("\"{f}\"")).collect();
-        let checks: Vec<String> = self
-            .checks
-            .iter()
-            .map(|c| format!("      {{\"path\": \"{}\", {}}}", c.path, c.rule.render()))
-            .collect();
-        format!(
-            "  \"gate\": {{\n    \"same\": [{}],\n    \"checks\": [\n{}\n    ]\n  }}",
-            same.join(", "),
-            checks.join(",\n")
-        )
     }
 
     /// Replaces the drop of every `floor` check.
@@ -351,6 +343,28 @@ impl Gate {
                 report.push(format!("{label}.{}", site.label), outcome, detail);
             }
         }
+    }
+}
+
+/// The block as a producer saves it under its document's `"gate"` key.
+impl ToJson for Gate {
+    fn to_json(&self) -> Json {
+        let checks = self.checks.iter().map(|c| {
+            let mut members = vec![("path".to_string(), Json::Str(c.path.clone()))];
+            members.extend(c.rule.members());
+            Json::Obj(members)
+        });
+        Json::Obj(vec![
+            ("same".to_string(), self.same.to_json()),
+            ("checks".to_string(), Json::Arr(checks.collect())),
+        ])
+    }
+}
+
+/// Reads a block with the validation of [`Gate::from_doc`].
+impl minjson::FromJson for Gate {
+    fn from_json(block: &Json) -> Result<Gate, minjson::JsonError> {
+        Gate::from_block(block).map_err(minjson::JsonError::new)
     }
 }
 
@@ -558,19 +572,18 @@ fn baselines(dir: &Path, floor_drop: Option<f64>) -> Result<Vec<Baseline>, Strin
         .collect()
 }
 
-/// Gates every baseline in `baseline_dir` against `{prefix}{name}` in
-/// `current_dir`; a missing current file is a visible skip. `floor_drop`
+/// Gates every baseline in `baseline_dir` against the file of the same name
+/// in `current_dir`; a missing current file is a visible skip. `floor_drop`
 /// overrides every declared `floor` drop. Errors are unreadable or corrupt
 /// files and baselines without a gate block.
 pub fn gate_dirs(
     baseline_dir: &Path,
     current_dir: &Path,
-    prefix: &str,
     floor_drop: Option<f64>,
 ) -> Result<GateReport, String> {
     let mut report = GateReport::default();
     for b in baselines(baseline_dir, floor_drop)? {
-        let path: PathBuf = current_dir.join(format!("{prefix}{}", b.name));
+        let path: PathBuf = current_dir.join(&b.name);
         if !path.exists() {
             report.push(
                 format!("{}.file", b.label),
@@ -819,8 +832,9 @@ mod tests {
             .map(|(path, rule)| Check { path: path.to_string(), rule })
             .to_vec(),
         };
-        let doc = parse(&format!("{{\n{}\n}}", gate.render()));
+        let doc = Json::Obj(vec![("gate".to_string(), gate.to_json())]);
         assert_eq!(Gate::from_doc(&doc).unwrap(), gate);
+        assert_eq!(minjson::from_str::<Gate>(&minjson::to_string(&gate).unwrap()), Ok(gate));
         assert!(Gate::from_doc(&parse(r#"{"bench": "x"}"#)).is_err());
         for bad in [
             r#"{"gate": {"checks": [{"path": "a[n", "rule": "equal"}]}}"#,
@@ -839,13 +853,13 @@ mod tests {
         std::fs::create_dir_all(&current).unwrap();
         std::fs::write(dir.join("BENCH_gp.json"), GP).unwrap();
         std::fs::write(dir.join("BENCHMARK.json"), "{}").unwrap();
-        let report = gate_dirs(&dir, &current, "", None).unwrap();
+        let report = gate_dirs(&dir, &current, None).unwrap();
         assert!(report.passed());
         assert_eq!(report.checks.len(), 1);
         assert_eq!(report.checks[0].outcome, Outcome::Skipped);
         // A baseline without a gate block is an error, not a silent pass.
         std::fs::write(dir.join("BENCH_x.json"), r#"{"bench": "x"}"#).unwrap();
-        assert!(gate_dirs(&dir, &current, "", None).is_err());
+        assert!(gate_dirs(&dir, &current, None).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

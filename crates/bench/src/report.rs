@@ -1,38 +1,8 @@
-//! Rendering and persistence helpers shared by the experiment harnesses.
+//! Persistence and measurement helpers shared by the experiment harnesses.
 
 use std::path::{Path, PathBuf};
 
-/// Prints a section header.
-pub fn header(title: &str) {
-    println!("\n=== {title} ===");
-}
-
-/// Prints one aligned table row.
-pub fn row(cells: &[String], widths: &[usize]) {
-    let line: Vec<String> = cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{:>width$}", c, width = w))
-        .collect();
-    println!("{}", line.join("  "));
-}
-
-/// Prints a labelled numeric series, down-sampled to at most `max_points`
-/// (the textual stand-in for a figure's curve).
-pub fn series(label: &str, values: &[f64], max_points: usize) {
-    if values.is_empty() {
-        println!("{label:<22} (empty)");
-        return;
-    }
-    let step = (values.len() as f64 / max_points as f64).ceil().max(1.0) as usize;
-    let pts: Vec<String> = values
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % step == 0 || *i == values.len() - 1)
-        .map(|(i, v)| format!("{i}:{v:.1}"))
-        .collect();
-    println!("{label:<22} {}", pts.join("  "));
-}
+use trace::TraceSnapshot;
 
 /// Directory experiment outputs are written to: `$RESTUNE_RESULTS_DIR`, by
 /// default `results/` under the working directory.
@@ -68,14 +38,62 @@ pub fn save_json<T: minjson::ToJson>(dir: &Path, id: &str, value: &T) -> Result<
     Ok(())
 }
 
+/// Runs `f` on a cleared, enabled trace collector and returns what `f`
+/// recorded. The collector is process-global, so it is cleared again
+/// afterwards and left enabled only if it was enabled before.
+pub fn traced<T>(f: impl FnOnce() -> T) -> (T, TraceSnapshot) {
+    let was_enabled = trace::enabled();
+    trace::enable();
+    trace::reset();
+    let out = f();
+    let snap = trace::snapshot();
+    trace::reset();
+    if !was_enabled {
+        trace::disable();
+    }
+    (out, snap)
+}
+
+/// 64-bit FNV-1a over `symbols`, each XORed in whole: the bytes of a string
+/// widened to `u64`, or whole digests when digests are combined.
+pub fn fnv1a(symbols: impl IntoIterator<Item = u64>) -> u64 {
+    symbols.into_iter().fold(0xcbf29ce484222325, |h, s| (h ^ s).wrapping_mul(0x100000001b3))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn series_handles_empty_and_short_inputs() {
-        series("empty", &[], 10);
-        series("short", &[1.0, 2.0], 10);
+    fn traced_returns_only_the_closures_records_and_restores_the_prior_state() {
+        // Counter names of their own: other tests in this binary may record
+        // while the collector is on.
+        for was_enabled in [false, true] {
+            if was_enabled {
+                trace::enable();
+            } else {
+                trace::disable();
+            }
+            trace::count("report.traced.before", 1);
+            let (out, snap) = traced(|| {
+                assert!(trace::enabled());
+                trace::count("report.traced.inside", 2);
+                7
+            });
+            assert_eq!(out, 7);
+            assert_eq!(trace::enabled(), was_enabled);
+            assert_eq!(snap.counter("report.traced.inside"), 2);
+            assert_eq!(snap.counter("report.traced.before"), 0);
+            assert_eq!(trace::snapshot().counter("report.traced.inside"), 0);
+        }
+        trace::disable();
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a([]), 0xcbf29ce484222325);
+        assert_eq!(fnv1a("a".bytes().map(u64::from)), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a("foobar".bytes().map(u64::from)), 0x85944171f73967e8);
     }
 
     #[test]

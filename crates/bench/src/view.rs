@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use restune_core::diag::{Stage, TunerHealth, HEALTH_EVENT};
-use restune_core::fleet::health::{Digest, FleetHealth, StragglerPolicy};
+use restune_core::fleet::health::{Digest, FleetHealth};
 use trace::{SpanAgg, TraceSnapshot};
 
 /// Reads and parses a trace JSONL file.
@@ -40,7 +40,7 @@ pub fn render(snap: &TraceSnapshot) -> String {
     }
     if snap.events_named(HEALTH_EVENT).iter().any(|e| e.task.is_some()) {
         out.push_str("\n== fleet health ==\n");
-        out.push_str(&render_fleet(&FleetHealth::from_snapshot(snap, &StragglerPolicy::default())));
+        out.push_str(&render_fleet(&FleetHealth::from_snapshot(snap)));
     }
     out
 }
@@ -556,10 +556,8 @@ mod tests {
 
     #[test]
     fn fleet_report_renders_digests_and_stragglers() {
-        let fleet = FleetHealth::aggregate(
-            vec![(0, vec![record(0)]), (7, vec![record(0), record(5)])],
-            &StragglerPolicy::default(),
-        );
+        let fleet =
+            FleetHealth::aggregate(vec![(0, vec![record(0)]), (7, vec![record(0), record(5)])]);
         let text = render_fleet(&fleet);
         assert!(text.contains("2 tenants"));
         assert!(text.contains("mean regret"));

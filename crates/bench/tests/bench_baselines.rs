@@ -29,7 +29,7 @@ fn committed_baselines_declare_their_checks_and_self_diff_clean() {
         assert!(!declared.checks.is_empty(), "{name} declares no checks");
     }
 
-    let report = gate::gate_dirs(root, root, "", None).unwrap();
+    let report = gate::gate_dirs(root, root, None).unwrap();
     assert!(report.passed(), "{}", report.render());
     let passes = report.checks.iter().filter(|c| c.outcome == Outcome::Pass).count();
     assert!(passes >= 30, "{}", report.render());

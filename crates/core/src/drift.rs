@@ -46,7 +46,7 @@ pub enum RestartPolicy {
     /// (full ResTune behavior).
     Warm,
     /// Seal the epoch but restart without transfer — the from-scratch
-    /// control arm of the `drift_sweep` bench.
+    /// control arm of the `drift_sweep` paper artifact.
     Cold,
 }
 

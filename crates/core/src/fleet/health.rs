@@ -9,10 +9,11 @@
 //!    summary statistics (mean regret, calibration means, fallback and
 //!    failure tallies, final weight entropy),
 //! 2. per fleet — [`FleetHealth`] digests the tenant summaries into
-//!    p50/p95/p99 [`Digest`]s and flags straggler/outlier tenants against a
-//!    [`StragglerPolicy`] (high regret relative to the fleet median, a
-//!    grossly mis-calibrated GP, repeated GP-failure fallbacks, or a replay
-//!    failure storm).
+//!    p50/p95/p99 [`Digest`]s and flags straggler/outlier tenants against
+//!    fixed thresholds (high regret relative to the fleet median,
+//!    [`REGRET_FACTOR`]; a grossly mis-calibrated GP, [`MAX_MEAN_ABS_Z`] and
+//!    [`MIN_COV_2S`]; repeated GP-failure fallbacks, [`MAX_FALLBACKS`]; or a
+//!    replay failure storm, [`MAX_FAILED_SHARE`]).
 //!
 //! Everything operates on data already recorded — aggregation never touches
 //! the collector — so it can run on a live [`trace::snapshot`] or on a
@@ -137,41 +138,26 @@ impl TenantHealth {
     }
 }
 
-/// Thresholds for flagging straggler/outlier tenants.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StragglerPolicy {
-    /// Flag when a tenant's mean regret exceeds this multiple of the fleet's
-    /// median mean regret (only when the median is meaningfully positive).
-    pub regret_factor: f64,
-    /// Flag a mis-calibrated GP when the tenant's mean `|z|` exceeds this
-    /// (grossly overconfident predictive variance).
-    pub max_mean_abs_z: f64,
-    /// Flag a mis-calibrated GP when mean 2σ coverage falls below this.
-    pub min_cov_2s: f64,
-    /// Flag when the tenant took at least this many GP-failure fallbacks.
-    pub max_fallbacks: u64,
-    /// Flag when more than this share of iterations ended in failure.
-    pub max_failed_share: f64,
-}
+/// Flag a tenant whose mean regret exceeds this multiple of the fleet's
+/// median mean regret (only when the median is meaningfully positive).
+pub const REGRET_FACTOR: f64 = 2.0;
+/// Flag a mis-calibrated GP when the tenant's mean `|z|` exceeds this
+/// (grossly overconfident predictive variance).
+pub const MAX_MEAN_ABS_Z: f64 = 3.0;
+/// Flag a mis-calibrated GP when mean 2σ coverage falls below this.
+pub const MIN_COV_2S: f64 = 0.5;
+/// Flag a tenant that took at least this many GP-failure fallbacks.
+pub const MAX_FALLBACKS: u64 = 2;
+/// Flag a tenant when more than this share of its iterations ended in
+/// failure.
+pub const MAX_FAILED_SHARE: f64 = 0.5;
 
-impl Default for StragglerPolicy {
-    fn default() -> Self {
-        StragglerPolicy {
-            regret_factor: 2.0,
-            max_mean_abs_z: 3.0,
-            min_cov_2s: 0.5,
-            max_fallbacks: 2,
-            max_failed_share: 0.5,
-        }
-    }
-}
-
-/// A flagged tenant with the reasons it tripped the [`StragglerPolicy`].
+/// A flagged tenant with the reasons it tripped the straggler thresholds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Straggler {
     /// Task id of the flagged tenant.
     pub task: u64,
-    /// Human-readable reasons, in policy-check order.
+    /// Human-readable reasons, in check order.
     pub reasons: Vec<String>,
 }
 
@@ -195,18 +181,14 @@ pub struct FleetHealth {
     pub total_fallbacks: u64,
     /// Failed iterations summed over the fleet.
     pub total_failed_iterations: usize,
-    /// Tenants flagged by the policy, ascending by task id.
+    /// Tenants flagged as stragglers, ascending by task id.
     pub stragglers: Vec<Straggler>,
 }
 
 impl FleetHealth {
-    /// Aggregates per-tenant health streams under `policy`. Input order is
-    /// irrelevant; output is sorted by task id so the aggregate is
-    /// schedule-independent.
-    pub fn aggregate(
-        mut per_tenant: Vec<(u64, Vec<TunerHealth>)>,
-        policy: &StragglerPolicy,
-    ) -> FleetHealth {
+    /// Aggregates per-tenant health streams. Input order is irrelevant;
+    /// output is sorted by task id so the aggregate is schedule-independent.
+    pub fn aggregate(mut per_tenant: Vec<(u64, Vec<TunerHealth>)>) -> FleetHealth {
         per_tenant.sort_by_key(|(task, _)| *task);
         let tenants: Vec<TenantHealth> = per_tenant
             .iter()
@@ -225,14 +207,14 @@ impl FleetHealth {
             let mut reasons = Vec::new();
             // An essentially-zero fleet median means regret differences are
             // noise; the relative check needs a meaningful baseline.
-            if median_regret > 1e-12 && t.mean_regret > policy.regret_factor * median_regret {
+            if median_regret > 1e-12 && t.mean_regret > REGRET_FACTOR * median_regret {
                 reasons.push(format!(
                     "high regret: mean {:.4} > {:.1}x fleet median {:.4}",
-                    t.mean_regret, policy.regret_factor, median_regret
+                    t.mean_regret, REGRET_FACTOR, median_regret
                 ));
             }
-            let overconfident = t.mean_abs_z.is_some_and(|z| z > policy.max_mean_abs_z);
-            let undercovered = t.mean_cov_2s.is_some_and(|c| c < policy.min_cov_2s);
+            let overconfident = t.mean_abs_z.is_some_and(|z| z > MAX_MEAN_ABS_Z);
+            let undercovered = t.mean_cov_2s.is_some_and(|c| c < MIN_COV_2S);
             if overconfident || undercovered {
                 reasons.push(format!(
                     "mis-calibrated GP: mean |z| {:.2}, 2-sigma coverage {:.2}",
@@ -240,7 +222,7 @@ impl FleetHealth {
                     t.mean_cov_2s.unwrap_or(0.0)
                 ));
             }
-            if t.fallbacks >= policy.max_fallbacks {
+            if t.fallbacks >= MAX_FALLBACKS {
                 reasons.push(format!("repeated GP fallbacks: {}", t.fallbacks));
             }
             let failed_share = if t.iterations == 0 {
@@ -248,7 +230,7 @@ impl FleetHealth {
             } else {
                 t.failed_iterations as f64 / t.iterations as f64
             };
-            if failed_share > policy.max_failed_share {
+            if failed_share > MAX_FAILED_SHARE {
                 reasons.push(format!(
                     "failure storm: {}/{} iterations failed",
                     t.failed_iterations, t.iterations
@@ -275,7 +257,7 @@ impl FleetHealth {
     /// Slices a snapshot's task-tagged `tuner.health` events into per-tenant
     /// streams and aggregates them (events without a task tag — a solo
     /// session — are ignored; render those with the per-session report).
-    pub fn from_snapshot(snap: &TraceSnapshot, policy: &StragglerPolicy) -> FleetHealth {
+    pub fn from_snapshot(snap: &TraceSnapshot) -> FleetHealth {
         let per_tenant: Vec<(u64, Vec<TunerHealth>)> = snap
             .event_tasks()
             .into_iter()
@@ -289,7 +271,7 @@ impl FleetHealth {
                 (task, records)
             })
             .collect();
-        FleetHealth::aggregate(per_tenant, policy)
+        FleetHealth::aggregate(per_tenant)
     }
 }
 
@@ -340,7 +322,7 @@ mod tests {
             .map(|t| (t, vec![record(0, 0.1), record(1, 0.1)]))
             .collect();
         per_tenant.push((9, vec![record(0, 2.0), record(1, 2.0)]));
-        let fleet = FleetHealth::aggregate(per_tenant, &StragglerPolicy::default());
+        let fleet = FleetHealth::aggregate(per_tenant);
         assert_eq!(fleet.tenants.len(), 10);
         assert_eq!(fleet.stragglers.len(), 1);
         assert_eq!(fleet.stragglers[0].task, 9);
@@ -362,10 +344,7 @@ mod tests {
             coverage_1s: 0.1,
             coverage_2s: 0.2,
         });
-        let fleet = FleetHealth::aggregate(
-            vec![(0, vec![record(0, 0.0)]), (1, bad)],
-            &StragglerPolicy::default(),
-        );
+        let fleet = FleetHealth::aggregate(vec![(0, vec![record(0, 0.0)]), (1, bad)]);
         assert_eq!(fleet.stragglers.len(), 1);
         let reasons = fleet.stragglers[0].reasons.join("; ");
         assert!(reasons.contains("mis-calibrated"));
@@ -378,8 +357,8 @@ mod tests {
         let streams = |order: &[u64]| -> Vec<(u64, Vec<TunerHealth>)> {
             order.iter().map(|&t| (t, vec![record(0, t as f64 * 0.1)])).collect()
         };
-        let a = FleetHealth::aggregate(streams(&[0, 1, 2, 3]), &StragglerPolicy::default());
-        let b = FleetHealth::aggregate(streams(&[3, 1, 0, 2]), &StragglerPolicy::default());
+        let a = FleetHealth::aggregate(streams(&[0, 1, 2, 3]));
+        let b = FleetHealth::aggregate(streams(&[3, 1, 0, 2]));
         assert_eq!(a, b);
     }
 }

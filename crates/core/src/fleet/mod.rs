@@ -32,7 +32,7 @@ pub mod health;
 pub mod scheduler;
 pub mod store;
 
-pub use health::{Digest, FleetHealth, Straggler, StragglerPolicy, TenantHealth};
+pub use health::{Digest, FleetHealth, Straggler, TenantHealth};
 pub use scheduler::{PoolHandle, WorkerPool};
 pub use store::{mix_seed, CommitEntry, ShardedStore, StoreSnapshot};
 
@@ -196,8 +196,8 @@ pub struct FleetOutcome {
 }
 
 impl FleetOutcome {
-    /// Tenants per wall-clock second — the scaling metric `fleet_bench`
-    /// tracks.
+    /// Tenants per wall-clock second — the scaling metric of the
+    /// `fleet_scaling` paper artifact (`BENCH_fleet.json`).
     pub fn tenants_per_s(&self) -> f64 {
         if self.wall_s <= 0.0 { 0.0 } else { self.tenants.len() as f64 / self.wall_s }
     }

@@ -113,18 +113,6 @@ fn meta_learning_accelerates_early_iterations() {
 }
 
 #[test]
-fn convergence_criterion_fires_on_long_stable_runs() {
-    let mut session = TuningSession::new(case_env(4), quick_config(4));
-    let outcome = session.run(35);
-    // With a flat optimum this run stabilizes; the detector should notice,
-    // no earlier than one full §4 window in.
-    if let Some(at) = outcome.converged_at {
-        assert!(at >= restune::core::engine::CONVERGENCE_WINDOW);
-        assert!(at < outcome.history.len());
-    }
-}
-
-#[test]
 fn timing_breakdown_reflects_replay_dominance() {
     let mut session = TuningSession::new(case_env(6), quick_config(6));
     let outcome = session.run(3);

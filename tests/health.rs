@@ -8,7 +8,7 @@ use std::sync::Mutex;
 use dbsim::{FaultPlan, InstanceType, KnobSet, WorkloadSpec};
 use restune::core::acquisition::AcquisitionOptimizer;
 use restune::core::diag::{TunerHealth, HEALTH_EVENT};
-use restune::core::fleet::health::{FleetHealth, StragglerPolicy};
+use restune::core::fleet::health::FleetHealth;
 use restune::core::fleet::{mix_seed, FleetConfig, FleetService, Tenant};
 use restune::prelude::*;
 
@@ -125,7 +125,7 @@ fn fleet_health_aggregates_task_tagged_streams_per_tenant() {
     trace::reset();
     assert_eq!(out.tenants.len(), tenants as usize);
 
-    let fleet = FleetHealth::from_snapshot(&snap, &StragglerPolicy::default());
+    let fleet = FleetHealth::from_snapshot(&snap);
     assert_eq!(fleet.tenants.len(), tenants as usize, "one health stream per tenant");
     for (i, t) in fleet.tenants.iter().enumerate() {
         assert_eq!(t.task, i as u64, "tenant summaries sorted by task id");
