@@ -1,10 +1,19 @@
 //! Benchmarks of the workload-characterization pipeline (Table 3's
-//! meta-data-processing column): tokenization, TF-IDF, forest inference, and
-//! whole-workload embedding.
+//! meta-data-processing column): tokenization, TF-IDF, the forest fit,
+//! forest inference, and whole-workload embedding.
 
 use dbsim::WorkloadSpec;
 use restune_bench::microbench::{black_box, suite, Bencher};
-use workload::{extract_reserved_words, generate_queries, TfIdfVectorizer, WorkloadCharacterizer};
+use workload::{
+    extract_reserved_words, generate_queries, reserved_word_ids, RandomForest, TfIdfVectorizer,
+    WorkloadCharacterizer,
+};
+
+fn word_ids(sql: &str) -> Vec<u8> {
+    let mut ids = Vec::new();
+    reserved_word_ids(sql, &mut ids);
+    ids
+}
 
 fn main() {
     let b = Bencher::from_env();
@@ -17,8 +26,16 @@ fn main() {
         black_box(extract_reserved_words(black_box(sql)));
     });
 
-    let corpus: Vec<Vec<&'static str>> =
-        queries.iter().map(|q| extract_reserved_words(&q.text)).collect();
+    let mut ids = Vec::new();
+    b.bench("tokenize_400_queries", || {
+        for q in black_box(&queries) {
+            ids.clear();
+            reserved_word_ids(&q.text, &mut ids);
+            black_box(&ids);
+        }
+    });
+
+    let corpus: Vec<Vec<u8>> = queries.iter().map(|q| word_ids(&q.text)).collect();
     b.bench("tfidf_fit_400_queries", || {
         black_box(TfIdfVectorizer::fit(black_box(&corpus)));
     });
@@ -26,6 +43,11 @@ fn main() {
     let vectorizer = TfIdfVectorizer::fit(&corpus);
     b.bench("tfidf_transform", || {
         black_box(vectorizer.transform(black_box(&corpus[0])));
+    });
+
+    let (x, y) = WorkloadCharacterizer::default_training_matrix(9);
+    b.bench("forest_fit_default_corpus", || {
+        black_box(RandomForest::fit(black_box(&x), &y, 5, 20, 9).ok());
     });
 
     b.bench("train_characterizer", || {
@@ -38,5 +60,8 @@ fn main() {
     });
     b.bench("embed_workload_400_queries", || {
         black_box(characterizer.embed_workload(&WorkloadSpec::hotel(), 3));
+    });
+    b.bench("embed_workload_olap_400_queries", || {
+        black_box(characterizer.embed_workload(&WorkloadSpec::olap(), 3));
     });
 }

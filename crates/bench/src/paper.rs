@@ -171,7 +171,7 @@ pub const ARTIFACTS: &[Artifact] = &[
     },
     Artifact {
         id: "fig4_hardware",
-        title: "Figure 4 — hardware adaptation (B->A)",
+        title: "Figure 4 — hardware adaptation (B->A and A->B)",
         paper: Some(
             "With only instance-B history, ResTune still finds feasible configurations \
              faster and better than ResTune-w/o-ML; OtterTune-w-Con's absolute-distance \
@@ -200,7 +200,17 @@ pub const ARTIFACTS: &[Artifact] = &[
             );
             save(dir, "fig4_hardware_a_to_b", &a_to_b)
         },
-        markdown: |dir, out| efficiency_md(dir, out, "fig4_hardware_b_to_a"),
+        markdown: |dir, out| {
+            for (file, caption) in [
+                ("fig4_hardware_b_to_a", "B->A: instance-B history, tuning on instance A"),
+                ("fig4_hardware_a_to_b", "A->B: instance-A history, tuning on instance B"),
+            ] {
+                let r: efficiency::EfficiencyResult = load(dir, file)?;
+                md!(out, "**{caption}**\n");
+                efficiency_table(&r, out);
+            }
+            Ok(())
+        },
     },
     Artifact {
         id: "table4_instances",
@@ -481,9 +491,16 @@ fn table3_md(dir: &Path, out: &mut String) -> Result<(), PathBuf> {
     Ok(())
 }
 
-/// The section of one efficiency figure (Figures 3, 4 and 5).
+/// The section of one efficiency figure (Figures 3 and 5; Figure 4 has
+/// one table per transfer direction).
 fn efficiency_md(dir: &Path, out: &mut String, file: &str) -> Result<(), PathBuf> {
-    let r: efficiency::EfficiencyResult = load(dir, file)?;
+    efficiency_table(&load(dir, file)?, out);
+    Ok(())
+}
+
+/// An efficiency figure's table: each workload's default CPU, then each
+/// method's best feasible CPU and the iteration it was reached at.
+fn efficiency_table(r: &efficiency::EfficiencyResult, out: &mut String) {
     md!(
         out,
         "| Workload | Default CPU | {} |",
@@ -503,7 +520,6 @@ fn efficiency_md(dir: &Path, out: &mut String, file: &str) -> Result<(), PathBuf
         md!(out, "| {} | {:.1}% | {} |", p.workload, p.default_cpu, cells.join(" | "));
     }
     md!(out, "\n(cells: best feasible CPU @ iterations-to-best, averaged over repeats)\n");
-    Ok(())
 }
 
 fn table4_md(dir: &Path, out: &mut String) -> Result<(), PathBuf> {

@@ -23,6 +23,22 @@
 //! Similar workloads (e.g. the Twitter variations W1–W5 of Table 5) produce
 //! nearby meta-features; the distances feed the Epanechnikov static weights in
 //! `restune-core`.
+//!
+//! The pipeline runs at every set-up and on every drift re-embed, and most
+//! of its work repeats: the 2,000-query training corpus has 20 distinct
+//! TF-IDF rows, and a 400-query stream 4–8 distinct reserved-word lists. So
+//! each distinct piece is done once, with every output bit kept:
+//!
+//! - The forest's split search runs over distinct rows weighted by their
+//!   integer sample counts, and grows the trees a per-sample search grows,
+//!   node for node ([`forest`] says why the bits hold).
+//! - An embedding classifies each distinct reserved-word list once per call
+//!   and adds every query's distribution in stream order ([`embed`]).
+//! - The tokenizer scans bytes into word ids, which TF-IDF takes as they
+//!   are ([`tokenizer`]).
+//!
+//! Nothing is cached across calls: a [`WorkloadCharacterizer`] is a plain
+//! value, shared read-only across fleet workers.
 
 pub mod embed;
 pub mod forest;
@@ -31,7 +47,7 @@ pub mod tfidf;
 pub mod tokenizer;
 
 pub use embed::{WorkloadCharacterizer, WorkloadEmbedding};
-pub use forest::{DecisionTree, RandomForest};
+pub use forest::{DecisionTree, ForestError, RandomForest};
 pub use sql::{generate_queries, SqlQuery};
 pub use tfidf::TfIdfVectorizer;
-pub use tokenizer::extract_reserved_words;
+pub use tokenizer::{extract_reserved_words, reserved_word_ids};

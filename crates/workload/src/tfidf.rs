@@ -1,6 +1,9 @@
 //! TF-IDF vectorization over the reserved-word vocabulary.
+//!
+//! Documents are the word ids [`reserved_word_ids`](crate::tokenizer::reserved_word_ids)
+//! finds, so no word is looked up twice.
 
-use crate::tokenizer::{reserved_word_index, RESERVED_WORDS};
+use crate::tokenizer::RESERVED_WORDS;
 
 /// A fitted TF-IDF vectorizer over [`RESERVED_WORDS`].
 ///
@@ -17,15 +20,16 @@ impl TfIdfVectorizer {
     /// Vocabulary size.
     pub const VOCAB: usize = RESERVED_WORDS.len();
 
-    /// Fits IDF weights on a corpus of token lists (one list per query).
-    pub fn fit<S: AsRef<str>>(corpus: &[Vec<S>]) -> Self {
+    /// Fits IDF weights on a corpus of documents, each the word ids of one
+    /// query. Ids outside the vocabulary are ignored.
+    pub fn fit(corpus: &[Vec<u8>]) -> Self {
         let n = corpus.len();
         let mut df = vec![0usize; Self::VOCAB];
         for doc in corpus {
             let mut seen = [false; Self::VOCAB];
-            for tok in doc {
-                if let Some(i) = reserved_word_index(tok.as_ref()) {
-                    seen[i] = true;
+            for &id in doc {
+                if let Some(s) = seen.get_mut(usize::from(id)) {
+                    *s = true;
                 }
             }
             for (i, s) in seen.iter().enumerate() {
@@ -46,12 +50,13 @@ impl TfIdfVectorizer {
         self.n_documents
     }
 
-    /// Transforms a token list into an L2-normalized TF-IDF vector.
-    pub fn transform<S: AsRef<str>>(&self, tokens: &[S]) -> Vec<f64> {
+    /// Transforms a document's word ids into an L2-normalized TF-IDF
+    /// vector. Ids outside the vocabulary are ignored.
+    pub fn transform(&self, ids: &[u8]) -> Vec<f64> {
         let mut tf = vec![0.0; Self::VOCAB];
-        for tok in tokens {
-            if let Some(i) = reserved_word_index(tok.as_ref()) {
-                tf[i] += 1.0;
+        for &id in ids {
+            if let Some(t) = tf.get_mut(usize::from(id)) {
+                *t += 1.0;
             }
         }
         let total: f64 = tf.iter().sum();
@@ -73,21 +78,31 @@ impl TfIdfVectorizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenizer::extract_reserved_words;
+    use crate::tokenizer::{reserved_word_ids, reserved_word_index};
 
-    fn corpus() -> Vec<Vec<&'static str>> {
+    fn ids(sql: &str) -> Vec<u8> {
+        let mut out = Vec::new();
+        reserved_word_ids(sql, &mut out);
+        out
+    }
+
+    fn id(word: &str) -> u8 {
+        reserved_word_index(word).unwrap() as u8
+    }
+
+    fn corpus() -> Vec<Vec<u8>> {
         vec![
-            extract_reserved_words("SELECT a FROM t WHERE x = 1"),
-            extract_reserved_words("SELECT b FROM t WHERE y = 2 ORDER BY b"),
-            extract_reserved_words("INSERT INTO t VALUES (1)"),
-            extract_reserved_words("UPDATE t SET a = 1 WHERE x = 2"),
+            ids("SELECT a FROM t WHERE x = 1"),
+            ids("SELECT b FROM t WHERE y = 2 ORDER BY b"),
+            ids("INSERT INTO t VALUES (1)"),
+            ids("UPDATE t SET a = 1 WHERE x = 2"),
         ]
     }
 
     #[test]
     fn vectors_are_unit_norm() {
         let v = TfIdfVectorizer::fit(&corpus());
-        let x = v.transform(&extract_reserved_words("SELECT a FROM t"));
+        let x = v.transform(&ids("SELECT a FROM t"));
         let norm: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!((norm - 1.0).abs() < 1e-9);
     }
@@ -97,30 +112,29 @@ mod tests {
         let v = TfIdfVectorizer::fit(&corpus());
         // SELECT appears in 2/4 docs, ORDER in 1/4: a doc containing both once
         // should weight ORDER higher.
-        let x = v.transform(&["SELECT", "ORDER"]);
-        let i_select = crate::tokenizer::reserved_word_index("SELECT").unwrap();
-        let i_order = crate::tokenizer::reserved_word_index("ORDER").unwrap();
-        assert!(x[i_order] > x[i_select]);
+        let x = v.transform(&[id("SELECT"), id("ORDER")]);
+        assert!(x[usize::from(id("ORDER"))] > x[usize::from(id("SELECT"))]);
     }
 
     #[test]
     fn empty_document_transforms_to_zero_vector() {
         let v = TfIdfVectorizer::fit(&corpus());
-        let x = v.transform::<&str>(&[]);
+        let x = v.transform(&[]);
         assert!(x.iter().all(|v| *v == 0.0));
     }
 
     #[test]
     fn unknown_tokens_are_ignored() {
         let v = TfIdfVectorizer::fit(&corpus());
-        let a = v.transform(&["SELECT", "FROM"]);
-        let b = v.transform(&["SELECT", "FROM", "sbtest1", "xyz"]);
+        let a = v.transform(&[id("SELECT"), id("FROM")]);
+        let b = v.transform(&[id("SELECT"), id("FROM"), TfIdfVectorizer::VOCAB as u8, u8::MAX]);
         assert_eq!(a, b);
+        assert_eq!(v.transform(&ids("SELECT sbtest1 xyz FROM")), a);
     }
 
     #[test]
     fn dimension_is_vocab_size() {
         let v = TfIdfVectorizer::fit(&corpus());
-        assert_eq!(v.transform(&["SELECT"]).len(), TfIdfVectorizer::VOCAB);
+        assert_eq!(v.transform(&[id("SELECT")]).len(), TfIdfVectorizer::VOCAB);
     }
 }
