@@ -19,8 +19,8 @@
 //! stored records.
 
 use nn::{Ddpg, DdpgConfig, Transition};
-use restune_core::driver::{Proposal, ProposalTiming, Proposer, TuningDriver};
-use restune_core::engine::{EvalEngine, HistoryView, IterationRecord};
+use restune_core::driver::{Proposal, Proposer, TuningDriver};
+use restune_core::engine::{EvalEngine, HistoryView, IterationRecord, IterationTiming};
 use restune_core::tuner::{RestuneConfig, TuningEnvironment};
 
 /// The CDBTune strategy: a DDPG actor-critic proposing knob vectors, trained
@@ -121,7 +121,7 @@ impl Proposer for CdbTuneProposer {
         Proposal {
             point: action,
             weights: None,
-            timing: ProposalTiming { recommendation_s, ..Default::default() },
+            timing: IterationTiming { recommendation_s, ..Default::default() },
         }
     }
 

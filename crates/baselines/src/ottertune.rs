@@ -19,8 +19,8 @@
 
 use linalg::{Matrix, MatrixView};
 use restune_core::acquisition::ConstrainedExpectedImprovement;
-use restune_core::driver::{Proposal, ProposalTiming, Proposer, TuningDriver};
-use restune_core::engine::{EvalEngine, HistoryView};
+use restune_core::driver::{Proposal, Proposer, TuningDriver};
+use restune_core::engine::{EvalEngine, HistoryView, IterationTiming};
 use restune_core::lhs::latin_hypercube;
 use restune_core::repository::{DataRepository, TaskObservation};
 use restune_core::surrogate::{refits_hypers, GpTaskModel, SurrogatePrediction};
@@ -198,7 +198,7 @@ impl Proposer for OtterTuneProposer {
         Proposal {
             point,
             weights: None,
-            timing: ProposalTiming { model_update_s, recommendation_s, ..Default::default() },
+            timing: IterationTiming { model_update_s, recommendation_s, ..Default::default() },
         }
     }
 }

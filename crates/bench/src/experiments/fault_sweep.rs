@@ -85,7 +85,7 @@ fn six_learners() -> (Vec<BaseLearner>, Vec<f64>) {
 
 /// Runs the sweep. Failure tallies and the charged replay clock are read
 /// from the trace collector (`replay.*` counters and the `replay.sim_s`
-/// histogram, DESIGN.md §10) — the same data source as `report` — so
+/// histogram, DESIGN.md §10) — the same data source as `restune report` — so
 /// the fault table and Table 3 render from one instrumentation layer.
 pub fn run() -> FaultSweepResult {
     let (learners, mf) = six_learners();

@@ -16,10 +16,10 @@ use restune_core::fleet::health::TenantHealth;
 use restune_core::problem::ResourceKind;
 use restune_core::repository::{DataRepository, TaskRecord};
 use restune_core::tuner::{RestuneConfig, TuningEnvironment};
+use restune_core::view;
 use workload::WorkloadCharacterizer;
 
 use crate::report::traced;
-use crate::view;
 
 const SEED: u64 = 17;
 const FAULT_RATE: f64 = 0.2;

@@ -9,10 +9,10 @@
 
 use crate::context::ExperimentContext;
 use crate::report;
-use crate::view::PhaseMeans;
 use baselines::method::Setting;
 use baselines::Method;
 use dbsim::{InstanceType, WorkloadSpec};
+use restune_core::view::PhaseMeans;
 
 /// Per-method mean phase durations (seconds).
 #[derive(Debug, Clone)]
@@ -45,7 +45,7 @@ pub struct Table3Result {
 
 /// Runs each method briefly on SYSBENCH@A with the trace collector on, and
 /// derives each row from that run's [`trace::TraceSnapshot`] — the same data
-/// source the `report` bin renders (DESIGN.md §10). Means are taken over every
+/// source `restune report` renders (DESIGN.md §10). Means are taken over every
 /// iteration of the run (bootstrap included), with the simulated replay
 /// clock from the `replay.sim_s` histogram.
 pub fn run(ctx: &ExperimentContext, iterations: usize) -> Table3Result {

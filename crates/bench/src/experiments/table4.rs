@@ -3,7 +3,7 @@
 //! improvement over the default, iterations to best, and ResTune's speed-up
 //! over ResTune-w/o-ML.
 
-use crate::context::ExperimentContext;
+use crate::context::{scale_rate_to_instance, ExperimentContext};
 use crate::experiments::efficiency::iterations_to_best;
 use baselines::method::Setting;
 use baselines::Method;
@@ -52,11 +52,7 @@ pub fn run(ctx: &ExperimentContext, iterations: usize) -> Table4Result {
     let mut cells = Vec::new();
     for base_workload in &workloads {
         for &instance in &instances {
-            let scale = instance.cores() as f64 / InstanceType::A.cores() as f64;
-            let workload = &base_workload
-                .clone()
-                .with_request_rate(base_workload.request_rate.unwrap() * scale * 0.8)
-                .named(&base_workload.name);
+            let workload = &scale_rate_to_instance(base_workload, instance);
             eprintln!("[table4] {} on {:?} ...", workload.name, instance);
             let restune = ctx.run(
                 Method::Restune,

@@ -19,6 +19,5 @@ pub mod gate;
 pub mod microbench;
 pub mod paper;
 pub mod report;
-pub mod view;
 
 pub use context::{ExperimentContext, Scale};

@@ -16,7 +16,7 @@ use baselines::method::Setting;
 use baselines::Method;
 use dbsim::{InstanceType, WorkloadSpec};
 
-use crate::context::{ExperimentContext, Scale};
+use crate::context::{scale_rate_to_instance, ExperimentContext, Scale};
 use crate::experiments::{
     ablations, case_study, drift_sweep, efficiency, fault_sweep, fig1, fleet_scaling, gp_fit,
     methods_health, projection_sweep, resources, sensitivity, table3, table4, tco,
@@ -189,13 +189,21 @@ pub const ARTIFACTS: &[Artifact] = &[
                 iterations,
             );
             save(dir, "fig4_hardware_b_to_a", &b_to_a)?;
+            // Table 2's request rates target instance A. Instance B runs them
+            // scaled to its cores, as the repository's instance-B tasks do;
+            // unscaled, SYSBENCH and TPC-C stay near 100% CPU whatever the
+            // knobs.
+            let suite_b = WorkloadSpec::evaluation_suite()
+                .iter()
+                .map(|w| scale_rate_to_instance(w, InstanceType::B))
+                .collect::<Vec<_>>();
             let a_to_b = efficiency::run(
                 runner.context(),
                 "Figure 4 (A to B)",
                 Setting::VaryingHardware,
                 InstanceType::B,
                 &TRANSFER_METHODS,
-                &WorkloadSpec::evaluation_suite(),
+                &suite_b,
                 iterations,
             );
             save(dir, "fig4_hardware_a_to_b", &a_to_b)
@@ -209,6 +217,13 @@ pub const ARTIFACTS: &[Artifact] = &[
                 md!(out, "**{caption}**\n");
                 efficiency_table(&r, out);
             }
+            md!(
+                out,
+                "**Note:** on instance B, request rates are scaled to its cores, as for the \
+                 repository's instance-B tasks. At the default knobs its 8 cores still \
+                 saturate, so the default column reads 100%; Hotel and Sales set no \
+                 request rate.\n"
+            );
             Ok(())
         },
     },

@@ -31,7 +31,7 @@
 //! timestamp-free so two same-seed diagnostic streams are byte-identical.
 //!
 //! `core::fleet::health` folds these events into fleet-level digests;
-//! `restune-bench`'s `report` bin renders them.
+//! [`crate::view`] renders them (`restune report FILE`).
 
 use crate::engine::{HistoryView, IterationRecord};
 use crate::resilience::{FailureCounts, FailureKind};

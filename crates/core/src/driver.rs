@@ -11,25 +11,7 @@
 //! span, so every proposer's phase spans nest under the same root.
 
 use crate::drift::{DriftController, DriftEvent};
-use crate::engine::{EvalEngine, HistoryView, IterationRecord, TuningOutcome};
-
-/// Proposal-side wall-clock breakdown (everything up to the replay; the
-/// engine fills `replay_s` in). Fields mirror
-/// [`IterationTiming`](crate::engine::IterationTiming).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ProposalTiming {
-    /// Meta-data processing (scale unification, meta-feature handling).
-    pub meta_data_processing_s: f64,
-    /// Model update (surrogate fits + weight learning, or agent training
-    /// attributed pre-replay).
-    pub model_update_s: f64,
-    /// Subcomponent of `model_update_s`: target GP fits.
-    pub gp_fit_s: f64,
-    /// Subcomponent of `model_update_s`: ensemble weight learning.
-    pub weight_update_s: f64,
-    /// Knob recommendation (acquisition optimization / policy action).
-    pub recommendation_s: f64,
-}
+use crate::engine::{EvalEngine, HistoryView, IterationRecord, IterationTiming, TuningOutcome};
 
 /// One proposed evaluation: the point plus everything the record should
 /// remember about how it was chosen.
@@ -40,15 +22,16 @@ pub struct Proposal {
     /// Ensemble weights at recommendation time, when meta-learning was
     /// active.
     pub weights: Option<Vec<f64>>,
-    /// Proposal-side timings.
-    pub timing: ProposalTiming,
+    /// Proposal-side timings. The proposer leaves `replay_s` at zero; the
+    /// engine sets it from the replay.
+    pub timing: IterationTiming,
 }
 
 impl Proposal {
     /// A bare point with no weights and zero proposal-side timings (LHS
     /// bootstraps, grid cells).
     pub fn point(point: Vec<f64>) -> Self {
-        Proposal { point, weights: None, timing: ProposalTiming::default() }
+        Proposal { point, weights: None, timing: IterationTiming::default() }
     }
 }
 

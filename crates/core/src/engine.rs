@@ -20,11 +20,12 @@ use crate::tuner::TuningEnvironment;
 use dbsim::{Configuration, EvalOutcome, Observation};
 
 /// Wall-clock breakdown of a single iteration (Table 3's rows).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IterationTiming {
     /// Meta-data processing (scale unification, meta-feature handling).
     pub meta_data_processing_s: f64,
-    /// Model update (GP fits + weight learning).
+    /// Model update (GP fits + weight learning, or agent training
+    /// attributed pre-replay).
     pub model_update_s: f64,
     /// Subcomponent of `model_update_s`: fitting the target's three metric
     /// GPs.
@@ -32,7 +33,7 @@ pub struct IterationTiming {
     /// Subcomponent of `model_update_s`: ensemble weight learning (static
     /// kernel weights or ranking-loss posterior sampling).
     pub weight_update_s: f64,
-    /// Knob recommendation (acquisition optimization).
+    /// Knob recommendation (acquisition optimization / policy action).
     pub recommendation_s: f64,
     /// Target workload replay (simulated seconds).
     pub replay_s: f64,
@@ -355,13 +356,14 @@ impl EvalEngine {
     /// attributed, so nothing ever patches committed records in place.
     pub fn evaluate(&mut self, proposal: crate::driver::Proposal) -> IterationRecord {
         let iter = self.history.len();
-        let crate::driver::Proposal { point, weights, timing } = proposal;
+        let crate::driver::Proposal { point, weights, mut timing } = proposal;
         let config = self
             .problem
             .knob_set
             .to_configuration(&self.lift(&point), &Configuration::dba_default());
         let replay = evaluate_with_retry(&mut self.env.dbms, &config);
         let replay_s = replay.replay_s;
+        timing.replay_s = replay_s;
         let retries = replay.retries;
         let failure = FailureKind::from_outcome(&replay.outcome);
         let observation = match replay.outcome {
@@ -410,14 +412,7 @@ impl EvalEngine {
             weights,
             failure,
             retries,
-            timing: IterationTiming {
-                meta_data_processing_s: timing.meta_data_processing_s,
-                model_update_s: timing.model_update_s,
-                gp_fit_s: timing.gp_fit_s,
-                weight_update_s: timing.weight_update_s,
-                recommendation_s: timing.recommendation_s,
-                replay_s,
-            },
+            timing,
         }
     }
 

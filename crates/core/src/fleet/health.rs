@@ -17,8 +17,8 @@
 //!
 //! Everything operates on data already recorded — aggregation never touches
 //! the collector — so it can run on a live [`trace::snapshot`] or on a
-//! JSONL file parsed back with [`trace::TraceSnapshot::from_jsonl`]. The
-//! `report` bench bin renders the result.
+//! JSONL file parsed back with [`trace::TraceSnapshot::from_jsonl`].
+//! [`crate::view::render`] renders the result (`restune report`).
 
 use crate::diag::{TunerHealth, HEALTH_EVENT};
 use trace::TraceSnapshot;

@@ -45,6 +45,7 @@ pub mod space;
 pub mod surrogate;
 pub mod tco;
 pub mod tuner;
+pub mod view;
 
 pub use acquisition::{AcquisitionKind, ConstrainedExpectedImprovement};
 pub use diag::{DriftDiag, FitPath, TunerHealth, HEALTH_EVENT};
@@ -52,7 +53,7 @@ pub use drift::{
     DriftConfig, DriftController, DriftEvent, FleetSealSink, LocalSealSink, RestartPolicy,
     SealSink,
 };
-pub use driver::{BoxProposer, Proposal, ProposalTiming, Proposer, TuningDriver};
+pub use driver::{BoxProposer, Proposal, Proposer, TuningDriver};
 pub use engine::{EvalEngine, HistoryView};
 pub use fleet::{
     mix_seed, FleetConfig, FleetOutcome, FleetService, ShardedStore, StoreSnapshot, Tenant,

@@ -473,6 +473,9 @@ mod tests {
         assert_eq!(w.len(), 3);
         assert!(w[0] > w[1], "near {} far {}", w[0], w[1]);
         assert_eq!(w[2], 0.75); // target at distance 0
+        // A meta-feature of another length is infinitely far: no weight.
+        let other = [learner("other space", vec![0.52, 0.48, 0.0], |x| x)];
+        assert_eq!(static_weights(&other, &[0.52, 0.48], 0.5), vec![0.0, 0.75]);
     }
 
     #[test]

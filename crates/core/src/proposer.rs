@@ -24,8 +24,8 @@ use crate::acquisition::{
 };
 use crate::diag::{DriftDiag, FitPath, Stage, TunerHealth};
 use crate::drift::DriftEvent;
-use crate::driver::{Proposal, ProposalTiming, Proposer};
-use crate::engine::{HistoryView, IterationRecord};
+use crate::driver::{Proposal, Proposer};
+use crate::engine::{HistoryView, IterationRecord, IterationTiming};
 use crate::meta::{static_weights, BaseLearner, MetaLearner, TargetObservations};
 use crate::surrogate::{refits_hypers, GpTaskModel, SurrogatePrediction};
 use crate::tuner::{InitStrategy, RestuneConfig};
@@ -536,12 +536,13 @@ impl Proposer for RestuneProposer {
         Proposal {
             point,
             weights,
-            timing: ProposalTiming {
+            timing: IterationTiming {
                 meta_data_processing_s,
                 model_update_s,
                 gp_fit_s,
                 weight_update_s,
                 recommendation_s,
+                ..Default::default()
             },
         }
     }

@@ -8,8 +8,8 @@
 //! digests.
 
 use dbsim::{Configuration, InstanceType, KnobSet, SimulatedDbms, WorkloadSpec};
-use restune_core::driver::{Proposal, ProposalTiming, Proposer, TuningDriver};
-use restune_core::engine::{EvalEngine, HistoryView};
+use restune_core::driver::{Proposal, Proposer, TuningDriver};
+use restune_core::engine::{EvalEngine, HistoryView, IterationTiming};
 use restune_core::problem::{ResourceKind, SlaConstraints};
 use restune_core::tuner::TuningEnvironment;
 
@@ -30,12 +30,13 @@ impl Proposer for ScriptedProposer {
         Proposal {
             point: self.script[iter].clone(),
             weights: None,
-            timing: ProposalTiming {
+            timing: IterationTiming {
                 meta_data_processing_s: 0.5,
                 model_update_s: 1.0,
                 gp_fit_s: 0.25,
                 weight_update_s: 0.125,
                 recommendation_s: 2.0,
+                ..Default::default()
             },
         }
     }

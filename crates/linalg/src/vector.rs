@@ -11,10 +11,13 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Euclidean distance between two equal-length slices.
+/// Euclidean distance between two slices; `f64::INFINITY` when their
+/// lengths differ, so vectors from different spaces are never near.
 #[inline]
 pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
+    if a.len() != b.len() {
+        return f64::INFINITY;
+    }
     let mut acc = 0.0;
     for i in 0..a.len() {
         let d = a[i] - b[i];
@@ -53,6 +56,13 @@ mod tests {
     #[test]
     fn euclidean_distance_matches_hand_computation() {
         assert!((euclidean_distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn slices_of_unequal_length_are_infinitely_far_apart() {
+        assert_eq!(euclidean_distance(&[0.0, 0.0, 0.0], &[3.0, 4.0]), f64::INFINITY);
+        assert_eq!(euclidean_distance(&[3.0], &[3.0, 4.0]), f64::INFINITY);
+        assert_eq!(euclidean_distance(&[], &[]), 0.0);
     }
 
     #[test]

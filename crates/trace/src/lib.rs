@@ -24,7 +24,7 @@
 //! (`tests/determinism.rs` proves it).
 //!
 //! Snapshots serialize to JSONL (one event per line) via `minjson` and parse
-//! back losslessly; `restune-bench`'s `report` bin renders them.
+//! back losslessly; `restune_core::view` renders them (`restune report FILE`).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -38,9 +38,12 @@ pub struct WorkloadEmbedding {
 
 impl WorkloadEmbedding {
     /// Euclidean distance between two embeddings, the quantity Table 5
-    /// reports as "Distance to Wt".
+    /// reports as "Distance to Wt"; `f64::INFINITY` when their class counts
+    /// differ.
     pub fn distance(&self, other: &WorkloadEmbedding) -> f64 {
-        debug_assert_eq!(self.probs.len(), other.probs.len());
+        if self.probs.len() != other.probs.len() {
+            return f64::INFINITY;
+        }
         self.probs
             .iter()
             .zip(&other.probs)
@@ -336,6 +339,16 @@ mod tests {
         let a = c.embed_workload(&WorkloadSpec::twitter(), 1);
         let b = c.embed_workload(&WorkloadSpec::twitter(), 2);
         assert!(a.distance(&b) < 0.05, "self-distance {}", a.distance(&b));
+    }
+
+    #[test]
+    fn embeddings_of_different_dimensions_are_infinitely_far_apart() {
+        let five = WorkloadEmbedding { probs: vec![0.2; 5] };
+        let six = WorkloadEmbedding { probs: vec![1.0 / 6.0; 6] };
+        let three = WorkloadEmbedding { probs: vec![0.2; 3] };
+        assert_eq!(five.distance(&six), f64::INFINITY);
+        assert_eq!(five.distance(&three), f64::INFINITY);
+        assert_eq!(five.distance(&five), 0.0);
     }
 
     #[test]

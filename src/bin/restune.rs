@@ -1,11 +1,13 @@
 //! `restune` — command-line driver for the tuning library.
 //!
 //! ```text
-//! restune tune  --workload twitter --instance A --resource cpu --iters 40
-//!               [--repo history.json] [--save-repo history.json] [--seed 7]
-//!               [--knobs extended] [--project 16] [--quantize 64]
-//! restune grid  --workload twitter --instance A --levels 8
-//! restune knobs [--resource cpu|io|memory]
+//! restune tune   --workload twitter --instance A --resource cpu --iters 40
+//!                [--repo history.json] [--save-repo history.json] [--seed 7]
+//!                [--knobs extended] [--project 16] [--quantize 64]
+//!                [--trace run.trace.jsonl]
+//! restune report run.trace.jsonl
+//! restune grid   --workload twitter --instance A --levels 8
+//! restune knobs  [--resource cpu|io|memory]
 //! ```
 //!
 //! `tune` runs a ResTune session (meta-boosted when `--repo` points at a
@@ -16,11 +18,17 @@
 //! hybrid sentinel knobs biased-sampled; `--quantize B` additionally snaps
 //! wide numeric knobs onto `B` bin centers. `--knobs extended` tunes the
 //! whole 200-knob catalogue (the setting projections exist for).
+//! `--trace FILE` records the session's spans, counters and per-iteration
+//! health events (DESIGN.md §10, §15) and writes them to `FILE` as JSONL;
+//! the tuning output is the same with or without it. `report FILE` renders
+//! such a file: the span tree, the Table-3 phase breakdown and the health
+//! tables.
 
 use dbsim::{InstanceType, KnobSet, SimulatedDbms, WorkloadSpec};
 use restune::core::problem::ResourceKind;
-use restune::core::repository::{DataRepository, TaskObservation, TaskRecord};
+use restune::core::repository::{DataRepository, TaskRecord};
 use restune::core::tuner::{RestuneConfig, TuningEnvironment, TuningSession};
+use restune::core::view;
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -70,8 +78,9 @@ fn usage() -> ExitCode {
         "usage:\n  restune tune  --workload <sysbench|tpcc|twitter|hotel|sales> \
          [--instance A..F] [--resource cpu|io|iops|memory] [--iters N] \
          [--seed N] [--repo FILE] [--save-repo FILE] [--knobs extended|expert] \
-         [--project D] [--quantize B]\n  restune grid  \
-         --workload <name> [--instance A..F] [--levels N]\n  restune knobs [--resource cpu|io|memory]"
+         [--project D] [--quantize B] [--trace FILE]\n  restune report FILE\n  \
+         restune grid  --workload <name> [--instance A..F] [--levels N]\n  \
+         restune knobs [--resource cpu|io|memory]"
     );
     ExitCode::FAILURE
 }
@@ -83,6 +92,7 @@ fn main() -> ExitCode {
 
     match command.as_str() {
         "tune" => cmd_tune(&flags),
+        "report" => cmd_report(&args[1..]),
         "grid" => cmd_grid(&flags),
         "knobs" => cmd_knobs(&flags),
         _ => usage(),
@@ -150,15 +160,21 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
         None => "native".to_string(),
     };
     let knob_set = env.knob_set.clone();
-    let config = RestuneConfig { seed, ..Default::default() };
+    let mut config = RestuneConfig { seed, ..Default::default() };
+    let repo_path = flags.get("repo").filter(|p| !p.is_empty());
+    let save_path = flags.get("save-repo").filter(|p| !p.is_empty());
+    let trace_path = flags.get("trace").filter(|p| !p.is_empty());
+    // The target's meta-feature, which a loaded history is weighted against
+    // and a saved task carries: trained and embedded once for both.
+    let meta_feature = (repo_path.is_some() || save_path.is_some()).then(|| {
+        workload::WorkloadCharacterizer::train_default(seed).embed_workload(&workload, seed).probs
+    });
 
     // Meta-boosted when a repository is supplied.
-    let outcome = match flags.get("repo").filter(|p| !p.is_empty()) {
+    let learners = match repo_path {
         Some(path) => match DataRepository::load(Path::new(path)) {
             Ok(repo) => {
                 println!("loaded repository: {} tasks, {} observations", repo.len(), repo.n_observations());
-                let characterizer = workload::WorkloadCharacterizer::train_default(seed);
-                let mf = characterizer.embed_workload(&workload, seed).probs;
                 let gp_config = gp::GpConfig { restarts: 1, adam_iters: 25, ..Default::default() };
                 let search_dim = env.search_dim();
                 let in_space = |t: &TaskRecord| {
@@ -180,15 +196,27 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
                 }
                 let learners = repo.base_learners(&gp_config, |t| in_space(t) && well_formed(t));
                 println!("usable base-learners in this search space: {}", learners.len());
-                TuningSession::with_base_learners(env, config, learners, mf).run(iters)
+                Some(learners)
             }
             Err(e) => {
                 eprintln!("error: could not load repository {path}: {e}");
                 return ExitCode::FAILURE;
             }
         },
-        None => TuningSession::new(env, config).run(iters),
+        None => None,
     };
+
+    if trace_path.is_some() {
+        trace::enable();
+        config.diag = true;
+    }
+    let session = match (learners, meta_feature.clone()) {
+        (Some(learners), Some(mf)) => TuningSession::with_base_learners(env, config, learners, mf),
+        _ => TuningSession::new(env, config),
+    };
+    let mut driver = session.into_driver();
+    let outcome = driver.run(iters);
+    let snapshot = trace_path.map(|_| trace::snapshot());
 
     println!("\nSLA: tps >= {:.0} txn/s, p99 <= {:.2} ms", outcome.sla.min_tps, outcome.sla.max_p99_ms);
     println!("default {}: {:.2} {}", resource.name(), outcome.default_objective(), resource.unit());
@@ -206,37 +234,37 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
     println!();
     print!("{}", restune::core::advisor::report(&outcome, &knob_set, resource));
 
-    if let Some(path) = flags.get("save-repo").filter(|p| !p.is_empty()) {
+    if let (Some(path), Some(mf)) = (save_path, meta_feature) {
         let mut repo = DataRepository::load(Path::new(path)).unwrap_or_default();
-        let characterizer = workload::WorkloadCharacterizer::train_default(seed);
-        let meta_feature = characterizer.embed_workload(&workload, seed).probs;
-        let observations: Vec<TaskObservation> = outcome
-            .history
-            .iter()
-            .map(|r| TaskObservation {
-                point: r.point.clone(),
-                res: r.objective,
-                tps: r.observation.tps,
-                lat: r.observation.p99_ms,
-                metrics: r.observation.internal.to_vec(),
-            })
-            .collect();
-        repo.add(TaskRecord {
-            task_id: format!("{}@{}", workload.name, instance.name()),
-            workload: workload.name.clone(),
-            instance,
-            resource,
-            knob_names: knob_set.names().to_vec(),
-            space_id: space_id.clone(),
-            meta_feature,
-            observations,
-        });
+        let task_id = format!("{}@{}", workload.name, instance.name());
+        repo.add(driver.engine().to_task_record(&task_id, mf));
         match repo.save(Path::new(path)) {
             Ok(()) => println!("\nsaved task history to {path} ({} tasks total)", repo.len()),
             Err(e) => eprintln!("warning: could not save repository: {e}"),
         }
     }
+    if let (Some(path), Some(snapshot)) = (trace_path, snapshot) {
+        if let Err(e) = snapshot.write_jsonl(Path::new(path)) {
+            eprintln!("error: could not write trace {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("\ntrace written to {path}");
+    }
     ExitCode::SUCCESS
+}
+
+fn cmd_report(args: &[String]) -> ExitCode {
+    let [path] = args else { return usage() };
+    match view::load(Path::new(path)) {
+        Ok(snapshot) => {
+            print!("{}", view::render(&snapshot));
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn cmd_grid(flags: &HashMap<String, String>) -> ExitCode {

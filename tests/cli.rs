@@ -3,17 +3,12 @@
 use dbsim::InstanceType;
 use restune::core::problem::ResourceKind;
 use restune::core::repository::{DataRepository, TaskObservation, TaskRecord};
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
-#[test]
-fn tune_skips_repository_tasks_whose_points_have_the_wrong_length() {
-    // Both tasks name the CPU knob space and the native search space, so the
-    // name filter keeps them, but one task's points are one coordinate short
-    // and the other stores no points at all: fitting either used to hand the
-    // session a learner it rejects with a panic.
-    let knobs = ResourceKind::Cpu.default_knob_set();
-    let dim = knobs.dim() - 1;
-    let observations = (0..8)
+/// Eight observations along the diagonal of a `dim`-dimensional space.
+fn diagonal(dim: usize) -> Vec<TaskObservation> {
+    (0..8)
         .map(|i| {
             let t = i as f64 / 7.0;
             TaskObservation {
@@ -24,7 +19,41 @@ fn tune_skips_repository_tasks_whose_points_have_the_wrong_length() {
                 metrics: vec![t; 4],
             }
         })
-        .collect();
+        .collect()
+}
+
+fn tmp_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_TARGET_TMPDIR")).join(name)
+}
+
+/// Runs the binary and asserts that it exits 0.
+fn restune(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_restune")).args(args).output().unwrap();
+    assert!(out.status.success(), "restune {args:?} failed\n{}", describe(&out));
+    String::from_utf8(out.stdout).unwrap()
+}
+
+fn describe(out: &Output) -> String {
+    format!(
+        "exit {:?}\nstdout:\n{}\nstderr:\n{}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    )
+}
+
+#[test]
+fn tune_skips_repository_tasks_whose_points_have_the_wrong_length() {
+    // All tasks name the CPU knob space and the native search space, so the
+    // name filter keeps them, but one task's points are one coordinate short
+    // and another stores no points at all: fitting either used to hand the
+    // session a learner it rejects with a panic. The last two are
+    // well-formed, but their meta-features are longer and shorter than the
+    // target's five entries: the longer one used to panic in the static
+    // weights, and the shorter one was compared over its first entries.
+    let knobs = ResourceKind::Cpu.default_knob_set();
+    let dim = knobs.dim() - 1;
+    let observations = diagonal(dim);
     let short = TaskRecord {
         task_id: "Twitter@A".into(),
         workload: "Twitter".into(),
@@ -41,26 +70,88 @@ fn tune_skips_repository_tasks_whose_points_have_the_wrong_length() {
         observations: Vec::new(),
         ..short.clone()
     };
+    let long_feature = TaskRecord {
+        task_id: "Twitter@C".into(),
+        instance: InstanceType::C,
+        meta_feature: vec![0.2; 6],
+        observations: diagonal(dim + 1),
+        ..short.clone()
+    };
+    let short_feature = TaskRecord {
+        task_id: "Twitter@D".into(),
+        instance: InstanceType::D,
+        meta_feature: vec![0.2; 3],
+        ..long_feature.clone()
+    };
     let mut repo = DataRepository::new();
     repo.add(short);
     repo.add(empty);
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_short_points.json");
+    repo.add(long_feature);
+    repo.add(short_feature);
+    let path = tmp_path("cli_short_points.json");
     repo.save(&path).unwrap();
 
-    let out = Command::new(env!("CARGO_BIN_EXE_restune"))
-        .args(["tune", "--workload", "twitter", "--iters", "6", "--repo"])
-        .arg(&path)
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "exit {:?}\nstdout:\n{stdout}\nstderr:\n{}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = restune(&[
+        "tune",
+        "--workload",
+        "twitter",
+        "--iters",
+        "6",
+        "--repo",
+        path.to_str().unwrap(),
+    ]);
     let skipped =
         format!("skipped 1 repository task(s) whose points are not {}-dimensional", dim + 1);
     assert!(stdout.contains(&skipped), "{stdout}");
-    assert!(stdout.contains("usable base-learners in this search space: 0"), "{stdout}");
+    assert!(stdout.contains("usable base-learners in this search space: 2"), "{stdout}");
+}
+
+#[test]
+fn tune_saves_the_default_first_and_traces_without_changing_its_output() {
+    const ITERS: usize = 3;
+    let iters = ITERS.to_string();
+    let [plain_repo, traced_repo, trace_file] =
+        ["cli_plain.json", "cli_traced.json", "cli_run.trace.jsonl"].map(|name| {
+            let path = tmp_path(name);
+            let _ = std::fs::remove_file(&path);
+            path.to_str().unwrap().to_string()
+        });
+    let tune = |rest: &[&str]| {
+        restune(&[&["tune", "--workload", "twitter", "--iters", &iters][..], rest].concat())
+    };
+    let plain = tune(&["--save-repo", &plain_repo]);
+    let traced = tune(&["--save-repo", &traced_repo, "--trace", &trace_file]);
+    // Tracing and diagnostics add one closing line and change nothing else,
+    // neither the printed results nor the saved task.
+    let expected = format!(
+        "{}\ntrace written to {trace_file}\n",
+        plain.replace(&plain_repo, &traced_repo)
+    );
+    assert_eq!(traced, expected);
+    assert_eq!(std::fs::read(&plain_repo).unwrap(), std::fs::read(&traced_repo).unwrap());
+
+    // The saved task holds the default observation first, then one per
+    // iteration, like every other writer of the repository.
+    let repo = DataRepository::load(Path::new(&plain_repo)).unwrap();
+    assert_eq!(repo.len(), 1);
+    let task = &repo.tasks()[0];
+    assert_eq!(task.task_id, "Twitter@A");
+    assert_eq!(task.observations.len(), ITERS + 1);
+    assert_eq!(task.observations[0].point, ResourceKind::Cpu.default_knob_set().default_point());
+
+    let report = restune(&["report", &trace_file]);
+    for section in [
+        "== span tree ==",
+        "per-iteration phase means (Table 3 layout)",
+        "== session health ==",
+        &format!("summary: {ITERS} iterations"),
+    ] {
+        assert!(report.contains(section), "missing {section:?} in\n{report}");
+    }
+    let missing = Command::new(env!("CARGO_BIN_EXE_restune"))
+        .args(["report", tmp_path("cli_missing.trace.jsonl").to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&missing.stderr);
+    assert!(!missing.status.success() && stderr.contains("cannot read"), "{}", describe(&missing));
 }

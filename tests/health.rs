@@ -99,30 +99,37 @@ fn fleet_health_aggregates_task_tagged_streams_per_tenant() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let tenants = 6u64;
     let iters = 4;
-    trace::enable();
-    trace::reset();
-    let service = FleetService::new(FleetConfig { workers: 2, slice: 2, shards: 4 });
-    let out = service.run(
-        (0..tenants)
-            .map(|id| {
-                let seed = mix_seed(0x4EA17, id);
-                let env = TuningEnvironment::builder()
-                    .instance(InstanceType::A)
-                    .workload(WorkloadSpec::fleet_tenant(id))
-                    .resource(ResourceKind::Cpu)
-                    .knob_set(KnobSet::case_study())
-                    .seed(seed)
-                    .fault_plan(
-                        FaultPlan::none().with_transient_rate(0.2).with_seed(seed ^ 0xFA),
-                    )
-                    .build();
-                Tenant::restune(id, format!("tenant-{id}"), env, quick_config(seed), iters)
-            })
-            .collect(),
-    );
-    let snap = trace::snapshot();
-    trace::disable();
-    trace::reset();
+    let storm = tenants - 1;
+    // Every tenant tolerates a steady 0.2 transient-fault rate; the last one
+    // is a failure storm at 0.9 that the straggler thresholds must flag.
+    let run = |workers: usize| {
+        trace::enable();
+        trace::reset();
+        let service = FleetService::new(FleetConfig { workers, slice: 2, shards: 4 });
+        let out = service.run(
+            (0..tenants)
+                .map(|id| {
+                    let seed = mix_seed(0x4EA17, id);
+                    let rate = if id == storm { 0.9 } else { 0.2 };
+                    let faults = FaultPlan::none().with_transient_rate(rate).with_seed(seed ^ 0xFA);
+                    let env = TuningEnvironment::builder()
+                        .instance(InstanceType::A)
+                        .workload(WorkloadSpec::fleet_tenant(id))
+                        .resource(ResourceKind::Cpu)
+                        .knob_set(KnobSet::case_study())
+                        .seed(seed)
+                        .fault_plan(faults)
+                        .build();
+                    Tenant::restune(id, format!("tenant-{id}"), env, quick_config(seed), iters)
+                })
+                .collect(),
+        );
+        let snap = trace::snapshot();
+        trace::disable();
+        trace::reset();
+        (out, snap)
+    };
+    let (out, snap) = run(2);
     assert_eq!(out.tenants.len(), tenants as usize);
 
     let fleet = FleetHealth::from_snapshot(&snap);
@@ -139,5 +146,28 @@ fn fleet_health_aggregates_task_tagged_streams_per_tenant() {
         if let Some(best) = result.outcome.best_objective {
             assert_eq!(tenant.final_incumbent, best, "tenant {} incumbent", tenant.task);
         }
+    }
+    let flagged = fleet.stragglers.iter().find(|s| s.task == storm);
+    assert!(
+        flagged.is_some_and(|s| s.reasons.iter().any(|r| r.starts_with("failure storm"))),
+        "failure-storm tenant {storm} not flagged: {:?}",
+        fleet.stragglers
+    );
+    let reparsed = trace::TraceSnapshot::from_jsonl(&snap.to_jsonl().unwrap()).unwrap();
+    assert_eq!(FleetHealth::from_snapshot(&reparsed), fleet, "aggregate changed across JSONL");
+    // Every step counts exactly one fit path, and the LHS bootstrap steps
+    // (`init_iters` = 3, at n <= 40, where the next step refits anyway)
+    // all skip.
+    let [full, incremental, skipped] =
+        ["gp.fit.full", "gp.fit.incremental", "gp.fit.skipped"].map(|c| snap.counter(c));
+    assert_eq!(full + incremental + skipped, tenants * iters as u64);
+    assert!(skipped >= tenants * 3, "{skipped} skipped fits");
+
+    // Tracing and diagnostics leave the schedule independence intact: a
+    // rerun at another worker count reproduces every tenant's record.
+    let (again, _) = run(1);
+    for (a, b) in out.tenants.iter().zip(&again.tenants) {
+        assert_eq!(a.id, b.id);
+        assert_eq!(a.record_json().unwrap(), b.record_json().unwrap(), "tenant {}", a.id);
     }
 }

@@ -5,6 +5,7 @@
 
 use dbsim::{FaultPlan, InstanceType, KnobSet, WorkloadSpec};
 use restune::core::acquisition::AcquisitionOptimizer;
+use restune::core::diag::{TunerHealth, HEALTH_EVENT};
 use restune::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 use trace::{SpanEvent, TraceSnapshot};
@@ -85,6 +86,22 @@ fn thirty_iteration_span_totals_match_iteration_timing_sums() {
     assert_eq!(agg["iteration/recommendation"].count, 30);
     assert_eq!(snap.counter("gp.fit.skipped"), 10);
     assert_eq!(snap.counter("loop.iterations"), 30);
+
+    // A baseline on the shared driver gets the same root: CDBTune-w-Con
+    // emits one `iteration` span per step, its own stages nested inside.
+    trace::enable();
+    trace::reset();
+    let mut driver =
+        restune::baselines::CdbTuneProposer::driver(env_with(11, None), quick_config(11));
+    for _ in 0..6 {
+        driver.step();
+    }
+    let baseline = trace::snapshot();
+    trace::reset();
+    trace::disable();
+    let agg = baseline.span_agg();
+    assert_eq!(agg["iteration"].count, 6);
+    assert_eq!(agg["iteration/recommendation"].count, 6);
 }
 
 #[test]
@@ -95,6 +112,7 @@ fn parallel_path_nests_scoped_thread_spans_under_their_phases() {
     trace::reset();
     let mut config = quick_config(5);
     config.init_iters = 2;
+    config.diag = true;
     // Meta-boosted session so per-learner dynamic-weight draws fan out on
     // scoped threads (inline draws would produce the same paths).
     let characterizer = workload::WorkloadCharacterizer::train_default(3);
@@ -167,6 +185,15 @@ fn parallel_path_nests_scoped_thread_spans_under_their_phases() {
     // the lane count: the inline run counts the same work.
     for counter in ["acq.candidates_scored", "acq.candidates_valued", "linalg.cholesky.solve"] {
         assert_eq!(inline.counter(counter), snap.counter(counter), "{counter}");
+    }
+    // With diagnostics on, every step's health event carries the ensemble
+    // weights: static ones during the LHS bootstrap, ranking-loss ones after.
+    let health: Vec<TunerHealth> =
+        snap.events_named(HEALTH_EVENT).into_iter().filter_map(TunerHealth::from_event).collect();
+    assert_eq!(health.len(), 6);
+    for h in &health {
+        let weights = h.weights.as_ref().expect("a meta-boosted step carries weights");
+        assert_eq!(weights.len(), 3, "2 base learners + target at iteration {}", h.iteration);
     }
 }
 
