@@ -78,7 +78,7 @@ impl CdbTuneProposer {
             pending: None,
             train_steps: 4,
         };
-        TuningDriver::new(engine, proposer, config.seed)
+        TuningDriver::from_parts(engine, proposer, config.seed)
     }
 
     fn normalize_state(&self, metrics: &[f64]) -> Vec<f64> {

@@ -17,7 +17,7 @@
 //! [`method_driver`] builds every method's run, one
 //! [`restune_core::driver::TuningDriver`] over the shared
 //! [`restune_core::engine::EvalEngine`]: ResTune and iTuned as a
-//! [`restune_core::tuner::TuningSession`]'s driver, OtterTune and CDBTune
+//! [`restune_core::tuner::TuningSession`], OtterTune and CDBTune
 //! from [`OtterTuneProposer::driver`] and [`CdbTuneProposer::driver`]. So
 //! replay retries, failure penalties, and incumbent/convergence bookkeeping
 //! are identical across methods, and every baseline produces the same

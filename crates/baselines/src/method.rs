@@ -98,7 +98,10 @@ impl MethodContext<'_> {
         }
     }
 
-    /// Base learners visible under the setting filter.
+    /// Base learners visible under the setting filter. Learners fitted here
+    /// come only from tasks that may transfer to `env`
+    /// ([`restune_core::repository::TaskRecord::transfers_to`]); prepared
+    /// learners are trusted to match it.
     fn base_learners(
         &self,
         env: &TuningEnvironment,
@@ -115,7 +118,11 @@ impl MethodContext<'_> {
         // Historical learners are frozen; fit their hyperparameters once,
         // with a modest budget.
         gp_config.optimize_hypers = true;
-        repo.base_learners(&gp_config, |t| self.keeps(env, &t.workload, t.instance))
+        let (names, space) = (env.knob_set.names(), env.space_info());
+        repo.base_learners(&gp_config, |t| {
+            self.keeps(env, &t.workload, t.instance)
+                && t.transfers_to(names, env.resource, &space).is_ok()
+        })
     }
 
     /// Repository filtered the same way, for OtterTune's mapping.
@@ -147,12 +154,9 @@ pub fn method_driver(
                 learners,
                 ctx.target_meta_feature.clone(),
             )
-            .into_driver()
             .boxed()
         }
-        Method::RestuneWithoutML => {
-            TuningSession::new(env, ctx.config.clone()).into_driver().boxed()
-        }
+        Method::RestuneWithoutML => TuningSession::new(env, ctx.config.clone()).boxed(),
         Method::RestuneWithoutWorkload => {
             let learners = ctx.base_learners(&env);
             let mut config = ctx.config.clone();
@@ -163,13 +167,12 @@ pub fn method_driver(
                 learners,
                 ctx.target_meta_feature.clone(),
             )
-            .into_driver()
             .boxed()
         }
         Method::ITuned => {
             let mut config = ctx.config.clone();
             config.acquisition = AcquisitionKind::ExpectedImprovement;
-            TuningSession::new(env, config).into_driver().boxed()
+            TuningSession::new(env, config).boxed()
         }
         Method::OtterTuneWithConstraints => {
             let repo = ctx.filtered_repository(&env);

@@ -50,7 +50,7 @@ impl OtterTuneProposer {
         let engine = EvalEngine::new(env, false);
         let seed = config.seed;
         let proposer = OtterTuneProposer { config, repository, lhs_plan, last_match: None };
-        TuningDriver::new(engine, proposer, seed)
+        TuningDriver::from_parts(engine, proposer, seed)
     }
 
     /// Mean of the target's observed internal metric vectors.
@@ -114,16 +114,17 @@ impl Proposer for OtterTuneProposer {
         }
 
         let model_span = trace::span!("model_update");
-        // Merge matched workload data (same knob space) with target data,
-        // one point per row.
+        // Merge the matched workload's data, when it may transfer to this
+        // run, with the target data, one point per row.
         let matched = self.match_task(view).map(|idx| &self.repository.tasks()[idx]);
         if let Some(task) = matched {
             self.last_match = Some(task.task_id.clone());
         }
+        let problem = view.problem;
         let history = matched
             .filter(|task| {
-                task.knob_names == view.problem.knob_set.names()
-                    && task.space_id == view.problem.space.id
+                let names = problem.knob_set.names();
+                task.transfers_to(names, problem.resource, &problem.space).is_ok()
             })
             .map_or(&[][..], |task| &task.observations);
         let rows = view.points.iter().map(Vec::as_slice).chain([view.default_point]);
@@ -252,6 +253,29 @@ mod tests {
         let outcome = ot.run(20);
         assert!(outcome.best_objective.unwrap() < outcome.default_obj_value);
         // It matched some workload after the bootstrap phase.
+        assert!(ot.proposer().last_match.is_some());
+    }
+
+    #[test]
+    fn a_matched_task_that_may_not_transfer_adds_no_data() {
+        // Every stored task names this run's knobs and space, but its points
+        // are a coordinate short: merging the match used to panic the fit.
+        let mut repo = DataRepository::new();
+        for mut task in small_repo().tasks().iter().cloned() {
+            task.observations.iter_mut().for_each(|o| {
+                o.point.pop();
+            });
+            repo.add(task);
+        }
+        let env = TuningEnvironment::builder()
+            .instance(InstanceType::A)
+            .workload(WorkloadSpec::twitter())
+            .resource(ResourceKind::Cpu)
+            .knob_set(KnobSet::case_study())
+            .seed(4)
+            .build();
+        let mut ot = OtterTuneProposer::driver(env, quick_config(4), repo);
+        assert_eq!(ot.run(13).history.len(), 13);
         assert!(ot.proposer().last_match.is_some());
     }
 

@@ -148,9 +148,7 @@ fn bo_config() -> RestuneConfig {
 fn drift_config(policy: RestartPolicy) -> DriftConfig {
     DriftConfig {
         check_every: 2,
-        threshold: 0.25,
         min_epoch_iters: 6,
-        settle_tol: 0.05,
         embed_seed: 0,
         policy,
     }
@@ -197,25 +195,20 @@ fn drift_arm(
     characterizer: &Arc<WorkloadCharacterizer>,
     repo: &DataRepository,
 ) -> ArmRun {
-    let session = TuningSession::new(environment(), bo_config());
-    let session = match policy {
-        Some(policy) => {
-            let sink = Box::new(LocalSealSink::new(
-                repo.clone(),
-                gp::GpConfig { restarts: 1, adam_iters: 12, ..Default::default() },
-            ));
-            let controller = DriftController::for_workload(
-                drift_config(policy),
-                Arc::clone(characterizer),
-                &base_workload(),
-                "twitter@B",
-                sink,
-            );
-            session.with_drift(controller)
-        }
-        None => session,
-    };
-    let mut driver = session.into_driver();
+    let mut driver = TuningSession::new(environment(), bo_config());
+    if let Some(policy) = policy {
+        let sink = Box::new(LocalSealSink::new(
+            repo.clone(),
+            gp::GpConfig { restarts: 1, adam_iters: 12, ..Default::default() },
+        ));
+        driver.set_drift(DriftController::for_workload(
+            drift_config(policy),
+            Arc::clone(characterizer),
+            &base_workload(),
+            "twitter@B",
+            sink,
+        ));
+    }
     for _ in 0..total_iters {
         driver.step();
     }

@@ -35,6 +35,7 @@ use std::sync::Arc;
 use crate::engine::EvalEngine;
 use crate::fleet::store::ShardedStore;
 use crate::meta::BaseLearner;
+use crate::problem::SpaceInfo;
 use crate::repository::{DataRepository, TaskRecord};
 use gp::GpConfig;
 use workload::WorkloadCharacterizer;
@@ -50,27 +51,31 @@ pub enum RestartPolicy {
     Cold,
 }
 
-/// Drift-detector configuration.
+/// Total-variation distance between the live class distribution and the
+/// reference profile at which drift is declared (both are probability
+/// vectors, so the score lives in `[0, 1]`).
+pub const DRIFT_THRESHOLD: f64 = 0.25;
+
+/// Settle tolerance: after a threshold crossing, the restart is deferred
+/// until two consecutive checks see the *same* drifted profile (their
+/// total-variation distance is at most `SETTLE_TOL`). Restarting mid-ramp
+/// would re-anchor the SLA on transient blended traffic that the settled
+/// workload can never meet, leaving the whole new epoch infeasible. Strictly
+/// tighter than [`DRIFT_THRESHOLD`], or the debounce could confirm a profile
+/// that is still mid-ramp.
+pub const SETTLE_TOL: f64 = 0.05;
+
+/// Drift-detector configuration. The detection threshold and the settle
+/// tolerance are the constants [`DRIFT_THRESHOLD`] and [`SETTLE_TOL`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Re-characterize the live workload every `check_every` committed
     /// iterations of the current epoch.
     pub check_every: usize,
-    /// Total-variation distance between the live class distribution and the
-    /// reference profile at which drift is declared (both are probability
-    /// vectors, so the score lives in `[0, 1]`).
-    pub threshold: f64,
     /// Iterations an epoch must accumulate before checks begin — a restart
     /// storm on a slow ramp would shred every epoch's history into
     /// unusably small base tasks.
     pub min_epoch_iters: usize,
-    /// Settle tolerance: after a threshold crossing, the restart is deferred
-    /// until two consecutive checks see the *same* drifted profile (their
-    /// total-variation distance is at most `settle_tol`). Restarting
-    /// mid-ramp would re-anchor the SLA on transient blended traffic that
-    /// the settled workload can never meet, leaving the whole new epoch
-    /// infeasible.
-    pub settle_tol: f64,
     /// Seed for the characterizer's query sampling (the profile, like the
     /// embedding it compares against, must be a pure function of the spec).
     pub embed_seed: u64,
@@ -82,9 +87,7 @@ impl Default for DriftConfig {
     fn default() -> Self {
         DriftConfig {
             check_every: 4,
-            threshold: 0.25,
             min_epoch_iters: 6,
-            settle_tol: 0.05,
             embed_seed: 0,
             policy: RestartPolicy::Warm,
         }
@@ -123,15 +126,18 @@ pub trait SealSink: Send {
     fn seal(&mut self, record: TaskRecord) -> Vec<BaseLearner>;
 }
 
-/// Fits base-learners from every record matching the target's search space:
-/// meta-transfer requires the knob names *and* the `space_id` to agree.
+/// Fits base-learners from every record that may transfer to the sealed
+/// `target`'s run ([`TaskRecord::transfers_to`]). The target's first point
+/// is the run's default point, so its width is the run's search dimension.
 fn matching_learners<'a>(
     records: impl Iterator<Item = &'a TaskRecord>,
     target: &TaskRecord,
     gp: &GpConfig,
 ) -> Vec<BaseLearner> {
+    let dim = target.observations.first().map_or(0, |o| o.point.len());
+    let space = SpaceInfo { dim, id: target.space_id.clone() };
     records
-        .filter(|t| t.knob_names == target.knob_names && t.space_id == target.space_id)
+        .filter(|t| t.transfers_to(&target.knob_names, target.resource, &space).is_ok())
         .filter_map(|t| t.to_base_learner(gp).ok())
         .collect()
 }
@@ -212,7 +218,7 @@ pub struct DriftController {
     /// Sealed-task label prefix (conventionally `workload@instance`).
     task_prefix: String,
     /// A drifted profile seen by the previous check, awaiting confirmation
-    /// that the workload has settled (see [`DriftConfig::settle_tol`]).
+    /// that the workload has settled (see [`SETTLE_TOL`]).
     pending: Option<Vec<f64>>,
     /// The last spec embedded and its profile. The embedding reads the spec
     /// only through `generate_queries(spec, n, embed_seed)`, so equal specs
@@ -318,7 +324,7 @@ impl DriftController {
         let score = total_variation(&live, &self.reference);
         self.last_score = score;
         let _ = check_span.finish_s();
-        if score < self.config.threshold {
+        if score < DRIFT_THRESHOLD {
             // Back under the threshold: a transient blip, not a drift.
             self.pending = None;
             return None;
@@ -330,7 +336,7 @@ impl DriftController {
         // there would anchor the new epoch's SLA on a mix that no longer
         // exists by its first iteration.
         let settled = match &self.pending {
-            Some(prior) => total_variation(&live, prior) <= self.config.settle_tol,
+            Some(prior) => total_variation(&live, prior) <= SETTLE_TOL,
             None => false,
         };
         if !settled {
@@ -398,10 +404,12 @@ mod tests {
     fn default_config_checks_sparsely_and_restarts_warm() {
         let c = DriftConfig::default();
         assert!(c.min_epoch_iters >= c.check_every);
-        assert!(c.threshold > 0.0 && c.threshold < 1.0);
-        // Settling must be strictly tighter than detection, or the debounce
-        // could confirm a profile that is still mid-ramp.
-        assert!(c.settle_tol > 0.0 && c.settle_tol < c.threshold);
         assert_eq!(c.policy, RestartPolicy::Warm);
+        const {
+            assert!(DRIFT_THRESHOLD > 0.0 && DRIFT_THRESHOLD < 1.0);
+            // Settling must be strictly tighter than detection, or the
+            // debounce could confirm a profile that is still mid-ramp.
+            assert!(SETTLE_TOL > 0.0 && SETTLE_TOL < DRIFT_THRESHOLD);
+        }
     }
 }

@@ -9,6 +9,13 @@
 //! comparison (replay retries, failure penalties, incumbent/convergence
 //! bookkeeping) lives in the engine. The driver owns the `iteration` trace
 //! span, so every proposer's phase spans nest under the same root.
+//!
+//! Every method's run is a `TuningDriver`: ResTune's is
+//! [`crate::tuner::TuningSession`], the driver over
+//! [`crate::proposer::RestuneProposer`], whose constructors build the engine
+//! and the proposer from an environment; the baselines build theirs in
+//! `baselines`. [`TuningDriver::from_parts`] is the one generic
+//! constructor.
 
 use crate::drift::{DriftController, DriftEvent};
 use crate::engine::{EvalEngine, HistoryView, IterationRecord, IterationTiming, TuningOutcome};
@@ -93,7 +100,7 @@ pub struct TuningDriver<P> {
 
 impl<P: Proposer> TuningDriver<P> {
     /// Builds a driver over an already-constructed engine.
-    pub fn new(engine: EvalEngine, proposer: P, seed: u64) -> Self {
+    pub fn from_parts(engine: EvalEngine, proposer: P, seed: u64) -> Self {
         TuningDriver { engine, proposer, seed, drift: None }
     }
 

@@ -11,7 +11,7 @@
 //! rendering. What point to evaluate next is the [`crate::driver::Proposer`]'s
 //! job; the run loop tying the two together is [`crate::driver::TuningDriver`].
 
-use crate::problem::{SlaConstraints, SpaceInfo, TuningProblem};
+use crate::problem::{SlaConstraints, TuningProblem};
 use crate::repository::{TaskObservation, TaskRecord};
 use crate::resilience::{
     evaluate_with_retry, failure_penalty, penalty_observation, FailureCounts, FailureKind,
@@ -239,13 +239,9 @@ impl EvalEngine {
         // problem dimension, the default point, history, surrogates — lives
         // in the low-dimensional search space; only the two lift seams below
         // (evaluate, render) ever see native coordinates.
-        let space = match &env.space {
-            Some(t) => SpaceInfo { dim: t.dim(), id: t.id() },
-            None => SpaceInfo::native(env.knob_set.dim()),
-        };
         let problem = TuningProblem {
             knob_set: env.knob_set.clone(),
-            space,
+            space: env.space_info(),
             resource: env.resource,
             constraints: sla,
         };

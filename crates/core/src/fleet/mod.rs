@@ -43,7 +43,6 @@ use std::sync::Arc;
 use crate::drift::{DriftConfig, DriftController, FleetSealSink};
 use crate::driver::{BoxProposer, Proposer, TuningDriver};
 use crate::engine::{IterationRecord, TuningOutcome};
-use crate::meta::BaseLearner;
 use crate::repository::TaskRecord;
 use crate::tuner::{RestuneConfig, TuningEnvironment, TuningSession};
 use workload::WorkloadCharacterizer;
@@ -108,23 +107,7 @@ impl Tenant {
         config: RestuneConfig,
         iters: usize,
     ) -> Tenant {
-        Tenant::new(id, name, iters, Vec::new(), TuningSession::new(env, config).into_driver())
-    }
-
-    /// A meta-boosted ResTune tenant over base-learners fitted from a store
-    /// snapshot (or any history). Runs inline, as [`Tenant::restune`].
-    pub fn restune_meta(
-        id: u64,
-        name: impl Into<String>,
-        env: TuningEnvironment,
-        config: RestuneConfig,
-        base_learners: Vec<BaseLearner>,
-        meta_feature: Vec<f64>,
-        iters: usize,
-    ) -> Tenant {
-        let session =
-            TuningSession::with_base_learners(env, config, base_learners, meta_feature.clone());
-        Tenant::new(id, name, iters, meta_feature, session.into_driver())
+        Tenant::new(id, name, iters, Vec::new(), TuningSession::new(env, config))
     }
 
     /// A ResTune tenant with a drift controller (DESIGN.md §16): the live
@@ -479,7 +462,7 @@ mod tests {
             "poisoned",
             6,
             Vec::new(),
-            TuningDriver::new(engine, PanickingProposer { after: 3, calls: 0 }, 0),
+            TuningDriver::from_parts(engine, PanickingProposer { after: 3, calls: 0 }, 0),
         );
         let service = FleetService::new(FleetConfig { workers: 2, slice: 2, shards: 2 });
         let out = service.run(vec![tenant(0, 4), bad, tenant(2, 4)]);

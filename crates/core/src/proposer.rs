@@ -38,10 +38,10 @@ use xrand::{RngExt, SeedableRng};
 /// penalty-EI ablations): meta-boosted constrained Bayesian optimization.
 pub struct RestuneProposer {
     config: RestuneConfig,
-    /// The historical learners, shared with every step's ensemble.
+    /// The historical learners, shared with every step's ensemble. The run
+    /// is meta-boosted exactly when this holds at least one.
     base_learners: Arc<[BaseLearner]>,
     target_meta_feature: Vec<f64>,
-    use_meta: bool,
     dim: usize,
     /// The LHS bootstrap's points, one per row.
     lhs_plan: Matrix,
@@ -69,14 +69,17 @@ pub struct RestuneProposer {
 }
 
 impl RestuneProposer {
-    /// Builds the strategy over a `dim`-dimensional knob space. The caller
-    /// (the [`crate::tuner::TuningSession`] facade) validates that every
-    /// base learner matches `dim`.
+    /// Builds the strategy over a `dim`-dimensional search space. It is
+    /// meta-boosted exactly when `base_learners` is not empty: static
+    /// weights against `target_meta_feature` for the first `init_iters`
+    /// iterations, ranking-loss weights afterwards; with no learners it
+    /// bootstraps with LHS. The caller
+    /// ([`crate::tuner::TuningSession::with_base_learners`]) validates that
+    /// every base learner matches `dim`.
     pub fn new(
         config: RestuneConfig,
         base_learners: Vec<BaseLearner>,
         target_meta_feature: Vec<f64>,
-        use_meta: bool,
         dim: usize,
     ) -> Self {
         let lhs_plan = crate::lhs::latin_hypercube(config.init_iters, dim, config.seed ^ 0x5A);
@@ -84,7 +87,6 @@ impl RestuneProposer {
             config,
             base_learners: base_learners.into(),
             target_meta_feature,
-            use_meta,
             dim,
             lhs_plan,
             target_cache: None,
@@ -145,7 +147,7 @@ impl RestuneProposer {
         // a warm restart), so the difference is epoch-local like `rel_iter`.
         let stagnated = (view.epoch_start + rel_iter).saturating_sub(view.last_improvement) >= 8
             && rel_iter.is_multiple_of(4);
-        if init && (!self.use_meta || self.config.init_strategy == InitStrategy::Lhs) {
+        if init && (!self.is_meta() || self.config.init_strategy == InitStrategy::Lhs) {
             Stage::Lhs
         } else if !init && stagnated {
             Stage::Explore
@@ -154,10 +156,15 @@ impl RestuneProposer {
         }
     }
 
+    /// Whether the run is meta-boosted: it holds at least one learner.
+    fn is_meta(&self) -> bool {
+        !self.base_learners.is_empty()
+    }
+
     /// Whether the step at `rel_iter` learns ranking-loss weights, which
     /// read the target model and enter the record.
     fn learns_dynamic_weights(&self, rel_iter: usize) -> bool {
-        self.use_meta && !self.base_learners.is_empty() && rel_iter >= self.config.init_iters
+        self.is_meta() && rel_iter >= self.config.init_iters
     }
 
     /// Whether the step must fit the target GPs: when its stage or its
@@ -250,7 +257,7 @@ impl RestuneProposer {
         seed: u64,
         target: Option<Arc<GpTaskModel>>,
     ) -> (Option<MetaLearner>, Option<Vec<f64>>) {
-        if !self.use_meta || self.base_learners.is_empty() {
+        if !self.is_meta() {
             return (target.map(MetaLearner::target_only), None);
         }
         let weights = if !self.learns_dynamic_weights(rel_iter) {
@@ -317,7 +324,7 @@ impl RestuneProposer {
                 // target learner until dynamic (ranking-loss) weights take
                 // over — ranking loss scores tps/lat orderings explicitly, so
                 // the dynamic ensemble is safe for constraints.
-                let constraints_from_target = self.use_meta
+                let constraints_from_target = self.is_meta()
                     && rel_iter < self.config.init_iters
                     && self.config.static_constraints_from_target;
                 self.optimize_acquisition(view, surrogate, constraints_from_target, seed)
@@ -577,12 +584,11 @@ impl Proposer for RestuneProposer {
     /// meta-feature, and the bootstrap/cache state resets so the next
     /// `propose` re-enters initialization against the new epoch.
     fn on_drift(&mut self, event: &DriftEvent) {
-        self.base_learners = event.learners.clone().into();
-        self.target_meta_feature = event.meta_feature.clone();
         // A session that started without transfer sources gains them the
         // moment its own past is sealed; a cold restart (no learners) keeps
         // — or falls back to — the non-meta LHS bootstrap.
-        self.use_meta = !self.base_learners.is_empty();
+        self.base_learners = event.learners.clone().into();
+        self.target_meta_feature = event.meta_feature.clone();
         // A fresh LHS plan, decorrelated per epoch: replaying the epoch-0
         // bootstrap points against a different workload would waste the
         // restart's initialization budget on a stale design.

@@ -6,7 +6,7 @@
 //! `(θ, f_res, f_tps, f_lat)` tuples plus a workload meta-feature.
 
 use crate::meta::BaseLearner;
-use crate::problem::ResourceKind;
+use crate::problem::{ResourceKind, SpaceInfo};
 use crate::surrogate::GpTaskModel;
 use dbsim::{Configuration, InstanceType, KnobSet, SimulatedDbms};
 use gp::GpConfig;
@@ -52,6 +52,19 @@ impl From<gp::GpError> for BaseLearnerError {
     fn from(e: gp::GpError) -> Self {
         BaseLearnerError::Fit(e)
     }
+}
+
+/// Why a stored task may not transfer to a run
+/// ([`TaskRecord::transfers_to`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransferMismatch {
+    /// The task tuned other knobs, searched another space, or minimized
+    /// another resource.
+    OtherSpace,
+    /// The task names the run's space, but a stored point has another
+    /// width (a hand-edited or corrupted file): its learner would not fit
+    /// the run.
+    PointWidth,
 }
 
 /// A complete historical tuning task.
@@ -121,6 +134,28 @@ impl TaskRecord {
             meta_feature,
             observations,
         }
+    }
+
+    /// The one rule for which stored task may transfer to a run over
+    /// `knob_names` that minimizes `resource` in `space`: the same native
+    /// knobs, the same search-space id (coordinates under different
+    /// transforms are not comparable), the same objective, and every stored
+    /// point `space.dim` wide. A task with no observations passes; it
+    /// yields no learner ([`BaseLearnerError::NoObservations`]).
+    pub fn transfers_to(
+        &self,
+        knob_names: &[String],
+        resource: ResourceKind,
+        space: &SpaceInfo,
+    ) -> Result<(), TransferMismatch> {
+        if self.knob_names != knob_names || self.space_id != space.id || self.resource != resource
+        {
+            return Err(TransferMismatch::OtherSpace);
+        }
+        if self.observations.iter().any(|o| o.point.len() != space.dim) {
+            return Err(TransferMismatch::PointWidth);
+        }
+        Ok(())
     }
 
     /// Fits this task's frozen base-learner: one exact GP per metric over
@@ -326,6 +361,29 @@ mod tests {
         let empty = TaskRecord { observations: Vec::new(), ..rec };
         let err = empty.to_base_learner(&GpConfig::fixed()).err();
         assert_eq!(err, Some(BaseLearnerError::NoObservations));
+    }
+
+    #[test]
+    fn transfer_needs_the_same_knobs_space_resource_and_point_width() {
+        let rec = sample_record();
+        let names = KnobSet::case_study().names().to_vec();
+        let native = SpaceInfo::native(3);
+        let transfers = |t: &TaskRecord| t.transfers_to(&names, ResourceKind::Cpu, &native);
+        assert_eq!(transfers(&rec), Ok(()));
+        let other = [
+            TaskRecord { knob_names: names[..2].to_vec(), ..rec.clone() },
+            TaskRecord { space_id: "hesbo:d3:s1".into(), ..rec.clone() },
+            TaskRecord { resource: ResourceKind::IoBps, ..rec.clone() },
+        ];
+        for t in &other {
+            assert_eq!(transfers(t), Err(TransferMismatch::OtherSpace));
+        }
+        let mut short = rec.clone();
+        short.observations[4].point.pop();
+        assert_eq!(transfers(&short), Err(TransferMismatch::PointWidth));
+        // No observations: nothing of another width; the fit drops it.
+        let empty = TaskRecord { observations: Vec::new(), ..rec };
+        assert_eq!(transfers(&empty), Ok(()));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! from a handful of search dimensions:
 //!
 //! * **Random linear projection** — the proposer searches `[0,1]^d_low`;
-//!   candidates are lifted to the native unit hypercube by a seeded random
-//!   linear map (sparse HeSBO counting-sketch or dense Gaussian/REMBO),
-//!   clipped, and denormalized through the existing [`KnobSet`].
+//!   candidates are lifted to the native unit hypercube by a seeded sparse
+//!   HeSBO counting-sketch map and denormalized through the existing
+//!   [`KnobSet`].
 //! * **Quantization** — wide continuous/integer knobs are bucketized onto bin
 //!   centers (the same bin-center convention `knobs.rs` uses for enums), so
 //!   the surrogate sees a drastically smaller effective value set.
@@ -32,7 +32,6 @@
 use std::sync::Arc;
 
 use dbsim::{KnobKind, KnobSet};
-use linalg::{Cholesky, Matrix};
 use xrand::rngs::StdRng;
 use xrand::{RngExt, SeedableRng};
 
@@ -111,16 +110,12 @@ pub enum Projection {
     /// signed copy of one search dimension. Lifted points never leave the
     /// unit hypercube, so no clipping distortion.
     Hesbo,
-    /// Dense Gaussian embedding (REMBO-style): `native = 0.5 + A·(low - 0.5)`
-    /// with `A[i][j] ~ N(0, (2/√d)²)`, clipped to the unit hypercube.
-    Gaussian,
 }
 
 impl Projection {
     fn tag(&self) -> &'static str {
         match self {
             Projection::Hesbo => "hesbo",
-            Projection::Gaussian => "gauss",
         }
     }
 }
@@ -132,15 +127,10 @@ pub struct RandomProjection {
     d_low: usize,
     native_dim: usize,
     seed: u64,
-    /// HeSBO: `h[i]` = which search dimension native dim `i` copies.
+    /// `h[i]` = which search dimension native dim `i` copies.
     h: Vec<usize>,
-    /// HeSBO: sign per native dimension (+1.0 / -1.0).
+    /// Sign per native dimension (+1.0 / -1.0).
     s: Vec<f64>,
-    /// Gaussian: the `native_dim × d_low` embedding matrix.
-    a: Option<Matrix>,
-    /// Gaussian: Cholesky factor of `AᵀA + εI`, for the least-squares
-    /// restriction.
-    ata: Option<Cholesky>,
 }
 
 impl RandomProjection {
@@ -153,31 +143,10 @@ impl RandomProjection {
             "d_low ({d_low}) must not exceed the native dimension ({native_dim})"
         );
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5ACE_5ACE_5ACE_5ACE);
-        match kind {
-            Projection::Hesbo => {
-                let h: Vec<usize> =
-                    (0..native_dim).map(|_| rng.random_range(0..d_low)).collect();
-                let s: Vec<f64> =
-                    (0..native_dim).map(|_| if rng.random::<bool>() { 1.0 } else { -1.0 }).collect();
-                RandomProjection { kind, d_low, native_dim, seed, h, s, a: None, ata: None }
-            }
-            Projection::Gaussian => {
-                let sigma = 2.0 / (d_low as f64).sqrt();
-                let a = Matrix::from_fn(native_dim, d_low, |_, _| {
-                    sigma * xrand::dist::standard_normal(&mut rng)
-                });
-                let ata = Matrix::from_fn(d_low, d_low, |i, j| {
-                    let mut acc = 0.0;
-                    for r in 0..native_dim {
-                        acc += a[(r, i)] * a[(r, j)];
-                    }
-                    acc + if i == j { 1e-9 } else { 0.0 }
-                });
-                let ata = Cholesky::factor_with_jitter(&ata)
-                    .expect("AᵀA + εI is positive definite by construction");
-                RandomProjection { kind, d_low, native_dim, seed, h: Vec::new(), s: Vec::new(), a: Some(a), ata: Some(ata) }
-            }
-        }
+        let h: Vec<usize> = (0..native_dim).map(|_| rng.random_range(0..d_low)).collect();
+        let s: Vec<f64> =
+            (0..native_dim).map(|_| if rng.random::<bool>() { 1.0 } else { -1.0 }).collect();
+        RandomProjection { kind, d_low, native_dim, seed, h, s }
     }
 }
 
@@ -192,62 +161,29 @@ impl SpaceTransform for RandomProjection {
 
     fn lift(&self, low: &[f64]) -> Vec<f64> {
         assert_eq!(low.len(), self.d_low, "projection lift dimension mismatch");
-        match self.kind {
-            Projection::Hesbo => (0..self.native_dim)
-                .map(|i| {
-                    let v = low[self.h[i]];
-                    let v = if self.s[i] > 0.0 { v } else { 1.0 - v };
-                    v.clamp(0.0, 1.0)
-                })
-                .collect(),
-            Projection::Gaussian => {
-                let a = self.a.as_ref().expect("gaussian projection has a matrix");
-                (0..self.native_dim)
-                    .map(|i| {
-                        let row = a.row(i);
-                        let mut acc = 0.5;
-                        for (j, &w) in row.iter().enumerate() {
-                            acc += w * (low[j] - 0.5);
-                        }
-                        acc.clamp(0.0, 1.0)
-                    })
-                    .collect()
-            }
-        }
+        (0..self.native_dim)
+            .map(|i| {
+                let v = low[self.h[i]];
+                let v = if self.s[i] > 0.0 { v } else { 1.0 - v };
+                v.clamp(0.0, 1.0)
+            })
+            .collect()
     }
 
     fn restrict(&self, native: &[f64]) -> Vec<f64> {
         assert_eq!(native.len(), self.native_dim, "projection restrict dimension mismatch");
-        match self.kind {
-            Projection::Hesbo => {
-                // Group-average of the sign-adjusted native coordinates: the
-                // least-squares solution for a counting-sketch embedding.
-                let mut sum = vec![0.0; self.d_low];
-                let mut count = vec![0usize; self.d_low];
-                for i in 0..self.native_dim {
-                    let v = if self.s[i] > 0.0 { native[i] } else { 1.0 - native[i] };
-                    sum[self.h[i]] += v;
-                    count[self.h[i]] += 1;
-                }
-                (0..self.d_low)
-                    .map(|j| if count[j] == 0 { 0.5 } else { (sum[j] / count[j] as f64).clamp(0.0, 1.0) })
-                    .collect()
-            }
-            Projection::Gaussian => {
-                // Least squares: solve (AᵀA + εI) x = Aᵀ(native - 0.5).
-                let a = self.a.as_ref().expect("gaussian projection has a matrix");
-                let ata = self.ata.as_ref().expect("gaussian projection has a factor");
-                let mut rhs = vec![0.0; self.d_low];
-                for i in 0..self.native_dim {
-                    let centered = native[i] - 0.5;
-                    for (j, &w) in a.row(i).iter().enumerate() {
-                        rhs[j] += w * centered;
-                    }
-                }
-                let x = ata.solve(&rhs).expect("SPD solve cannot fail on finite input");
-                x.iter().map(|v| (v + 0.5).clamp(0.0, 1.0)).collect()
-            }
+        // Group-average of the sign-adjusted native coordinates: the
+        // least-squares solution for a counting-sketch embedding.
+        let mut sum = vec![0.0; self.d_low];
+        let mut count = vec![0usize; self.d_low];
+        for i in 0..self.native_dim {
+            let v = if self.s[i] > 0.0 { native[i] } else { 1.0 - native[i] };
+            sum[self.h[i]] += v;
+            count[self.h[i]] += 1;
         }
+        (0..self.d_low)
+            .map(|j| if count[j] == 0 { 0.5 } else { (sum[j] / count[j] as f64).clamp(0.0, 1.0) })
+            .collect()
     }
 
     fn id(&self) -> String {
@@ -504,19 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_lift_clips_and_restrict_recovers_interior_points() {
-        let set = KnobSet::extended();
-        let t = RandomProjection::new(Projection::Gaussian, 8, set.dim(), 7);
-        let low = vec![0.55; 8];
-        let native = t.lift(&low);
-        assert!(native.iter().all(|v| (0.0..=1.0).contains(v)));
-        // A mild point lifts without saturating everywhere, and the
-        // least-squares restriction lands near the original search point.
-        let back = t.restrict(&native);
-        assert!(close(&back, &low, 0.15), "{back:?} vs {low:?}");
-    }
-
-    #[test]
     fn hesbo_restrict_inverts_lift_for_interior_points() {
         let set = KnobSet::extended();
         let t = RandomProjection::new(Projection::Hesbo, 12, set.dim(), 5);
@@ -608,7 +531,7 @@ mod tests {
         // refinement can step epsilon outside; lifting must not panic and
         // must still produce in-cube native points.
         let set = KnobSet::extended();
-        let t = projected_space(&set, Projection::Gaussian, 8, 1, Some(32), Some(0.2));
+        let t = projected_space(&set, Projection::Hesbo, 8, 1, Some(32), Some(0.2));
         let low = vec![-0.1, 1.1, 0.5, 0.0, 1.0, 0.3, 0.7, 2.0];
         let native = t.lift(&low);
         assert!(native.iter().all(|v| (0.0..=1.0).contains(v)));

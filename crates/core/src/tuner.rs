@@ -3,24 +3,20 @@
 //! weight schema of §6.4.3 (meta-feature static weights for the first
 //! iterations, ranking-loss dynamic weights afterwards).
 //!
-//! [`TuningSession`] is a thin facade: the run loop is
-//! [`crate::driver::TuningDriver`], the recommendation policy is
-//! [`crate::proposer::RestuneProposer`], and the apply/replay/record side is
-//! [`crate::engine::EvalEngine`] (see DESIGN.md §11). This module keeps the
-//! environment builder, the configuration, and the session API the rest of
-//! the workspace programs against.
+//! [`TuningSession`] is [`crate::driver::TuningDriver`] with
+//! [`crate::proposer::RestuneProposer`] as its strategy; the
+//! apply/replay/record side is [`crate::engine::EvalEngine`] (see DESIGN.md
+//! §11). This module keeps the environment builder, the configuration, and
+//! the session's two constructors.
 
 use crate::acquisition::{AcquisitionKind, AcquisitionOptimizer};
 use crate::driver::TuningDriver;
 use crate::engine::EvalEngine;
 use crate::meta::BaseLearner;
-use crate::problem::{ResourceKind, SlaConstraints};
+use crate::problem::{ResourceKind, SpaceInfo};
 use crate::proposer::RestuneProposer;
-use crate::resilience::FailureCounts;
 use crate::space::SpaceTransform;
-use dbsim::{
-    FaultPlan, InstanceType, KnobSet, Observation, SimulatedDbms, WorkloadSchedule, WorkloadSpec,
-};
+use dbsim::{FaultPlan, InstanceType, KnobSet, SimulatedDbms, WorkloadSchedule, WorkloadSpec};
 use gp::GpConfig;
 use std::sync::Arc;
 
@@ -52,6 +48,17 @@ impl TuningEnvironment {
     /// when one is installed, the knob set's otherwise.
     pub fn search_dim(&self) -> usize {
         self.space.as_ref().map(|t| t.dim()).unwrap_or_else(|| self.knob_set.dim())
+    }
+
+    /// The space proposers search: the transform's dimension and id when
+    /// one is installed, the native knob space otherwise. Stored tasks
+    /// transfer to this environment only from the same space
+    /// ([`crate::repository::TaskRecord::transfers_to`]).
+    pub fn space_info(&self) -> SpaceInfo {
+        match &self.space {
+            Some(t) => SpaceInfo { dim: t.dim(), id: t.id() },
+            None => SpaceInfo::native(self.knob_set.dim()),
+        }
     }
 }
 
@@ -242,11 +249,10 @@ impl Default for RestuneConfig {
     }
 }
 
-/// A running ResTune tuning session.
-///
-/// A facade over the shared [`TuningDriver`] run loop: the session owns a
-/// driver whose strategy is [`RestuneProposer`] and whose evaluation side is
-/// the [`EvalEngine`] every method shares (DESIGN.md §11).
+/// A ResTune tuning run: the shared [`TuningDriver`] loop whose strategy is
+/// [`RestuneProposer`] and whose evaluation side is the [`EvalEngine`] every
+/// method shares (DESIGN.md §11). The run is meta-boosted exactly when it
+/// holds at least one base learner.
 ///
 /// # Examples
 ///
@@ -273,18 +279,17 @@ impl Default for RestuneConfig {
 /// // The incumbent is always SLA-feasible (the default until improved).
 /// assert!(outcome.best_objective.unwrap() <= outcome.default_obj_value);
 /// ```
-pub struct TuningSession {
-    driver: TuningDriver<RestuneProposer>,
-}
+pub type TuningSession = TuningDriver<RestuneProposer>;
 
-impl TuningSession {
-    /// A session without meta-learning (ResTune-w/o-ML): LHS bootstrap, then
+impl TuningDriver<RestuneProposer> {
+    /// A run without meta-learning (ResTune-w/o-ML): LHS bootstrap, then
     /// CEI over the target-only surrogate.
     pub fn new(env: TuningEnvironment, config: RestuneConfig) -> Self {
-        Self::build(env, config, Vec::new(), Vec::new(), false)
+        Self::with_base_learners(env, config, Vec::new(), Vec::new())
     }
 
-    /// A session boosted by historical base-learners (full ResTune).
+    /// A run boosted by historical base-learners (full ResTune). With no
+    /// learners it is the run [`TuningSession::new`] builds.
     ///
     /// # Panics
     ///
@@ -309,109 +314,17 @@ impl TuningSession {
                 dim
             );
         }
-        Self::build(env, config, base_learners, target_meta_feature, true)
-    }
-
-    fn build(
-        env: TuningEnvironment,
-        config: RestuneConfig,
-        base_learners: Vec<BaseLearner>,
-        target_meta_feature: Vec<f64>,
-        use_meta: bool,
-    ) -> Self {
-        let dim = env.search_dim();
         // The default observation seeds the model and the incumbent.
         let engine = EvalEngine::new(env, true);
         let seed = config.seed;
-        let proposer =
-            RestuneProposer::new(config, base_learners, target_meta_feature, use_meta, dim);
-        TuningSession { driver: TuningDriver::new(engine, proposer, seed) }
+        let proposer = RestuneProposer::new(config, base_learners, target_meta_feature, dim);
+        TuningDriver::from_parts(engine, proposer, seed)
     }
 
-    /// Appends an externally collected observation tuple to the surrogate's
-    /// training data without consuming a replay — warm-starting a session
-    /// from measurements gathered outside it. A point outside the search
-    /// space `[0, 1]^search_dim` is rejected with the history unchanged; the
-    /// values enter the model verbatim, and a degenerate tuple (NaN/inf)
-    /// does not abort the session but degrades the next recommendations to
-    /// uniform exploration until enough clean data accumulates
-    /// ([`crate::engine::EvalEngine::seed_history`], DESIGN.md §9).
-    pub fn seed_history(
-        &mut self,
-        point: Vec<f64>,
-        res: f64,
-        tps: f64,
-        lat: f64,
-    ) -> Result<(), SeedError> {
-        self.driver.engine_mut().seed_history(point, res, tps, lat)
-    }
-
-    /// Installs a drift controller (DESIGN.md §16): after every committed
-    /// iteration the controller may re-characterize the live workload and
-    /// execute a warm restart. Builder-style so it chains onto construction.
-    pub fn with_drift(mut self, controller: crate::drift::DriftController) -> Self {
-        self.driver.set_drift(controller);
+    /// The identity: a [`TuningSession`] already is its driver. `perfbench`
+    /// still calls it; the method goes when that call does.
+    pub fn into_driver(self) -> Self {
         self
-    }
-
-    /// The installed drift controller, if any (restart/seal tallies).
-    pub fn drift(&self) -> Option<&crate::drift::DriftController> {
-        self.driver.drift()
-    }
-
-    /// Replay-failure tally so far.
-    pub fn failures(&self) -> FailureCounts {
-        self.driver.engine().failures()
-    }
-
-    /// The SLA in force.
-    pub fn sla(&self) -> SlaConstraints {
-        self.driver.engine().sla()
-    }
-
-    /// The default observation.
-    pub fn default_observation(&self) -> &Observation {
-        self.driver.engine().default_observation()
-    }
-
-    /// Completed iterations.
-    pub fn iterations(&self) -> usize {
-        self.driver.engine().iterations()
-    }
-
-    /// Runs one iteration; returns the new record.
-    pub fn step(&mut self) -> IterationRecord {
-        self.driver.step()
-    }
-
-    /// Runs `iterations` steps and summarizes.
-    pub fn run(&mut self, iterations: usize) -> TuningOutcome {
-        self.driver.run(iterations)
-    }
-
-    /// Runs `iterations` steps and consumes the session into the final
-    /// outcome without cloning the history.
-    pub fn run_into_outcome(self, iterations: usize) -> TuningOutcome {
-        self.driver.run_into_outcome(iterations)
-    }
-
-    /// Summarizes what has been observed so far (clones the history — prefer
-    /// [`TuningSession::into_outcome`] at end of run).
-    pub fn outcome(&self) -> TuningOutcome {
-        self.driver.engine().outcome()
-    }
-
-    /// Consumes the session into its final outcome without cloning the
-    /// history.
-    pub fn into_outcome(self) -> TuningOutcome {
-        self.driver.into_outcome()
-    }
-
-    /// Unwraps the session into the underlying driver — the same loop state,
-    /// bit-for-bit, for callers (the fleet service) that schedule drivers
-    /// directly instead of running the facade to completion.
-    pub fn into_driver(self) -> TuningDriver<RestuneProposer> {
-        self.driver
     }
 }
 
@@ -420,6 +333,7 @@ impl TuningSession {
 mod tests {
     use super::*;
     use crate::resilience::FailureKind;
+    use dbsim::Observation;
 
     fn quick_config(seed: u64) -> RestuneConfig {
         RestuneConfig {
@@ -472,9 +386,28 @@ mod tests {
     #[test]
     fn default_observation_fixes_the_sla() {
         let session = TuningSession::new(twitter_env(3), quick_config(3));
-        let sla = session.sla();
-        assert_eq!(sla.min_tps, session.default_observation().tps);
-        assert_eq!(sla.max_p99_ms, session.default_observation().p99_ms);
+        let engine = session.engine();
+        let sla = engine.sla();
+        assert_eq!(sla.min_tps, engine.default_observation().tps);
+        assert_eq!(sla.max_p99_ms, engine.default_observation().p99_ms);
+    }
+
+    #[test]
+    fn a_session_given_no_learners_is_the_non_meta_session() {
+        // A run is meta-boosted exactly when it holds a learner: given an
+        // empty list, it bootstraps with LHS like `new`, whatever the
+        // meta-feature.
+        let steps = |mut s: TuningSession| -> Vec<(Vec<f64>, Observation)> {
+            (0..4).map(|_| s.step()).map(|r| (r.point, r.observation)).collect()
+        };
+        let plain = steps(TuningSession::new(twitter_env(3), quick_config(3)));
+        let empty = TuningSession::with_base_learners(
+            twitter_env(3),
+            quick_config(3),
+            Vec::new(),
+            vec![0.2; 5],
+        );
+        assert_eq!(steps(empty), plain);
     }
 
     #[test]
@@ -534,7 +467,8 @@ mod tests {
         // abort the whole session when the observation set was degenerate.
         // A seeded NaN tuple must instead degrade to uniform exploration.
         let mut session = TuningSession::new(twitter_env(6), quick_config(6));
-        session.seed_history(vec![0.5, 0.5, 0.5], f64::NAN, f64::NAN, f64::NAN).unwrap();
+        let engine = session.engine_mut();
+        engine.seed_history(vec![0.5, 0.5, 0.5], f64::NAN, f64::NAN, f64::NAN).unwrap();
         let r0 = session.step();
         assert!(r0.weights.is_none());
         assert!(r0.point.iter().all(|v| (0.0..=1.0).contains(v)));
@@ -542,10 +476,10 @@ mod tests {
         // keeps collecting real observations.
         let r1 = session.step();
         assert_ne!(r0.point, r1.point, "exploration points are re-seeded per iteration");
-        assert!(session.iterations() == 2);
+        assert!(session.engine().iterations() == 2);
         // The outcome renders without panicking and the incumbent stays the
         // (feasible) default.
-        let outcome = session.outcome();
+        let outcome = session.engine().outcome();
         assert!(outcome.best_objective.unwrap().is_finite());
     }
 
@@ -570,16 +504,16 @@ mod tests {
         ];
         for (point, want) in rejected {
             let mut s = session();
-            assert_eq!(s.seed_history(point, 10.0, 1.0, 1.0), Err(want));
+            assert_eq!(s.engine_mut().seed_history(point, 10.0, 1.0, 1.0), Err(want));
             assert_eq!(steps(&mut s), unseeded);
         }
         let mut s = session();
-        let nan = s.seed_history(vec![f64::NAN, 0.5, 0.5], 10.0, 1.0, 1.0);
+        let nan = s.engine_mut().seed_history(vec![f64::NAN, 0.5, 0.5], 10.0, 1.0, 1.0);
         assert!(matches!(nan, Err(SeedError::OutOfCube { index: 0, value }) if value.is_nan()));
         assert_eq!(steps(&mut s), unseeded);
         // The cube's faces are inside it, and an accepted point is read.
         let mut s = session();
-        assert_eq!(s.seed_history(vec![0.0, 1.0, 0.5], 10.0, 1.0, 1.0), Ok(()));
+        assert_eq!(s.engine_mut().seed_history(vec![0.0, 1.0, 0.5], 10.0, 1.0, 1.0), Ok(()));
         assert_ne!(steps(&mut s), unseeded);
     }
 
@@ -587,7 +521,7 @@ mod tests {
     fn degenerate_fallback_is_deterministic() {
         let run = || {
             let mut s = TuningSession::new(twitter_env(11), quick_config(11));
-            s.seed_history(vec![0.1, 0.2, 0.3], f64::INFINITY, 1.0, 1.0).unwrap();
+            s.engine_mut().seed_history(vec![0.1, 0.2, 0.3], f64::INFINITY, 1.0, 1.0).unwrap();
             (s.step().point, s.step().point)
         };
         assert_eq!(run(), run());

@@ -82,7 +82,7 @@ fn scripted_sequence_matches_hand_computed_records() {
         observe_log: Vec::new(),
         post_replay_model_s: 0.75,
     };
-    let mut driver = TuningDriver::new(engine, proposer, 9);
+    let mut driver = TuningDriver::from_parts(engine, proposer, 9);
     for _ in 0..script.len() {
         driver.step();
     }
@@ -156,7 +156,7 @@ fn driver_hands_proposers_the_documented_seeds_and_views() {
         post_replay_model_s: 0.75,
     };
     let driver_seed = 41u64;
-    let mut driver = TuningDriver::new(engine, proposer, driver_seed);
+    let mut driver = TuningDriver::from_parts(engine, proposer, driver_seed);
     for _ in 0..n {
         driver.step();
     }

@@ -22,30 +22,47 @@
 //! health events (DESIGN.md §10, §15) and writes them to `FILE` as JSONL;
 //! the tuning output is the same with or without it. `report FILE` renders
 //! such a file: the span tree, the Table-3 phase breakdown and the health
-//! tables.
+//! tables. Each command takes only its own flags, each with one value; an
+//! unknown flag or a missing value prints an `error:` line and the usage.
 
 use dbsim::{InstanceType, KnobSet, SimulatedDbms, WorkloadSpec};
 use restune::core::problem::ResourceKind;
-use restune::core::repository::{DataRepository, TaskRecord};
+use restune::core::repository::{DataRepository, TaskRecord, TransferMismatch};
 use restune::core::tuner::{RestuneConfig, TuningEnvironment, TuningSession};
 use restune::core::view;
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// A command's parsed flags, by name without the leading `--`.
+type Flags = HashMap<String, String>;
+
+/// The flags each command takes; every flag takes one value.
+const TUNE_FLAGS: &[&str] = &[
+    "workload", "instance", "resource", "iters", "seed", "repo", "save-repo", "knobs", "project",
+    "quantize", "trace",
+];
+const GRID_FLAGS: &[&str] = &["workload", "instance", "levels"];
+const KNOBS_FLAGS: &[&str] = &["resource"];
+
+/// Parses `--name value` pairs whose names are in `allowed`. An unknown
+/// flag, a stray argument, or a value that is missing or starts with `--`
+/// is an error.
+fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            let value = args.get(i + 1).cloned().unwrap_or_default();
-            flags.insert(name.to_string(), value);
-            i += 2;
-        } else {
-            i += 1;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--").filter(|name| allowed.contains(name)) else {
+            return Err(format!("unknown argument {arg}"));
+        };
+        match args.next() {
+            Some(value) if !value.starts_with("--") => {
+                flags.insert(name.to_string(), value.clone());
+            }
+            _ => return Err(format!("--{name} needs a value")),
         }
     }
-    flags
+    Ok(flags)
 }
 
 fn workload_by_name(name: &str) -> Option<WorkloadSpec> {
@@ -88,18 +105,24 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else { return usage() };
-    let flags = parse_flags(&args[1..]);
-
-    match command.as_str() {
-        "tune" => cmd_tune(&flags),
-        "report" => cmd_report(&args[1..]),
-        "grid" => cmd_grid(&flags),
-        "knobs" => cmd_knobs(&flags),
-        _ => usage(),
+    let rest = &args[1..];
+    let (run, allowed): (fn(&Flags) -> ExitCode, _) = match command.as_str() {
+        "tune" => (cmd_tune, TUNE_FLAGS),
+        "report" => return cmd_report(rest),
+        "grid" => (cmd_grid, GRID_FLAGS),
+        "knobs" => (cmd_knobs, KNOBS_FLAGS),
+        _ => return usage(),
+    };
+    match parse_flags(rest, allowed) {
+        Ok(flags) => run(&flags),
+        Err(e) => {
+            eprintln!("error: {e}");
+            usage()
+        }
     }
 }
 
-fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_tune(flags: &Flags) -> ExitCode {
     let Some(workload) = flags.get("workload").and_then(|w| workload_by_name(w)) else {
         eprintln!("error: --workload is required (sysbench|tpcc|twitter|hotel|sales)");
         return ExitCode::FAILURE;
@@ -155,10 +178,6 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let env = builder.build();
-    let space_id = match &env.space {
-        Some(t) => t.id(),
-        None => "native".to_string(),
-    };
     let knob_set = env.knob_set.clone();
     let mut config = RestuneConfig { seed, ..Default::default() };
     let repo_path = flags.get("repo").filter(|p| !p.is_empty());
@@ -176,25 +195,20 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
             Ok(repo) => {
                 println!("loaded repository: {} tasks, {} observations", repo.len(), repo.n_observations());
                 let gp_config = gp::GpConfig { restarts: 1, adam_iters: 25, ..Default::default() };
-                let search_dim = env.search_dim();
-                let in_space = |t: &TaskRecord| {
-                    t.knob_names == knob_set.names()
-                        && t.space_id == space_id
-                        && t.resource == resource
-                };
-                // A task can name this space and still hold points of another
-                // length (a hand-edited or corrupted file); fitting it would
-                // build a learner the session rejects.
-                let well_formed =
-                    |t: &TaskRecord| t.observations.iter().all(|o| o.point.len() == search_dim);
-                let malformed =
-                    repo.tasks().iter().filter(|t| in_space(t) && !well_formed(t)).count();
+                let space = env.space_info();
+                let transfer = |t: &TaskRecord| t.transfers_to(knob_set.names(), resource, &space);
+                let malformed = repo
+                    .tasks()
+                    .iter()
+                    .filter(|t| transfer(t) == Err(TransferMismatch::PointWidth))
+                    .count();
                 if malformed > 0 {
                     println!(
-                        "skipped {malformed} repository task(s) whose points are not {search_dim}-dimensional"
+                        "skipped {malformed} repository task(s) whose points are not {}-dimensional",
+                        space.dim
                     );
                 }
-                let learners = repo.base_learners(&gp_config, |t| in_space(t) && well_formed(t));
+                let learners = repo.base_learners(&gp_config, |t| transfer(t).is_ok());
                 println!("usable base-learners in this search space: {}", learners.len());
                 Some(learners)
             }
@@ -210,12 +224,11 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
         trace::enable();
         config.diag = true;
     }
-    let session = match (learners, meta_feature.clone()) {
+    let mut session = match (learners, meta_feature.clone()) {
         (Some(learners), Some(mf)) => TuningSession::with_base_learners(env, config, learners, mf),
         _ => TuningSession::new(env, config),
     };
-    let mut driver = session.into_driver();
-    let outcome = driver.run(iters);
+    let outcome = session.run(iters);
     let snapshot = trace_path.map(|_| trace::snapshot());
 
     println!("\nSLA: tps >= {:.0} txn/s, p99 <= {:.2} ms", outcome.sla.min_tps, outcome.sla.max_p99_ms);
@@ -237,7 +250,7 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
     if let (Some(path), Some(mf)) = (save_path, meta_feature) {
         let mut repo = DataRepository::load(Path::new(path)).unwrap_or_default();
         let task_id = format!("{}@{}", workload.name, instance.name());
-        repo.add(driver.engine().to_task_record(&task_id, mf));
+        repo.add(session.engine().to_task_record(&task_id, mf));
         match repo.save(Path::new(path)) {
             Ok(()) => println!("\nsaved task history to {path} ({} tasks total)", repo.len()),
             Err(e) => eprintln!("warning: could not save repository: {e}"),
@@ -267,7 +280,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_grid(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_grid(flags: &Flags) -> ExitCode {
     let Some(workload) = flags.get("workload").and_then(|w| workload_by_name(w)) else {
         eprintln!("error: --workload is required");
         return ExitCode::FAILURE;
@@ -288,7 +301,7 @@ fn cmd_grid(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_knobs(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_knobs(flags: &Flags) -> ExitCode {
     let set = match flags.get("resource").map(|s| s.as_str()) {
         Some("io") => KnobSet::io(),
         Some("memory" | "mem") => KnobSet::memory(),

@@ -33,6 +33,22 @@ fn restune(args: &[&str]) -> String {
     String::from_utf8(out.stdout).unwrap()
 }
 
+/// Runs the binary in the test's scratch directory and asserts that it
+/// exits 1, printing one `error:` line and then the usage; returns stderr.
+fn restune_rejects(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_restune"))
+        .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "restune {args:?} should fail\n{}", describe(&out));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let errors = stderr.lines().filter(|l| l.starts_with("error: ")).count();
+    assert!(errors == 1 && stderr.starts_with("error: "), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    stderr
+}
+
 fn describe(out: &Output) -> String {
     format!(
         "exit {:?}\nstdout:\n{}\nstderr:\n{}",
@@ -154,4 +170,27 @@ fn tune_saves_the_default_first_and_traces_without_changing_its_output() {
         .unwrap();
     let stderr = String::from_utf8_lossy(&missing.stderr);
     assert!(!missing.status.success() && stderr.contains("cannot read"), "{}", describe(&missing));
+}
+
+#[test]
+fn tune_rejects_unknown_flags_and_flags_without_values() {
+    // A mistyped flag used to be ignored: `--iter 3` ran the default 40
+    // iterations. Each command takes only its own flags.
+    let stderr = restune_rejects(&["tune", "--workload", "twitter", "--iter", "3"]);
+    assert!(stderr.contains("unknown argument --iter"), "{stderr}");
+    let stderr = restune_rejects(&["grid", "--workload", "twitter", "--iters", "3"]);
+    assert!(stderr.contains("unknown argument --iters"), "{stderr}");
+
+    // A flag without a value used to take the next flag as its value:
+    // `--trace --save-repo x.json` wrote the trace to a file named
+    // `--save-repo` and saved no repository.
+    let saved = tmp_path("cli_swallowed.json");
+    let swallowed = tmp_path("--save-repo");
+    let _ = std::fs::remove_file(&swallowed);
+    let args = ["tune", "--workload", "twitter", "--iters", "3", "--trace", "--save-repo"];
+    let stderr = restune_rejects(&[&args[..], &[saved.to_str().unwrap()]].concat());
+    assert!(stderr.contains("--trace needs a value"), "{stderr}");
+    assert!(!swallowed.exists() && !saved.exists());
+    let stderr = restune_rejects(&["tune", "--workload", "twitter", "--seed"]);
+    assert!(stderr.contains("--seed needs a value"), "{stderr}");
 }

@@ -252,9 +252,7 @@ fn same_seed_drifting_sessions_are_bit_identical() {
         let controller = DriftController::for_workload(
             DriftConfig {
                 check_every: 2,
-                threshold: 0.25,
                 min_epoch_iters: 4,
-                settle_tol: 0.05,
                 embed_seed: 0,
                 policy: RestartPolicy::Warm,
             },
@@ -263,7 +261,8 @@ fn same_seed_drifting_sessions_are_bit_identical() {
             "twitter@A",
             sink,
         );
-        let mut driver = TuningSession::new(env, config).with_drift(controller).into_driver();
+        let mut driver = TuningSession::new(env, config);
+        driver.set_drift(controller);
         for _ in 0..12 {
             driver.step();
         }
@@ -323,9 +322,7 @@ fn drifting_fleet_runs_are_bit_identical_across_worker_counts() {
                     iters,
                     DriftConfig {
                         check_every: 2,
-                        threshold: 0.25,
                         min_epoch_iters: 4,
-                        settle_tol: 0.05,
                         embed_seed: 0,
                         policy: restune::core::drift::RestartPolicy::Warm,
                     },
@@ -443,15 +440,9 @@ fn inline_and_fanned_out_step_paths_agree_for_arbitrary_seeds() {
                     .seed(seed)
                     .build()
             };
-            let tenant = Tenant::restune_meta(
-                0,
-                "inline",
-                env(),
-                config.clone(),
-                learners.clone(),
-                mf.clone(),
-                iters,
-            );
+            let session =
+                TuningSession::with_base_learners(env(), config.clone(), learners.clone(), mf.clone());
+            let tenant = Tenant::new(0, "inline", iters, mf.clone(), session);
             let fanned =
                 TuningSession::with_base_learners(env(), config, learners.clone(), mf.clone())
                     .run(iters);

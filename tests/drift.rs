@@ -14,7 +14,8 @@ use restune::core::drift::{DriftConfig, DriftController, LocalSealSink, RestartP
 use restune::core::repository::{DataRepository, TaskRecord};
 use restune::prelude::*;
 
-/// Serializes the tests that toggle the global trace collector.
+/// Serializes the tests that step drifting sessions: one of them records
+/// the global trace collector's counters, which every session feeds.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 const SEED: u64 = 42;
@@ -38,12 +39,42 @@ fn drift_bo_config() -> RestuneConfig {
 fn drift_config() -> DriftConfig {
     DriftConfig {
         check_every: 2,
-        threshold: 0.25,
         min_epoch_iters: 6,
-        settle_tol: 0.05,
         embed_seed: 0,
         policy: RestartPolicy::Warm,
     }
+}
+
+/// The session under test: Twitter on instance A drifting into the OLAP mix,
+/// with a drift controller whose sink holds `repo`.
+fn drifting_session(
+    characterizer: &Arc<workload::WorkloadCharacterizer>,
+    repo: DataRepository,
+    config: RestuneConfig,
+    drift: DriftConfig,
+) -> TuningSession {
+    let base = WorkloadSpec::twitter();
+    let env = TuningEnvironment::builder()
+        .instance(InstanceType::A)
+        .workload(base.clone())
+        .resource(ResourceKind::Cpu)
+        .knob_set(KnobSet::cpu())
+        .seed(SEED)
+        .schedule(WorkloadSchedule::oltp_to_olap(SEED, 6, 4))
+        .build();
+    let sink = Box::new(LocalSealSink::new(
+        repo,
+        gp::GpConfig { restarts: 1, adam_iters: 12, ..Default::default() },
+    ));
+    let mut session = TuningSession::new(env, config);
+    session.set_drift(DriftController::for_workload(
+        drift,
+        Arc::clone(characterizer),
+        &base,
+        "twitter@A",
+        sink,
+    ));
+    session
 }
 
 /// Two finished OLTP tasks in the session's exact knob space — the
@@ -75,28 +106,7 @@ fn drifting_session_seals_its_past_and_warm_restarts_with_it_as_transfer_source(
     let historical_tasks = repo.tasks().len();
     assert_eq!(historical_tasks, 2);
 
-    let base = WorkloadSpec::twitter();
-    let env = TuningEnvironment::builder()
-        .instance(InstanceType::A)
-        .workload(base.clone())
-        .resource(ResourceKind::Cpu)
-        .knob_set(KnobSet::cpu())
-        .seed(SEED)
-        .schedule(WorkloadSchedule::oltp_to_olap(SEED, 6, 4))
-        .build();
-    let sink = Box::new(LocalSealSink::new(
-        repo,
-        gp::GpConfig { restarts: 1, adam_iters: 12, ..Default::default() },
-    ));
-    let controller = DriftController::for_workload(
-        drift_config(),
-        Arc::clone(&characterizer),
-        &base,
-        "twitter@A",
-        sink,
-    );
-    let mut driver =
-        TuningSession::new(env, drift_bo_config()).with_drift(controller).into_driver();
+    let mut driver = drifting_session(&characterizer, repo, drift_bo_config(), drift_config());
     let iters = 16;
     for _ in 0..iters {
         driver.step();
@@ -177,29 +187,14 @@ fn cold_restart_seals_the_epoch_but_transfers_nothing() {
     trace::reset();
 
     let characterizer = Arc::new(workload::WorkloadCharacterizer::train_default(SEED));
-    let base = WorkloadSpec::twitter();
-    let env = TuningEnvironment::builder()
-        .instance(InstanceType::A)
-        .workload(base.clone())
-        .resource(ResourceKind::Cpu)
-        .knob_set(KnobSet::cpu())
-        .seed(SEED)
-        .schedule(WorkloadSchedule::oltp_to_olap(SEED, 6, 4))
-        .build();
-    let sink = Box::new(LocalSealSink::new(
-        historical_repository(&characterizer),
-        gp::GpConfig { restarts: 1, adam_iters: 12, ..Default::default() },
-    ));
     let mut config = drift_bo_config();
     config.diag = false;
-    let controller = DriftController::for_workload(
+    let mut driver = drifting_session(
+        &characterizer,
+        historical_repository(&characterizer),
+        config,
         DriftConfig { policy: RestartPolicy::Cold, ..drift_config() },
-        Arc::clone(&characterizer),
-        &base,
-        "twitter@A",
-        sink,
     );
-    let mut driver = TuningSession::new(env, config).with_drift(controller).into_driver();
     for _ in 0..16 {
         driver.step();
     }
@@ -215,4 +210,45 @@ fn cold_restart_seals_the_epoch_but_transfers_nothing() {
         outcome.history.iter().all(|r| r.weights.is_none()),
         "cold restart must not hand the proposer any base-learners"
     );
+}
+
+#[test]
+fn a_restart_transfers_only_the_stored_tasks_that_fit_the_run() {
+    // Two more stored tasks name the session's knobs and search space, but
+    // may not transfer to it: one holds points a coordinate short (a
+    // hand-edited file), the other tuned I/O bandwidth. Refitting the first
+    // used to panic the restarted session's next step in `MetaLearner::new`;
+    // the second handed it a learner for another objective.
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let characterizer = Arc::new(workload::WorkloadCharacterizer::train_default(SEED));
+    let mut repo = historical_repository(&characterizer);
+    let historical_tasks = repo.tasks().len();
+    let mut short = TaskRecord { task_id: "short@A".into(), ..repo.tasks()[0].clone() };
+    for o in &mut short.observations {
+        o.point.pop();
+    }
+    let io = TaskRecord {
+        task_id: "io@A".into(),
+        resource: ResourceKind::IoBps,
+        ..repo.tasks()[1].clone()
+    };
+    repo.add(short);
+    repo.add(io);
+    let mut config = drift_bo_config();
+    config.diag = false;
+    let mut driver = drifting_session(&characterizer, repo, config, drift_config());
+    let iters = 16;
+    for _ in 0..iters {
+        driver.step();
+    }
+    assert_eq!(driver.drift().expect("controller installed").restarts(), 1);
+    let epoch_start = driver.engine().epoch_start();
+    let outcome = driver.into_outcome();
+    assert_eq!(outcome.history.len(), iters);
+    // After the restart the ensemble holds the two historical tasks, the
+    // sealed epoch and the target: neither misfit task.
+    let post: Vec<&Vec<f64>> =
+        outcome.history[epoch_start..].iter().filter_map(|r| r.weights.as_ref()).collect();
+    assert!(!post.is_empty(), "no post-restart iteration recorded ensemble weights");
+    assert!(post.iter().all(|w| w.len() == historical_tasks + 2), "{post:?}");
 }

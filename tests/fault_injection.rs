@@ -147,15 +147,9 @@ fn inline_tenant_execution_does_not_move_the_fault_schedule() {
     let (learners, mf) = six_learners();
     let plan = FaultPlan::none().with_transient_rate(TRANSIENT_RATE).with_seed(0xFA);
     let fanned = run_meta(42, plan, &learners, &mf);
-    let tenant = Tenant::restune_meta(
-        0,
-        "faulted",
-        meta_env(42, plan),
-        quick_config(42),
-        learners,
-        mf,
-        ITERS,
-    );
+    let session =
+        TuningSession::with_base_learners(meta_env(42, plan), quick_config(42), learners, mf.clone());
+    let tenant = Tenant::new(0, "faulted", ITERS, mf, session);
     let fleet =
         FleetService::new(FleetConfig { workers: 1, slice: 4, shards: 1 }).run(vec![tenant]);
     let inline = &fleet.tenants[0].outcome;

@@ -139,7 +139,7 @@ fn a_panicking_strategy_is_contained_to_its_tenant() {
         "exploding",
         ITERS,
         Vec::new(),
-        TuningDriver::new(engine, Exploding { after: 2, calls: 0 }, 0),
+        TuningDriver::from_parts(engine, Exploding { after: 2, calls: 0 }, 0),
     );
 
     let mut tenants: Vec<Tenant> = (0..4u64).map(|id| tenant(id, 0.0)).collect();

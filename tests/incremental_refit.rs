@@ -70,11 +70,8 @@ fn skipped_fits_leave_every_boundary_session_unchanged() {
     // the LHS steps take the GP-failure fallback point.
     let seeded = |res: f64| {
         let mut s = TuningSession::new(env(6), quick_config(6));
-        s.seed_history(vec![0.5, 0.5, 0.5], res, 1.0, 1.0).unwrap();
-        for _ in 0..3 {
-            s.step();
-        }
-        s.outcome()
+        s.engine_mut().seed_history(vec![0.5, 0.5, 0.5], res, 1.0, 1.0).unwrap();
+        s.run(3)
     };
     let (nan, inf) = (seeded(f64::NAN), seeded(f64::INFINITY));
     assert!(nan.history.iter().chain(&inf.history).all(|r| r.weights.is_none()));
@@ -134,7 +131,7 @@ fn a_step_whose_fit_fails_holds_no_surrogate() {
     for _ in 0..12 {
         session.step();
     }
-    session.seed_history(vec![0.5; 3], f64::NAN, 100.0, 10.0).unwrap();
+    session.engine_mut().seed_history(vec![0.5; 3], f64::NAN, 100.0, 10.0).unwrap();
     for _ in 0..3 {
         session.step();
     }

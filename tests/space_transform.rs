@@ -113,7 +113,7 @@ fn out_of_cube_proposals_materialize_in_range_configurations() {
     // proposer hands the engine — even coordinates outside [0,1] — the
     // configuration that reaches the DBMS stays inside every knob's range.
     let set = KnobSet::extended();
-    let transform = projected_space(&set, Projection::Gaussian, D_LOW, 7, None, Some(0.2));
+    let transform = projected_space(&set, Projection::Hesbo, D_LOW, 7, None, Some(0.2));
     let hostile = vec![1.7, -0.4, 0.0, 1.0, 0.5, -2.0, 3.0, 0.999];
     let native = transform.lift(&hostile);
     assert_eq!(native.len(), set.dim());

@@ -144,7 +144,8 @@ fn parallel_path_nests_scoped_thread_spans_under_their_phases() {
     trace::reset();
     // The same session as a fleet tenant, whose pool worker runs every
     // fan-out inline.
-    let tenant = Tenant::restune_meta(0, "inline", env_with(5, None), config, learners, mf, 6);
+    let session = TuningSession::with_base_learners(env_with(5, None), config, learners, mf.clone());
+    let tenant = Tenant::new(0, "inline", 6, mf, session);
     FleetService::new(FleetConfig { workers: 1, slice: 2, shards: 1 }).run(vec![tenant]);
     let inline = trace::snapshot();
     trace::reset();
